@@ -142,8 +142,6 @@ def dt_classify(
 
 
 def dt_decide_batch(model: DecisionTemplateModel, profiles: np.ndarray) -> np.ndarray:
-    n, m = profiles.shape[0], model.templates.shape[0]
-    sims = np.empty((n, m))
     t = model.templates[None]  # (1, M, K, M)
     p = profiles[:, None]      # (n, 1, K, M)
     inter = np.minimum(p, t).sum(axis=(2, 3))

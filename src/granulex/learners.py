@@ -397,35 +397,39 @@ def _predict_logistic(state, x):
 
 # --- decision tree / stump -------------------------------------------------
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
+def _gini(counts: np.ndarray, total) -> np.ndarray:
+    """Gini impurity of the class counts on the last axis; total > 0."""
     f = counts / total
-    return 1.0 - float((f * f).sum())
+    return 1.0 - (f * f).sum(axis=-1)
 
 
 def _best_split(x, y, p, min_leaf):
+    """CART split search: for each feature, the class counts left of every
+    sorted split position come from one cumulative sum, so all positions
+    are scored at once.  Ties go to the first feature, then the first
+    position.  None when no split lowers the parent impurity."""
     n, d = x.shape
-    parent = _gini(np.bincount(y, minlength=p))
+    totals = np.bincount(y, minlength=p)
+    parent = _gini(totals, n)
+    onehot = np.eye(p)[y]
     best = None  # (impurity, feature, threshold)
     for j in range(d):
         order = np.argsort(x[:, j], kind="stable")
-        xs, ys = x[order, j], y[order]
-        left = np.zeros(p)
-        right = np.bincount(ys, minlength=p).astype(float)
-        for i in range(n - 1):
-            left[ys[i]] += 1
-            right[ys[i]] -= 1
-            if xs[i] == xs[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            imp = (nl * _gini(left) + nr * _gini(right)) / n
-            if best is None or imp < best[0]:
-                best = (imp, j, (xs[i] + xs[i + 1]) / 2.0)
+        xs = x[order, j]
+        # cut i puts sorted rows [0, i] left: it needs distinct values on
+        # its two sides and at least min_leaf rows on each
+        cut = np.flatnonzero(xs[:-1] != xs[1:])
+        cut = cut[(cut >= min_leaf - 1) & (cut < n - min_leaf)]
+        if cut.size == 0:
+            continue
+        left = np.cumsum(onehot[order], axis=0)[cut]
+        nl = cut + 1.0
+        nr = n - nl
+        imp = (nl * _gini(left, nl[:, None])
+               + nr * _gini(totals - left, nr[:, None])) / n
+        i = int(np.argmin(imp))
+        if best is None or imp[i] < best[0]:
+            best = (imp[i], j, (xs[cut[i]] + xs[cut[i] + 1]) / 2.0)
     if best is None or best[0] >= parent:
         return None
     return best[1], best[2]

@@ -144,6 +144,15 @@ class MetaMatrix:
         )
         if len(ids) != scores.shape[1]:
             raise MetadataError("classifier_ids length mismatch")
+        # validate_scores on every profile at once; it words the first failure
+        bad = ~np.isfinite(scores).all(axis=2)
+        bad |= ((scores < -ROW_SUM_TOL) | (scores > 1.0 + ROW_SUM_TOL)).any(axis=2)
+        bad |= np.abs(scores.sum(axis=2) - 1.0) > ROW_SUM_TOL
+        if bad.any():
+            n = int(np.argmax(bad.any(axis=1)))
+            raise MetadataError(
+                f"observation {n}: " + "; ".join(validate_scores(scores[n]))
+            )
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "classifier_ids", tuple(ids))

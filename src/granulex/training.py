@@ -299,12 +299,31 @@ def save_ensemble(path, ensemble: TrainedEnsemble) -> None:
         json.dump(payload, fh, indent=1)
 
 
+_ENSEMBLE_KEYS = ("alpha", "h", "catalog", "alpha_error_curve", "classifiers")
+_CLASSIFIER_KEYS = ("kind", "params", "catalog", "state")
+
+
+def _require_keys(obj, keys, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise TrainingError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise TrainingError(f"{what} lacks key(s) {', '.join(missing)}")
+
+
 def load_ensemble(path) -> TrainedEnsemble:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise TrainingError("model file must hold a JSON object")
     version = payload.get("format_version")
     if version != ENSEMBLE_FORMAT_VERSION:
         raise TrainingError(f"unsupported ensemble format version {version!r}")
+    _require_keys(payload, _ENSEMBLE_KEYS, "model")
+    if not isinstance(payload["classifiers"], list):
+        raise TrainingError("model 'classifiers' must be a list")
+    for i, c in enumerate(payload["classifiers"]):
+        _require_keys(c, _CLASSIFIER_KEYS, f"model classifier {i}")
     return TrainedEnsemble(
         classifiers=tuple(
             FittedClassifier.from_state(c) for c in payload["classifiers"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from granulex.datasets import GeneratorSpec, generate
+from granulex import learners
+from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
 from granulex.learners import (
     Dataset,
     FittedClassifier,
@@ -155,3 +156,87 @@ def test_state_round_trip(spec):
     assert np.array_equal(
         model.predict_proba_batch(q), clone.predict_proba_batch(q)
     )
+
+
+# --- split search oracle ----------------------------------------------------
+
+def _reference_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    f = counts / total
+    return 1.0 - float((f * f).sum())
+
+
+def _reference_best_split(x, y, p, min_leaf):
+    """The scalar definition of the split search: one position at a time."""
+    n, d = x.shape
+    parent = _reference_gini(np.bincount(y, minlength=p))
+    best = None  # (impurity, feature, threshold)
+    for j in range(d):
+        order = np.argsort(x[:, j], kind="stable")
+        xs, ys = x[order, j], y[order]
+        left = np.zeros(p)
+        right = np.bincount(ys, minlength=p).astype(float)
+        for i in range(n - 1):
+            left[ys[i]] += 1
+            right[ys[i]] -= 1
+            if xs[i] == xs[i + 1]:
+                continue
+            nl = i + 1
+            nr = n - nl
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            imp = (nl * _reference_gini(left) + nr * _reference_gini(right)) / n
+            if best is None or imp < best[0]:
+                best = (imp, j, (xs[i] + xs[i + 1]) / 2.0)
+    if best is None or best[0] >= parent:
+        return None
+    return best[1], best[2]
+
+
+def _random_split_case(rng):
+    n = int(rng.integers(2, 301))
+    d = int(rng.integers(1, 5))
+    p = int(rng.choice([2, 3, 4]))
+    x = rng.normal(size=(n, d))
+    y = rng.integers(0, p, size=n)
+    for j in range(d):
+        style = rng.integers(0, 6)
+        if style == 1:    # quantized: many ties
+            x[:, j] = np.round(x[:, j] * 2.0) / 2.0
+        elif style == 2:  # binary
+            x[:, j] = rng.integers(0, 2, size=n)
+        elif style == 3:  # constant
+            x[:, j] = 1.5
+        elif style == 4:  # a copy of column 0: equal splits on two features
+            x[:, j] = x[:, 0]
+        elif style == 5:  # sorted positions, for the mirrored labels below
+            x[:, j] = np.arange(n)
+    if rng.integers(0, 4) == 0:  # mirrored labels: equal splits at i, n-2-i
+        y[n - n // 2:] = y[: n // 2][::-1]
+    return x, y, p
+
+
+def test_best_split_matches_scalar_reference():
+    rng = np.random.default_rng(20240917)
+    splits = 0
+    for _ in range(400):
+        x, y, p = _random_split_case(rng)
+        for min_leaf in (1, 2, 5):
+            expected = _reference_best_split(x, y, p, min_leaf)
+            assert learners._best_split(x, y, p, min_leaf) == expected
+            splits += expected is not None
+    assert splits > 300  # the cases exercise real splits, not only None
+
+
+@pytest.mark.parametrize("name", BUNDLED_DATASETS)
+@pytest.mark.parametrize("spec", [
+    LearnerSpec("decision-tree", {"max_depth": 20, "min_leaf": 1}),
+    LearnerSpec("decision-stump"),
+], ids=lambda s: s.kind)
+def test_tree_matches_scalar_reference(name, spec, monkeypatch):
+    data = load_bundled(name)
+    grown = fit(spec, data, 0).state["tree"]
+    monkeypatch.setattr(learners, "_best_split", _reference_best_split)
+    assert grown == fit(spec, data, 0).state["tree"]

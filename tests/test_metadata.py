@@ -79,6 +79,36 @@ def test_meta_matrix_shape_checks():
         MetaMatrix(np.zeros((2, 3, 5)), cat)
 
 
+@pytest.mark.parametrize("row, message", [
+    ([np.nan, 0.5], "non-finite"),
+    ([-0.25, 1.25], "outside"),
+    ([0.7, 0.4], "sum"),
+])
+def test_meta_matrix_rejects_invalid_posteriors(row, message):
+    scores = np.full((4, 3, 2), 0.5)
+    scores[2, 1] = row
+    scores[3, 0] = [2.0, 2.0]  # a later bad observation is not the one named
+    with pytest.raises(MetadataError, match=f"observation 2: row 1: .*{message}"):
+        MetaMatrix(scores, ClassCatalog(("a", "b")))
+
+
+def test_meta_matrix_accepts_sub_tolerance_drift():
+    scores = np.full((2, 2, 2), 0.5)
+    scores[1, 0] = [1.0000000001, -0.0000000001]
+    assert MetaMatrix(scores, ClassCatalog(("a", "b"))).n_observations == 2
+
+
+def test_read_meta_csv_rejects_invalid_row(tmp_path):
+    path = tmp_path / "meta.csv"
+    path.write_text(
+        "obs_id,k1_y1,k1_y2,k2_y1,k2_y2,label\n"
+        "0,0.5,0.5,0.5,0.5,a\n"
+        "1,nan,-3,5,0.2,b\n"
+    )
+    with pytest.raises(MetadataError, match="observation 1"):
+        read_meta_csv(path, ClassCatalog(("a", "b")))
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(42)
     raw = rng.random((6, 4, 3))

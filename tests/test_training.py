@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,29 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 99}')
         with pytest.raises(TrainingError, match="version"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda m: m.pop("classifiers"), "lacks key.*classifiers"),
+        (lambda m: m.pop("alpha_error_curve"), "lacks key.*alpha_error_curve"),
+        (lambda m: m["classifiers"][1].pop("state"), "classifier 1 lacks.*state"),
+        (lambda m: m["classifiers"].__setitem__(0, [1, 2]), "classifier 0 must"),
+        (lambda m: m.__setitem__("classifiers", {}), "must be a list"),
+    ])
+    def test_schema_check(self, tmp_path, damage, message):
+        e = train(toy_dataset(n=30), SPECS, seed=1, fixed_alpha=1.0, n_folds=3)
+        path = tmp_path / "model.json"
+        save_ensemble(path, e)
+        payload = json.loads(path.read_text())
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainingError, match=message):
+            load_ensemble(path)
+
+    def test_payload_must_be_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(TrainingError, match="JSON object"):
             load_ensemble(path)
 
 
