@@ -14,6 +14,11 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
   perceptron           logistic squashing of one-vs-rest perceptron scores
 
 Classes absent from the fitted data always receive posterior 0.
+
+`fit_folds` fits one learner on several row subsets of a data set, as
+cross-validation does.  For logistic-linear it steps the weights of all
+subsets together in one kernel call, bitwise equal to separate `fit` calls;
+`fit` itself is the one-subset call of that kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ __all__ = [
     "LearnerSpec",
     "FittedClassifier",
     "LearnerError",
+    "STATE_KEYS",
     "fit",
+    "fit_folds",
     "default_roster",
     "extended_roster",
     "spec_from_name",
@@ -249,17 +256,44 @@ def _unjsonable(obj):
     return obj
 
 
-def fit(spec: LearnerSpec, data: Dataset, seed: int) -> FittedClassifier:
-    """Fit one learner. Deterministic given (spec, data, seed)."""
-    present = np.unique(data.labels)
+def _present(labels: np.ndarray) -> np.ndarray:
+    present = np.unique(labels)
     if len(present) < 2:
         raise LearnerError("need at least two classes present to fit")
-    # Compact labels to 0..P-1 over present classes; predict maps them back.
-    compact = np.searchsorted(present, data.labels)
-    state = _FITTERS[spec.kind](spec, data.features, compact, len(present), seed)
+    return present
+
+
+def _fitted(spec, data, present, state) -> FittedClassifier:
     state["present"] = present
     state["n_features"] = data.n_features
     return FittedClassifier(spec, data.catalog, state)
+
+
+def fit(spec: LearnerSpec, data: Dataset, seed: int) -> FittedClassifier:
+    """Fit one learner. Deterministic given (spec, data, seed)."""
+    present = _present(data.labels)
+    # Compact labels to 0..P-1 over present classes; predict maps them back.
+    compact = np.searchsorted(present, data.labels)
+    state = _FITTERS[spec.kind](spec, data.features, compact, len(present), seed)
+    return _fitted(spec, data, present, state)
+
+
+def fit_folds(
+    spec: LearnerSpec,
+    data: Dataset,
+    rests: Sequence[np.ndarray],
+    seeds: Sequence[int],
+) -> list[FittedClassifier]:
+    """`[fit(spec, data.subset(r), s) for r, s in zip(rests, seeds)]`,
+    bitwise.  logistic-linear fits every rest in one batched kernel call
+    when the rests are increasing index arrays with the same classes
+    present, as cross-validation complements are."""
+    if spec.kind == "logistic-linear" and len(rests) > 0:
+        presents = [_present(data.labels[r]) for r in rests]
+        if all(np.array_equal(q, presents[0]) and (np.diff(r) > 0).all()
+               for q, r in zip(presents, rests)):
+            return _fit_logistic_folds(spec, data, rests, presents)
+    return [fit(spec, data.subset(r), s) for r, s in zip(rests, seeds)]
 
 
 # --- knn ---------------------------------------------------------------
@@ -271,17 +305,22 @@ def _fit_knn(spec, x, y, p, seed):
 def _predict_knn(state, x):
     xt, yt, p = state["x"], state["y"], int(state["p"])
     k = min(int(state["k"]), xt.shape[0])
-    out = np.empty((x.shape[0], p))
+    n = x.shape[0]
     d2 = ((x[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
-    for i in range(x.shape[0]):
-        exact = np.nonzero(d2[i] == 0.0)[0]
-        if exact.size:
-            idx = exact
-        else:
-            idx = np.argsort(d2[i], kind="stable")[:k]
-        counts = np.bincount(yt[idx], minlength=p)
-        out[i] = counts / counts.sum()
-    return out
+    near = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    counts = _vote_counts(np.arange(n)[:, None], yt[near], n, p)
+    if not d2.all():  # exact matches take the whole vote
+        i, j = np.nonzero(d2 == 0.0)
+        exact = _vote_counts(i, yt[j], n, p)
+        hit = exact.any(axis=1)
+        counts[hit] = exact[hit]
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
+def _vote_counts(rows, labels, n, p):
+    """(n, p) number of (row, label) pairs."""
+    cells = (rows * p + labels).ravel()
+    return np.bincount(cells, minlength=n * p).reshape(n, p)
 
 
 # --- gaussian naive bayes ------------------------------------------------
@@ -376,18 +415,85 @@ _predict_fisher = _predict_ovr_logistic
 
 # --- logistic linear (multinomial) ----------------------------------------
 
-def _fit_logistic(spec, x, y, p, seed):
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Sum of e over its leading (class) axis, added in numpy's pairwise
+    order for a contiguous last-axis reduction, so each entry is bitwise
+    what `probs.sum(axis=1)` gives for one fit: sequential below 8 classes,
+    eight running partial sums up to 128, halving above.  Whole-slab
+    additions replace a reduction over a short trailing axis."""
+    m = e.shape[0]
+    if m < 8:
+        s = e[0].copy()
+        for c in range(1, m):
+            s += e[c]
+        return s
+    if m <= 128:
+        r = e[:8].copy()
+        end = m - m % 8
+        for c in range(8, end, 8):
+            r += e[c:c + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for c in range(end, m):
+            s += e[c]
+        return s
+    half = m // 2
+    half -= half % 8
+    return _class_sum(e[:half]) + _class_sum(e[half:])
+
+
+def _logistic_weights(spec, x, y, p, masks):
+    """Multinomial softmax regression by full-batch gradient descent for T
+    fits at once: fit t trains on the rows of x where masks[t] is set, and
+    its (d+1, p) weights are bitwise those of a fit on those rows alone.
+
+    The weights are held as (d+1, p, T), so both matrix products have the
+    one-fit orientation with a contiguous right operand.  Rows outside a
+    fit get target 0 and residual 0 there, so they add exact zeros to its
+    gradient, which is divided by the fit's own row count.  The softmax
+    runs on a contiguous (p, N, T) copy so the class max and the class sum
+    are slab operations."""
     iterations = int(spec.params["iterations"])
     rate = float(spec.params["rate"])
-    n, d = x.shape
+    t, n = masks.shape
+    d = x.shape[1]
     xa = np.hstack([x, np.ones((n, 1))])
-    w = np.zeros((d + 1, p))
-    onehot = np.zeros((n, p))
-    onehot[np.arange(n), y] = 1.0
+    keep = masks.T.astype(np.float64)                      # (N, T)
+    onehot = (y[:, None] == np.arange(p)).astype(np.float64)
+    target = onehot[:, :, None] * keep[:, None, :]        # (N, p, T)
+    rows = masks.sum(axis=1)
+    w = np.zeros((d + 1, p, t))
+    resid = np.empty((n, p, t))
     for _ in range(iterations):
-        probs = _softmax(xa @ w)
-        w += rate * (xa.T @ (onehot - probs)) / n
-    return {"w": w}
+        z = (xa @ w.reshape(d + 1, p * t)).reshape(n, p, t)
+        z = np.ascontiguousarray(z.transpose(1, 0, 2))    # (p, N, T)
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= _class_sum(z)
+        np.multiply(z.transpose(1, 0, 2), keep[:, None, :], out=resid)
+        np.subtract(target, resid, out=resid)
+        grad = (xa.T @ resid.reshape(n, p * t)).reshape(d + 1, p, t)
+        w += rate * grad / rows
+    return [np.ascontiguousarray(w[:, :, i]) for i in range(t)]
+
+
+def _fit_logistic(spec, x, y, p, seed):
+    everything = np.ones((1, len(y)), dtype=bool)
+    return {"w": _logistic_weights(spec, x, y, p, everything)[0]}
+
+
+def _fit_logistic_folds(spec, data, rests, presents):
+    masks = np.zeros((len(rests), data.n_observations), dtype=bool)
+    for t, r in enumerate(rests):
+        masks[t, r] = True
+    # Rows outside every rest may hold an absent class; their compact label
+    # is never a target, since no mask keeps them.
+    compact = np.searchsorted(presents[0], data.labels)
+    weights = _logistic_weights(
+        spec, data.features, compact, len(presents[0]), masks
+    )
+    return [
+        _fitted(spec, data, q, {"w": w}) for q, w in zip(presents, weights)
+    ]
 
 
 def _predict_logistic(state, x):
@@ -533,4 +639,21 @@ _PREDICTORS = {
     "decision-stump": _predict_tree,
     "nearest-mean": _predict_nearest_mean,
     "perceptron": _predict_perceptron,
+}
+
+# The state keys each kind's predictor reads, including the two that
+# predict_proba_batch reads for every kind.
+STATE_KEYS = {
+    kind: ("present", "n_features") + keys
+    for kind, keys in {
+        "knn": ("x", "y", "k", "p"),
+        "gaussian-naive-bayes": ("theta", "var", "log_priors"),
+        "lda": ("means", "inv_cov", "log_priors"),
+        "fisher": ("w", "b"),
+        "logistic-linear": ("w",),
+        "decision-tree": ("tree",),
+        "decision-stump": ("tree",),
+        "nearest-mean": ("means",),
+        "perceptron": ("w", "b"),
+    }.items()
 }

@@ -15,6 +15,7 @@ biased as a generalization estimate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,7 +23,14 @@ import numpy as np
 
 from . import combiners
 from .combiners import DEFAULT_H, Granule, granular_intervals, ncm
-from .learners import Dataset, FittedClassifier, LearnerSpec, fit
+from .learners import (
+    STATE_KEYS,
+    Dataset,
+    FittedClassifier,
+    LearnerSpec,
+    fit,
+    fit_folds,
+)
 from .metadata import ClassCatalog, MetaMatrix, MetaProfile
 
 __all__ = [
@@ -127,14 +135,15 @@ def generate_meta_cv(
     seed: int,
 ) -> MetaMatrix:
     """Meta-data of the training set: the profile of each observation in
-    fold t comes from classifiers fitted on all other folds."""
+    fold t comes from classifiers fitted on all other folds.  Each learner
+    is fitted on all T complements by one `fit_folds` call, which steps the
+    logistic learner's T weight sets together, bitwise equal to T separate
+    fits."""
     n = data.n_observations
     k = len(specs)
     m = data.catalog.size
-    scores = np.empty((n, k, m))
-    for t in range(plan.n_folds):
-        held = plan.fold_indices(t)
-        rest = plan.complement_indices(t)
+    rests = [plan.complement_indices(t) for t in range(plan.n_folds)]
+    for t, rest in enumerate(rests):
         rest_labels = data.labels[rest]
         for c in range(m):
             if not (rest_labels == c).any():
@@ -142,11 +151,12 @@ def generate_meta_cv(
                     f"class {data.catalog.labels[c]!r} absent from the "
                     f"training complement of fold {t}"
                 )
-        train_part = data.subset(rest)
-        test_features = data.features[held]
-        for j, spec in enumerate(specs):
-            model = fit(spec, train_part, derive_seed(seed, t, j))
-            scores[held, j, :] = model.predict_proba_batch(test_features)
+    scores = np.empty((n, k, m))
+    for j, spec in enumerate(specs):
+        seeds = [derive_seed(seed, t, j) for t in range(plan.n_folds)]
+        for t, model in enumerate(fit_folds(spec, data, rests, seeds)):
+            held = plan.fold_indices(t)
+            scores[held, j, :] = model.predict_proba_batch(data.features[held])
     ids = tuple(spec.name for spec in specs)
     return MetaMatrix(scores, data.catalog, ids)
 
@@ -311,19 +321,72 @@ def _require_keys(obj, keys, what: str) -> None:
         raise TrainingError(f"{what} lacks key(s) {', '.join(missing)}")
 
 
-def load_ensemble(path) -> TrainedEnsemble:
-    with open(path) as fh:
-        payload = json.load(fh)
+def _finite_real(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check_ensemble(payload) -> None:
+    """Raise TrainingError unless payload is a model that loads and
+    predicts: every value the loader and the predictors read is there and
+    has the type they need."""
     if not isinstance(payload, dict):
         raise TrainingError("model file must hold a JSON object")
     version = payload.get("format_version")
     if version != ENSEMBLE_FORMAT_VERSION:
         raise TrainingError(f"unsupported ensemble format version {version!r}")
     _require_keys(payload, _ENSEMBLE_KEYS, "model")
-    if not isinstance(payload["classifiers"], list):
+    alpha = payload["alpha"]
+    if not (_finite_real(alpha) and alpha >= 0):
+        raise TrainingError(
+            f"model alpha must be a finite number >= 0, got {alpha!r}"
+        )
+    if payload["h"] not in combiners.H_KINDS:
+        raise TrainingError(f"model h must be one of {combiners.H_KINDS}")
+    if not isinstance(payload["catalog"], list):
+        raise TrainingError("model 'catalog' must be a list")
+    curve = payload["alpha_error_curve"]
+    if not isinstance(curve, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_finite_real, e))
+        for e in curve
+    ):
+        raise TrainingError(
+            "model 'alpha_error_curve' must be a list of [alpha, error] pairs"
+        )
+    classifiers = payload["classifiers"]
+    if not isinstance(classifiers, list):
         raise TrainingError("model 'classifiers' must be a list")
-    for i, c in enumerate(payload["classifiers"]):
-        _require_keys(c, _CLASSIFIER_KEYS, f"model classifier {i}")
+    if not classifiers:
+        raise TrainingError("model has no classifiers")
+    n_features = None
+    for i, c in enumerate(classifiers):
+        what = f"model classifier {i}"
+        _require_keys(c, _CLASSIFIER_KEYS, what)
+        if c["kind"] not in STATE_KEYS:
+            raise TrainingError(f"{what} has unknown kind {c['kind']!r}")
+        if not isinstance(c["params"], dict):
+            raise TrainingError(f"{what} params must be a JSON object")
+        _require_keys(c["state"], STATE_KEYS[c["kind"]], f"{what} state")
+        if c["catalog"] != payload["catalog"]:
+            raise TrainingError(f"{what} catalog differs from the model's")
+        d = c["state"]["n_features"]
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise TrainingError(f"{what} n_features must be an integer")
+        if n_features is not None and d != n_features:
+            raise TrainingError(
+                f"{what} takes {d} features, classifier 0 takes {n_features}"
+            )
+        n_features = d
+
+
+def load_ensemble(path) -> TrainedEnsemble:
+    with open(path) as fh:
+        payload = json.load(fh)
+    _check_ensemble(payload)
     return TrainedEnsemble(
         classifiers=tuple(
             FittedClassifier.from_state(c) for c in payload["classifiers"]

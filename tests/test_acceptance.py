@@ -36,7 +36,7 @@ from granulex.evaluation import (
     wilcoxon_signed_rank,
 )
 from granulex.granule import construct_granule, median_of
-from granulex.learners import Dataset, LearnerSpec
+from granulex.learners import Dataset, LearnerSpec, fit
 from granulex.metadata import ClassCatalog, MetaProfile
 from granulex.training import default_alpha_grid, generate_meta_cv, make_fold_plan
 
@@ -276,7 +276,8 @@ def test_11_evaluate_is_deterministic_across_thread_caps(
 
 
 def test_12_no_leakage_in_meta_cv(monkeypatch):
-    real_fit = training.fit
+    real_fit_folds = training.fit_folds
+    audited = []
     violations = []
 
     class AuditedModel:
@@ -286,16 +287,22 @@ def test_12_no_leakage_in_meta_cv(monkeypatch):
 
         def predict_proba_batch(self, x):
             for row in np.asarray(x):
+                audited.append(row)
                 if tuple(row) in self.train_rows:
                     violations.append(tuple(row))
             return self.model.predict_proba_batch(x)
 
-    def audited_fit(spec, data, seed):
-        model = real_fit(spec, data, seed)
-        return AuditedModel(model, {tuple(r) for r in data.features})
+    def audited_fit_folds(spec, data, rests, seeds):
+        models = real_fit_folds(spec, data, rests, seeds)
+        return [
+            AuditedModel(model, {tuple(r) for r in data.features[rest]})
+            for model, rest in zip(models, rests)
+        ]
 
-    monkeypatch.setattr(training, "fit", audited_fit)
+    monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
     rng = np.random.default_rng(112)
+    specs = [LearnerSpec("nearest-mean"),
+             LearnerSpec("logistic-linear", {"iterations": 20})]
     for trial in range(50):
         n = int(rng.integers(20, 41))
         x = rng.normal(size=(n, 2))
@@ -304,7 +311,23 @@ def test_12_no_leakage_in_meta_cv(monkeypatch):
         data = Dataset(x, y, ClassCatalog(("a", "b")))
         folds = int(rng.integers(2, 6))
         plan = make_fold_plan(y, folds, seed=trial)
-        generate_meta_cv(
-            data, [LearnerSpec("nearest-mean")], plan, seed=trial
-        )
+        generate_meta_cv(data, specs, plan, seed=trial)
+    assert len(audited) > 0
     assert violations == []
+
+
+@pytest.mark.parametrize("name", BUNDLED_DATASETS)
+def test_13_meta_cv_equals_per_fold_fits(name):
+    """generate_meta_cv batches the logistic fits of all folds; its scores
+    must be bitwise those of one fit per fold."""
+    data = load_bundled(name)
+    plan = make_fold_plan(data.labels, 10, seed=5)
+    meta = generate_meta_cv(data, HEADLINE_ROSTER, plan, seed=7)
+    expected = np.empty_like(meta.scores)
+    for t in range(plan.n_folds):
+        held = plan.fold_indices(t)
+        part = data.subset(plan.complement_indices(t))
+        for j, spec in enumerate(HEADLINE_ROSTER):
+            model = fit(spec, part, training.derive_seed(7, t, j))
+            expected[held, j] = model.predict_proba_batch(data.features[held])
+    assert np.array_equal(meta.scores, expected)

@@ -258,6 +258,31 @@ class TestErrorPaths:
         assert "error:" in err and "classifiers" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda m: m.__setitem__("alpha", None), "alpha"),
+        (lambda m: m["classifiers"][1].__setitem__("catalog", ["x", "y"]),
+         "catalog"),
+        (lambda m: m["classifiers"][1]["state"].pop("means"), "means"),
+        (lambda m: m.__setitem__("classifiers", []), "no classifiers"),
+    ])
+    def test_damaged_model_exits_1(self, tmp_path, capsys, damage, message):
+        data_csv = tmp_path / "train.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data_csv), "--alpha", "1.0",
+                     "--learners", "nearest-mean,lda",
+                     "--output", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        damage(payload)
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data",
+                     str(data_csv), "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+
     def test_evaluate_without_datasets(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"folds": 2}))

@@ -11,6 +11,7 @@ from granulex.learners import (
     default_roster,
     extended_roster,
     fit,
+    fit_folds,
     spec_from_name,
 )
 from granulex.metadata import ClassCatalog, validate_scores
@@ -240,3 +241,139 @@ def test_tree_matches_scalar_reference(name, spec, monkeypatch):
     grown = fit(spec, data, 0).state["tree"]
     monkeypatch.setattr(learners, "_best_split", _reference_best_split)
     assert grown == fit(spec, data, 0).state["tree"]
+
+
+# --- batched logistic fits oracle -------------------------------------------
+
+def _reference_fit_logistic(spec, x, y, p, seed):
+    """The one-fit definition of the logistic learner."""
+    iterations = int(spec.params["iterations"])
+    rate = float(spec.params["rate"])
+    n, d = x.shape
+    xa = np.hstack([x, np.ones((n, 1))])
+    w = np.zeros((d + 1, p))
+    onehot = np.zeros((n, p))
+    onehot[np.arange(n), y] = 1.0
+    for _ in range(iterations):
+        probs = learners._softmax(xa @ w)
+        w += rate * (xa.T @ (onehot - probs)) / n
+    return {"w": w}
+
+
+def _random_folds_case(rng):
+    m = int(rng.choice([2, 3, 4, 5, 7, 8, 9, 12, 20]))
+    t = int(rng.choice([1, 2, 3, 5, 10]))
+    n = int(rng.integers(max(20, 2 * m), 501))
+    d = int(rng.integers(1, 10))
+    x = rng.normal(size=(n, d))
+    style = rng.integers(0, 3)
+    if style == 1:    # rounded: tied feature values
+        x = np.round(x)
+    elif style == 2:  # large scale
+        x = x * 100.0
+    y = rng.integers(0, m, size=n)
+    y[: 2 * m] = np.tile(np.arange(m), 2)
+    data = Dataset(x, y, ClassCatalog(tuple(f"c{c}" for c in range(m))))
+    folds = rng.integers(0, t, size=n)
+    folds[:m], folds[m: 2 * m] = 0, t - 1  # every class in every rest
+    rests = [np.flatnonzero(folds != f) for f in range(t)] if t > 1 else [
+        np.arange(n)]
+    return data, rests
+
+
+def test_fit_folds_logistic_matches_reference_bitwise(monkeypatch):
+    rng = np.random.default_rng(20241018)
+    cases = [_random_folds_case(rng) for _ in range(30)]
+    spec = LearnerSpec("logistic-linear")
+    kernel = learners._logistic_weights
+    batch_sizes = []
+
+    def spy(spec, x, y, p, masks):
+        batch_sizes.append(masks.shape[0])
+        return kernel(spec, x, y, p, masks)
+
+    monkeypatch.setattr(learners, "_logistic_weights", spy)
+    batched = [fit_folds(spec, data, rests, range(len(rests)))
+               for data, rests in cases]
+    assert batch_sizes == [len(rests) for _, rests in cases]  # one call each
+    monkeypatch.setitem(learners._FITTERS, "logistic-linear",
+                        _reference_fit_logistic)
+    for (data, rests), models in zip(cases, batched):
+        for rest, model in zip(rests, models):
+            expected = fit(spec, data.subset(rest), 0).state["w"]
+            assert model.state["w"].shape == expected.shape
+            assert np.array_equal(model.state["w"], expected)
+    # both class-sum regimes and real batches are exercised
+    assert {data.catalog.size >= 8 for data, _ in cases} == {False, True}
+    assert max(batch_sizes) == 10
+
+
+def test_fit_logistic_is_the_one_fold_kernel(monkeypatch):
+    rng = np.random.default_rng(5)
+    data, _ = _random_folds_case(rng)
+    spec = LearnerSpec("logistic-linear", {"iterations": 50})
+    got = fit(spec, data, 0).state["w"]
+    monkeypatch.setitem(learners._FITTERS, "logistic-linear",
+                        _reference_fit_logistic)
+    assert np.array_equal(got, fit(spec, data, 0).state["w"])
+
+
+def test_class_sum_follows_numpy_row_sum():
+    rng = np.random.default_rng(11)
+    for m in list(range(2, 140)) + [255, 256, 257, 1000]:
+        e = rng.random((m, 3, 2)) * 10.0 ** rng.integers(-3, 4, size=(m, 1, 1))
+        expected = np.ascontiguousarray(e.transpose(1, 2, 0)).sum(axis=-1)
+        assert np.array_equal(learners._class_sum(e), expected), m
+
+
+@pytest.mark.parametrize("spec", extended_roster(), ids=lambda s: s.name)
+def test_fit_folds_equals_fit_loop(spec):
+    data = load_bundled("rings")
+    rng = np.random.default_rng(3)
+    rests = [np.sort(rng.choice(150, size=100, replace=False))
+             for _ in range(3)]
+    rests.append(rests[0][::-1])  # not increasing: the loop's order counts
+    models = fit_folds(spec, data, rests, [4, 5, 6, 7])
+    for rest, seed, model in zip(rests, [4, 5, 6, 7], models):
+        single = fit(spec, data.subset(rest), seed)
+        assert (learners._jsonable(model.state)
+                == learners._jsonable(single.state))
+
+
+# --- knn prediction oracle --------------------------------------------------
+
+def _reference_predict_knn(state, x):
+    """The per-query definition of the KNN vote."""
+    xt, yt, p = state["x"], state["y"], int(state["p"])
+    k = min(int(state["k"]), xt.shape[0])
+    out = np.empty((x.shape[0], p))
+    d2 = ((x[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+    for i in range(x.shape[0]):
+        exact = np.nonzero(d2[i] == 0.0)[0]
+        if exact.size:
+            idx = exact
+        else:
+            idx = np.argsort(d2[i], kind="stable")[:k]
+        counts = np.bincount(yt[idx], minlength=p)
+        out[i] = counts / counts.sum()
+    return out
+
+
+def test_predict_knn_matches_reference_bitwise():
+    rng = np.random.default_rng(300)
+    exact_rows = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 120))
+        d = int(rng.integers(1, 5))
+        p = int(rng.integers(2, 6))
+        k = int(rng.choice([1, 2, 3, 5, 25, 200]))  # 200 > n: k is capped
+        xt = np.round(rng.normal(size=(n, d)) * rng.choice([1.0, 2.0]))
+        if rng.integers(0, 2):  # duplicated training rows
+            xt[: n // 2] = xt[n - n // 2:][: n // 2]
+        state = {"x": xt, "y": rng.integers(0, p, size=n), "k": k, "p": p}
+        q = np.vstack([np.round(rng.normal(size=(20, d))), xt[:10]])
+        expected = _reference_predict_knn(state, q)
+        assert np.array_equal(learners._predict_knn(state, q), expected)
+        d2 = ((q[:, None] - xt[None]) ** 2).sum(axis=2)
+        exact_rows += int((d2 == 0.0).any(axis=1).sum())
+    assert exact_rows > 3000  # exact matches and plain votes both run

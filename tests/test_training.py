@@ -278,6 +278,32 @@ class TestSerialization:
         (lambda m: m["classifiers"][1].pop("state"), "classifier 1 lacks.*state"),
         (lambda m: m["classifiers"].__setitem__(0, [1, 2]), "classifier 0 must"),
         (lambda m: m.__setitem__("classifiers", {}), "must be a list"),
+        (lambda m: m.__setitem__("classifiers", []), "no classifiers"),
+        (lambda m: m.__setitem__("alpha", None), "alpha must be"),
+        (lambda m: m.__setitem__("alpha", "1.0"), "alpha must be"),
+        (lambda m: m.__setitem__("alpha", True), "alpha must be"),
+        (lambda m: m.__setitem__("alpha", -0.5), "alpha must be"),
+        (lambda m: m.__setitem__("alpha", float("inf")), "alpha must be"),
+        (lambda m: m.__setitem__("alpha", 10 ** 400), "alpha must be"),
+        (lambda m: m.__setitem__("h", "h9"), "h must be"),
+        (lambda m: m.__setitem__("catalog", "ab"), "catalog' must be a list"),
+        (lambda m: m["alpha_error_curve"].append([0.5]), "pairs"),
+        (lambda m: m["alpha_error_curve"].append([0.5, None]), "pairs"),
+        (lambda m: m.__setitem__("alpha_error_curve", {}), "pairs"),
+        (lambda m: m["classifiers"][2].__setitem__("catalog", ["a", "b", "c"]),
+         "classifier 2 catalog differs"),
+        (lambda m: m["classifiers"][1]["state"].__setitem__("n_features", 3),
+         "classifier 1 takes 3 features, classifier 0 takes 2"),
+        (lambda m: m["classifiers"][0]["state"].__setitem__("n_features", "2"),
+         "n_features must be an integer"),
+        (lambda m: m["classifiers"][0]["state"].pop("means"),
+         "classifier 0 state lacks key.*means"),
+        (lambda m: m["classifiers"][2]["state"].pop("present"),
+         "classifier 2 state lacks key.*present"),
+        (lambda m: m["classifiers"][1].__setitem__("kind", "svm"),
+         "unknown kind 'svm'"),
+        (lambda m: m["classifiers"][1].__setitem__("params", 5),
+         "classifier 1 params must be"),
     ])
     def test_schema_check(self, tmp_path, damage, message):
         e = train(toy_dataset(n=30), SPECS, seed=1, fixed_alpha=1.0, n_folds=3)
