@@ -7,18 +7,29 @@ Three families:
   * the granular combiner: per-class interval memberships built by
     justifiable granularity, de-granulated to numerical class memberships.
 
-All argmax decisions break ties toward the lowest class index.
+All argmax decisions break ties toward the lowest class index.  Each
+family has one batched implementation over an (n, K, M) profile stack; the
+functions that take one MetaProfile are its n=1 case, so a profile decides
+the same way alone and inside a batch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .granule import Granule, construct_granule, construct_granules_batch
-from .metadata import MetaMatrix, MetaProfile, MetadataError, column_sample
+# construct_granule is not called here but stays a name of this module:
+# bench/tracer.py wraps it by this name.
+from .granule import (
+    Granule,
+    construct_granule,
+    construct_granules_batch,
+    pick_bounds,
+    prepare_samples,
+)
+from .metadata import MetaMatrix, MetaProfile, MetadataError
 
 __all__ = [
     "FIXED_RULES",
@@ -30,17 +41,31 @@ __all__ = [
     "fixed_rule_scores_batch",
     "dt_fit",
     "dt_classify",
+    "dt_decide_batch",
     "s1_similarity",
+    "s1_similarity_batch",
     "granular_intervals",
     "ncm",
     "granular_classify",
+    "granular_bounds_batch",
+    "memberships_from_bounds",
+    "granular_ncm_batch",
+    "granular_ncm_sweep",
     "granular_decide_batch",
 ]
 
 FIXED_RULES = ("sum", "product", "max", "min", "median", "majority-vote")
-H_KINDS = ("h1", "h2", "h3")
 DEFAULT_H = "h3"
 H2_LENGTH_FLOOR = 1e-12  # guard against zero-length intervals in h2
+
+# h(length) of each de-granulation function, on arrays.  Every class
+# membership, of one profile or of a stack, is computed through this table.
+_H_TABLE = {
+    "h1": np.ones_like,
+    "h2": lambda length: 1.0 / np.maximum(length, H2_LENGTH_FLOOR),
+    "h3": lambda length: np.exp(-length),
+}
+H_KINDS = tuple(_H_TABLE)
 
 
 @dataclass(frozen=True)
@@ -130,77 +155,86 @@ def s1_similarity(profile: np.ndarray, template: np.ndarray) -> float:
     return float(inter / union)
 
 
+def s1_similarity_batch(profiles: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    """s1_similarity of each of n (K, M) profiles to each of T (K, M)
+    templates, as an (n, T) array."""
+    p = profiles[:, None]   # (n, 1, K, M)
+    t = templates[None]     # (1, T, K, M)
+    inter = np.minimum(p, t).sum(axis=(2, 3))
+    union = np.maximum(p, t).sum(axis=(2, 3))
+    return np.where(union == 0.0, 1.0, inter / np.where(union == 0.0, 1.0, union))
+
+
 def dt_classify(
     model: DecisionTemplateModel, profile: MetaProfile
 ) -> tuple[ClassMembershipVector, int]:
     if model.templates.shape[1:] != profile.scores.shape:
         raise MetadataError("template/profile shape mismatch")
-    sims = np.asarray(
-        [s1_similarity(profile.scores, t) for t in model.templates]
-    )
+    sims = s1_similarity_batch(profile.scores[None], model.templates)[0]
     return _decide(sims, "decision-template")
 
 
 def dt_decide_batch(model: DecisionTemplateModel, profiles: np.ndarray) -> np.ndarray:
-    t = model.templates[None]  # (1, M, K, M)
-    p = profiles[:, None]      # (n, 1, K, M)
-    inter = np.minimum(p, t).sum(axis=(2, 3))
-    union = np.maximum(p, t).sum(axis=(2, 3))
-    sims = np.where(union == 0.0, 1.0, inter / np.where(union == 0.0, 1.0, union))
-    return np.argmax(sims, axis=1)
+    return np.argmax(s1_similarity_batch(profiles, model.templates), axis=1)
+
+
+def _columns(profiles: np.ndarray) -> np.ndarray:
+    """The (n * M, K) class columns of a (n, K, M) profile stack, observation
+    by observation."""
+    n, k, m = profiles.shape
+    return np.transpose(profiles, (0, 2, 1)).reshape(n * m, k)
+
+
+def granular_bounds_batch(profiles: np.ndarray, alpha: float) -> np.ndarray:
+    """(n, M, 2) [lower, upper] bounds of the class granules of a (n, K, M)
+    profile stack: one granule per (observation, class) column."""
+    n, k, m = profiles.shape
+    return construct_granules_batch(_columns(profiles), alpha).reshape(n, m, 2)
+
+
+def memberships_from_bounds(bounds: np.ndarray, h: str) -> np.ndarray:
+    """De-granulate intervals given as [lower, upper] pairs on the last axis
+    to numerical class memberships: midpoint x h(length)."""
+    if h not in _H_TABLE:
+        raise ValueError(f"unknown h function {h!r}")
+    lower, upper = bounds[..., 0], bounds[..., 1]
+    return (lower + upper) / 2.0 * _H_TABLE[h](upper - lower)
 
 
 def granular_intervals(profile: MetaProfile, alpha: float) -> list[Granule]:
     """One granule per class, built over that class's posterior column."""
-    return [
-        construct_granule(column_sample(profile, j), alpha)
-        for j in range(profile.n_classes)
-    ]
-
-
-def _h_value(kind: str, length: float) -> float:
-    if kind == "h1":
-        return 1.0
-    if kind == "h2":
-        return 1.0 / max(length, H2_LENGTH_FLOOR)
-    if kind == "h3":
-        return math.exp(-length)
-    raise ValueError(f"unknown h function {kind!r}")
+    bounds = granular_bounds_batch(profile.scores[None], alpha)[0]
+    return [Granule(float(lo), float(hi), float(alpha)) for lo, hi in bounds]
 
 
 def ncm(interval: Granule, h: str) -> float:
     """De-granulate an interval to a numerical class membership:
     midpoint x h(length)."""
-    return interval.midpoint * _h_value(h, interval.length)
+    return float(memberships_from_bounds(np.array([interval.lower, interval.upper]), h))
 
 
 def granular_classify(
     profile: MetaProfile, alpha: float, h: str = DEFAULT_H
 ) -> tuple[ClassMembershipVector, int]:
-    grans = granular_intervals(profile, alpha)
-    values = np.asarray([ncm(g, h) for g in grans])
+    values = granular_ncm_batch(profile.scores[None], alpha, h)[0]
     return _decide(values, f"granular(alpha={alpha:g},{h})")
 
 
 def granular_ncm_batch(profiles: np.ndarray, alpha: float, h: str) -> np.ndarray:
     """Numerical class memberships for a (n, K, M) profile stack."""
+    return memberships_from_bounds(granular_bounds_batch(profiles, alpha), h)
+
+
+def granular_ncm_sweep(
+    profiles: np.ndarray, alphas: Iterable[float], h: str
+) -> Iterator[np.ndarray]:
+    """granular_ncm_batch(profiles, alpha, h) for each alpha in turn, from
+    one preparation of the class columns: only the bound pick runs per
+    alpha."""
     n, k, m = profiles.shape
-    # One granule per (observation, class) column, all at once.
-    cols = np.transpose(profiles, (0, 2, 1)).reshape(n * m, k)
-    bounds = construct_granules_batch(cols, alpha)
-    lower = bounds[:, 0].reshape(n, m)
-    upper = bounds[:, 1].reshape(n, m)
-    mid = (lower + upper) / 2.0
-    length = upper - lower
-    if h == "h1":
-        weight = np.ones_like(length)
-    elif h == "h2":
-        weight = 1.0 / np.maximum(length, H2_LENGTH_FLOOR)
-    elif h == "h3":
-        weight = np.exp(-length)
-    else:
-        raise ValueError(f"unknown h function {h!r}")
-    return mid * weight
+    prepared = prepare_samples(_columns(profiles))
+    for alpha in alphas:
+        yield memberships_from_bounds(pick_bounds(prepared, alpha).reshape(n, m, 2), h)
 
 
 def granular_decide_batch(profiles: np.ndarray, alpha: float, h: str) -> np.ndarray:

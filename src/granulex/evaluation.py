@@ -498,11 +498,8 @@ def alpha_error_curves(
     seed: int,
 ) -> dict[str, list[tuple[float, float]]]:
     """Meta-level error as a function of alpha, one curve per h function,
-    from one pass of fold-wise meta-data generation."""
+    from one pass of fold-wise meta-data generation: the curves
+    select_alpha searches."""
     plan = training.make_fold_plan(data.labels, n_folds, derive_seed(seed, 0xC0))
     meta = training.generate_meta_cv(data, specs, plan, seed)
-    return {
-        h: [(a, training.error_for_alpha(meta, data.labels, a, h))
-            for a in grid.values]
-        for h in h_kinds
-    }
+    return {h: training.select_alpha(meta, data.labels, grid, h)[1] for h in h_kinds}

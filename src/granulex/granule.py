@@ -4,6 +4,14 @@ A granule is a closed interval around the sample median chosen to maximize
 the product of coverage (how many sample points fall inside) and specificity
 (exp(-alpha * length), so shorter intervals score higher).  Both bounds are
 always elements of the sample and are optimized independently of each other.
+
+One kernel builds every granule, in two steps: `prepare_samples` does the
+work that does not depend on alpha (sort each sample, take its median, count
+the coverage of every candidate bound) and `pick_bounds` picks both bounds
+at one alpha.  `construct_granules_batch` is the two steps in a row, and
+`construct_granule` its one-sample case; a search over many alphas prepares
+once and picks once per alpha.  `evidence_score` and `median_of` state the
+definitions the kernel implements.
 """
 
 from __future__ import annotations
@@ -19,8 +27,11 @@ __all__ = [
     "GranuleError",
     "median_of",
     "evidence_score",
-    "construct_granule",
+    "PreparedSamples",
+    "prepare_samples",
+    "pick_bounds",
     "construct_granules_batch",
+    "construct_granule",
 ]
 
 
@@ -105,49 +116,32 @@ def evidence_score(
     return count * math.exp(-alpha * abs(med - bound))
 
 
-def _best_bound(vals: list[float], alpha: float, med: float, side: str) -> float:
-    # Candidates ordered by distance from the median, ascending, so that the
-    # first strict improvement wins and score ties resolve to the most
-    # specific bound.
-    if side == "upper":
-        candidates = sorted(v for v in vals if v >= med)
-    else:
-        candidates = sorted((v for v in vals if v <= med), reverse=True)
-    best = None
-    best_score = -math.inf
-    for cand in candidates:
-        score = evidence_score(vals, alpha, cand, side)
-        if score > best_score:
-            best, best_score = cand, score
-    assert best is not None  # max >= med and min <= med always exist
-    return best
+@dataclass(frozen=True)
+class PreparedSamples:
+    """The alpha-independent part of granule construction for n samples of
+    k values each: every row sorted ascending, each value's distance to its
+    row's median, and each candidate bound's coverage count on its side of
+    the median.  Only exp(-alpha * dist) depends on alpha, so one
+    preparation serves any number of pick_bounds calls."""
+
+    values: np.ndarray       # (n, k), each row ascending
+    dist: np.ndarray         # (n, k), |median - value|
+    upper_ok: np.ndarray     # (n, k), value >= median
+    upper_count: np.ndarray  # (n, k), #{l: median <= v_l <= v_j}
+    lower_ok: np.ndarray     # (n, k), value <= median
+    lower_count: np.ndarray  # (n, k), #{l: v_j <= v_l <= median}
 
 
-def construct_granule(values: Sequence[float], alpha: float) -> Granule:
-    """Build the optimal granule for a sample: each bound is the sample
-    element maximizing evidence_score on its side of the median."""
-    vals = _check_sample(values)
-    alpha = _check_alpha(alpha)
-    med = median_of(vals)
-    upper = _best_bound(vals, alpha, med, "upper")
-    lower = _best_bound(vals, alpha, med, "lower")
-    return Granule(lower=lower, upper=upper, alpha=alpha)
-
-
-def construct_granules_batch(samples: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized granule construction for many same-length samples.
-
-    samples: (n, k) array, one sample per row.  Returns an (n, 2) array of
-    [lower, upper] bounds.  Matches construct_granule row by row, including
-    the tie-break toward the median.
-    """
-    alpha = _check_alpha(alpha)
-    v = np.sort(np.asarray(samples, dtype=np.float64), axis=1)
+def prepare_samples(samples: np.ndarray) -> PreparedSamples:
+    """Sort, take the median and count the coverage of every candidate
+    bound, for an (n, k) array holding one sample per row."""
+    v = np.asarray(samples, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] == 0:
         raise GranuleError("samples must be a non-empty 2-d array")
     if not np.isfinite(v).all():
         raise GranuleError("non-finite sample value")
-    n, k = v.shape
+    v = np.sort(v, axis=1)
+    k = v.shape[1]
     mid = k // 2
     if k % 2 == 1:
         med = v[:, mid]
@@ -161,20 +155,53 @@ def construct_granules_batch(samples: np.ndarray, alpha: float) -> np.ndarray:
     lt = (v[:, None, :] < v[:, :, None]).sum(axis=2)   # #{l: v_l <  v_j}
     below_med = (v < medc).sum(axis=1)[:, None]         # #{l: v_l <  med}
     le_med = (v <= medc).sum(axis=1)[:, None]           # #{l: v_l <= med}
+    return PreparedSamples(
+        values=v,
+        dist=np.abs(medc - v),
+        upper_ok=v >= medc,
+        upper_count=(le - below_med).astype(np.float64),
+        lower_ok=v <= medc,
+        lower_count=(le_med - lt).astype(np.float64),
+    )
 
-    dist = np.abs(medc - v)
-    decay = np.exp(-alpha * dist)
 
-    upper_ok = v >= medc
-    upper_scores = np.where(upper_ok, (le - below_med) * decay, -1.0)
+def pick_bounds(prepared: PreparedSamples, alpha: float) -> np.ndarray:
+    """(n, 2) array of [lower, upper] bounds of the prepared samples'
+    granules at one alpha: on each side, the candidate maximizing coverage
+    x exp(-alpha * dist), ties going to the one nearest the median."""
+    alpha = _check_alpha(alpha)
+    p = prepared
+    n, k = p.values.shape
+    rows = np.arange(n)
+    decay = np.exp(-alpha * p.dist)
+
+    upper_scores = np.where(p.upper_ok, p.upper_count * decay, -1.0)
     # Columns are ascending, so the first max is nearest the median.
-    upper = v[np.arange(n), np.argmax(upper_scores, axis=1)]
+    upper = p.values[rows, np.argmax(upper_scores, axis=1)]
 
-    lower_ok = v <= medc
-    lower_scores = np.where(lower_ok, (le_med - lt) * decay, -1.0)
+    lower_scores = np.where(p.lower_ok, p.lower_count * decay, -1.0)
     # For the lower side the nearest-median candidate has the LARGEST column
     # index; scan reversed columns so argmax's first-max rule matches.
     rev_idx = np.argmax(lower_scores[:, ::-1], axis=1)
-    lower = v[np.arange(n), k - 1 - rev_idx]
+    lower = p.values[rows, k - 1 - rev_idx]
 
     return np.stack([lower, upper], axis=1)
+
+
+def construct_granules_batch(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """Granules of many same-length samples at one alpha.
+
+    samples: (n, k) array, one sample per row.  Returns an (n, 2) array of
+    [lower, upper] bounds; each row maximizes evidence_score on both sides.
+    """
+    return pick_bounds(prepare_samples(samples), alpha)
+
+
+def construct_granule(values: Sequence[float], alpha: float) -> Granule:
+    """Build the optimal granule for a sample: each bound is the sample
+    element maximizing evidence_score on its side of the median.  The
+    one-row case of construct_granules_batch."""
+    vals = _check_sample(values)
+    alpha = _check_alpha(alpha)
+    lower, upper = construct_granules_batch(np.asarray([vals]), alpha)[0]
+    return Granule(lower=float(lower), upper=float(upper), alpha=alpha)

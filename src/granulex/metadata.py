@@ -48,6 +48,17 @@ class ClassCatalog:
         return self.labels.index(label)
 
 
+def _row_faults(scores: np.ndarray, tol: float):
+    """Faults of every posterior row (classes on the last axis), for any
+    leading shape: (non-finite, entry outside [0, 1], row sum, sum off 1).
+    A non-finite row has no other fault."""
+    finite = np.isfinite(scores).all(axis=-1)
+    outside = finite & ((scores < -tol) | (scores > 1.0 + tol)).any(axis=-1)
+    sums = np.where(finite[..., None], scores, 0.0).sum(axis=-1)
+    off = finite & (np.abs(sums - 1.0) > tol)
+    return ~finite, outside, sums, off
+
+
 def validate_scores(scores: np.ndarray, tol: float = ROW_SUM_TOL) -> list[str]:
     """Return a list of violation messages for a K x M posterior matrix.
 
@@ -55,18 +66,18 @@ def validate_scores(scores: np.ndarray, tol: float = ROW_SUM_TOL) -> list[str]:
     sum deviates from 1 by more than tol.  An empty list means ok.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    violations: list[str] = []
     if scores.ndim != 2:
         return [f"expected a 2-d matrix, got shape {scores.shape}"]
-    for i, row in enumerate(scores):
-        if not np.isfinite(row).all():
+    nonfinite, outside, sums, off = _row_faults(scores, tol)
+    violations: list[str] = []
+    for i in np.flatnonzero(nonfinite | outside | off):
+        if nonfinite[i]:
             violations.append(f"row {i}: non-finite entry")
             continue
-        if (row < -tol).any() or (row > 1.0 + tol).any():
+        if outside[i]:
             violations.append(f"row {i}: entry outside [0, 1]")
-        s = row.sum()
-        if abs(s - 1.0) > tol:
-            violations.append(f"row {i}: sum {s!r} deviates from 1")
+        if off[i]:
+            violations.append(f"row {i}: sum {sums[i]!r} deviates from 1")
     return violations
 
 
@@ -144,12 +155,12 @@ class MetaMatrix:
         )
         if len(ids) != scores.shape[1]:
             raise MetadataError("classifier_ids length mismatch")
-        # validate_scores on every profile at once; it words the first failure
-        bad = ~np.isfinite(scores).all(axis=2)
-        bad |= ((scores < -ROW_SUM_TOL) | (scores > 1.0 + ROW_SUM_TOL)).any(axis=2)
-        bad |= np.abs(scores.sum(axis=2) - 1.0) > ROW_SUM_TOL
+        # The checks of validate_scores on every profile at once; it words
+        # the first failure.
+        nonfinite, outside, _, off = _row_faults(scores, ROW_SUM_TOL)
+        bad = (nonfinite | outside | off).any(axis=1)
         if bad.any():
-            n = int(np.argmax(bad.any(axis=1)))
+            n = int(np.argmax(bad))
             raise MetadataError(
                 f"observation {n}: " + "; ".join(validate_scores(scores[n]))
             )

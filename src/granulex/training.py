@@ -22,7 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from . import combiners
-from .combiners import DEFAULT_H, Granule, granular_intervals, ncm
+# granular_intervals is not called here but stays a name of this module:
+# bench/tracer.py wraps it by this name.
+from .combiners import DEFAULT_H, Granule, granular_intervals  # noqa: F401
 from .learners import (
     STATE_KEYS,
     Dataset,
@@ -161,15 +163,26 @@ def generate_meta_cv(
     return MetaMatrix(scores, data.catalog, ids)
 
 
+def _alpha_errors(
+    meta: MetaMatrix, labels: np.ndarray, alphas: Sequence[float], h: str
+) -> list[float]:
+    """Meta-level error of the granular combiner at each alpha.  The class
+    columns are sorted and counted once; only the bound pick runs per
+    alpha."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape[0] != meta.n_observations:
+        raise TrainingError("labels length does not match meta matrix")
+    return [
+        float(np.mean(np.argmax(values, axis=1) != labels))
+        for values in combiners.granular_ncm_sweep(meta.scores, alphas, h)
+    ]
+
+
 def error_for_alpha(
     meta: MetaMatrix, labels: np.ndarray, alpha: float, h: str = DEFAULT_H
 ) -> float:
     """Fraction of observations the granular combiner misclassifies."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != meta.n_observations:
-        raise TrainingError("labels length does not match meta matrix")
-    decisions = combiners.granular_decide_batch(meta.scores, alpha, h)
-    return float(np.mean(decisions != labels))
+    return _alpha_errors(meta, labels, (alpha,), h)[0]
 
 
 def select_alpha(
@@ -180,7 +193,7 @@ def select_alpha(
 ) -> tuple[float, list[tuple[float, float]]]:
     """Grid value with the lowest meta-level error; ties go to the smallest
     alpha. Returns (alpha, full error curve)."""
-    curve = [(a, error_for_alpha(meta, labels, a, h)) for a in grid.values]
+    curve = list(zip(grid.values, _alpha_errors(meta, labels, grid.values, h)))
     best_alpha, _ = min(curve, key=lambda pair: (pair[1], pair[0]))
     return best_alpha, curve
 
@@ -279,21 +292,25 @@ def predict(ensemble: TrainedEnsemble, x: Sequence[float]) -> PredictionDetail:
 def predict_batch(
     ensemble: TrainedEnsemble, x: np.ndarray
 ) -> list[PredictionDetail]:
+    """One PredictionDetail per row of x.  All rows go through the batch
+    granule kernel together; each detail holds its row's bounds,
+    memberships and argmax, so a row decides as `evaluate` decides on the
+    same profile."""
     profiles = ensemble_profiles(ensemble, x)
-    out = []
-    for i in range(profiles.shape[0]):
-        profile = MetaProfile(profiles[i], ensemble.classifier_ids)
-        intervals = tuple(granular_intervals(profile, ensemble.alpha))
-        values = tuple(ncm(g, ensemble.h) for g in intervals)
-        out.append(
-            PredictionDetail(
-                profile=profile,
-                intervals=intervals,
-                memberships=values,
-                decision=int(np.argmax(values)),
-            )
+    checked = [MetaProfile(p, ensemble.classifier_ids) for p in profiles]
+    bounds = combiners.granular_bounds_batch(profiles, ensemble.alpha)
+    values = combiners.memberships_from_bounds(bounds, ensemble.h)
+    decisions = np.argmax(values, axis=1)
+    alpha = float(ensemble.alpha)
+    return [
+        PredictionDetail(
+            profile=profile,
+            intervals=tuple(Granule(lo, hi, alpha) for lo, hi in bounds[i].tolist()),
+            memberships=tuple(values[i].tolist()),
+            decision=int(decisions[i]),
         )
-    return out
+        for i, profile in enumerate(checked)
+    ]
 
 
 def save_ensemble(path, ensemble: TrainedEnsemble) -> None:

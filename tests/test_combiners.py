@@ -9,20 +9,38 @@ from granulex.combiners import (
     dt_classify,
     dt_fit,
     fixed_rule_classify,
+    dt_decide_batch,
     granular_classify,
     granular_decide_batch,
     granular_intervals,
+    granular_ncm_batch,
     ncm,
+    s1_similarity,
 )
-from granulex.granule import Granule, construct_granule
+from granulex.granule import Granule, construct_granule, construct_granules_batch
 from granulex.metadata import ClassCatalog, MetaMatrix, MetaProfile, MetadataError
 
 WORKED = MetaProfile(np.array([[0.6, 0.4], [0.7, 0.3], [0.35, 0.65]]))
 
 
+GRID = tuple(round(0.1 * i, 1) for i in range(41))
+
+
 def random_profile(rng, k, m):
     raw = rng.random((k, m))
     return MetaProfile(raw / raw.sum(axis=1, keepdims=True))
+
+
+def quantized_profiles(rng, n, k, m):
+    """(n, K, M) posteriors that are multiples of 1/votes, like KNN votes or
+    tree leaves: equal values, and so equal interval lengths, are common."""
+    votes = rng.choice([1, 2, 3, 5, 7, 25], size=(n, k))
+    counts = np.stack([
+        np.stack([rng.multinomial(votes[i, j], np.full(m, 1.0 / m))
+                  for j in range(k)])
+        for i in range(n)
+    ])
+    return counts / votes[:, :, None]
 
 
 class TestFixedRules:
@@ -137,6 +155,19 @@ class TestDecisionTemplate:
 
         got = s1_similarity(np.array([[0.6, 0.4]]), np.array([[0.5, 0.5]]))
         assert got == pytest.approx(0.9 / 1.1, abs=1e-12)
+
+    def test_classify_is_the_batch_row(self):
+        rng = np.random.default_rng(17)
+        for k in range(3, 13):
+            m = int(rng.integers(2, 6))
+            profiles = quantized_profiles(rng, 20, k, m)
+            templates = quantized_profiles(rng, m, k, m)
+            model = DecisionTemplateModel(templates)
+            decisions = dt_decide_batch(model, profiles)
+            for i, p in enumerate(profiles):
+                vec, cls = dt_classify(model, MetaProfile(p))
+                assert vec.values == tuple(s1_similarity(p, t) for t in templates)
+                assert cls == decisions[i]
 
     def test_shape_mismatch(self):
         p = random_profile(np.random.default_rng(5), 4, 2)
@@ -256,3 +287,32 @@ class TestGranularProperties:
             for i in range(profiles.shape[0]):
                 _, cls = granular_classify(MetaProfile(profiles[i]), 0.8, h)
                 assert batch[i] == cls
+
+
+class TestScalarIsBatchRow:
+    """The one-profile functions are the n=1 case of the batch kernel, so a
+    profile gets the same bounds, memberships and decision, to the last
+    bit, alone and inside a stack."""
+
+    def test_quantized_profiles_every_alpha_and_h(self):
+        rng = np.random.default_rng(2024)
+        for k in range(3, 13):
+            m = int(rng.integers(2, 6))
+            profiles = quantized_profiles(rng, 6, k, m)
+            for alpha in GRID:
+                cols = np.transpose(profiles, (0, 2, 1)).reshape(-1, k)
+                bounds = construct_granules_batch(cols, alpha).reshape(6, m, 2)
+                ncm_rows = {h: granular_ncm_batch(profiles, alpha, h)
+                            for h in ("h1", "h2", "h3")}
+                for i, scores in enumerate(profiles):
+                    profile = MetaProfile(scores)
+                    grans = granular_intervals(profile, alpha)
+                    for j, g in enumerate(grans):
+                        assert (g.lower, g.upper) == tuple(bounds[i, j])
+                        single = construct_granule(scores[:, j].tolist(), alpha)
+                        assert (single.lower, single.upper) == tuple(bounds[i, j])
+                    for h, rows in ncm_rows.items():
+                        vec, cls = granular_classify(profile, alpha, h)
+                        assert vec.values == tuple(rows[i])
+                        assert cls == int(np.argmax(rows[i]))
+                        assert [ncm(g, h) for g in grans] == list(rows[i])

@@ -10,7 +10,31 @@ from granulex.granule import (
     construct_granules_batch,
     evidence_score,
     median_of,
+    pick_bounds,
+    prepare_samples,
 )
+
+GRID = tuple(round(0.1 * i, 1) for i in range(41))
+
+
+def reference_granules_batch(samples, alpha):
+    """The one-shot batch kernel: sort, count and score at a single alpha,
+    all in one pass."""
+    v = np.sort(np.asarray(samples, dtype=np.float64), axis=1)
+    n, k = v.shape
+    mid = k // 2
+    med = v[:, mid] if k % 2 == 1 else (v[:, mid - 1] + v[:, mid]) / 2.0
+    medc = med[:, None]
+    le = (v[:, None, :] <= v[:, :, None]).sum(axis=2)
+    lt = (v[:, None, :] < v[:, :, None]).sum(axis=2)
+    below_med = (v < medc).sum(axis=1)[:, None]
+    le_med = (v <= medc).sum(axis=1)[:, None]
+    decay = np.exp(-alpha * np.abs(medc - v))
+    upper_scores = np.where(v >= medc, (le - below_med) * decay, -1.0)
+    upper = v[np.arange(n), np.argmax(upper_scores, axis=1)]
+    lower_scores = np.where(v <= medc, (le_med - lt) * decay, -1.0)
+    lower = v[np.arange(n), k - 1 - np.argmax(lower_scores[:, ::-1], axis=1)]
+    return np.stack([lower, upper], axis=1)
 
 
 def brute_force_granule(values, alpha):
@@ -182,8 +206,35 @@ class TestBatch:
                     g = construct_granule(row.tolist(), alpha)
                     assert (g.lower, g.upper) == (lo, hi)
 
+    def test_one_preparation_serves_every_alpha(self):
+        # Prepared once, picked at every grid alpha in turn (and back at the
+        # first), the bounds equal the one-shot kernel's at each alpha.
+        rng = np.random.default_rng(41)
+        for k in range(1, 14):
+            continuous = rng.random((150, k))
+            votes = rng.integers(0, k + 1, size=(150, k)) / k  # many ties
+            for samples in (continuous, votes):
+                prepared = prepare_samples(samples)
+                for alpha in GRID + (0.0, 25.0, 1e6):
+                    assert np.array_equal(
+                        pick_bounds(prepared, alpha),
+                        reference_granules_batch(samples, alpha),
+                    )
+                    assert np.array_equal(
+                        construct_granules_batch(samples, alpha),
+                        reference_granules_batch(samples, alpha),
+                    )
+
+    def test_pick_rejects_bad_alpha(self):
+        prepared = prepare_samples(np.array([[0.1, 0.5, 0.9]]))
+        for alpha in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(GranuleError):
+                pick_bounds(prepared, alpha)
+
     def test_rejects_bad_input(self):
         with pytest.raises(GranuleError):
             construct_granules_batch(np.empty((2, 0)), 1.0)
+        with pytest.raises(GranuleError):
+            construct_granules_batch(np.array([0.1, 0.2]), 1.0)
         with pytest.raises(GranuleError):
             construct_granules_batch(np.array([[0.1, np.nan]]), 1.0)

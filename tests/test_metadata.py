@@ -51,6 +51,40 @@ def test_validate_ok():
     assert validate_scores(np.array([[0.5, 0.5], [0.2, 0.8]])) == []
 
 
+def reference_validate_scores(scores, tol=1e-9):
+    """The row-by-row definition of validate_scores."""
+    violations = []
+    for i, row in enumerate(scores):
+        if not np.isfinite(row).all():
+            violations.append(f"row {i}: non-finite entry")
+            continue
+        if (row < -tol).any() or (row > 1.0 + tol).any():
+            violations.append(f"row {i}: entry outside [0, 1]")
+        s = row.sum()
+        if abs(s - 1.0) > tol:
+            violations.append(f"row {i}: sum {s!r} deviates from 1")
+    return violations
+
+
+def test_validate_matches_row_by_row_definition():
+    rng = np.random.default_rng(8)
+    flagged = 0
+    for _ in range(3000):
+        k, m = int(rng.integers(1, 13)), int(rng.integers(1, 20))
+        scores = rng.random((k, m))
+        scores /= scores.sum(axis=1, keepdims=True)
+        for _ in range(int(rng.integers(0, 3))):
+            scores[rng.integers(k), rng.integers(m)] = rng.choice(
+                [np.nan, np.inf, -np.inf, -0.5, 1.5, 0.3, 1e-10]
+            )
+        if rng.random() < 0.3:
+            scores += rng.choice([1e-10, 2e-9, -3e-9])
+        expected = reference_validate_scores(scores)
+        assert validate_scores(scores) == expected
+        flagged += bool(expected)
+    assert 500 < flagged < 2500
+
+
 def test_validate_bad_sum():
     violations = validate_scores(np.array([[0.7, 0.4]]))
     assert len(violations) == 1 and "row 0" in violations[0]

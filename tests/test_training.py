@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import granulex.training as training
-from granulex.datasets import GeneratorSpec, generate
-from granulex.learners import Dataset, LearnerSpec
+from granulex import combiners
+from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
+from granulex.evaluation import alpha_error_curves
+from granulex.learners import Dataset, LearnerSpec, extended_roster
 from granulex.metadata import ClassCatalog, MetaMatrix
 from granulex.training import (
     AlphaGrid,
@@ -150,6 +153,29 @@ class TestAlphaSelection:
         assert alpha == grid.values[best]
         assert [e for _, e in curve] == errs
 
+    @pytest.mark.parametrize("name", BUNDLED_DATASETS)
+    def test_sweep_equals_one_alpha_at_a_time(self, name):
+        # The meta-CV alpha_error_curves builds, rebuilt here so that its
+        # curves can be checked against one kernel call per alpha.
+        data = load_bundled(name)
+        specs = extended_roster()
+        plan = make_fold_plan(data.labels, 5, derive_seed(3, 0xC0))
+        meta = generate_meta_cv(data, specs, plan, 3)
+        grid = default_alpha_grid()
+        curves = alpha_error_curves(data, specs, grid, combiners.H_KINDS, 5, 3)
+        for h in combiners.H_KINDS:
+            one_shot = [
+                float(np.mean(
+                    combiners.granular_decide_batch(meta.scores, a, h) != data.labels
+                ))
+                for a in grid.values
+            ]
+            _, curve = select_alpha(meta, data.labels, grid, h)
+            assert [e for _, e in curve] == one_shot
+            assert [error_for_alpha(meta, data.labels, a, h)
+                    for a in grid.values] == one_shot
+            assert curves[h] == curve
+
     def test_flat_curve_takes_smallest(self):
         scores = np.tile(np.array([[0.9, 0.1]]), (6, 3, 1))
         meta, labels = self.make_meta(scores, np.zeros(6, dtype=int))
@@ -237,6 +263,31 @@ class TestPredict:
         detail = predict(e, data.features[0])
         _, cls = granular_classify(detail.profile, 0.7, "h3")
         assert detail.decision == cls
+
+    def test_details_are_the_batch_kernel_outputs(self):
+        data = generate(GeneratorSpec("concentric-rings", n=90, d=2, seed=4))
+        specs = SPECS + [LearnerSpec("knn", {"k": 7}), LearnerSpec("decision-tree")]
+        base = train(data, specs, seed=2, fixed_alpha=1.0)
+        q = generate(GeneratorSpec("concentric-rings", n=300, d=2, seed=5)).features
+        profiles = training.ensemble_profiles(base, q)
+        n, k, m = profiles.shape
+        cols = np.transpose(profiles, (0, 2, 1)).reshape(n * m, k)
+        for alpha in (0.0, 0.7, 2.3):
+            bounds = combiners.construct_granules_batch(cols, alpha).reshape(n, m, 2)
+            for h in combiners.H_KINDS:
+                e = dataclasses.replace(base, alpha=alpha, h=h)
+                values = combiners.granular_ncm_batch(profiles, alpha, h)
+                decisions = combiners.granular_decide_batch(profiles, alpha, h)
+                details = predict_batch(e, q)
+                assert len(details) == n
+                for i, d in enumerate(details):
+                    assert np.array_equal(d.profile.scores, profiles[i])
+                    assert d.profile.classifier_ids == e.classifier_ids
+                    assert [(g.lower, g.upper, g.alpha) for g in d.intervals] == [
+                        (lo, hi, alpha) for lo, hi in bounds[i]
+                    ]
+                    assert d.memberships == tuple(values[i])
+                    assert d.decision == decisions[i]
 
     def test_batch_preserves_order(self):
         data = toy_dataset(n=40)
