@@ -1,9 +1,7 @@
 """Command-line interface: train, predict, evaluate, alpha-curve.
 
-Configuration is strict JSON (unknown keys rejected); command-line flags
-override config values.  GRANULEX_THREADS caps worker parallelism; the
-current implementation executes sequentially, which trivially satisfies the
-schedule-independence contract.
+Configuration is strict JSON (unknown keys and ill-typed values rejected);
+command-line flags override config values.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,11 +18,47 @@ from .datasets import GeneratorSpec, generate, load_csv
 from .learners import Dataset, LearnerSpec, default_roster, spec_from_name
 from .training import AlphaGrid, default_alpha_grid
 
-CONFIG_KEYS = {
-    "datasets", "learners", "methods", "alpha_grid", "fixed_alpha",
-    "h", "folds", "repeats", "seed", "significance", "inner_folds",
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(map(_is_str, value))
+
+
+# Every key a config object may hold: (what its value must be, check).
+CONFIG_TYPES = {
+    "datasets": ("a non-empty list", lambda v: isinstance(v, list) and v != []),
+    "learners": ("a list of names", _is_names),
+    "methods": ("a list of names", _is_names),
+    "alpha_grid": ('a "lo:step:hi" string or a list of numbers',
+                   lambda v: _is_str(v)
+                   or (isinstance(v, list) and all(map(_is_number, v)))),
+    "fixed_alpha": ("a number", _is_number),
+    "h": ("a string", _is_str),
+    "folds": ("an integer", _is_int),
+    "repeats": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "significance": ("a number", _is_number),
+    "inner_folds": ("an integer", _is_int),
 }
-DATASET_KEYS = {"path", "label_column", "header", "generator", "name"}
+DATASET_TYPES = {
+    "path": ("a string", _is_str),
+    "label_column": ("a column index or name",
+                     lambda v: _is_int(v) or _is_str(v)),
+    "header": ("true or false", lambda v: isinstance(v, bool)),
+    "generator": ("an object", lambda v: isinstance(v, dict)),
+    "name": ("a string", _is_str),
+}
 GENERATOR_KEYS = {"kind", "n", "d", "noise", "seed"}
 
 
@@ -33,15 +66,18 @@ class CliError(Exception):
     pass
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("GRANULEX_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"GRANULEX_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise CliError("GRANULEX_THREADS must be >= 1")
-    return cap
+def _check_object(value, types: dict, what: str) -> None:
+    """Reject a config value that is not a JSON object, or has a key
+    outside types, or a key whose value fails its check."""
+    if not isinstance(value, dict):
+        raise CliError(f"{what} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(types)
+    if unknown:
+        raise CliError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, item in value.items():
+        expected, ok = types[key]
+        if not ok(item):
+            raise CliError(f"{what} key {key!r} must be {expected}, got {item!r}")
 
 
 def parse_grid(text: str) -> AlphaGrid:
@@ -62,14 +98,14 @@ def _parse_learners(text: str) -> list[LearnerSpec]:
 
 
 def _load_dataset_entry(entry: dict) -> Dataset:
-    unknown = set(entry) - DATASET_KEYS
-    if unknown:
-        raise CliError(f"unknown dataset config keys: {sorted(unknown)}")
+    _check_object(entry, DATASET_TYPES, "dataset config")
     if "generator" in entry:
         gen = entry["generator"]
         bad = set(gen) - GENERATOR_KEYS
         if bad:
             raise CliError(f"unknown generator keys: {sorted(bad)}")
+        if "kind" not in gen:
+            raise CliError("generator needs a 'kind'")
         return generate(GeneratorSpec(**gen))
     if "path" not in entry:
         raise CliError("dataset entry needs 'path' or 'generator'")
@@ -99,9 +135,7 @@ def _resolve_config(path: str | None, args) -> dict:
             raw = json.load(fh)
         if isinstance(raw, dict) and "config" in raw and "results" in raw:
             raw = raw["config"]  # accept a previously emitted report echo
-        unknown = set(raw) - CONFIG_KEYS
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
+        _check_object(raw, CONFIG_TYPES, "config")
         cfg.update(raw)
 
     # Flag overrides (CLI > config > defaults).
@@ -149,7 +183,7 @@ def cmd_train(args) -> int:
     specs = _parse_learners(args.learners) if args.learners else default_roster()
     data = load_csv(args.data, label_column=args.label_column,
                     header=not args.no_header)
-    kwargs = dict(h=args.h or combiners.DEFAULT_H, n_folds=args.folds or 10)
+    kwargs = dict(h=args.h or combiners.DEFAULT_H, n_folds=args.folds)
     if args.alpha is not None:
         ensemble = training.train(
             data, specs, args.seed or 0, fixed_alpha=args.alpha, **kwargs
@@ -194,7 +228,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _threads_cap()
     cfg = _resolve_config(args.config, args)
     datasets = [_load_dataset_entry(e) for e in cfg["datasets"]]
     proto = evaluation.ProtocolConfig(
@@ -224,7 +257,7 @@ def cmd_alpha_curve(args) -> int:
     grid = parse_grid(args.grid) if args.grid else default_alpha_grid()
     h_kinds = [args.h] if args.h else list(combiners.H_KINDS)
     curves = evaluation.alpha_error_curves(
-        data, specs, grid, h_kinds, args.folds or 10, args.seed or 0
+        data, specs, grid, h_kinds, args.folds, args.seed or 0
     )
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
@@ -262,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--alpha", type=float, help="fixed alpha (skips CV)")
     p_train.add_argument("--grid", help="alpha grid lo:step:hi")
     p_train.add_argument("--h", choices=combiners.H_KINDS)
-    p_train.add_argument("--folds", type=int)
+    p_train.add_argument("--folds", type=int, default=10)
     p_train.add_argument("--output", required=True)
     add_common(p_train)
     p_train.set_defaults(func=cmd_train)
@@ -297,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--h", choices=combiners.H_KINDS,
                          help="one h function (default: all three)")
     p_curve.add_argument("--learners")
-    p_curve.add_argument("--folds", type=int)
+    p_curve.add_argument("--folds", type=int, default=10)
     p_curve.add_argument("--output")
     add_common(p_curve)
     p_curve.set_defaults(func=cmd_alpha_curve)

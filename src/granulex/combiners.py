@@ -71,15 +71,14 @@ H_KINDS = tuple(_H_TABLE)
 @dataclass(frozen=True)
 class ClassMembershipVector:
     values: tuple[float, ...]
-    rule: str
 
     @property
     def decision(self) -> int:
         return int(np.argmax(self.values))
 
 
-def _decide(values: np.ndarray, rule: str) -> tuple[ClassMembershipVector, int]:
-    vec = ClassMembershipVector(tuple(float(v) for v in values), rule)
+def _decide(values: np.ndarray) -> tuple[ClassMembershipVector, int]:
+    vec = ClassMembershipVector(tuple(float(v) for v in values))
     return vec, vec.decision
 
 
@@ -109,7 +108,7 @@ def fixed_rule_classify(
     profile: MetaProfile, rule: str
 ) -> tuple[ClassMembershipVector, int]:
     scores = fixed_rule_scores_batch(profile.scores[None], rule)[0]
-    return _decide(scores, rule)
+    return _decide(scores)
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def dt_classify(
     if model.templates.shape[1:] != profile.scores.shape:
         raise MetadataError("template/profile shape mismatch")
     sims = s1_similarity_batch(profile.scores[None], model.templates)[0]
-    return _decide(sims, "decision-template")
+    return _decide(sims)
 
 
 def dt_decide_batch(model: DecisionTemplateModel, profiles: np.ndarray) -> np.ndarray:
@@ -217,7 +216,7 @@ def granular_classify(
     profile: MetaProfile, alpha: float, h: str = DEFAULT_H
 ) -> tuple[ClassMembershipVector, int]:
     values = granular_ncm_batch(profile.scores[None], alpha, h)[0]
-    return _decide(values, f"granular(alpha={alpha:g},{h})")
+    return _decide(values)
 
 
 def granular_ncm_batch(profiles: np.ndarray, alpha: float, h: str) -> np.ndarray:

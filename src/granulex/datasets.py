@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -131,6 +132,13 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise DatasetError(f"unknown generator kind {self.kind!r}")
+        for key, kind, expected in (("n", Integral, "an integer"),
+                                    ("d", Integral, "an integer"),
+                                    ("noise", Real, "a number"),
+                                    ("seed", Integral, "an integer")):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise DatasetError(f"generator {key} must be {expected}, got {value!r}")
         if self.n < 4 or self.d < 1 or self.noise <= 0:
             raise DatasetError("generator needs n >= 4, d >= 1, noise > 0")
         if self.kind == "concentric-rings" and self.d < 2:

@@ -74,8 +74,6 @@ def macro_f1(predictions: Sequence[int], truth: Sequence[int], n_classes: int) -
 class BiasVarianceReport:
     bias: float
     variance: float
-    per_run_bias: tuple[float, ...] = ()
-    per_run_variance: tuple[float, ...] = ()
 
 
 def bias_variance(
@@ -199,11 +197,8 @@ GRANULAR_METHODS = ("granular-cv", "granular-fixed")
 
 
 def default_methods() -> tuple[str, ...]:
-    return tuple(f"rule:{r}" for r in FIXED_RULES) + (
-        "decision-template",
-        "granular-cv",
-        "granular-fixed",
-    )
+    rules = tuple(f"rule:{r}" for r in FIXED_RULES)
+    return rules + ("decision-template",) + GRANULAR_METHODS
 
 
 @dataclass(frozen=True)
@@ -367,8 +362,6 @@ def run_protocol(
             m: BiasVarianceReport(
                 bias=float(np.mean(bv_runs[m][0])),
                 variance=float(np.mean(bv_runs[m][1])),
-                per_run_bias=tuple(bv_runs[m][0]),
-                per_run_variance=tuple(bv_runs[m][1]),
             )
             for m in config.methods
         }

@@ -5,8 +5,8 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
 
   knn                  neighbor vote fractions (exact-distance matches take
                        the whole vote)
-  gaussian-naive-bayes normalized Gaussian likelihoods x smoothed priors
-  lda                  normalized shared-covariance Gaussian discriminants
+  gaussian-naive-bayes Gaussian likelihoods x smoothed priors, scaled to sum 1
+  lda                  shared-covariance Gaussian discriminants, scaled to sum 1
   fisher               logistic squashing of one-vs-rest Fisher scores
   logistic-linear      multinomial softmax regression
   decision-tree/stump  leaf class proportions
@@ -42,18 +42,6 @@ __all__ = [
     "extended_roster",
     "spec_from_name",
 ]
-
-KINDS = (
-    "knn",
-    "gaussian-naive-bayes",
-    "lda",
-    "fisher",
-    "logistic-linear",
-    "decision-tree",
-    "decision-stump",
-    "nearest-mean",
-    "perceptron",
-)
 
 RIDGE_FACTOR = 1e-6     # scatter-matrix regularization, scaled by trace/d
 VARIANCE_FLOOR = 1e-9   # per-feature variance floor in naive Bayes
@@ -92,10 +80,9 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray, name: str = "") -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(
-            self.features[indices], self.labels[indices], self.catalog,
-            name or self.name,
+            self.features[indices], self.labels[indices], self.catalog, self.name
         )
 
 
@@ -640,6 +627,8 @@ _PREDICTORS = {
     "nearest-mean": _predict_nearest_mean,
     "perceptron": _predict_perceptron,
 }
+
+KINDS = tuple(_FITTERS)
 
 # The state keys each kind's predictor reads, including the two that
 # predict_proba_batch reads for every kind.

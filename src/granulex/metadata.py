@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,10 +48,11 @@ class ClassCatalog:
         return self.labels.index(label)
 
 
-def _row_faults(scores: np.ndarray, tol: float):
+def _row_faults(scores: np.ndarray):
     """Faults of every posterior row (classes on the last axis), for any
     leading shape: (non-finite, entry outside [0, 1], row sum, sum off 1).
     A non-finite row has no other fault."""
+    tol = ROW_SUM_TOL
     finite = np.isfinite(scores).all(axis=-1)
     outside = finite & ((scores < -tol) | (scores > 1.0 + tol)).any(axis=-1)
     sums = np.where(finite[..., None], scores, 0.0).sum(axis=-1)
@@ -59,16 +60,17 @@ def _row_faults(scores: np.ndarray, tol: float):
     return ~finite, outside, sums, off
 
 
-def validate_scores(scores: np.ndarray, tol: float = ROW_SUM_TOL) -> list[str]:
+def validate_scores(scores: np.ndarray) -> list[str]:
     """Return a list of violation messages for a K x M posterior matrix.
 
-    A row is flagged when an entry leaves [0, 1] by more than tol or the row
-    sum deviates from 1 by more than tol.  An empty list means ok.
+    A row is flagged when an entry leaves [0, 1] by more than ROW_SUM_TOL or
+    the row sum deviates from 1 by more than ROW_SUM_TOL.  An empty list
+    means ok.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         return [f"expected a 2-d matrix, got shape {scores.shape}"]
-    nonfinite, outside, sums, off = _row_faults(scores, tol)
+    nonfinite, outside, sums, off = _row_faults(scores)
     violations: list[str] = []
     for i in np.flatnonzero(nonfinite | outside | off):
         if nonfinite[i]:
@@ -81,11 +83,6 @@ def validate_scores(scores: np.ndarray, tol: float = ROW_SUM_TOL) -> list[str]:
     return violations
 
 
-def _normalize_rows(scores: np.ndarray) -> np.ndarray:
-    clipped = np.clip(scores, 0.0, 1.0)
-    return clipped / clipped.sum(axis=1, keepdims=True)
-
-
 class MetaProfile:
     """K x M matrix of per-classifier posterior rows for one observation."""
 
@@ -95,14 +92,11 @@ class MetaProfile:
         self,
         scores: np.ndarray,
         classifier_ids: Sequence[str] | None = None,
-        normalize: bool = False,
     ) -> None:
         scores = np.asarray(scores, dtype=np.float64)
         violations = validate_scores(scores)
         if violations:
             raise MetadataError("; ".join(violations))
-        if normalize:
-            scores = _normalize_rows(scores)
         if scores.shape[0] < 2:
             raise MetadataError("profile needs at least two classifier rows")
         scores.setflags(write=False)
@@ -157,7 +151,7 @@ class MetaMatrix:
             raise MetadataError("classifier_ids length mismatch")
         # The checks of validate_scores on every profile at once; it words
         # the first failure.
-        nonfinite, outside, _, off = _row_faults(scores, ROW_SUM_TOL)
+        nonfinite, outside, _, off = _row_faults(scores)
         bad = (nonfinite | outside | off).any(axis=1)
         if bad.any():
             n = int(np.argmax(bad))
@@ -171,13 +165,6 @@ class MetaMatrix:
     @property
     def n_observations(self) -> int:
         return self.scores.shape[0]
-
-    def profile(self, n: int) -> MetaProfile:
-        return MetaProfile(self.scores[n], self.classifier_ids)
-
-    def profiles(self) -> Iterable[MetaProfile]:
-        for n in range(self.n_observations):
-            yield self.profile(n)
 
 
 def write_meta_csv(path, matrix: MetaMatrix, labels: Sequence[int]) -> None:
@@ -203,10 +190,16 @@ def write_meta_csv(path, matrix: MetaMatrix, labels: Sequence[int]) -> None:
 
 
 def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
-    """Parse a file written by write_meta_csv. Returns (matrix, labels)."""
+    """Parse a file written by write_meta_csv. Returns (matrix, labels).
+
+    A missing header, a row of the wrong length, a non-numeric posterior or
+    a label outside the catalog raises MetadataError naming the line."""
+    label_index = {label: i for i, label in enumerate(catalog.labels)}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise MetadataError(f"{path}, line 1: empty file, expected a header")
         ncols = len(header) - 2
         m = catalog.size
         if ncols % m != 0:
@@ -214,8 +207,19 @@ def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
         k = ncols // m
         rows = []
         labels = []
+
+        def fault(message: str) -> MetadataError:
+            return MetadataError(f"{path}, line {reader.line_num}: {message}")
+
         for rec in reader:
-            rows.append([float(v) for v in rec[1:-1]])
-            labels.append(catalog.index_of(rec[-1]))
+            if len(rec) != len(header):
+                raise fault(f"{len(rec)} cells, the header has {len(header)}")
+            try:
+                rows.append([float(v) for v in rec[1:-1]])
+            except ValueError:
+                raise fault("non-numeric posterior cell") from None
+            if rec[-1] not in label_index:
+                raise fault(f"label {rec[-1]!r} is not in the catalog")
+            labels.append(label_index[rec[-1]])
     scores = np.asarray(rows, dtype=np.float64).reshape(len(rows), k, m)
     return MetaMatrix(scores, catalog), np.asarray(labels, dtype=np.int64)

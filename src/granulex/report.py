@@ -8,7 +8,7 @@ import csv
 import json
 import os
 
-from .evaluation import ExperimentReport
+from .evaluation import GRANULAR_METHODS, ExperimentReport
 
 __all__ = ["report_to_dict", "report_json_bytes", "write_report_files"]
 
@@ -94,7 +94,7 @@ def human_table(report: ExperimentReport) -> str:
             )
         lines.append("")
 
-    for gmethod in ("granular-cv", "granular-fixed"):
+    for gmethod in GRANULAR_METHODS:
         for metric in ("error", "f1"):
             tally = _win_equal_loss(report, gmethod, metric)
             if not tally:

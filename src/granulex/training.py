@@ -98,7 +98,6 @@ def default_alpha_grid() -> AlphaGrid:
 class FoldPlan:
     assignments: np.ndarray  # (N,) fold index per observation
     n_folds: int
-    seed: int
 
     def __post_init__(self) -> None:
         a = np.asarray(self.assignments, dtype=np.int64)
@@ -127,7 +126,7 @@ def make_fold_plan(labels: np.ndarray, n_folds: int, seed: int) -> FoldPlan:
         for i in idx:
             assignments[i] = cursor % n_folds
             cursor += 1
-    return FoldPlan(assignments, n_folds, seed)
+    return FoldPlan(assignments, n_folds)
 
 
 def generate_meta_cv(

@@ -194,12 +194,6 @@ class TestEvaluate:
             out2 / "report.json"
         ).read_bytes()
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GRANULEX_THREADS", "zero")
-        code, _ = self.run_eval(tmp_path, EVAL_CONFIG)
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = dict(EVAL_CONFIG)
         cfg["bogus_knob"] = 1
@@ -282,6 +276,46 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:" in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "alpha-curve"])
+    def test_zero_folds_exits_1(self, tmp_path, capsys, command):
+        data_csv = tmp_path / "train.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)  # 20 rows per class
+        code = main([command, "--data", str(data_csv), "--folds", "0",
+                     "--grid", "0:1:2", "--learners", "nearest-mean,lda",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "at least 2 folds" in err
+
+    @pytest.mark.parametrize("config, message", [
+        (5, "config must be a JSON object, got 5"),
+        (dict(EVAL_CONFIG, datasets=5), "config key 'datasets' must be a non-empty"),
+        (dict(EVAL_CONFIG, datasets=[]), "config key 'datasets' must be a non-empty"),
+        (dict(EVAL_CONFIG, datasets=[5]), "dataset config must be a JSON object"),
+        (dict(EVAL_CONFIG, datasets=[{"path": ["d.csv"]}]),
+         "dataset config key 'path' must be a string"),
+        (dict(EVAL_CONFIG, datasets=[{"generator": {"n": 40}}]),
+         "generator needs a 'kind'"),
+        (dict(EVAL_CONFIG, datasets=[
+            {"generator": {"kind": "twonorm-like", "n": "x"}}]),
+         "generator n must be an integer"),
+        (dict(EVAL_CONFIG, learners=[5]), "'learners' must be a list of names"),
+        (dict(EVAL_CONFIG, methods="rule:sum"), "'methods' must be a list of names"),
+        (dict(EVAL_CONFIG, folds=None), "'folds' must be an integer"),
+        (dict(EVAL_CONFIG, repeats=1.5), "'repeats' must be an integer"),
+        (dict(EVAL_CONFIG, significance="0.05"), "'significance' must be a number"),
+        (dict(EVAL_CONFIG, alpha_grid=5), "'alpha_grid' must be"),
+        (dict(EVAL_CONFIG, alpha_grid=[0, "1"]), "'alpha_grid' must be"),
+    ])
+    def test_ill_typed_config_exits_1(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["evaluate", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
 
     def test_evaluate_without_datasets(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"

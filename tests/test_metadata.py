@@ -93,9 +93,8 @@ def test_validate_bad_sum():
 def test_validate_sub_tolerance_drift():
     row = np.array([[1.0000000001, -0.0000000001]])
     assert validate_scores(row) == []
-    p = MetaProfile(np.vstack([row, [[0.5, 0.5]]]), normalize=True)
-    assert p.scores.min() >= 0.0
-    assert np.allclose(p.scores.sum(axis=1), 1.0)
+    p = MetaProfile(np.vstack([row, [[0.5, 0.5]]]))
+    assert np.array_equal(p.scores[0], row[0])
 
 
 def test_profile_rejects_violations():
@@ -140,6 +139,25 @@ def test_read_meta_csv_rejects_invalid_row(tmp_path):
         "1,nan,-3,5,0.2,b\n"
     )
     with pytest.raises(MetadataError, match="observation 1"):
+        read_meta_csv(path, ClassCatalog(("a", "b")))
+
+
+META_HEADER = "obs_id,k1_y1,k1_y2,k2_y1,k2_y2,label\n"
+META_ROW = "0,0.5,0.5,0.5,0.5,a\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty file"),
+    (META_HEADER + "0,0.5,0.5,0.5,a\n", "line 2: 5 cells, the header has 6"),
+    (META_HEADER + META_ROW + "\n", "line 3: 0 cells"),
+    (META_HEADER + META_ROW + "1,0.5,0.5,0.5,0.5,c\n",
+     "line 3: label 'c' is not in the catalog"),
+    (META_HEADER + "0,0.5,half,0.5,0.5,a\n", "line 2: non-numeric posterior"),
+])
+def test_read_meta_csv_names_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "meta.csv"
+    path.write_text(text)
+    with pytest.raises(MetadataError, match=message):
         read_meta_csv(path, ClassCatalog(("a", "b")))
 
 
