@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
-import numpy as np
-
 from . import combiners, evaluation, report, training
-from .datasets import GeneratorSpec, generate, load_csv
+from .datasets import GeneratorSpec, generate, load_csv, load_features
 from .learners import Dataset, LearnerSpec, default_roster, spec_from_name
 from .training import AlphaGrid, default_alpha_grid
 
@@ -60,6 +59,9 @@ DATASET_TYPES = {
     "name": ("a string", _is_str),
 }
 GENERATOR_KEYS = {"kind", "n", "d", "noise", "seed"}
+# Largest alpha grid a "lo:step:hi" string may expand to; the default grid
+# has 41 points, and each point costs one bound pick per meta-data column.
+MAX_GRID_POINTS = 10_000
 
 
 class CliError(Exception):
@@ -81,14 +83,20 @@ def _check_object(value, types: dict, what: str) -> None:
 
 
 def parse_grid(text: str) -> AlphaGrid:
-    """Parse "lo:step:hi" into an inclusive alpha grid."""
+    """Parse "lo:step:hi" into an inclusive alpha grid of at most
+    MAX_GRID_POINTS values."""
     try:
         lo, step, hi = (float(v) for v in text.split(":"))
     except ValueError:
         raise CliError(f"grid must be lo:step:hi, got {text!r}")
+    if not all(map(math.isfinite, (lo, step, hi))):
+        raise CliError(f"grid bounds must be finite numbers, got {text!r}")
     if step <= 0 or hi < lo:
         raise CliError(f"invalid grid bounds {text!r}")
-    count = int(round((hi - lo) / step)) + 1
+    # min() also caps a span that overflows to inf.
+    count = int(round(min((hi - lo) / step, MAX_GRID_POINTS))) + 1
+    if count > MAX_GRID_POINTS:
+        raise CliError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = tuple(round(lo + i * step, 12) for i in range(count))
     return AlphaGrid(values)
 
@@ -115,17 +123,6 @@ def _load_dataset_entry(entry: dict) -> Dataset:
         header=entry.get("header", True),
         name=entry.get("name", ""),
     )
-
-
-def _load_features_csv(path, header: bool = True) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if header:
-        rows = rows[1:]
-    try:
-        return np.asarray([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise CliError(f"{path}: non-numeric feature cell ({exc})")
 
 
 def _resolve_config(path: str | None, args) -> dict:
@@ -157,17 +154,14 @@ def _resolve_config(path: str | None, args) -> dict:
     if getattr(args, "methods", None):
         cfg["methods"] = [s.strip() for s in args.methods.split(",")]
 
-    # Defaults.
+    # Defaults: the default roster, and ProtocolConfig's for the rest.
+    defaults = evaluation.ProtocolConfig()
     cfg.setdefault("learners", [s.name for s in default_roster()])
-    cfg.setdefault("methods", list(evaluation.default_methods()))
-    cfg.setdefault("alpha_grid", list(default_alpha_grid().values))
-    cfg.setdefault("fixed_alpha", 1.0)
-    cfg.setdefault("h", combiners.DEFAULT_H)
-    cfg.setdefault("folds", 10)
-    cfg.setdefault("repeats", 10)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("significance", 0.05)
-    cfg.setdefault("inner_folds", 10)
+    cfg.setdefault("methods", list(defaults.methods))
+    cfg.setdefault("alpha_grid", list(defaults.alpha_grid.values))
+    for key in ("fixed_alpha", "h", "folds", "repeats", "seed", "significance",
+                "inner_folds"):
+        cfg.setdefault(key, getattr(defaults, key))
     if "datasets" not in cfg:
         raise CliError("no datasets configured (use --data or a config file)")
     return cfg
@@ -199,7 +193,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     ensemble = training.load_ensemble(args.model)
-    x = _load_features_csv(args.data, header=not args.no_header)
+    x = load_features(args.data, header=not args.no_header)
     details = training.predict_batch(ensemble, x)
     labels = ensemble.catalog.labels
     header = ["obs_id"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 from numbers import Integral, Real
@@ -20,6 +21,7 @@ __all__ = [
     "generate",
     "load_bundled",
     "load_csv",
+    "load_features",
 ]
 
 GENERATOR_KINDS = ("two-gaussians", "twonorm-like", "concentric-rings")
@@ -48,6 +50,52 @@ def load_bundled(name: str) -> Dataset:
     return load_csv(bundled_path(f"{name}.csv"), name=name)
 
 
+def _read_rows(
+    path, header: bool
+) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
+    """The header (None without one) and the non-blank data rows of a CSV,
+    each with its 1-based line number in the file."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise DatasetError(f"{path} is empty")
+    columns = rows.pop(0)[1] if header else None
+    if not rows:
+        raise DatasetError(f"{path} has no data rows")
+    return columns, rows
+
+
+def _feature_rows(
+    path, rows: list[tuple[int, list[str]]], label_idx: int | None = None
+) -> list[list[float]]:
+    """The float cells of every row but column label_idx.  Every row whose
+    width differs from the first's, or with a non-numeric or non-finite
+    feature cell, aborts with all such line numbers."""
+    width = len(rows[0][1])
+    features = []
+    bad: list[int] = []
+    for lineno, row in rows:
+        try:
+            feats = [float(cell) for i, cell in enumerate(row) if i != label_idx]
+            ok = len(row) == width and all(map(math.isfinite, feats))
+        except ValueError:
+            ok = False
+        if ok:
+            features.append(feats)
+        else:
+            bad.append(lineno)
+    if bad:
+        raise DatasetError(
+            f"{path}: non-numeric or malformed feature cells in rows {bad}"
+        )
+    return features
+
+
 def load_csv(
     path,
     label_column: int | str = -1,
@@ -58,27 +106,10 @@ def load_csv(
 
     Classes are cataloged in first-appearance order.  Any row with a
     non-numeric or missing feature cell aborts the load, reporting every
-    offending row number (1-based, counting the header).
+    offending line number of the file.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise DatasetError(f"{path} is empty")
-
-    start = 0
-    columns = None
-    if header:
-        columns = rows[0]
-        start = 1
-    if start >= len(rows):
-        raise DatasetError(f"{path} has no data rows")
-
-    width = len(rows[start])
+    columns, rows = _read_rows(path, header)
+    width = len(rows[0][1])
     if isinstance(label_column, str):
         if columns is None or label_column not in columns:
             raise DatasetError(f"label column {label_column!r} not found")
@@ -86,30 +117,8 @@ def load_csv(
     else:
         label_idx = label_column % width
 
-    features = []
-    raw_labels = []
-    bad: list[int] = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            bad.append(lineno)
-            continue
-        try:
-            feats = [
-                float(cell) for i, cell in enumerate(row) if i != label_idx
-            ]
-        except ValueError:
-            bad.append(lineno)
-            continue
-        if not all(np.isfinite(feats)):
-            bad.append(lineno)
-            continue
-        features.append(feats)
-        raw_labels.append(row[label_idx])
-    if bad:
-        raise DatasetError(
-            f"{path}: non-numeric or malformed feature cells in rows {bad}"
-        )
-
+    features = _feature_rows(path, rows, label_idx)
+    raw_labels = [row[label_idx] for _, row in rows]
     seen: dict[str, int] = {}
     for lab in raw_labels:
         if lab not in seen:
@@ -119,6 +128,13 @@ def load_csv(
     catalog = ClassCatalog(tuple(seen))
     labels = np.asarray([seen[lab] for lab in raw_labels], dtype=np.int64)
     return Dataset(np.asarray(features), labels, catalog, name or str(path))
+
+
+def load_features(path, header: bool = True) -> np.ndarray:
+    """Read an all-numeric feature CSV, such as the query rows of `granulex
+    predict`, with the row checks of `load_csv`."""
+    _, rows = _read_rows(path, header)
+    return np.asarray(_feature_rows(path, rows))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ import numpy as np
 
 from . import combiners, training
 from .combiners import DEFAULT_H, FIXED_RULES
-from .learners import Dataset, LearnerSpec, fit
+# fit is not called here but stays a name of this module: bench/tracer.py
+# wraps it by this name.
+from .learners import Dataset, LearnerSpec, fit  # noqa: F401
 from .metadata import MetaMatrix
 from .training import AlphaGrid, default_alpha_grid, derive_seed
 
@@ -281,21 +283,16 @@ def _learner_lookup(specs: Sequence[LearnerSpec]) -> dict[str, int]:
     return {spec.name: j for j, spec in enumerate(specs)}
 
 
-def _resubstitution_meta(models, features, catalog, ids) -> MetaMatrix:
-    scores = np.stack(
-        [m.predict_proba_batch(features) for m in models], axis=1
-    )
-    return MetaMatrix(scores, catalog, ids)
-
-
 def run_protocol(
     datasets: Sequence[Dataset], config: ProtocolConfig
 ) -> ExperimentReport:
     """Repeated stratified k-fold evaluation of every configured method.
 
-    Deterministic under config.seed: per-(dataset, repeat, fold, learner)
-    seeds are derived with derive_seed, so results do not depend on
-    execution order.
+    Outer models come from `training.fit_complements`, the fold path of
+    meta-CV, called per (dataset, repeat) with s = derive_seed(config.seed,
+    ds_idx, rep).  As derive_seed chains, learner j on fold t gets
+    derive_seed(s, t, j) == derive_seed(config.seed, ds_idx, rep, t, j),
+    whatever order the fits run in.
     """
     specs = tuple(config.learners)
     if not specs:
@@ -321,24 +318,15 @@ def run_protocol(
         }
 
         for rep in range(config.repeats):
-            plan = training.make_fold_plan(
-                data.labels, config.folds, derive_seed(config.seed, ds_idx, rep)
-            )
-            for fold in range(config.folds):
+            rep_seed = derive_seed(config.seed, ds_idx, rep)
+            plan = training.make_fold_plan(data.labels, config.folds, rep_seed)
+            fold_models = training.fit_complements(data, specs, plan, rep_seed)
+            for fold, models in enumerate(fold_models):
                 run_seed = derive_seed(config.seed, ds_idx, rep, fold)
                 test_idx = plan.fold_indices(fold)
-                train_idx = plan.complement_indices(fold)
-                train_part = data.subset(train_idx)
-                test_x = data.features[test_idx]
+                train_part = data.subset(plan.complement_indices(fold))
                 truth = data.labels[test_idx]
-
-                models = [
-                    fit(spec, train_part, derive_seed(run_seed, j))
-                    for j, spec in enumerate(specs)
-                ]
-                test_profiles = np.stack(
-                    [m.predict_proba_batch(test_x) for m in models], axis=1
-                )
+                test_profiles = training.stack_profiles(models, data.features[test_idx])
                 base_preds = np.argmax(test_profiles, axis=2).T  # (K, n_test)
 
                 for method in config.methods:
@@ -430,8 +418,9 @@ def _method_predictions(
         scores = combiners.fixed_rule_scores_batch(test_profiles, method[5:])
         return np.argmax(scores, axis=1)
     if method == "decision-template":
-        meta = _resubstitution_meta(
-            models, train_part.features, train_part.catalog, ids
+        meta = MetaMatrix(
+            training.stack_profiles(models, train_part.features),
+            train_part.catalog, ids,
         )
         model = combiners.dt_fit(meta, train_part.labels)
         return combiners.dt_decide_batch(model, test_profiles)
@@ -491,8 +480,7 @@ def alpha_error_curves(
     seed: int,
 ) -> dict[str, list[tuple[float, float]]]:
     """Meta-level error as a function of alpha, one curve per h function,
-    from one pass of fold-wise meta-data generation: the curves
-    select_alpha searches."""
-    plan = training.make_fold_plan(data.labels, n_folds, derive_seed(seed, 0xC0))
-    meta = training.generate_meta_cv(data, specs, plan, seed)
+    over the meta-data `training.train` builds with the same seed and
+    n_folds: each curve is the one train's select_alpha searches."""
+    meta = training.cross_validated_meta(data, specs, n_folds, seed)
     return {h: training.select_alpha(meta, data.labels, grid, h)[1] for h in h_kinds}

@@ -7,6 +7,12 @@ classifiers on the full training set.  Prediction assembles the posterior
 profile from the refitted classifiers, builds per-class intervals, and
 decides by maximum numerical class membership.
 
+Every fold fit of the package goes through `fit_complements`: the meta-CV
+of `train`, the outer folds of `evaluation.run_protocol` and `alpha-curve`.
+Its seeds come from `derive_seed`, which chains:
+derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
+seed depends on its coordinates, not on the call that made it.
+
 Caveat: alpha is selected on the same meta-data its error is measured on
 (no nested validation), so the reported alpha-error curve is optimistically
 biased as a generalization estimate.
@@ -44,7 +50,10 @@ __all__ = [
     "default_alpha_grid",
     "derive_seed",
     "make_fold_plan",
+    "fit_complements",
+    "stack_profiles",
     "generate_meta_cv",
+    "cross_validated_meta",
     "error_for_alpha",
     "select_alpha",
     "train",
@@ -129,37 +138,60 @@ def make_fold_plan(labels: np.ndarray, n_folds: int, seed: int) -> FoldPlan:
     return FoldPlan(assignments, n_folds)
 
 
+def fit_complements(
+    data: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan, seed: int
+) -> list[list[FittedClassifier]]:
+    """models[t][j] is learner j fitted on the complement of fold t with seed
+    derive_seed(seed, t, j).  Each learner fits all T complements in one
+    `fit_folds` call: one batched kernel call for logistic-linear."""
+    folds = range(plan.n_folds)
+    rests = [plan.complement_indices(t) for t in folds]
+    for t, rest in enumerate(rests):
+        absent = np.bincount(data.labels[rest], minlength=data.catalog.size) == 0
+        if absent.any():
+            label = data.catalog.labels[int(np.argmax(absent))]
+            raise TrainingError(
+                f"class {label!r} absent from the training complement of fold {t}"
+            )
+    per_learner = [
+        fit_folds(spec, data, rests, [derive_seed(seed, t, j) for t in folds])
+        for j, spec in enumerate(specs)
+    ]
+    return [list(models) for models in zip(*per_learner)]
+
+
+def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndarray:
+    """(n, K, M) posterior profiles of the rows of x, one column per model."""
+    return np.stack([model.predict_proba_batch(x) for model in models], axis=1)
+
+
 def generate_meta_cv(
-    data: Dataset,
-    specs: Sequence[LearnerSpec],
-    plan: FoldPlan,
-    seed: int,
+    data: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan, seed: int
 ) -> MetaMatrix:
     """Meta-data of the training set: the profile of each observation in
-    fold t comes from classifiers fitted on all other folds.  Each learner
-    is fitted on all T complements by one `fit_folds` call, which steps the
-    logistic learner's T weight sets together, bitwise equal to T separate
-    fits."""
-    n = data.n_observations
-    k = len(specs)
-    m = data.catalog.size
-    rests = [plan.complement_indices(t) for t in range(plan.n_folds)]
-    for t, rest in enumerate(rests):
-        rest_labels = data.labels[rest]
-        for c in range(m):
-            if not (rest_labels == c).any():
-                raise TrainingError(
-                    f"class {data.catalog.labels[c]!r} absent from the "
-                    f"training complement of fold {t}"
-                )
-    scores = np.empty((n, k, m))
-    for j, spec in enumerate(specs):
-        seeds = [derive_seed(seed, t, j) for t in range(plan.n_folds)]
-        for t, model in enumerate(fit_folds(spec, data, rests, seeds)):
-            held = plan.fold_indices(t)
-            scores[held, j, :] = model.predict_proba_batch(data.features[held])
-    ids = tuple(spec.name for spec in specs)
-    return MetaMatrix(scores, data.catalog, ids)
+    fold t comes from the models `fit_complements` fits on all other
+    folds."""
+    scores = np.empty((data.n_observations, len(specs), data.catalog.size))
+    for t, models in enumerate(fit_complements(data, specs, plan, seed)):
+        held = plan.fold_indices(t)
+        scores[held] = stack_profiles(models, data.features[held])
+    return MetaMatrix(scores, data.catalog, tuple(s.name for s in specs))
+
+
+def cross_validated_meta(
+    data: Dataset, specs: Sequence[LearnerSpec], n_folds: int, seed: int
+) -> MetaMatrix:
+    """The meta-data `train` searches alpha over: every class needs at
+    least n_folds rows, and the stratified plan is seeded by
+    derive_seed(seed, 0xF01D)."""
+    counts = np.bincount(data.labels, minlength=data.catalog.size)
+    short = [lab for lab, n in zip(data.catalog.labels, counts) if n < n_folds]
+    if short:
+        raise TrainingError(
+            f"classes with fewer observations than folds: {short}"
+        )
+    plan = make_fold_plan(data.labels, n_folds, derive_seed(seed, 0xF01D))
+    return generate_meta_cv(data, specs, plan, seed)
 
 
 def _alpha_errors(
@@ -233,19 +265,7 @@ def train(
         raise TrainingError(f"unknown h function {h!r}")
 
     if grid is not None:
-        if n_folds < 2:
-            raise TrainingError("need at least 2 folds")
-        counts = np.bincount(data.labels, minlength=data.catalog.size)
-        short = [
-            data.catalog.labels[c] for c in range(data.catalog.size)
-            if counts[c] < n_folds
-        ]
-        if short:
-            raise TrainingError(
-                f"classes with fewer observations than folds: {short}"
-            )
-        plan = make_fold_plan(data.labels, n_folds, derive_seed(seed, 0xF01D))
-        meta = generate_meta_cv(data, specs, plan, seed)
+        meta = cross_validated_meta(data, specs, n_folds, seed)
         alpha, curve = select_alpha(meta, data.labels, grid, h)
     else:
         alpha = float(fixed_alpha)
@@ -278,10 +298,7 @@ class PredictionDetail:
 
 def ensemble_profiles(ensemble: TrainedEnsemble, x: np.ndarray) -> np.ndarray:
     """(n, K, M) posterior profiles from the refitted base classifiers."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.stack(
-        [model.predict_proba_batch(x) for model in ensemble.classifiers], axis=1
-    )
+    return stack_profiles(ensemble.classifiers, x)
 
 
 def predict(ensemble: TrainedEnsemble, x: Sequence[float]) -> PredictionDetail:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import granulex.evaluation as evaluation
 import granulex.training as training
 from granulex.cli import main
 from granulex.combiners import (
@@ -36,7 +37,7 @@ from granulex.evaluation import (
     wilcoxon_signed_rank,
 )
 from granulex.granule import construct_granule, median_of
-from granulex.learners import Dataset, LearnerSpec, fit
+from granulex.learners import Dataset, LearnerSpec, extended_roster, fit
 from granulex.metadata import ClassCatalog, MetaProfile
 from granulex.training import default_alpha_grid, generate_meta_cv, make_fold_plan
 
@@ -331,3 +332,48 @@ def test_13_meta_cv_equals_per_fold_fits(name):
             model = fit(spec, part, training.derive_seed(7, t, j))
             expected[held, j] = model.predict_proba_batch(data.features[held])
     assert np.array_equal(meta.scores, expected)
+
+
+def _reference_fold_profiles(datasets, config):
+    """Test profiles of every outer fold from one `fit` per (fold, learner),
+    the loop run_protocol ran before it fitted through fit_complements."""
+    out = []
+    for ds_idx, data in enumerate(datasets):
+        for rep in range(config.repeats):
+            plan = make_fold_plan(
+                data.labels, config.folds,
+                training.derive_seed(config.seed, ds_idx, rep),
+            )
+            for fold in range(config.folds):
+                run_seed = training.derive_seed(config.seed, ds_idx, rep, fold)
+                part = data.subset(plan.complement_indices(fold))
+                test_x = data.features[plan.fold_indices(fold)]
+                models = [fit(spec, part, training.derive_seed(run_seed, j))
+                          for j, spec in enumerate(config.learners)]
+                out.append(np.stack(
+                    [m.predict_proba_batch(test_x) for m in models], axis=1
+                ))
+    return out
+
+
+@pytest.mark.parametrize("roster", ["headline", "extended"])
+def test_14_protocol_folds_equal_per_fold_fits(roster, monkeypatch):
+    """run_protocol fits its outer folds through fit_complements; every
+    fold's test profiles must be bitwise those of one fit per fold, also
+    for the seed-dependent perceptron of the extended roster."""
+    specs = HEADLINE_ROSTER if roster == "headline" else tuple(extended_roster())
+    seen = []
+    original = evaluation._method_predictions
+
+    def recording(method, models, lookup, train_part, test_profiles, *rest):
+        seen.append(test_profiles)
+        return original(method, models, lookup, train_part, test_profiles, *rest)
+
+    monkeypatch.setattr(evaluation, "_method_predictions", recording)
+    datasets = [load_bundled(name) for name in BUNDLED_DATASETS]
+    config = ProtocolConfig(folds=10, repeats=2, seed=7, learners=specs,
+                            methods=("rule:sum",))
+    run_protocol(datasets, config)
+    expected = _reference_fold_profiles(datasets, config)
+    assert len(seen) == len(expected) == 60
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from granulex.cli import CliError, main, parse_grid
+from granulex.cli import MAX_GRID_POINTS, CliError, main, parse_grid
 from granulex.datasets import GeneratorSpec, generate
 
 
@@ -39,6 +39,21 @@ class TestParseGrid:
             parse_grid("0:-1:4")
         with pytest.raises(CliError):
             parse_grid("4:0.1:0")
+
+
+    def test_point_cap(self):
+        assert len(parse_grid(f"0:1:{MAX_GRID_POINTS - 1}").values) == MAX_GRID_POINTS
+        with pytest.raises(CliError, match="more than"):
+            parse_grid(f"0:1:{MAX_GRID_POINTS}")
+
+
+BAD_GRIDS = [
+    ("0:1e-7:4", f"more than {MAX_GRID_POINTS} points"),
+    ("-1e308:1e-300:1e308", f"more than {MAX_GRID_POINTS} points"),
+    ("0:1:inf", "must be finite"),
+    ("0:nan:1", "must be finite"),
+    ("-inf:1:0", "must be finite"),
+]
 
 
 class TestTrainPredict:
@@ -287,6 +302,63 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "at least 2 folds" in err
+
+    @pytest.mark.parametrize("command", ["train", "alpha-curve"])
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS)
+    def test_bad_grid_flag_exits_1(self, tmp_path, capsys, command, grid, message):
+        data_csv = tmp_path / "train.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)
+        code = main([command, "--data", str(data_csv), f"--grid={grid}",
+                     "--learners", "nearest-mean,lda",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS)
+    def test_bad_config_grid_exits_1(self, tmp_path, capsys, grid, message):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(dict(EVAL_CONFIG, alpha_grid=grid)))
+        code = main(["evaluate", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "alpha-curve"])
+    def test_fewer_rows_than_folds_exits_1(self, tmp_path, capsys, command):
+        data_csv = tmp_path / "train.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)  # 20 rows per class
+        code = main([command, "--data", str(data_csv), "--folds", "25",
+                     "--grid", "0:1:2", "--learners", "nearest-mean,lda",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "fewer observations than folds" in err
+
+    @pytest.mark.parametrize("rows, bad", [
+        ([["1", "2"], ["3"]], "rows [3]"),
+        ([["1", "2"], ["3", "4", "5"], ["6", "7"]], "rows [3]"),
+        ([["1", "x"], ["3", "4"]], "rows [2]"),
+        ([["1", "2"], ["nan", "4"], ["5", "inf"]], "rows [3, 4]"),
+        ([["1", "2"], [], [], ["3"]], "rows [5]"),  # blank lines count
+    ])
+    def test_bad_query_row_named(self, tmp_path, capsys, rows, bad):
+        data_csv = tmp_path / "train.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data_csv), "--alpha", "1.0",
+                     "--learners", "nearest-mean,lda",
+                     "--output", str(model)]) == 0
+        query = tmp_path / "query.csv"
+        with open(query, "w", newline="") as fh:
+            csv.writer(fh).writerows([["f0", "f1"]] + rows)
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data", str(query),
+                     "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and bad in err and "Traceback" not in err
 
     @pytest.mark.parametrize("config, message", [
         (5, "config must be a JSON object, got 5"),

@@ -8,7 +8,7 @@ import granulex.training as training
 from granulex import combiners
 from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
 from granulex.evaluation import alpha_error_curves
-from granulex.learners import Dataset, LearnerSpec, extended_roster
+from granulex.learners import Dataset, LearnerSpec, default_roster, extended_roster
 from granulex.metadata import ClassCatalog, MetaMatrix
 from granulex.training import (
     AlphaGrid,
@@ -32,6 +32,15 @@ SPECS = [LearnerSpec("nearest-mean"), LearnerSpec("knn", {"k": 3}),
 
 def toy_dataset(n=40, seed=0):
     return generate(GeneratorSpec("twonorm-like", n=n, d=2, seed=seed))
+
+
+def test_derive_seed_chains():
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        master = int(rng.integers(0, 2**63))
+        a = [int(v) for v in rng.integers(0, 2**32, size=rng.integers(0, 4))]
+        b = [int(v) for v in rng.integers(0, 2**32, size=rng.integers(0, 4))]
+        assert derive_seed(derive_seed(master, *a), *b) == derive_seed(master, *a, *b)
 
 
 class TestAlphaGrid:
@@ -159,7 +168,7 @@ class TestAlphaSelection:
         # curves can be checked against one kernel call per alpha.
         data = load_bundled(name)
         specs = extended_roster()
-        plan = make_fold_plan(data.labels, 5, derive_seed(3, 0xC0))
+        plan = make_fold_plan(data.labels, 5, derive_seed(3, 0xF01D))
         meta = generate_meta_cv(data, specs, plan, 3)
         grid = default_alpha_grid()
         curves = alpha_error_curves(data, specs, grid, combiners.H_KINDS, 5, 3)
@@ -175,6 +184,15 @@ class TestAlphaSelection:
             assert [error_for_alpha(meta, data.labels, a, h)
                     for a in grid.values] == one_shot
             assert curves[h] == curve
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_alpha_curve_is_the_curve_train_searches(self, seed):
+        data = load_bundled("rings")
+        specs = default_roster()
+        grid = default_alpha_grid()
+        curves = alpha_error_curves(data, specs, grid, ["h3"], 10, seed)
+        model = train(data, specs, seed, grid=grid, h="h3", n_folds=10)
+        assert curves["h3"] == list(model.alpha_error_curve)
 
     def test_flat_curve_takes_smallest(self):
         scores = np.tile(np.array([[0.9, 0.1]]), (6, 3, 1))
@@ -301,9 +319,8 @@ class TestPredict:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         data = toy_dataset(n=60)
-        specs = SPECS + [LearnerSpec("decision-tree"), LearnerSpec("lda"),
-                         LearnerSpec("logistic-linear"),
-                         LearnerSpec("decision-stump"), LearnerSpec("fisher")]
+        specs = extended_roster()  # every learner kind, the perceptron too
+        assert {s.kind for s in specs} == set(training.STATE_KEYS)
         e = train(data, specs, seed=3, grid=AlphaGrid((0.0, 1.0)), n_folds=3)
         path = tmp_path / "model.json"
         save_ensemble(path, e)
@@ -316,6 +333,12 @@ class TestSerialization:
         assert np.array_equal(
             training.ensemble_profiles(e, q), training.ensemble_profiles(back, q)
         )
+        # Save -> load -> predict decides bitwise as the saved model does.
+        for got, want in zip(predict_batch(back, data.features),
+                             predict_batch(e, data.features)):
+            assert got.intervals == want.intervals
+            assert got.memberships == want.memberships
+            assert got.decision == want.decision
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
