@@ -2,16 +2,9 @@
 information granules built from per-class posterior samples."""
 
 from .granule import Granule, construct_granule, evidence_score, median_of
-from .metadata import ClassCatalog, MetaMatrix, MetaProfile, column_sample
+from .metadata import ClassCatalog, MetaMatrix
 from .learners import Dataset, LearnerSpec, default_roster, extended_roster, fit
-from .combiners import (
-    dt_classify,
-    dt_fit,
-    fixed_rule_classify,
-    granular_classify,
-    granular_intervals,
-    ncm,
-)
+from .combiners import dt_fit, granular_intervals
 from .training import (
     AlphaGrid,
     TrainedEnsemble,

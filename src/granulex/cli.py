@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 from . import combiners, evaluation, report, training
@@ -331,10 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_grid_values(argv: list[str]) -> list[str]:
+    """argparse reads a value that starts with "-" as an option; join such a
+    --grid value (a negative bound) to its flag so parse_grid judges it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_grid_values(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -8,9 +8,10 @@ Three families:
     justifiable granularity, de-granulated to numerical class memberships.
 
 All argmax decisions break ties toward the lowest class index.  Each
-family has one batched implementation over an (n, K, M) profile stack; the
-functions that take one MetaProfile are its n=1 case, so a profile decides
-the same way alone and inside a batch.
+family has one batched implementation over an (n, K, M) profile stack and
+no other: one (K, M) profile is the stack profile[None], so a profile
+decides the same way alone and inside a batch.  granular_intervals is the
+one view kept, and it too runs that kernel on profile[None].
 """
 
 from __future__ import annotations
@@ -29,24 +30,19 @@ from .granule import (
     pick_bounds,
     prepare_samples,
 )
-from .metadata import MetaMatrix, MetaProfile, MetadataError
+from .metadata import MetaMatrix, MetadataError
 
 __all__ = [
     "FIXED_RULES",
     "H_KINDS",
     "DEFAULT_H",
-    "ClassMembershipVector",
     "DecisionTemplateModel",
-    "fixed_rule_classify",
     "fixed_rule_scores_batch",
     "dt_fit",
-    "dt_classify",
     "dt_decide_batch",
     "s1_similarity",
     "s1_similarity_batch",
     "granular_intervals",
-    "ncm",
-    "granular_classify",
     "granular_bounds_batch",
     "memberships_from_bounds",
     "granular_ncm_batch",
@@ -66,20 +62,6 @@ _H_TABLE = {
     "h3": lambda length: np.exp(-length),
 }
 H_KINDS = tuple(_H_TABLE)
-
-
-@dataclass(frozen=True)
-class ClassMembershipVector:
-    values: tuple[float, ...]
-
-    @property
-    def decision(self) -> int:
-        return int(np.argmax(self.values))
-
-
-def _decide(values: np.ndarray) -> tuple[ClassMembershipVector, int]:
-    vec = ClassMembershipVector(tuple(float(v) for v in values))
-    return vec, vec.decision
 
 
 def fixed_rule_scores_batch(profiles: np.ndarray, rule: str) -> np.ndarray:
@@ -102,13 +84,6 @@ def fixed_rule_scores_batch(profiles: np.ndarray, rule: str) -> np.ndarray:
             out[:, j] = (votes == j).sum(axis=1)
         return out
     raise ValueError(f"unknown fixed rule {rule!r}")
-
-
-def fixed_rule_classify(
-    profile: MetaProfile, rule: str
-) -> tuple[ClassMembershipVector, int]:
-    scores = fixed_rule_scores_batch(profile.scores[None], rule)[0]
-    return _decide(scores)
 
 
 @dataclass(frozen=True)
@@ -164,16 +139,9 @@ def s1_similarity_batch(profiles: np.ndarray, templates: np.ndarray) -> np.ndarr
     return np.where(union == 0.0, 1.0, inter / np.where(union == 0.0, 1.0, union))
 
 
-def dt_classify(
-    model: DecisionTemplateModel, profile: MetaProfile
-) -> tuple[ClassMembershipVector, int]:
-    if model.templates.shape[1:] != profile.scores.shape:
-        raise MetadataError("template/profile shape mismatch")
-    sims = s1_similarity_batch(profile.scores[None], model.templates)[0]
-    return _decide(sims)
-
-
 def dt_decide_batch(model: DecisionTemplateModel, profiles: np.ndarray) -> np.ndarray:
+    if profiles.shape[1:] != model.templates.shape[1:]:
+        raise MetadataError("template/profile shape mismatch")
     return np.argmax(s1_similarity_batch(profiles, model.templates), axis=1)
 
 
@@ -200,23 +168,11 @@ def memberships_from_bounds(bounds: np.ndarray, h: str) -> np.ndarray:
     return (lower + upper) / 2.0 * _H_TABLE[h](upper - lower)
 
 
-def granular_intervals(profile: MetaProfile, alpha: float) -> list[Granule]:
-    """One granule per class, built over that class's posterior column."""
-    bounds = granular_bounds_batch(profile.scores[None], alpha)[0]
+def granular_intervals(profile: np.ndarray, alpha: float) -> list[Granule]:
+    """One granule per class of a (K, M) profile, built over that class's
+    posterior column: the one-row case of granular_bounds_batch."""
+    bounds = granular_bounds_batch(np.asarray(profile)[None], alpha)[0]
     return [Granule(float(lo), float(hi), float(alpha)) for lo, hi in bounds]
-
-
-def ncm(interval: Granule, h: str) -> float:
-    """De-granulate an interval to a numerical class membership:
-    midpoint x h(length)."""
-    return float(memberships_from_bounds(np.array([interval.lower, interval.upper]), h))
-
-
-def granular_classify(
-    profile: MetaProfile, alpha: float, h: str = DEFAULT_H
-) -> tuple[ClassMembershipVector, int]:
-    values = granular_ncm_batch(profile.scores[None], alpha, h)[0]
-    return _decide(values)
 
 
 def granular_ncm_batch(profiles: np.ndarray, alpha: float, h: str) -> np.ndarray:

@@ -160,6 +160,15 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _rows_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w with every row rounded as inside a batch.  NumPy hands a
+    one-row product to BLAS gemv, which can round differently from the gemm
+    a batch gets, so one row is multiplied as two copies of itself."""
+    if x.shape[0] == 1:
+        return (np.repeat(x, 2, axis=0) @ w)[:1]
+    return x @ w
+
+
 def _scatter_ridge(sw: np.ndarray, d: int) -> np.ndarray:
     return sw + (RIDGE_FACTOR * np.trace(sw) / d + 1e-12) * np.eye(d)
 
@@ -355,7 +364,7 @@ def _predict_lda(state, x):
     means, inv, lp = state["means"], state["inv_cov"], state["log_priors"]
     # log N(x; mu_c, Sigma) up to the shared constant
     wm = means @ inv                     # (p, d)
-    scores = x @ wm.T - 0.5 * (wm * means).sum(axis=1)[None, :] + lp[None, :]
+    scores = _rows_dot(x, wm.T) - 0.5 * (wm * means).sum(axis=1)[None, :] + lp[None, :]
     return _softmax(scores)
 
 
@@ -390,7 +399,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _predict_ovr_logistic(state, x):
-    scores = x @ state["w"].T + state["b"][None, :]
+    scores = _rows_dot(x, state["w"].T) + state["b"][None, :]
     probs = _sigmoid(scores)
     s = probs.sum(axis=1, keepdims=True)
     s[s == 0] = 1.0
@@ -485,7 +494,7 @@ def _fit_logistic_folds(spec, data, rests, presents):
 
 def _predict_logistic(state, x):
     xa = np.hstack([x, np.ones((x.shape[0], 1))])
-    return _softmax(xa @ state["w"])
+    return _softmax(_rows_dot(xa, state["w"]))
 
 
 # --- decision tree / stump -------------------------------------------------

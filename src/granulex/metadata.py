@@ -1,5 +1,7 @@
-"""Soft-label meta-data containers: per-observation posterior profiles and
-the stacked training meta-matrix, with CSV import/export."""
+"""Soft-label meta-data: the (N, K, M) stack of posterior profiles, one
+K x M matrix (K classifiers, M classes) per observation, with its
+validation and CSV import/export.  A single profile is a (K, M) array; it
+is checked as the one-row stack."""
 
 from __future__ import annotations
 
@@ -11,11 +13,9 @@ import numpy as np
 
 __all__ = [
     "ClassCatalog",
-    "MetaProfile",
     "MetaMatrix",
     "MetadataError",
     "validate_scores",
-    "column_sample",
     "write_meta_csv",
     "read_meta_csv",
 ]
@@ -83,56 +83,10 @@ def validate_scores(scores: np.ndarray) -> list[str]:
     return violations
 
 
-class MetaProfile:
-    """K x M matrix of per-classifier posterior rows for one observation."""
-
-    __slots__ = ("scores", "classifier_ids")
-
-    def __init__(
-        self,
-        scores: np.ndarray,
-        classifier_ids: Sequence[str] | None = None,
-    ) -> None:
-        scores = np.asarray(scores, dtype=np.float64)
-        violations = validate_scores(scores)
-        if violations:
-            raise MetadataError("; ".join(violations))
-        if scores.shape[0] < 2:
-            raise MetadataError("profile needs at least two classifier rows")
-        scores.setflags(write=False)
-        self.scores = scores
-        if classifier_ids is None:
-            classifier_ids = tuple(f"c{i}" for i in range(scores.shape[0]))
-        self.classifier_ids = tuple(classifier_ids)
-        if len(self.classifier_ids) != scores.shape[0]:
-            raise MetadataError("classifier_ids length mismatch")
-
-    @property
-    def n_classifiers(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.scores.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MetaProfile)
-            and self.classifier_ids == other.classifier_ids
-            and np.array_equal(self.scores, other.scores)
-        )
-
-
-def column_sample(profile: MetaProfile, class_index: int) -> list[float]:
-    """The K posterior values for one class, in classifier order."""
-    if not 0 <= class_index < profile.n_classes:
-        raise MetadataError(f"class index {class_index} out of range")
-    return [float(v) for v in profile.scores[:, class_index]]
-
-
 @dataclass(frozen=True)
 class MetaMatrix:
-    """N stacked profiles (observation order) over a shared catalog."""
+    """N stacked profiles (observation order) over a shared catalog, each
+    with K >= 2 classifier rows that validate_scores accepts."""
 
     scores: np.ndarray  # (N, K, M)
     catalog: ClassCatalog
@@ -142,6 +96,8 @@ class MetaMatrix:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 3:
             raise MetadataError("meta matrix must be (N, K, M)")
+        if scores.shape[1] < 2:
+            raise MetadataError("profile needs at least two classifier rows")
         if scores.shape[2] != self.catalog.size:
             raise MetadataError("class dimension does not match catalog")
         ids = self.classifier_ids or tuple(
@@ -152,9 +108,9 @@ class MetaMatrix:
         # The checks of validate_scores on every profile at once; it words
         # the first failure.
         nonfinite, outside, _, off = _row_faults(scores)
-        bad = (nonfinite | outside | off).any(axis=1)
+        bad = nonfinite | outside | off
         if bad.any():
-            n = int(np.argmax(bad))
+            n = int(np.argmax(bad.any(axis=1)))
             raise MetadataError(
                 f"observation {n}: " + "; ".join(validate_scores(scores[n]))
             )

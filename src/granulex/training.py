@@ -3,9 +3,10 @@
 Training: generate meta-data of the training set by stratified T-fold
 cross-validation, grid-search the specificity weight alpha against the
 training-set error of the granular combiner, then refit all base
-classifiers on the full training set.  Prediction assembles the posterior
-profile from the refitted classifiers, builds per-class intervals, and
-decides by maximum numerical class membership.
+classifiers on the full training set.  Prediction stacks the (n, K, M)
+posterior profiles of the refitted classifiers, checks them all in one
+MetaMatrix pass, builds per-class intervals, and decides by maximum
+numerical class membership.
 
 Every fold fit of the package goes through `fit_complements`: the meta-CV
 of `train`, the outer folds of `evaluation.run_protocol` and `alpha-curve`.
@@ -39,7 +40,7 @@ from .learners import (
     fit,
     fit_folds,
 )
-from .metadata import ClassCatalog, MetaMatrix, MetaProfile
+from .metadata import ClassCatalog, MetaMatrix
 
 __all__ = [
     "AlphaGrid",
@@ -288,9 +289,11 @@ def train(
 
 @dataclass(frozen=True)
 class PredictionDetail:
-    """All stages of one granular prediction, for inspection."""
+    """All stages of one granular prediction, for inspection.  profile is
+    the read-only (K, M) posterior array, one row per classifier in
+    TrainedEnsemble.classifier_ids order."""
 
-    profile: MetaProfile
+    profile: np.ndarray = field(compare=False)
     intervals: tuple[Granule, ...]
     memberships: tuple[float, ...]
     decision: int
@@ -312,8 +315,9 @@ def predict_batch(
     granule kernel together; each detail holds its row's bounds,
     memberships and argmax, so a row decides as `evaluate` decides on the
     same profile."""
-    profiles = ensemble_profiles(ensemble, x)
-    checked = [MetaProfile(p, ensemble.classifier_ids) for p in profiles]
+    profiles = MetaMatrix(
+        ensemble_profiles(ensemble, x), ensemble.catalog, ensemble.classifier_ids
+    ).scores
     bounds = combiners.granular_bounds_batch(profiles, ensemble.alpha)
     values = combiners.memberships_from_bounds(bounds, ensemble.h)
     decisions = np.argmax(values, axis=1)
@@ -325,7 +329,7 @@ def predict_batch(
             memberships=tuple(values[i].tolist()),
             decision=int(decisions[i]),
         )
-        for i, profile in enumerate(checked)
+        for i, profile in enumerate(profiles)
     ]
 
 
@@ -395,6 +399,8 @@ def _check_ensemble(payload) -> None:
         raise TrainingError("model 'classifiers' must be a list")
     if not classifiers:
         raise TrainingError("model has no classifiers")
+    if len(classifiers) < 2:
+        raise TrainingError("model needs at least two classifiers, it has 1")
     n_features = None
     for i, c in enumerate(classifiers):
         what = f"model classifier {i}"

@@ -17,8 +17,8 @@ import granulex.training as training
 from granulex.cli import main
 from granulex.combiners import (
     FIXED_RULES,
-    fixed_rule_classify,
-    granular_classify,
+    fixed_rule_scores_batch,
+    granular_decide_batch,
     s1_similarity,
 )
 from granulex.datasets import (
@@ -38,7 +38,7 @@ from granulex.evaluation import (
 )
 from granulex.granule import construct_granule, median_of
 from granulex.learners import Dataset, LearnerSpec, extended_roster, fit
-from granulex.metadata import ClassCatalog, MetaProfile
+from granulex.metadata import ClassCatalog
 from granulex.training import default_alpha_grid, generate_meta_cv, make_fold_plan
 
 # Ten-learner roster used for the headline comparison: heavy on learners
@@ -96,7 +96,7 @@ def oracle_wilcoxon_p(diffs):
 
 def random_profile(rng, k, m):
     raw = rng.random((k, m))
-    return MetaProfile(raw / raw.sum(axis=1, keepdims=True))
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def test_01_granule_matches_enumeration_oracle():
@@ -135,13 +135,13 @@ def test_03_median_rule_reduction():
     rng = np.random.default_rng(103)
     for _ in range(500):
         profile = random_profile(rng, 5, int(rng.integers(2, 5)))
-        _, granular_cls = granular_classify(profile, 1e6, "h1")
-        _, median_cls = fixed_rule_classify(profile, "median")
-        assert granular_cls == median_cls
+        granular_cls = granular_decide_batch(profile[None], 1e6, "h1")[0]
+        median_scores = fixed_rule_scores_batch(profile[None], "median")[0]
+        assert granular_cls == np.argmax(median_scores)
 
 
 def test_04_fixed_rules_worked_profile():
-    profile = MetaProfile(np.array([[0.6, 0.4], [0.7, 0.3], [0.35, 0.65]]))
+    profile = np.array([[0.6, 0.4], [0.7, 0.3], [0.35, 0.65]])
     expected = {
         "sum": (1.65, 1.35),
         "product": (0.147, 0.078),
@@ -151,9 +151,9 @@ def test_04_fixed_rules_worked_profile():
         "majority-vote": (2.0, 1.0),
     }
     for rule, scores in expected.items():
-        vec, cls = fixed_rule_classify(profile, rule)
-        assert vec.values == pytest.approx(scores)
-        assert cls == 0
+        got = fixed_rule_scores_batch(profile[None], rule)[0]
+        assert tuple(got) == pytest.approx(scores)
+        assert np.argmax(got) == 0
 
 
 def test_05_decision_template_s1():

@@ -315,6 +315,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:" in err and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "alpha-curve", "evaluate"])
+    def test_negative_grid_value_reaches_the_grid_check(
+        self, tmp_path, capsys, command
+    ):
+        data_csv = tmp_path / "train.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)
+        code = main([command, "--data", str(data_csv), "--grid", "-0.5:0.5:1",
+                     "--learners", "nearest-mean,lda",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: alpha grid values must be finite and >= 0" in err
+
     @pytest.mark.parametrize("grid, message", BAD_GRIDS)
     def test_bad_config_grid_exits_1(self, tmp_path, capsys, grid, message):
         cfg_path = tmp_path / "exp.json"

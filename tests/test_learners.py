@@ -114,6 +114,24 @@ def test_determinism_bitwise(spec):
 
 
 @pytest.mark.parametrize("spec", extended_roster(), ids=lambda s: s.name)
+def test_posteriors_do_not_depend_on_the_chunking(spec):
+    # A one-row matrix product goes to BLAS gemv and can round differently
+    # from the batch's gemm; every chunking must give the batch's bits.
+    data = generate(GeneratorSpec("twonorm-like", n=200, d=8, seed=21))
+    q = generate(GeneratorSpec("twonorm-like", n=240, d=8, seed=22)).features
+    model = fit(spec, data, 4)
+    whole = model.predict_proba_batch(q)
+    rng = np.random.default_rng(23)
+    cuts = np.sort(rng.choice(np.arange(1, len(q)), size=30, replace=False))
+    splits = [np.split(q, np.arange(c, len(q), c)) for c in range(1, 18)]
+    for chunks in splits + [np.split(q, cuts)]:
+        got = np.concatenate([model.predict_proba_batch(c) for c in chunks])
+        assert np.array_equal(got, whole)
+    assert all(np.array_equal(model.predict_proba(row), whole[i])
+               for i, row in enumerate(q))
+
+
+@pytest.mark.parametrize("spec", extended_roster(), ids=lambda s: s.name)
 def test_fit_set_sanity_separated_gaussians(spec):
     data = generate(GeneratorSpec("two-gaussians", n=400, d=2, seed=17))
     model = fit(spec, data, 3)

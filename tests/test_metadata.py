@@ -4,15 +4,11 @@ import pytest
 from granulex.metadata import (
     ClassCatalog,
     MetaMatrix,
-    MetaProfile,
     MetadataError,
-    column_sample,
     read_meta_csv,
     validate_scores,
     write_meta_csv,
 )
-
-PROFILE_ROWS = [[0.6, 0.4], [0.7, 0.3], [0.35, 0.65]]
 
 
 def test_catalog_rules():
@@ -25,26 +21,10 @@ def test_catalog_rules():
         ClassCatalog(("x", "x"))
 
 
-def test_column_sample():
-    p = MetaProfile(np.array(PROFILE_ROWS))
-    assert column_sample(p, 0) == [0.6, 0.7, 0.35]
-    assert column_sample(p, 1) == [0.4, 0.3, 0.65]
-    with pytest.raises(MetadataError):
-        column_sample(p, 2)
-
-
-def test_column_sample_length():
-    rng = np.random.default_rng(0)
-    for k in (2, 4, 9):
-        raw = rng.random((k, 3))
-        p = MetaProfile(raw / raw.sum(axis=1, keepdims=True))
-        for m in range(3):
-            assert len(column_sample(p, m)) == k
-
-
 def test_crisp_rows_are_legal():
-    p = MetaProfile(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    assert column_sample(p, 0) == [1.0, 1.0]
+    crisp = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+    m = MetaMatrix(crisp, ClassCatalog(("a", "b")))
+    assert m.scores[0, :, 0].tolist() == [1.0, 1.0]
 
 
 def test_validate_ok():
@@ -93,15 +73,23 @@ def test_validate_bad_sum():
 def test_validate_sub_tolerance_drift():
     row = np.array([[1.0000000001, -0.0000000001]])
     assert validate_scores(row) == []
-    p = MetaProfile(np.vstack([row, [[0.5, 0.5]]]))
-    assert np.array_equal(p.scores[0], row[0])
+    m = MetaMatrix(np.vstack([row, [[0.5, 0.5]]])[None], ClassCatalog(("a", "b")))
+    assert np.array_equal(m.scores[0, 0], row[0])
 
 
 def test_profile_rejects_violations():
+    cat = ClassCatalog(("a", "b"))
     with pytest.raises(MetadataError):
-        MetaProfile(np.array([[0.7, 0.4], [0.5, 0.5]]))
-    with pytest.raises(MetadataError):
-        MetaProfile(np.array([[1.0, 0.0]]))  # K must be >= 2
+        MetaMatrix(np.array([[[0.7, 0.4], [0.5, 0.5]]]), cat)
+    with pytest.raises(MetadataError, match="at least two classifier rows"):
+        MetaMatrix(np.array([[[1.0, 0.0]]]), cat)  # K must be >= 2
+
+
+def test_read_meta_csv_rejects_one_classifier(tmp_path):
+    path = tmp_path / "meta.csv"
+    path.write_text("obs_id,k1_y1,k1_y2,label\n0,0.5,0.5,a\n1,0.2,0.8,b\n")
+    with pytest.raises(MetadataError, match="at least two classifier rows"):
+        read_meta_csv(path, ClassCatalog(("a", "b")))
 
 
 def test_meta_matrix_shape_checks():

@@ -274,12 +274,10 @@ class TestPredict:
         assert detail.decision == 0
 
     def test_composition_contract(self):
-        from granulex.combiners import granular_classify
-
         data = toy_dataset(n=40)
         e = train(data, SPECS, seed=0, fixed_alpha=0.7, h="h3")
         detail = predict(e, data.features[0])
-        _, cls = granular_classify(detail.profile, 0.7, "h3")
+        cls = combiners.granular_decide_batch(detail.profile[None], 0.7, "h3")[0]
         assert detail.decision == cls
 
     def test_details_are_the_batch_kernel_outputs(self):
@@ -299,13 +297,24 @@ class TestPredict:
                 details = predict_batch(e, q)
                 assert len(details) == n
                 for i, d in enumerate(details):
-                    assert np.array_equal(d.profile.scores, profiles[i])
-                    assert d.profile.classifier_ids == e.classifier_ids
+                    assert np.array_equal(d.profile, profiles[i])
+                    assert not d.profile.flags.writeable
                     assert [(g.lower, g.upper, g.alpha) for g in d.intervals] == [
                         (lo, hi, alpha) for lo, hi in bounds[i]
                     ]
                     assert d.memberships == tuple(values[i])
                     assert d.decision == decisions[i]
+
+    def test_predict_is_the_batch_row_bitwise(self):
+        data = generate(GeneratorSpec("twonorm-like", n=120, d=8, seed=6))
+        e = train(data, extended_roster(), seed=4, fixed_alpha=0.9)
+        q = generate(GeneratorSpec("twonorm-like", n=150, d=8, seed=7)).features
+        for row, want in zip(q, predict_batch(e, q)):
+            got = predict(e, row)
+            assert np.array_equal(got.profile, want.profile)
+            assert got.intervals == want.intervals
+            assert got.memberships == want.memberships
+            assert got.decision == want.decision
 
     def test_batch_preserves_order(self):
         data = toy_dataset(n=40)
@@ -353,6 +362,8 @@ class TestSerialization:
         (lambda m: m["classifiers"].__setitem__(0, [1, 2]), "classifier 0 must"),
         (lambda m: m.__setitem__("classifiers", {}), "must be a list"),
         (lambda m: m.__setitem__("classifiers", []), "no classifiers"),
+        (lambda m: m.__setitem__("classifiers", m["classifiers"][:1]),
+         "at least two classifiers"),
         (lambda m: m.__setitem__("alpha", None), "alpha must be"),
         (lambda m: m.__setitem__("alpha", "1.0"), "alpha must be"),
         (lambda m: m.__setitem__("alpha", True), "alpha must be"),
