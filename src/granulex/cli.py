@@ -276,11 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_label=True):
-        if with_label:
-            p.add_argument("--label-column", default=-1,
-                           type=lambda s: int(s) if s.lstrip("-").isdigit() else s,
-                           help="label column index or name (default: last)")
+    def add_common(p):
+        p.add_argument("--label-column", default=-1,
+                       type=lambda s: int(s) if s.lstrip("-").isdigit() else s,
+                       help="label column index or name (default: last)")
         p.add_argument("--no-header", action="store_true")
         p.add_argument("--seed", type=int, default=None)
 
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--data", required=True)
     p_pred.add_argument("--output")
     p_pred.add_argument("--emit-intervals", action="store_true")
-    add_common(p_pred, with_label=False)
+    p_pred.add_argument("--no-header", action="store_true")
     p_pred.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser("evaluate", help="run the comparison protocol")

@@ -93,7 +93,7 @@ class DecisionTemplateModel:
     templates: np.ndarray  # (M, K, M)
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.templates, dtype=np.float64)
+        t = np.array(self.templates, dtype=np.float64)
         t.setflags(write=False)
         object.__setattr__(self, "templates", t)
 

@@ -217,8 +217,8 @@ class ProtocolConfig:
     inner_folds: int = 10
 
     def __post_init__(self) -> None:
-        if self.folds < 2 or self.repeats < 1:
-            raise EvaluationError("need folds >= 2 and repeats >= 1")
+        if self.folds < 2 or self.inner_folds < 2 or self.repeats < 1:
+            raise EvaluationError("need folds, inner_folds >= 2 and repeats >= 1")
         if not 0.0 < self.significance < 1.0:
             raise EvaluationError("significance must lie in (0, 1)")
         for m in self.methods:
@@ -279,10 +279,6 @@ class ExperimentReport:
     bias_variance: dict      # dataset -> method -> BiasVarianceReport
 
 
-def _learner_lookup(specs: Sequence[LearnerSpec]) -> dict[str, int]:
-    return {spec.name: j for j, spec in enumerate(specs)}
-
-
 def run_protocol(
     datasets: Sequence[Dataset], config: ProtocolConfig
 ) -> ExperimentReport:
@@ -292,25 +288,32 @@ def run_protocol(
     meta-CV, called per (dataset, repeat) with s = derive_seed(config.seed,
     ds_idx, rep).  As derive_seed chains, learner j on fold t gets
     derive_seed(s, t, j) == derive_seed(config.seed, ds_idx, rep, t, j),
-    whatever order the fits run in.
+    whatever order the fits run in.  The roster, the methods and every
+    dataset are checked before the first fit.
     """
     specs = tuple(config.learners)
-    if not specs:
-        raise EvaluationError("protocol needs a learner roster")
-    lookup = _learner_lookup(specs)
+    if len(specs) < 2:
+        raise EvaluationError("need at least two base learners")
     ids = tuple(s.name for s in specs)
-
-    results: dict[str, dict[str, MethodResult]] = {}
-    bv: dict[str, dict[str, BiasVarianceReport]] = {}
-    comparisons: list[Comparison] = []
-
-    for ds_idx, data in enumerate(datasets):
-        name = data.name or f"dataset{ds_idx}"
+    lookup = {name: j for j, name in enumerate(ids)}
+    for method in config.methods:
+        if method.startswith("learner:") and method[8:] not in lookup:
+            raise EvaluationError(f"method {method!r} not in the roster")
+    names = tuple(d.name or f"dataset{i}" for i, d in enumerate(datasets))
+    for i, (name, data) in enumerate(zip(names, datasets)):
+        if name in names[:i]:
+            raise EvaluationError(f"dataset name {name!r} appears twice")
         counts = np.bincount(data.labels, minlength=data.catalog.size)
         if counts.min() < config.folds:
             raise EvaluationError(
                 f"dataset {name!r}: some class has fewer observations than folds"
             )
+
+    results: dict[str, dict[str, MethodResult]] = {}
+    bv: dict[str, dict[str, BiasVarianceReport]] = {}
+    comparisons: list[Comparison] = []
+
+    for ds_idx, (name, data) in enumerate(zip(names, datasets)):
         per_method_err: dict[str, list[float]] = {m: [] for m in config.methods}
         per_method_f1: dict[str, list[float]] = {m: [] for m in config.methods}
         bv_runs: dict[str, tuple[list[float], list[float]]] = {
@@ -379,9 +382,6 @@ def run_protocol(
                                _as_win(res_f1.outcome), res_f1.p_value)
                 )
 
-    names = tuple(
-        (d.name or f"dataset{i}") for i, d in enumerate(datasets)
-    )
     err_table = np.asarray(
         [[results[n][m].mean_error for n in names] for m in config.methods]
     )
@@ -410,10 +410,7 @@ def _method_predictions(
     method, models, lookup, train_part, test_profiles, config, run_seed, ids
 ):
     if method.startswith("learner:"):
-        name = method[8:]
-        if name not in lookup:
-            raise EvaluationError(f"method {method!r} not in the roster")
-        return np.argmax(test_profiles[:, lookup[name], :], axis=1)
+        return np.argmax(test_profiles[:, lookup[method[8:]], :], axis=1)
     if method.startswith("rule:"):
         scores = combiners.fixed_rule_scores_batch(test_profiles, method[5:])
         return np.argmax(scores, axis=1)

@@ -15,6 +15,11 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
 
 Classes absent from the fitted data always receive posterior 0.
 
+Each kind is one entry of `_KINDS`: fitter, predictor, the state keys the
+predictor reads, the defaults of every parameter the fitter reads, and any
+batched fold fitter.  `LearnerSpec` rejects other parameters and types each
+by its default: an int >= 1, or a finite real > 0.
+
 `fit_folds` fits one learner on several row subsets of a data set, as
 cross-validation does.  For logistic-linear it steps the weights of all
 subsets together in one kernel call, bitwise equal to separate `fit` calls;
@@ -23,8 +28,9 @@ subsets together in one kernel call, bitwise equal to separate `fit` calls;
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +53,14 @@ RIDGE_FACTOR = 1e-6     # scatter-matrix regularization, scaled by trace/d
 VARIANCE_FLOOR = 1e-9   # per-feature variance floor in naive Bayes
 
 
+# What a parameter must be, by the type of its default: (wording, check).
+_PARAM_TYPES = {
+    int: ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    float: ("a finite number > 0",
+            lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max),
+}
+
+
 class LearnerError(ValueError):
     pass
 
@@ -59,8 +73,8 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        feats = np.array(self.features, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.int64)
         if feats.ndim != 2 or feats.shape[0] != labels.shape[0]:
             raise LearnerError("features must be (N, d) aligned with labels")
         if not np.isfinite(feats).all():
@@ -92,27 +106,26 @@ class LearnerSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise LearnerError(f"unknown learner kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise LearnerError(
+                f"unknown kind {self.kind!r}; the learner kinds are "
+                f"{', '.join(_KINDS)}"
+            )
+        defaults = _KINDS[self.kind].defaults
         p = dict(self.params)
-        if self.kind == "knn":
-            p.setdefault("k", 5)
-            if int(p["k"]) < 1:
-                raise LearnerError("knn needs k >= 1")
-        elif self.kind == "decision-tree":
-            p.setdefault("max_depth", 12)
-            p.setdefault("min_leaf", 2)
-            if int(p["max_depth"]) < 1 or int(p["min_leaf"]) < 1:
-                raise LearnerError("tree needs max_depth >= 1 and min_leaf >= 1")
-        elif self.kind == "logistic-linear":
-            p.setdefault("iterations", 500)
-            p.setdefault("rate", 0.1)
-        elif self.kind == "perceptron":
-            p.setdefault("iterations", 100)
-            p.setdefault("rate", 0.1)
-        for key in ("iterations",):
-            if key in p and int(p[key]) < 1:
-                raise LearnerError(f"{key} must be >= 1")
+        for key, default in defaults.items():
+            p.setdefault(key, default)
+        for key, value in p.items():
+            if key not in defaults:
+                raise LearnerError(
+                    f"{self.kind} has no parameter {key!r}; it takes "
+                    f"{', '.join(defaults) or 'none'}"
+                )
+            need, ok = _PARAM_TYPES[type(defaults[key])]
+            if not ok(value):
+                raise LearnerError(
+                    f"{self.kind} parameter {key!r} must be {need}, got {value!r}"
+                )
         object.__setattr__(self, "params", p)
 
     @property
@@ -197,7 +210,7 @@ class FittedClassifier:
             )
         if not np.isfinite(x).all():
             raise LearnerError("non-finite query features")
-        raw = _PREDICTORS[self.spec.kind](self.state, x)
+        raw = _KINDS[self.spec.kind].predict(self.state, x)
         # Map probabilities over present classes back to the full catalog.
         present = np.asarray(self.state["present"], dtype=np.int64)
         out = np.zeros((x.shape[0], self.catalog.size))
@@ -270,7 +283,7 @@ def fit(spec: LearnerSpec, data: Dataset, seed: int) -> FittedClassifier:
     present = _present(data.labels)
     # Compact labels to 0..P-1 over present classes; predict maps them back.
     compact = np.searchsorted(present, data.labels)
-    state = _FITTERS[spec.kind](spec, data.features, compact, len(present), seed)
+    state = _KINDS[spec.kind].fit(spec, data.features, compact, len(present), seed)
     return _fitted(spec, data, present, state)
 
 
@@ -281,14 +294,16 @@ def fit_folds(
     seeds: Sequence[int],
 ) -> list[FittedClassifier]:
     """`[fit(spec, data.subset(r), s) for r, s in zip(rests, seeds)]`,
-    bitwise.  logistic-linear fits every rest in one batched kernel call
-    when the rests are increasing index arrays with the same classes
-    present, as cross-validation complements are."""
-    if spec.kind == "logistic-linear" and len(rests) > 0:
+    bitwise.  A kind with a batched fold fitter (logistic-linear) fits
+    every rest in one kernel call when the rests are increasing index
+    arrays with the same classes present, as cross-validation complements
+    are."""
+    fit_batch = _KINDS[spec.kind].fit_folds
+    if fit_batch is not None and len(rests) > 0:
         presents = [_present(data.labels[r]) for r in rests]
         if all(np.array_equal(q, presents[0]) and (np.diff(r) > 0).all()
                for q, r in zip(presents, rests)):
-            return _fit_logistic_folds(spec, data, rests, presents)
+            return fit_batch(spec, data, rests, presents)
     return [fit(spec, data.subset(r), s) for r, s in zip(rests, seeds)]
 
 
@@ -404,9 +419,6 @@ def _predict_ovr_logistic(state, x):
     s = probs.sum(axis=1, keepdims=True)
     s[s == 0] = 1.0
     return probs / s
-
-
-_predict_fisher = _predict_ovr_logistic
 
 
 # --- logistic linear (multinomial) ----------------------------------------
@@ -610,48 +622,36 @@ def _fit_perceptron(spec, x, y, p, seed):
     return {"w": ws, "b": bs}
 
 
-_predict_perceptron = _predict_ovr_logistic
+# --- the kinds ---------------------------------------------------------------
+
+class _Kind(NamedTuple):
+    fit: Callable        # (spec, x, compact labels, n present, seed) -> state
+    predict: Callable    # (state, x) -> (n, n present) posteriors
+    state_keys: tuple[str, ...]
+    defaults: dict[str, int | float]
+    fit_folds: Callable | None = None  # (spec, data, rests, presents)
 
 
-_FITTERS = {
-    "knn": _fit_knn,
-    "gaussian-naive-bayes": _fit_gnb,
-    "lda": _fit_lda,
-    "fisher": _fit_fisher,
-    "logistic-linear": _fit_logistic,
-    "decision-tree": _fit_tree,
-    "decision-stump": _fit_stump,
-    "nearest-mean": _fit_nearest_mean,
-    "perceptron": _fit_perceptron,
+_KINDS = {
+    "knn": _Kind(_fit_knn, _predict_knn, ("x", "y", "k", "p"), {"k": 5}),
+    "gaussian-naive-bayes": _Kind(
+        _fit_gnb, _predict_gnb, ("theta", "var", "log_priors"), {}),
+    "lda": _Kind(_fit_lda, _predict_lda, ("means", "inv_cov", "log_priors"), {}),
+    "fisher": _Kind(_fit_fisher, _predict_ovr_logistic, ("w", "b"), {}),
+    "logistic-linear": _Kind(
+        _fit_logistic, _predict_logistic, ("w",),
+        {"iterations": 500, "rate": 0.1}, _fit_logistic_folds),
+    "decision-tree": _Kind(
+        _fit_tree, _predict_tree, ("tree",), {"max_depth": 12, "min_leaf": 2}),
+    "decision-stump": _Kind(_fit_stump, _predict_tree, ("tree",), {}),
+    "nearest-mean": _Kind(_fit_nearest_mean, _predict_nearest_mean, ("means",), {}),
+    "perceptron": _Kind(
+        _fit_perceptron, _predict_ovr_logistic, ("w", "b"),
+        {"iterations": 100, "rate": 0.1}),
 }
-
-_PREDICTORS = {
-    "knn": _predict_knn,
-    "gaussian-naive-bayes": _predict_gnb,
-    "lda": _predict_lda,
-    "fisher": _predict_fisher,
-    "logistic-linear": _predict_logistic,
-    "decision-tree": _predict_tree,
-    "decision-stump": _predict_tree,
-    "nearest-mean": _predict_nearest_mean,
-    "perceptron": _predict_perceptron,
-}
-
-KINDS = tuple(_FITTERS)
 
 # The state keys each kind's predictor reads, including the two that
 # predict_proba_batch reads for every kind.
 STATE_KEYS = {
-    kind: ("present", "n_features") + keys
-    for kind, keys in {
-        "knn": ("x", "y", "k", "p"),
-        "gaussian-naive-bayes": ("theta", "var", "log_priors"),
-        "lda": ("means", "inv_cov", "log_priors"),
-        "fisher": ("w", "b"),
-        "logistic-linear": ("w",),
-        "decision-tree": ("tree",),
-        "decision-stump": ("tree",),
-        "nearest-mean": ("means",),
-        "perceptron": ("w", "b"),
-    }.items()
+    kind: ("present", "n_features") + k.state_keys for kind, k in _KINDS.items()
 }

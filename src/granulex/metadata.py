@@ -93,7 +93,7 @@ class MetaMatrix:
     classifier_ids: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = np.array(self.scores, dtype=np.float64)
         if scores.ndim != 3:
             raise MetadataError("meta matrix must be (N, K, M)")
         if scores.shape[1] < 2:

