@@ -308,6 +308,14 @@ def run_protocol(
             raise EvaluationError(
                 f"dataset {name!r}: some class has fewer observations than folds"
             )
+        # A fold holds at most ceil(n_c / folds) rows of class c, so each
+        # training part keeps at least n_c - ceil(n_c / folds) of them.
+        kept = counts - -(-counts // config.folds)
+        if "granular-cv" in config.methods and kept.min() < 2:
+            raise EvaluationError(
+                f"dataset {name!r}: some class keeps fewer than 2 rows in a "
+                f"training part, too few for granular-cv's inner folds"
+            )
 
     results: dict[str, dict[str, MethodResult]] = {}
     bv: dict[str, dict[str, BiasVarianceReport]] = {}
@@ -431,10 +439,6 @@ def _method_predictions(
             int(np.bincount(train_part.labels,
                             minlength=train_part.catalog.size).min()),
         )
-        if inner_folds < 2:
-            raise EvaluationError(
-                "training part too small for inner cross-validation"
-            )
         plan = training.make_fold_plan(
             train_part.labels, inner_folds, derive_seed(run_seed, 0x1A)
         )

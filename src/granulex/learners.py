@@ -3,8 +3,10 @@
 Every learner is implemented from scratch on numpy so that fitting and
 prediction are deterministic given (spec, data, seed).  Posterior recipes:
 
-  knn                  neighbor vote fractions (exact-distance matches take
-                       the whole vote)
+  knn                  vote fractions of the k nearest training rows by
+                       squared distance, ties to the lower training index
+                       (exact-distance matches take the whole vote); query
+                       rows go in blocks of bounded size
   gaussian-naive-bayes Gaussian likelihoods x smoothed priors, scaled to sum 1
   lda                  shared-covariance Gaussian discriminants, scaled to sum 1
   fisher               logistic squashing of one-vs-rest Fisher scores
@@ -28,6 +30,7 @@ subsets together in one kernel call, bitwise equal to separate `fit` calls;
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
@@ -51,6 +54,7 @@ __all__ = [
 
 RIDGE_FACTOR = 1e-6     # scatter-matrix regularization, scaled by trace/d
 VARIANCE_FLOOR = 1e-9   # per-feature variance floor in naive Bayes
+KNN_BLOCK_CELLS = 1 << 20  # query rows x training rows x features per knn block
 
 
 # What a parameter must be, by the type of its default: (wording, check).
@@ -136,8 +140,15 @@ class LearnerSpec:
 
 
 def spec_from_name(name: str) -> LearnerSpec:
-    """Parse roster entries like "knn25" or "decision-tree"."""
+    """Parse roster entries like "knn25" or "decision-tree".  A knn entry is
+    "knn" (the default k) or "knn" and k written plainly, so the learner's
+    name is the entry."""
     if name.startswith("knn") and name != "knn":
+        if re.fullmatch(r"[1-9][0-9]*", name[3:]) is None:
+            raise LearnerError(
+                f"learner {name!r}: write knn or knn<k>, k an integer >= 1 "
+                f"without sign, spaces or leading zeros"
+            )
         return LearnerSpec("knn", {"k": int(name[3:])})
     return LearnerSpec(name)
 
@@ -314,18 +325,42 @@ def _fit_knn(spec, x, y, p, seed):
 
 
 def _predict_knn(state, x):
+    """Vote fractions over the query rows, taken in blocks of at most
+    KNN_BLOCK_CELLS distance terms, so memory is flat in the number of rows.
+    Each row's votes depend on that row alone, so the block size never
+    changes a bit of the output."""
     xt, yt, p = state["x"], state["y"], int(state["p"])
     k = min(int(state["k"]), xt.shape[0])
-    n = x.shape[0]
-    d2 = ((x[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
-    near = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    counts = _vote_counts(np.arange(n)[:, None], yt[near], n, p)
+    rows = max(1, KNN_BLOCK_CELLS // max(1, xt.size))
+    counts = np.empty((x.shape[0], p), dtype=np.int64)
+    for lo in range(0, x.shape[0], rows):
+        counts[lo:lo + rows] = _knn_votes(xt, yt, p, k, x[lo:lo + rows])
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
+def _knn_votes(xt, yt, p, k, q):
+    """(len(q), p) votes of the k training rows nearest each query row by
+    squared distance, ties to the lower training index: the first k of a
+    stable argsort, found by one partition.  A row with more than k
+    training rows within its k-th distance v keeps the rows below v and
+    the lowest-index rows at v."""
+    n = q.shape[0]
+    d2 = ((q[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+    # copied, so the partitioned block is freed at once
+    v = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()
+    near = d2 <= v
+    if np.count_nonzero(near) > n * k:  # some row has more than k within v
+        tied = d2 == v
+        room = k - (d2 < v).sum(axis=1, keepdims=True)
+        near &= ~tied | (np.cumsum(tied, axis=1) <= room)
+    i, j = np.nonzero(near)
+    counts = _vote_counts(i, yt[j], n, p)
     if not d2.all():  # exact matches take the whole vote
         i, j = np.nonzero(d2 == 0.0)
         exact = _vote_counts(i, yt[j], n, p)
         hit = exact.any(axis=1)
         counts[hit] = exact[hit]
-    return counts / counts.sum(axis=1, keepdims=True)
+    return counts
 
 
 def _vote_counts(rows, labels, n, p):

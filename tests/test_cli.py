@@ -255,6 +255,14 @@ class TestErrorPaths:
         assert "error: need at least two base learners" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_bad_knn_entry_exits_1(self, tmp_path, capsys):
+        code = main(["train", "--data", str(bundled_path("rings.csv")),
+                     "--learners", "lda,knn2.7", "--alpha", "1.0",
+                     "--output", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "error: learner 'knn2.7'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--alpha", "1.0", "--output", str(tmp_path / "m.json")])

@@ -18,6 +18,7 @@ from granulex.evaluation import (
     wilcoxon_signed_rank,
 )
 from granulex.learners import Dataset, LearnerSpec
+from granulex.metadata import ClassCatalog
 
 
 class TestErrorRate:
@@ -262,6 +263,41 @@ class TestProtocol:
         with pytest.raises(EvaluationError, match=message):
             run_protocol(datasets, self.small_config(**change))
         assert fits == []
+
+    @staticmethod
+    def two_class(n_a, n_b):
+        rng = np.random.default_rng(12)
+        labels = np.array([0] * n_a + [1] * n_b)
+        features = rng.normal(size=(len(labels), 2)) + labels[:, None]
+        return Dataset(features, labels, ClassCatalog(("a", "b")), "ab")
+
+    def test_granular_cv_inner_folds_checked_before_the_first_fit(
+        self, monkeypatch
+    ):
+        """With 2 folds, a fold can hold 1 of the 2 b rows, so a training
+        part keeps a single b row: too few for inner cross-validation."""
+        fits = []
+        monkeypatch.setattr(training, "fit_complements",
+                            lambda *a: fits.append(a))
+        with pytest.raises(EvaluationError,
+                           match="'ab': some class keeps fewer than 2 rows"):
+            run_protocol([self.two_class(10, 2)], self.small_config(
+                learners=SMALL_LEARNERS[:2], methods=("rule:sum", "granular-cv")))
+        assert fits == []
+
+    def test_granular_cv_runs_at_the_inner_fold_bound(self):
+        # n_b - ceil(n_b / folds) == 2 for 4 rows in 2 folds and 3 folds
+        for folds in (2, 3):
+            cfg = self.small_config(learners=SMALL_LEARNERS[:2], folds=folds,
+                                    methods=("rule:sum", "granular-cv"))
+            report = run_protocol([self.two_class(10, 4)], cfg)
+            assert len(report.results["ab"]["granular-cv"].errors) == folds
+
+    def test_inner_fold_check_is_granular_cv_only(self):
+        cfg = self.small_config(learners=SMALL_LEARNERS[:2],
+                                methods=("rule:sum", "granular-fixed"))
+        report = run_protocol([self.two_class(10, 2)], cfg)
+        assert len(report.results["ab"]["rule:sum"].errors) == 2
 
     @pytest.mark.parametrize("inner_folds", [1, 0, -3])
     def test_inner_folds_below_two_rejected(self, inner_folds):

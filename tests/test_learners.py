@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,20 @@ def test_spec_validation():
     with pytest.raises(LearnerError):
         LearnerSpec("no-such-kind")
     assert spec_from_name("knn25").params["k"] == 25
+    assert spec_from_name("knn").name == "knn5"
+    assert spec_from_name("knn1000").name == "knn1000"
     assert spec_from_name("lda").kind == "lda"
+
+
+@pytest.mark.parametrize("name", [
+    "knn+5", "knn05", "knn 5", "knn5_0", "knn2.7", "knn0", "knn-3", "knn5 ",
+    "knn٥", "knnk",
+])
+def test_knn_entry_parsed_strictly(name):
+    """Each entry here was once read as a knn<k> of another name, or failed
+    with a message that did not name the entry."""
+    with pytest.raises(LearnerError, match=re.escape(f"learner {name!r}")):
+        spec_from_name(name)
 
 
 # A parameter the kind does not read, and values its default's type rules
@@ -438,10 +452,14 @@ def _reference_predict_knn(state, x):
     return out
 
 
-def test_predict_knn_matches_reference_bitwise():
+def test_predict_knn_matches_reference_bitwise(monkeypatch):
+    """Quantized data puts ties at the k-th distance, k = 200 exceeds every
+    training size, and queries copied from the training rows take the
+    exact-match vote.  A cell budget of a few rows' worth puts block edges
+    between exact-match and plain rows."""
     rng = np.random.default_rng(300)
-    exact_rows = 0
-    for _ in range(300):
+    exact_rows = split_ties = mixed_edges = 0
+    for case in range(300):
         n = int(rng.integers(1, 120))
         d = int(rng.integers(1, 5))
         p = int(rng.integers(2, 6))
@@ -451,8 +469,52 @@ def test_predict_knn_matches_reference_bitwise():
             xt[: n // 2] = xt[n - n // 2:][: n // 2]
         state = {"x": xt, "y": rng.integers(0, p, size=n), "k": k, "p": p}
         q = np.vstack([np.round(rng.normal(size=(20, d))), xt[:10]])
+        q = q[rng.permutation(len(q))]
+        block = int(rng.integers(1, 8)) if case % 3 else len(q)
+        monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", block * xt.size)
         expected = _reference_predict_knn(state, q)
         assert np.array_equal(learners._predict_knn(state, q), expected)
         d2 = ((q[:, None] - xt[None]) ** 2).sum(axis=2)
-        exact_rows += int((d2 == 0.0).any(axis=1).sum())
+        exact = (d2 == 0.0).any(axis=1)
+        exact_rows += int(exact.sum())
+        edges = np.arange(block, len(q), block)
+        mixed_edges += int((exact[edges - 1] != exact[edges]).sum())
+        kk = min(k, n)
+        v = np.sort(d2, axis=1)[:, kk - 1:kk]
+        split_ties += int(((d2 <= v).sum(axis=1) > kk)[~exact].sum())
     assert exact_rows > 3000  # exact matches and plain votes both run
+    assert mixed_edges > 300 and split_ties > 1000
+
+
+def test_predict_knn_blocks_rows_above_the_cell_budget():
+    """At the default budget, 1000 queries against 600 x 4 training rows
+    take three blocks, the last one partial."""
+    rng = np.random.default_rng(301)
+    xt = np.round(rng.normal(size=(600, 4)) * 2.0)
+    state = {"x": xt, "y": rng.integers(0, 3, size=600), "k": 25, "p": 3}
+    q = np.vstack([np.round(rng.normal(size=(990, 4)) * 2.0), xt[:10]])
+    q = q[rng.permutation(len(q))]
+    assert 2 * learners.KNN_BLOCK_CELLS < q.shape[0] * xt.size
+    assert np.array_equal(learners._predict_knn(state, q),
+                          _reference_predict_knn(state, q))
+
+
+def test_predict_knn_memory_is_flat_in_the_rows():
+    """Beyond one block, the rows add only the (n, p) counts and output."""
+    rng = np.random.default_rng(302)
+    state = {"x": rng.normal(size=(600, 4)), "y": rng.integers(0, 3, size=600),
+             "k": 25, "p": 3}
+    one_block = learners.KNN_BLOCK_CELLS // state["x"].size
+
+    def peak(rows):
+        q = rng.normal(size=(rows, 4))
+        tracemalloc.start()
+        try:
+            out = learners._predict_knn(state, q)
+            return tracemalloc.get_traced_memory()[1], out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(one_block)
+    large, out_bytes = peak(20_000)
+    assert large - small <= 3 * out_bytes
