@@ -102,8 +102,20 @@ def parse_grid(text: str) -> AlphaGrid:
     return AlphaGrid(values)
 
 
-def _parse_learners(text: str) -> list[LearnerSpec]:
-    return [spec_from_name(name.strip()) for name in text.split(",") if name.strip()]
+def _split_names(flag: str, text: str) -> list[str]:
+    """The comma-separated entries of a --learners or --methods value."""
+    names = [name.strip() for name in text.split(",")]
+    if "" in names:
+        raise CliError(f"{flag} {text!r} has an empty entry")
+    return names
+
+
+def _roster(text: str | None) -> list[LearnerSpec]:
+    """The --learners roster of train and alpha-curve; the default roster
+    without the flag."""
+    if text is None:
+        return default_roster()
+    return [spec_from_name(name) for name in _split_names("--learners", text)]
 
 
 def _load_dataset_entry(entry: dict) -> Dataset:
@@ -150,19 +162,15 @@ def _resolve_config(path: str | None, args) -> dict:
         cfg["alpha_grid"] = args.grid
     if getattr(args, "alpha", None) is not None:
         cfg["fixed_alpha"] = args.alpha
-    if getattr(args, "learners", None):
-        cfg["learners"] = [s.strip() for s in args.learners.split(",")]
-    if getattr(args, "methods", None):
-        cfg["methods"] = [s.strip() for s in args.methods.split(",")]
+    for key in ("learners", "methods"):
+        val = getattr(args, key, None)
+        if val is not None:
+            cfg[key] = _split_names(f"--{key}", val)
 
     # Defaults: the default roster, and ProtocolConfig's for the rest.
-    defaults = evaluation.ProtocolConfig()
     cfg.setdefault("learners", [s.name for s in default_roster()])
-    cfg.setdefault("methods", list(defaults.methods))
-    cfg.setdefault("alpha_grid", list(defaults.alpha_grid.values))
-    for key in ("fixed_alpha", "h", "folds", "repeats", "seed", "significance",
-                "inner_folds"):
-        cfg.setdefault(key, getattr(defaults, key))
+    for key, val in evaluation.config_echo(evaluation.ProtocolConfig()).items():
+        cfg.setdefault(key, val)
     if "datasets" not in cfg:
         raise CliError("no datasets configured (use --data or a config file)")
     return cfg
@@ -175,7 +183,7 @@ def _grid_from_cfg(value) -> AlphaGrid:
 
 
 def cmd_train(args) -> int:
-    specs = _parse_learners(args.learners) if args.learners else default_roster()
+    specs = _roster(args.learners)
     data = load_csv(args.data, label_column=args.label_column,
                     header=not args.no_header)
     kwargs = dict(h=args.h or combiners.DEFAULT_H, n_folds=args.folds)
@@ -246,7 +254,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_alpha_curve(args) -> int:
-    specs = _parse_learners(args.learners) if args.learners else default_roster()
+    specs = _roster(args.learners)
     data = load_csv(args.data, label_column=args.label_column,
                     header=not args.no_header)
     grid = parse_grid(args.grid) if args.grid else default_alpha_grid()

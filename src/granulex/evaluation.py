@@ -9,7 +9,7 @@ fold splits per (dataset, repeat), so paired significance tests are valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "alpha_error_curves",
     "run_protocol",
     "default_methods",
+    "config_echo",
 ]
 
 MIN_NONZERO_DIFFS = 5
@@ -221,19 +222,16 @@ class ProtocolConfig:
             raise EvaluationError("need folds, inner_folds >= 2 and repeats >= 1")
         if not 0.0 < self.significance < 1.0:
             raise EvaluationError("significance must lie in (0, 1)")
-        for m in self.methods:
-            if not _valid_method(m):
+        if not self.methods:
+            raise EvaluationError("need at least one method")
+        named = default_methods()
+        for i, m in enumerate(self.methods):
+            if m not in named and not m.startswith("learner:"):
                 raise EvaluationError(f"unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise EvaluationError(f"method {m!r} appears twice")
         if self.h not in combiners.H_KINDS:
             raise EvaluationError(f"unknown h function {self.h!r}")
-
-
-def _valid_method(method: str) -> bool:
-    if method in GRANULAR_METHODS or method == "decision-template":
-        return True
-    if method.startswith("rule:"):
-        return method[5:] in FIXED_RULES
-    return method.startswith("learner:")
 
 
 @dataclass(frozen=True)
@@ -294,10 +292,9 @@ def run_protocol(
     specs = tuple(config.learners)
     if len(specs) < 2:
         raise EvaluationError("need at least two base learners")
-    ids = tuple(s.name for s in specs)
-    lookup = {name: j for j, name in enumerate(ids)}
+    roster = {s.name for s in specs}
     for method in config.methods:
-        if method.startswith("learner:") and method[8:] not in lookup:
+        if method.startswith("learner:") and method[8:] not in roster:
             raise EvaluationError(f"method {method!r} not in the roster")
     names = tuple(d.name or f"dataset{i}" for i, d in enumerate(datasets))
     for i, (name, data) in enumerate(zip(names, datasets)):
@@ -319,15 +316,9 @@ def run_protocol(
 
     results: dict[str, dict[str, MethodResult]] = {}
     bv: dict[str, dict[str, BiasVarianceReport]] = {}
-    comparisons: list[Comparison] = []
-
     for ds_idx, (name, data) in enumerate(zip(names, datasets)):
-        per_method_err: dict[str, list[float]] = {m: [] for m in config.methods}
-        per_method_f1: dict[str, list[float]] = {m: [] for m in config.methods}
-        bv_runs: dict[str, tuple[list[float], list[float]]] = {
-            m: ([], []) for m in config.methods
-        }
-
+        # method -> one (error, F1, bias, variance) record per run
+        runs: dict[str, list[tuple[float, ...]]] = {m: [] for m in config.methods}
         for rep in range(config.repeats):
             rep_seed = derive_seed(config.seed, ds_idx, rep)
             plan = training.make_fold_plan(data.labels, config.folds, rep_seed)
@@ -339,101 +330,86 @@ def run_protocol(
                 truth = data.labels[test_idx]
                 test_profiles = training.stack_profiles(models, data.features[test_idx])
                 base_preds = np.argmax(test_profiles, axis=2).T  # (K, n_test)
-
                 for method in config.methods:
                     preds = _method_predictions(
-                        method, models, lookup, train_part, test_profiles,
-                        config, run_seed, ids,
+                        method, models, train_part, test_profiles, config, run_seed
                     )
-                    per_method_err[method].append(error_rate(preds, truth))
-                    per_method_f1[method].append(
-                        macro_f1(preds, truth, data.catalog.size)
-                    )
-                    report = bias_variance(preds, base_preds, truth)
-                    bv_runs[method][0].append(report.bias)
-                    bv_runs[method][1].append(report.variance)
-
-        results[name] = {
-            m: MethodResult(tuple(per_method_err[m]), tuple(per_method_f1[m]))
-            for m in config.methods
-        }
+                    split = bias_variance(preds, base_preds, truth)
+                    runs[method].append((
+                        error_rate(preds, truth),
+                        macro_f1(preds, truth, data.catalog.size),
+                        split.bias,
+                        split.variance,
+                    ))
+        columns = {m: tuple(zip(*r)) for m, r in runs.items()}
+        results[name] = {m: MethodResult(c[0], c[1]) for m, c in columns.items()}
         bv[name] = {
-            m: BiasVarianceReport(
-                bias=float(np.mean(bv_runs[m][0])),
-                variance=float(np.mean(bv_runs[m][1])),
-            )
-            for m in config.methods
+            m: BiasVarianceReport(float(np.mean(c[2])), float(np.mean(c[3])))
+            for m, c in columns.items()
         }
 
+    losses = {n: {m: _losses(r) for m, r in results[n].items()} for n in names}
+    comparisons = []
+    for name in names:
         for gmethod in GRANULAR_METHODS:
             if gmethod not in config.methods:
                 continue
             for other in config.methods:
                 if other == gmethod:
                     continue
-                res_err = wilcoxon_signed_rank(
-                    results[name][gmethod].errors,
-                    results[name][other].errors,
-                    config.significance,
-                )
-                comparisons.append(
-                    Comparison(name, gmethod, other, "error",
-                               _as_win(res_err.outcome), res_err.p_value)
-                )
-                res_f1 = wilcoxon_signed_rank(
-                    tuple(-v for v in results[name][gmethod].f1s),
-                    tuple(-v for v in results[name][other].f1s),
-                    config.significance,
-                )
-                comparisons.append(
-                    Comparison(name, gmethod, other, "f1",
-                               _as_win(res_f1.outcome), res_f1.p_value)
-                )
+                for metric, mine in losses[name][gmethod].items():
+                    res = wilcoxon_signed_rank(
+                        mine, losses[name][other][metric], config.significance
+                    )
+                    comparisons.append(Comparison(
+                        name, gmethod, other, metric,
+                        _as_win(res.outcome), res.p_value,
+                    ))
 
-    err_table = np.asarray(
-        [[results[n][m].mean_error for n in names] for m in config.methods]
-    )
-    f1_table = np.asarray(
-        [[-results[n][m].mean_f1 for n in names] for m in config.methods]
-    )
-    rank_err = dict(zip(config.methods, average_ranks(err_table).tolist()))
-    rank_f1 = dict(zip(config.methods, average_ranks(f1_table).tolist()))
+    rankings = {}
+    for metric in ("error", "f1"):
+        table = [[np.mean(losses[n][m][metric]) for n in names]
+                 for m in config.methods]
+        ranks = average_ranks(np.asarray(table)).tolist()
+        rankings[metric] = dict(zip(config.methods, ranks))
 
     return ExperimentReport(
-        config=_config_echo(config),
+        config=config_echo(config),
         dataset_names=names,
         results=results,
         comparisons=tuple(comparisons),
-        rankings_error=rank_err,
-        rankings_f1=rank_f1,
+        rankings_error=rankings["error"],
+        rankings_f1=rankings["f1"],
         bias_variance=bv,
     )
+
+
+def _losses(result: MethodResult) -> dict[str, tuple[float, ...]]:
+    """The compared metrics as losses, smaller better: F1 is negated."""
+    return {"error": result.errors, "f1": tuple(-v for v in result.f1s)}
 
 
 def _as_win(outcome: str) -> str:
     return {"a-better": "win", "b-better": "loss", "equal": "equal"}[outcome]
 
 
-def _method_predictions(
-    method, models, lookup, train_part, test_profiles, config, run_seed, ids
-):
+def _method_predictions(method, models, train_part, test_profiles, config, run_seed):
     if method.startswith("learner:"):
-        return np.argmax(test_profiles[:, lookup[method[8:]], :], axis=1)
+        column = {m.spec.name: j for j, m in enumerate(models)}[method[8:]]
+        return np.argmax(test_profiles[:, column, :], axis=1)
     if method.startswith("rule:"):
         scores = combiners.fixed_rule_scores_batch(test_profiles, method[5:])
         return np.argmax(scores, axis=1)
     if method == "decision-template":
         meta = MetaMatrix(
             training.stack_profiles(models, train_part.features),
-            train_part.catalog, ids,
+            train_part.catalog, tuple(m.spec.name for m in models),
         )
         model = combiners.dt_fit(meta, train_part.labels)
         return combiners.dt_decide_batch(model, test_profiles)
     if method == "granular-fixed":
-        return combiners.granular_decide_batch(
-            test_profiles, config.fixed_alpha, config.h
-        )
-    if method == "granular-cv":
+        alpha = config.fixed_alpha
+    else:  # granular-cv
         inner_folds = min(
             config.inner_folds,
             int(np.bincount(train_part.labels,
@@ -451,25 +427,16 @@ def _method_predictions(
         alpha, _ = training.select_alpha(
             meta, train_part.labels, config.alpha_grid, config.h
         )
-        return combiners.granular_decide_batch(test_profiles, alpha, config.h)
-    raise EvaluationError(f"unknown method {method!r}")
+    return combiners.granular_decide_batch(test_profiles, alpha, config.h)
 
 
-def _config_echo(config: ProtocolConfig) -> dict:
-    return {
-        "folds": config.folds,
-        "repeats": config.repeats,
-        "seed": config.seed,
-        "significance": config.significance,
-        "methods": list(config.methods),
-        "learners": [
-            {"kind": s.kind, "params": s.params} for s in config.learners
-        ],
-        "alpha_grid": list(config.alpha_grid.values),
-        "fixed_alpha": config.fixed_alpha,
-        "h": config.h,
-        "inner_folds": config.inner_folds,
-    }
+def config_echo(config: ProtocolConfig) -> dict:
+    """The config as `report.json` echoes it: learners by kind and params,
+    the alpha grid as its values."""
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    echo["learners"] = [{"kind": s.kind, "params": s.params} for s in config.learners]
+    echo["alpha_grid"] = list(config.alpha_grid.values)
+    return echo
 
 
 def alpha_error_curves(

@@ -17,10 +17,12 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
 
 Classes absent from the fitted data always receive posterior 0.
 
-Each kind is one entry of `_KINDS`: fitter, predictor, the state keys the
-predictor reads, the defaults of every parameter the fitter reads, and any
-batched fold fitter.  `LearnerSpec` rejects other parameters and types each
-by its default: an int >= 1, or a finite real > 0.
+Each kind is one entry of `_KINDS`: fitter, predictor, the layout (dtype
+and shape of each value) of the state the predictor reads, which
+`FittedClassifier.from_state` checks, the defaults of every parameter the
+fitter reads, and any batched fold fitter.  `LearnerSpec` rejects other
+parameters and types each by its default: an int >= 1, or a finite
+real > 0.
 
 `fit_folds` fits one learner on several row subsets of a data set, as
 cross-validation does.  For logistic-linear it steps the weights of all
@@ -30,6 +32,7 @@ subsets together in one kernel call, bitwise equal to separate `fit` calls;
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -247,9 +250,13 @@ class FittedClassifier:
 
     @classmethod
     def from_state(cls, payload: dict[str, Any]) -> "FittedClassifier":
+        """The classifier to_state wrote.  Raises LearnerError on a value
+        the predictor cannot use.  Keys are not checked here: the payload
+        needs every key to_state writes, and its state every key of
+        STATE_KEYS[kind], as load_ensemble checks first."""
         spec = LearnerSpec(payload["kind"], dict(payload["params"]))
         catalog = ClassCatalog(tuple(payload["catalog"]))
-        return cls(spec, catalog, _unjsonable(payload["state"]))
+        return cls(spec, catalog, _decode_state(spec, catalog.size, payload["state"]))
 
 
 def _jsonable(obj):
@@ -263,16 +270,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    return obj
-
-
-def _unjsonable(obj):
-    if isinstance(obj, dict):
-        if "__nd__" in obj:
-            return np.asarray(obj["__nd__"], dtype=obj["dtype"])
-        return {k: _unjsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_unjsonable(v) for v in obj]
     return obj
 
 
@@ -662,31 +659,159 @@ def _fit_perceptron(spec, x, y, p, seed):
 class _Kind(NamedTuple):
     fit: Callable        # (spec, x, compact labels, n present, seed) -> state
     predict: Callable    # (state, x) -> (n, n present) posteriors
-    state_keys: tuple[str, ...]
+    state: dict[str, Any]  # key -> layout, as _decode_state reads it
     defaults: dict[str, int | float]
     fit_folds: Callable | None = None  # (spec, data, rests, presents)
 
 
+# State layouts, in p (present classes), d (features) and n (training rows):
+# (_F, *shape) a finite float64 array, (_POSITIVE, *shape) one of values
+# > 0; (_LABEL, n) an int64 array of present class indices 0..p-1; "p" or a
+# parameter name, an integer equal to p or to that parameter; _TREE the
+# nested split and leaf dicts of _grow_tree.
+_F, _POSITIVE, _LABEL, _TREE = "float64", "positive", "label", "tree"
+_OVR = {"w": (_F, "p", "d"), "b": (_F, "p")}
+_TREE_STATE = {"tree": _TREE, "p": "p"}
+
 _KINDS = {
-    "knn": _Kind(_fit_knn, _predict_knn, ("x", "y", "k", "p"), {"k": 5}),
+    "knn": _Kind(_fit_knn, _predict_knn,
+                 {"x": (_F, "n", "d"), "y": (_LABEL, "n"), "k": "k", "p": "p"},
+                 {"k": 5}),
     "gaussian-naive-bayes": _Kind(
-        _fit_gnb, _predict_gnb, ("theta", "var", "log_priors"), {}),
-    "lda": _Kind(_fit_lda, _predict_lda, ("means", "inv_cov", "log_priors"), {}),
-    "fisher": _Kind(_fit_fisher, _predict_ovr_logistic, ("w", "b"), {}),
+        _fit_gnb, _predict_gnb,
+        {"theta": (_F, "p", "d"), "var": (_POSITIVE, "p", "d"),
+         "log_priors": (_F, "p")},
+        {}),
+    "lda": _Kind(
+        _fit_lda, _predict_lda,
+        {"means": (_F, "p", "d"), "inv_cov": (_F, "d", "d"),
+         "log_priors": (_F, "p")},
+        {}),
+    "fisher": _Kind(_fit_fisher, _predict_ovr_logistic, _OVR, {}),
     "logistic-linear": _Kind(
-        _fit_logistic, _predict_logistic, ("w",),
+        _fit_logistic, _predict_logistic, {"w": (_F, "d+1", "p")},
         {"iterations": 500, "rate": 0.1}, _fit_logistic_folds),
     "decision-tree": _Kind(
-        _fit_tree, _predict_tree, ("tree",), {"max_depth": 12, "min_leaf": 2}),
-    "decision-stump": _Kind(_fit_stump, _predict_tree, ("tree",), {}),
-    "nearest-mean": _Kind(_fit_nearest_mean, _predict_nearest_mean, ("means",), {}),
+        _fit_tree, _predict_tree, _TREE_STATE, {"max_depth": 12, "min_leaf": 2}),
+    "decision-stump": _Kind(_fit_stump, _predict_tree, _TREE_STATE, {}),
+    "nearest-mean": _Kind(
+        _fit_nearest_mean, _predict_nearest_mean, {"means": (_F, "p", "d")}, {}),
     "perceptron": _Kind(
-        _fit_perceptron, _predict_ovr_logistic, ("w", "b"),
+        _fit_perceptron, _predict_ovr_logistic, _OVR,
         {"iterations": 100, "rate": 0.1}),
 }
 
 # The state keys each kind's predictor reads, including the two that
 # predict_proba_batch reads for every kind.
 STATE_KEYS = {
-    kind: ("present", "n_features") + k.state_keys for kind, k in _KINDS.items()
+    kind: ("present", "n_features") + tuple(k.state) for kind, k in _KINDS.items()
 }
+
+
+def _finite_real(v) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _decode_array(value, dtype: str, what: str) -> np.ndarray:
+    """The array _jsonable wrote as {"__nd__": values, "dtype": dtype}."""
+    if not (isinstance(value, dict) and set(value) == {"__nd__", "dtype"}):
+        raise LearnerError(f"{what} must be an object with keys __nd__ and dtype")
+    if value["dtype"] != dtype:
+        raise LearnerError(f"{what} dtype must be {dtype}, got {value['dtype']!r}")
+    try:
+        arr = np.asarray(value["__nd__"])
+    except (ValueError, TypeError, OverflowError):  # ragged nesting
+        arr = None
+    kinds = "i" if dtype == "int64" else "if"
+    if arr is None or arr.dtype.kind not in kinds:
+        raise LearnerError(f"{what} must be a rectangular array of {dtype} values")
+    arr = arr.astype(dtype, copy=False)
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise LearnerError(f"{what} holds a non-finite value")
+    return arr
+
+
+def _check_tree(root, p: int, d: int) -> None:
+    """Every node of a _grow_tree tree: a split on a feature below d at a
+    finite threshold, or a leaf of p finite class proportions."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        keys = set(node) if isinstance(node, dict) else None
+        if keys == {"leaf"}:
+            leaf = node["leaf"]
+            if not (isinstance(leaf, list) and len(leaf) == p
+                    and all(map(_finite_real, leaf))):
+                raise LearnerError(
+                    f"state 'tree' leaf must list {p} finite numbers"
+                )
+        elif keys == {"feature", "threshold", "left", "right"}:
+            f = node["feature"]
+            if type(f) is not int or not 0 <= f < d:
+                raise LearnerError(
+                    f"state 'tree' split feature must be an integer in "
+                    f"[0, {d}), got {f!r}"
+                )
+            if not _finite_real(node["threshold"]):
+                raise LearnerError(
+                    f"state 'tree' split threshold must be a finite number, "
+                    f"got {node['threshold']!r}"
+                )
+            stack += [node["left"], node["right"]]
+        else:
+            raise LearnerError(
+                "state 'tree' node must be a leaf {leaf} or a split "
+                "{feature, threshold, left, right}"
+            )
+
+
+def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
+    """A fitted state from its JSON form, every value checked against the
+    kind's layout: the predictor can use it and its shapes agree."""
+    present = _decode_array(state["present"], "int64", "state 'present'")
+    if not (present.ndim == 1 and present.size >= 2 and present[0] >= 0
+            and present[-1] < n_classes and (np.diff(present) > 0).all()):
+        raise LearnerError(
+            f"state 'present' must be at least two strictly increasing class "
+            f"indices below {n_classes}"
+        )
+    d = state["n_features"]
+    if type(d) is not int or d < 1:
+        raise LearnerError(f"state n_features must be an integer >= 1, got {d!r}")
+    p = len(present)
+    sizes = {"p": p, "d": d, "d+1": d + 1}
+    out: dict[str, Any] = {"present": present, "n_features": d}
+    for key, layout in _KINDS[spec.kind].state.items():
+        value = state[key]
+        if layout == _TREE:
+            _check_tree(value, p, d)
+        elif isinstance(layout, str):
+            want = p if layout == "p" else spec.params[layout]
+            if type(value) is not int or value != want:
+                raise LearnerError(f"state {key!r} must be {want}, got {value!r}")
+        else:
+            dtype, *dims = layout
+            what = f"state {key!r}"
+            stored = {_POSITIVE: "float64", _LABEL: "int64"}.get(dtype, dtype)
+            value = _decode_array(value, stored, what)
+            if value.ndim == len(dims):
+                for dim, size in zip(dims, value.shape):
+                    sizes.setdefault(dim, size)  # n, from the first array
+            if (value.ndim != len(dims) or value.size == 0
+                    or value.shape != tuple(sizes[dim] for dim in dims)):
+                raise LearnerError(
+                    f"{what} must have shape ({', '.join(dims)}) with p = {p} "
+                    f"and d = {d}, got {value.shape}"
+                )
+            if dtype == _LABEL and ((value < 0) | (value >= p)).any():
+                raise LearnerError(f"{what} must hold class indices below {p}")
+            if dtype == _POSITIVE and not (value > 0).all():
+                raise LearnerError(f"{what} must hold values > 0")
+        out[key] = value
+    return out

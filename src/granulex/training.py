@@ -22,7 +22,6 @@ biased as a generalization estimate.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,6 +37,7 @@ from .learners import (
     FittedClassifier,
     LearnerError,
     LearnerSpec,
+    _finite_real,
     fit,
     fit_folds,
 )
@@ -359,19 +359,11 @@ def _require_keys(obj, keys, what: str) -> None:
         raise TrainingError(f"{what} lacks key(s) {', '.join(missing)}")
 
 
-def _finite_real(v) -> bool:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _check_ensemble(payload) -> None:
-    """Raise TrainingError unless payload is a model that loads and
-    predicts: every value the loader and the predictors read is there and
-    has the type they need."""
+    """Raise TrainingError unless payload has every key the loader and the
+    predictors read, each top-level value of the type they need, and one
+    catalog and feature count across its classifiers.  Each classifier's
+    state values are checked by FittedClassifier.from_state."""
     if not isinstance(payload, dict):
         raise TrainingError("model file must hold a JSON object")
     version = payload.get("format_version")
@@ -429,10 +421,14 @@ def load_ensemble(path) -> TrainedEnsemble:
     with open(path) as fh:
         payload = json.load(fh)
     _check_ensemble(payload)
+    classifiers = []
+    for j, c in enumerate(payload["classifiers"]):
+        try:
+            classifiers.append(FittedClassifier.from_state(c))
+        except LearnerError as exc:
+            raise TrainingError(f"model classifier {j}: {exc}") from None
     return TrainedEnsemble(
-        classifiers=tuple(
-            FittedClassifier.from_state(c) for c in payload["classifiers"]
-        ),
+        classifiers=tuple(classifiers),
         alpha=float(payload["alpha"]),
         h=payload["h"],
         catalog=ClassCatalog(tuple(payload["catalog"])),

@@ -362,9 +362,9 @@ def test_14_protocol_folds_equal_per_fold_fits(roster, monkeypatch):
     seen = []
     original = evaluation._method_predictions
 
-    def recording(method, models, lookup, train_part, test_profiles, *rest):
+    def recording(method, models, train_part, test_profiles, *rest):
         seen.append(test_profiles)
-        return original(method, models, lookup, train_part, test_profiles, *rest)
+        return original(method, models, train_part, test_profiles, *rest)
 
     monkeypatch.setattr(evaluation, "_method_predictions", recording)
     datasets = [load_bundled(name) for name in BUNDLED_DATASETS]

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from granulex import training
 from granulex.cli import MAX_GRID_POINTS, CliError, main, parse_grid
 from granulex.datasets import GeneratorSpec, bundled_path, generate
 
@@ -455,3 +456,148 @@ class TestErrorPaths:
                      "--output", str(tmp_path / "r")])
         assert code == 1
         assert "no datasets" in capsys.readouterr().err
+
+
+class TestNameLists:
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--learners"), ("alpha-curve", "--learners"),
+        ("evaluate", "--learners"), ("evaluate", "--methods"),
+    ])
+    @pytest.mark.parametrize("value", ["lda,,knn5", "lda,knn5,", ""])
+    def test_empty_name_entry_exits_1(self, tmp_path, capsys, command, flag,
+                                      value):
+        code = main([command, "--data", str(bundled_path("rings.csv")),
+                     flag, value, "--grid", "0:1:2",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} {value!r} has an empty entry" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("methods, message", [
+        ("rule:sum,rule:sum,granular-fixed", "method 'rule:sum' appears twice"),
+        ("rule:sum,rule:sum", "method 'rule:sum' appears twice"),
+        ([], "need at least one method"),
+    ], ids=["dup-with-granular", "dup-only", "none"])
+    def test_method_list_checked_before_the_first_fit(
+        self, tmp_path, capsys, monkeypatch, methods, message
+    ):
+        fits = []
+        monkeypatch.setattr(training, "fit_complements", lambda *a: fits.append(a))
+        args = ["evaluate", "--data", str(bundled_path("rings.csv")),
+                "--learners", "lda,knn5", "--folds", "3", "--repeats", "1",
+                "--output", str(tmp_path / "out")]
+        if isinstance(methods, str):
+            args += ["--methods", methods]
+        else:
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps({"methods": methods}))
+            args += ["--config", str(cfg_path)]
+        assert main(args) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def rings_model(tmp_path_factory):
+    """A rings model of lda, knn5, logistic-linear, decision-stump and
+    gaussian-naive-bayes (3 classes, 3 features) as JSON, and a query CSV
+    of the rings features."""
+    tmp = tmp_path_factory.mktemp("rings")
+    assert main(["train", "--data", str(bundled_path("rings.csv")),
+                 "--learners",
+                 "lda,knn5,logistic-linear,decision-stump,gaussian-naive-bayes",
+                 "--alpha", "1.0", "--output", str(tmp / "m.json")]) == 0
+    rows = read_csv_rows(bundled_path("rings.csv"))
+    with open(tmp / "q.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(row[:3] for row in rows)
+    return (tmp / "m.json").read_text(), tmp / "q.csv"
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _DROP:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+
+
+_DROP = object()
+_STUMP = ("state", "tree")
+
+# (classifier, path into it, new value, message after "state "); the
+# classifiers are 0 lda, 1 knn5, 2 logistic-linear, 3 decision-stump and
+# 4 gaussian-naive-bayes.
+BAD_STATES = {
+    "dtype-bogus": (0, ("state", "means", "dtype"), "bogus",
+                    "'means' dtype must be float64, got 'bogus'"),
+    "dtype-U5": (0, ("state", "means", "dtype"), "U5",
+                 "'means' dtype must be float64, got 'U5'"),
+    "no-dtype": (0, ("state", "means", "dtype"), _DROP,
+                 "'means' must be an object with keys __nd__ and dtype"),
+    "present-bool": (0, ("state", "present", "dtype"), "bool",
+                     "'present' dtype must be int64, got 'bool'"),
+    "means-shape": (0, ("state", "means", "__nd__"), [[0.0] * 5] * 3,
+                    "'means' must have shape (p, d) with p = 3 and d = 3, "
+                    "got (3, 5)"),
+    "means-nan": (0, ("state", "means", "__nd__", 1, 2), float("nan"),
+                  "'means' holds a non-finite value"),
+    "means-ragged": (0, ("state", "means", "__nd__", 1), [0.0],
+                     "'means' must be a rectangular array of float64 values"),
+    "means-text": (0, ("state", "means", "__nd__", 1, 0), "a",
+                   "'means' must be a rectangular array of float64 values"),
+    "knn-x-1d": (1, ("state", "x", "__nd__"), [0.0, 1.0, 2.0],
+                 "'x' must have shape (n, d) with p = 3 and d = 3, got (3,)"),
+    "knn-y-float": (1, ("state", "y", "__nd__", 0), 0.5,
+                    "'y' must be a rectangular array of int64 values"),
+    "knn-y-range": (1, ("state", "y", "__nd__", 0), 3,
+                    "'y' must hold class indices below 3"),
+    # the spec names knn50, while the state votes with k = 5
+    "knn-k": (1, ("params", "k"), 50, "'k' must be 50, got 5"),
+    "knn-p": (1, ("state", "p"), 2, "'p' must be 3, got 2"),
+    "present-order": (2, ("state", "present", "__nd__"), [1, 0, 2],
+                      "'present' must be at least two strictly increasing "
+                      "class indices below 3"),
+    "present-range": (2, ("state", "present", "__nd__"), [0, 1, 5],
+                      "'present' must be at least two strictly increasing "
+                      "class indices below 3"),
+    "logistic-inf": (2, ("state", "w", "__nd__", 0, 0), float("inf"),
+                     "'w' holds a non-finite value"),
+    "tree-5": (3, _STUMP, 5, "'tree' node must be a leaf"),
+    "no-threshold": (3, _STUMP + ("threshold",), _DROP,
+                     "'tree' node must be a leaf"),
+    "feature-9": (3, _STUMP + ("feature",), 9,
+                  "'tree' split feature must be an integer in [0, 3), got 9"),
+    "threshold-a": (3, _STUMP + ("threshold",), "a",
+                    "'tree' split threshold must be a finite number, got 'a'"),
+    "short-leaf": (3, _STUMP + ("left", "leaf"), [1.0],
+                   "'tree' leaf must list 3 finite numbers"),
+    "zero-variance": (4, ("state", "var", "__nd__", 0, 0), 0.0,
+                      "'var' must hold values > 0"),
+}
+
+
+def test_undamaged_rings_model_predicts(tmp_path, rings_model):
+    text, query = rings_model
+    (tmp_path / "m.json").write_text(text)
+    assert main(["predict", "--model", str(tmp_path / "m.json"),
+                 "--data", str(query), "--output", str(tmp_path / "p.csv")]) == 0
+    assert len(read_csv_rows(tmp_path / "p.csv")) == 151
+
+
+@pytest.mark.parametrize("case", list(BAD_STATES))
+def test_bad_model_state_exits_1(tmp_path, capsys, rings_model, case):
+    j, path, value, message = BAD_STATES[case]
+    text, query = rings_model
+    payload = json.loads(text)
+    _set(payload["classifiers"][j], path, value)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(payload))
+    code = main(["predict", "--model", str(model), "--data", str(query),
+                 "--output", str(tmp_path / "p.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: model classifier {j}: state {message}" in err
+    assert "Traceback" not in err

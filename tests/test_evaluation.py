@@ -6,6 +6,7 @@ import pytest
 from granulex import training
 from granulex.datasets import GeneratorSpec, generate
 from granulex.evaluation import (
+    Comparison,
     EvaluationError,
     ProtocolConfig,
     average_ranks,
@@ -249,7 +250,11 @@ class TestProtocol:
          "'learner:knn5' not in the roster"),
         (dict(folds=8), ("a", "b"), "'b': some class has fewer observations"),
         ({}, ("a", "a"), "dataset name 'a' appears twice"),
-    ], ids=["one-learner", "learner-not-in-roster", "short-class", "dup-name"])
+        (dict(methods=("rule:sum", "rule:sum", "granular-fixed")), ("a", "b"),
+         "method 'rule:sum' appears twice"),
+        (dict(methods=()), ("a", "b"), "need at least one method"),
+    ], ids=["one-learner", "learner-not-in-roster", "short-class", "dup-name",
+            "dup-method", "no-methods"])
     def test_protocol_checked_before_the_first_fit(
         self, monkeypatch, change, names, message
     ):
@@ -319,6 +324,46 @@ class TestProtocol:
         }
         for c in report.comparisons:
             assert c.outcome in ("win", "equal", "loss")
+
+    def test_comparisons_and_ranks_follow_from_the_results(self):
+        """Every Comparison is the Wilcoxon test of the two methods' runs
+        (F1 negated, so smaller is better), in the order granular method x
+        other method x (error, f1); the rankings are the average ranks of
+        the mean error and of the negated mean F1."""
+        datasets = [
+            generate(GeneratorSpec(kind, n=60, d=2, seed=8))
+            for kind in ("twonorm-like", "concentric-rings")
+        ]
+        cfg = self.small_config(folds=5, repeats=3)
+        report = run_protocol(datasets, cfg)
+        names = report.dataset_names
+        as_win = {"a-better": "win", "b-better": "loss", "equal": "equal"}
+        expected = []
+        for name in names:
+            res = report.results[name]
+            for g in ("granular-cv", "granular-fixed"):
+                for other in cfg.methods:
+                    if other == g:
+                        continue
+                    for metric, a, b in (
+                        ("error", res[g].errors, res[other].errors),
+                        ("f1", [-v for v in res[g].f1s],
+                         [-v for v in res[other].f1s]),
+                    ):
+                        w = wilcoxon_signed_rank(a, b, cfg.significance)
+                        expected.append(Comparison(
+                            name, g, other, metric, as_win[w.outcome], w.p_value
+                        ))
+        assert list(report.comparisons) == expected
+        assert "win" in {c.outcome for c in expected}  # some test decides
+        err = [[report.results[n][m].mean_error for n in names]
+               for m in cfg.methods]
+        f1 = [[-report.results[n][m].mean_f1 for n in names]
+              for m in cfg.methods]
+        assert report.rankings_error == dict(
+            zip(cfg.methods, average_ranks(np.array(err)).tolist()))
+        assert report.rankings_f1 == dict(
+            zip(cfg.methods, average_ranks(np.array(f1)).tolist()))
 
     def test_default_methods_include_all_rules(self):
         methods = default_methods()

@@ -249,6 +249,16 @@ def test_state_round_trip(spec):
     )
 
 
+@pytest.mark.parametrize("n_features", [0, -1, "2", True])
+def test_state_n_features_checked(n_features):
+    data = toy(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]]),
+               np.array([0, 1, 0, 1]))
+    payload = fit(LearnerSpec("lda"), data, 0).to_state()
+    payload["state"]["n_features"] = n_features
+    with pytest.raises(LearnerError, match="n_features must be an integer >= 1"):
+        FittedClassifier.from_state(payload)
+
+
 # --- split search oracle ----------------------------------------------------
 
 def _reference_gini(counts):
