@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import io
 import json
 import math
 import re
 import sys
+
+import numpy as np
 
 from . import combiners, evaluation, report, training
 from .datasets import GeneratorSpec, generate, load_csv, load_features
@@ -200,51 +204,67 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as one of several fields in a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(["", text])
+    return buf.getvalue()[1:]
+
+
 def cmd_predict(args) -> int:
     ensemble = training.load_ensemble(args.model)
     x = load_features(args.data, header=not args.no_header)
-    details = training.predict_batch(ensemble, x)
+    batch = training.predict_batch(ensemble, x)
     labels = ensemble.catalog.labels
     header = ["obs_id"]
+    columns = [batch.memberships]
     if args.emit_intervals:
         for lab in labels:
             header += [f"{lab}_lower", f"{lab}_upper"]
+        columns.insert(0, batch.bounds.reshape(len(batch), -1))
     for lab in labels:
         header.append(f"{lab}_ncm")
     header.append("decision")
+    # Each row as csv.writer wrote it from "%.17g" texts: numbers never
+    # need quoting, labels are quoted once, and rows end in \r\n.
+    table = np.hstack(columns)
+    line = "%d" + ",%.17g" * table.shape[1] + ",%s\r\n"
+    quoted = [_csv_field(lab) for lab in labels]
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for i, det in enumerate(details):
-            row: list = [i]
-            if args.emit_intervals:
-                for g in det.intervals:
-                    row += [f"{g.lower:.17g}", f"{g.upper:.17g}"]
-            row += [f"{v:.17g}" for v in det.memberships]
-            row.append(labels[det.decision])
-            writer.writerow(row)
+        csv.writer(out).writerow(header)
+        out.writelines(
+            line % (i, *row.tolist(), quoted[d])
+            for i, (row, d) in enumerate(zip(table, batch.decisions.tolist()))
+        )
     finally:
         if args.output:
             out.close()
     return 0
 
 
+def _protocol_config(cfg: dict) -> evaluation.ProtocolConfig:
+    """The ProtocolConfig of a resolved config, field by field: the inverse
+    of evaluation.config_echo.  An int or float field takes its value as
+    that type."""
+    readers = {
+        "methods": tuple,
+        "learners": lambda names: tuple(map(spec_from_name, names)),
+        "alpha_grid": _grid_from_cfg,
+    }
+    kwargs = {}
+    for f in dataclasses.fields(evaluation.ProtocolConfig):
+        read = readers.get(f.name)
+        if read is None and type(f.default) in (int, float):
+            read = type(f.default)
+        kwargs[f.name] = cfg[f.name] if read is None else read(cfg[f.name])
+    return evaluation.ProtocolConfig(**kwargs)
+
+
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args.config, args)
     datasets = [_load_dataset_entry(e) for e in cfg["datasets"]]
-    proto = evaluation.ProtocolConfig(
-        folds=int(cfg["folds"]),
-        repeats=int(cfg["repeats"]),
-        seed=int(cfg["seed"]),
-        significance=float(cfg["significance"]),
-        methods=tuple(cfg["methods"]),
-        learners=tuple(spec_from_name(n) for n in cfg["learners"]),
-        alpha_grid=_grid_from_cfg(cfg["alpha_grid"]),
-        fixed_alpha=float(cfg["fixed_alpha"]),
-        h=cfg["h"],
-        inner_folds=int(cfg["inner_folds"]),
-    )
+    proto = _protocol_config(cfg)
     result = evaluation.run_protocol(datasets, proto)
     echo = dict(cfg)
     echo["alpha_grid"] = list(proto.alpha_grid.values)

@@ -6,7 +6,8 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
   knn                  vote fractions of the k nearest training rows by
                        squared distance, ties to the lower training index
                        (exact-distance matches take the whole vote); query
-                       rows go in blocks of bounded size
+                       rows go in blocks of bounded size, and knn models
+                       on equal training rows share one neighbour search
   gaussian-naive-bayes Gaussian likelihoods x smoothed priors, scaled to sum 1
   lda                  shared-covariance Gaussian discriminants, scaled to sum 1
   fisher               logistic squashing of one-vs-rest Fisher scores
@@ -20,22 +21,29 @@ Classes absent from the fitted data always receive posterior 0.
 Each kind is one entry of `_KINDS`: fitter, predictor, the layout (dtype
 and shape of each value) of the state the predictor reads, which
 `FittedClassifier.from_state` checks, the defaults of every parameter the
-fitter reads, and any batched fold fitter.  `LearnerSpec` rejects other
-parameters and types each by its default: an int >= 1, or a finite
-real > 0.
+fitter reads, any batched fold fitter and any shared predictor.
+`LearnerSpec` rejects other parameters and types each by its default: an
+int >= 1, or a finite real > 0.
 
 `fit_folds` fits one learner on several row subsets of a data set, as
 cross-validation does.  For logistic-linear it steps the weights of all
 subsets together in one kernel call, bitwise equal to separate `fit` calls;
 `fit` itself is the one-subset call of that kernel.
+
+`predict_proba_models` is the prediction counterpart: models of a kind with
+a shared predictor (knn) whose states differ only in their parameters go to
+one call of it, bitwise equal to separate `predict_proba_batch` calls; the
+kind's own predictor is the one-state call of that kernel.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,6 +58,7 @@ __all__ = [
     "STATE_KEYS",
     "fit",
     "fit_folds",
+    "predict_proba_models",
     "default_roster",
     "extended_roster",
     "spec_from_name",
@@ -213,32 +222,56 @@ class FittedClassifier:
     def n_features(self) -> int:
         return int(self.state["n_features"])
 
+    @cached_property
+    def shared_key(self) -> bytes | None:
+        """For a kind with a shared predictor, a digest of the kind and of
+        every state value but the spec's parameters: models with equal keys
+        (knn models on the same training rows, any k) share one predictor
+        call.  None for other kinds.  Taken once per model, never saved."""
+        if _KINDS[self.spec.kind].predict_shared is None:
+            return None
+        h = hashlib.sha256(self.spec.kind.encode())
+        for key in sorted(set(self.state) - set(self.spec.params)):
+            value = np.ascontiguousarray(self.state[key])
+            h.update(f";{key}:{value.dtype.str}:{value.shape}:".encode())
+            h.update(value)
+        return h.digest()
+
     def predict_proba(self, x: Sequence[float]) -> np.ndarray:
         return self.predict_proba_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
 
     def predict_proba_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise LearnerError(
-                f"expected feature dimension {self.n_features}, got {x.shape}"
-            )
-        if not np.isfinite(x).all():
-            raise LearnerError("non-finite query features")
-        raw = _KINDS[self.spec.kind].predict(self.state, x)
-        # Map probabilities over present classes back to the full catalog.
+        return _posteriors([self], x)[0]
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return np.argmax(self.predict_proba_batch(x), axis=1)
+
+    def _to_catalog(self, raw: np.ndarray) -> np.ndarray:
+        """Posteriors over the present classes mapped back to the full
+        catalog.  Raises LearnerError naming the classifier when a score is
+        not finite, as an extreme model state can make it: a row sum is
+        finite only if each of its terms is."""
         present = np.asarray(self.state["present"], dtype=np.int64)
-        out = np.zeros((x.shape[0], self.catalog.size))
-        out[:, present] = raw
+        if len(present) == self.catalog.size:
+            out = raw  # every class present: raw is in catalog order
+        else:
+            out = np.zeros((raw.shape[0], self.catalog.size))
+            out[:, present] = raw
         s = out.sum(axis=1, keepdims=True)
-        bad = (s <= 0).ravel()
-        if bad.any():
+        # Every row sum in (0, inf)?  Two bare reductions cost less than a
+        # mask on a one-row call; a NaN sum fails, an empty batch passes.
+        if not (0.0 < np.minimum.reduce(s, axis=None, initial=np.inf)
+                and np.maximum.reduce(s, axis=None, initial=0.0) < np.inf):
+            if not np.isfinite(s).all():
+                raise LearnerError(
+                    f"classifier {self.spec.name} gives non-finite posteriors"
+                )
+            bad = (s <= 0).ravel()
+            out = out.copy()
             out[bad] = 0.0
             out[np.ix_(bad, present)] = 1.0 / len(present)
             s = out.sum(axis=1, keepdims=True)
         return out / s
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba_batch(x), axis=1)
 
     def to_state(self) -> dict[str, Any]:
         return {
@@ -257,6 +290,47 @@ class FittedClassifier:
         spec = LearnerSpec(payload["kind"], dict(payload["params"]))
         catalog = ClassCatalog(tuple(payload["catalog"]))
         return cls(spec, catalog, _decode_state(spec, catalog.size, payload["state"]))
+
+
+@np.errstate(all="ignore")
+def _posteriors(models: Sequence[FittedClassifier], x) -> list[np.ndarray]:
+    """Catalog posteriors of each of models on the rows of x, from one
+    predictor call: models is one model, or models of one shared_key.
+    Scores are computed with floating-point warnings off; a non-finite
+    result raises instead."""
+    first = models[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != first.n_features:
+        raise LearnerError(
+            f"expected feature dimension {first.n_features}, got {x.shape}"
+        )
+    if not np.isfinite(x).all():
+        raise LearnerError("non-finite query features")
+    kind = _KINDS[first.spec.kind]
+    if len(models) == 1:
+        return [first._to_catalog(kind.predict(first.state, x))]
+    raws = kind.predict_shared([m.state for m in models], x)
+    return [m._to_catalog(raw) for m, raw in zip(models, raws)]
+
+
+def predict_proba_models(
+    models: Sequence[FittedClassifier], x: np.ndarray
+) -> list[np.ndarray]:
+    """`[m.predict_proba_batch(x) for m in models]`, bitwise.  The models
+    that share a `shared_key` go to one call of their kind's shared
+    predictor: the knn models on one training set share one neighbour
+    search."""
+    out: list = [None] * len(models)
+    groups: dict[bytes, list[int]] = {}
+    for j, model in enumerate(models):
+        if model.shared_key is None:
+            out[j] = model.predict_proba_batch(x)
+        else:
+            groups.setdefault(model.shared_key, []).append(j)
+    for group in groups.values():
+        for j, post in zip(group, _posteriors([models[j] for j in group], x)):
+            out[j] = post
+    return out
 
 
 def _jsonable(obj):
@@ -322,42 +396,78 @@ def _fit_knn(spec, x, y, p, seed):
 
 
 def _predict_knn(state, x):
-    """Vote fractions over the query rows, taken in blocks of at most
+    """Vote fractions over the query rows: the one-state call of
+    _predict_knn_shared."""
+    return _predict_knn_shared([state], x)[0]
+
+
+def _predict_knn_shared(states, x):
+    """Vote fractions of each state's k nearest training rows, for states
+    that differ only in k.  Query rows go in blocks of at most
     KNN_BLOCK_CELLS distance terms, so memory is flat in the number of rows.
     Each row's votes depend on that row alone, so the block size never
     changes a bit of the output."""
-    xt, yt, p = state["x"], state["y"], int(state["p"])
-    k = min(int(state["k"]), xt.shape[0])
+    xt, yt, p = states[0]["x"], states[0]["y"], int(states[0]["p"])
+    ks = [min(int(s["k"]), xt.shape[0]) for s in states]
     rows = max(1, KNN_BLOCK_CELLS // max(1, xt.size))
-    counts = np.empty((x.shape[0], p), dtype=np.int64)
+    counts = np.empty((len(ks), x.shape[0], p), dtype=np.int64)
     for lo in range(0, x.shape[0], rows):
-        counts[lo:lo + rows] = _knn_votes(xt, yt, p, k, x[lo:lo + rows])
-    return counts / counts.sum(axis=1, keepdims=True)
+        _knn_votes(xt, yt, ks, x[lo:lo + rows], counts[:, lo:lo + rows])
+    return list(counts / counts.sum(axis=2, keepdims=True))
 
 
-def _knn_votes(xt, yt, p, k, q):
-    """(len(q), p) votes of the k training rows nearest each query row by
-    squared distance, ties to the lower training index: the first k of a
-    stable argsort, found by one partition.  A row with more than k
-    training rows within its k-th distance v keeps the rows below v and
-    the lowest-index rows at v."""
-    n = q.shape[0]
-    d2 = ((q[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
-    # copied, so the partitioned block is freed at once
-    v = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()
-    near = d2 <= v
-    if np.count_nonzero(near) > n * k:  # some row has more than k within v
-        tied = d2 == v
-        room = k - (d2 < v).sum(axis=1, keepdims=True)
-        near &= ~tied | (np.cumsum(tied, axis=1) <= room)
-    i, j = np.nonzero(near)
-    counts = _vote_counts(i, yt[j], n, p)
-    if not d2.all():  # exact matches take the whole vote
-        i, j = np.nonzero(d2 == 0.0)
-        exact = _vote_counts(i, yt[j], n, p)
-        hit = exact.any(axis=1)
-        counts[hit] = exact[hit]
-    return counts
+class _SquaredDiffs:
+    """The squared differences of query rows and training rows as a
+    sequence of (rows, n_train) slabs, one per feature, each computed when
+    it is read."""
+
+    def __init__(self, qt: np.ndarray, xtt: np.ndarray) -> None:
+        self.qt, self.xtt = qt, xtt  # (d, rows) and (d, n_train)
+
+    def __len__(self) -> int:
+        return len(self.qt)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return _SquaredDiffs(self.qt[j], self.xtt[j])
+        e = self.qt[j][:, None] - self.xtt[j]
+        return np.square(e, out=e)
+
+
+def _sq_distances(q, xt):
+    """(len(q), len(xt)) squared distances, bitwise
+    `((q[:, None] - xt[None]) ** 2).sum(axis=2)`: the per-feature slabs
+    summed in numpy's order, without holding them all."""
+    return _class_sum(_SquaredDiffs(np.ascontiguousarray(q.T),
+                                    np.ascontiguousarray(xt.T)))
+
+
+def _knn_votes(xt, yt, ks, q, counts):
+    """Set counts[i] to the (len(q), p) votes of the ks[i] training rows
+    nearest each query row, by squared distance, ties to the lower
+    training index: the first k of a stable argsort.  One partition at
+    k_max = max(ks) finds the candidates and one sort orders them by
+    (distance, index), so every k takes a prefix of them.  A row with more
+    than k_max training rows within its k_max-th distance may have lost a
+    lower-index tie to the partition; it is stable-sorted whole."""
+    n, p = counts.shape[1:]
+    kmax = max(ks)
+    rows = np.arange(n)[:, None]
+    d2 = _sq_distances(q, xt)
+    near = np.argpartition(d2, kmax - 1, axis=1)[:, :kmax]
+    near = near[rows, np.lexsort((near, d2[rows, near]), axis=1)]
+    dist = d2[rows, near]
+    within = d2 <= dist[:, -1:]
+    if np.count_nonzero(within) > n * kmax:  # some row is crowded
+        crowded = within.sum(axis=1) > kmax
+        near[crowded] = np.argsort(d2[crowded], axis=1, kind="stable")[:, :kmax]
+    labels = yt[near]
+    for out, k in zip(counts, ks):
+        out[:] = _vote_counts(rows, labels[:, :k], n, p)
+    if not dist[:, 0].all():  # exact matches take the whole vote
+        hit = dist[:, 0] == 0.0
+        i, j = np.nonzero(d2[hit] == 0.0)
+        counts[:, hit] = _vote_counts(i, yt[j], int(hit.sum()), p)
 
 
 def _vote_counts(rows, labels, n, p):
@@ -455,24 +565,32 @@ def _predict_ovr_logistic(state, x):
 
 # --- logistic linear (multinomial) ----------------------------------------
 
-def _class_sum(e: np.ndarray) -> np.ndarray:
+def _class_sum(e) -> np.ndarray:
     """Sum of e over its leading (class) axis, added in numpy's pairwise
     order for a contiguous last-axis reduction, so each entry is bitwise
     what `probs.sum(axis=1)` gives for one fit: sequential below 8 classes,
     eight running partial sums up to 128, halving above.  Whole-slab
-    additions replace a reduction over a short trailing axis."""
-    m = e.shape[0]
+    additions replace a reduction over a short trailing axis.  e may be any
+    sliceable sequence of equal-shape slabs: each is read when its addition
+    needs it and never written, and each partial sum is finished before
+    the next starts, so at most five slabs are held at once."""
+    m = len(e)
     if m < 8:
-        s = e[0].copy()
-        for c in range(1, m):
+        s = e[0] + e[1] if m > 1 else e[0].copy()
+        for c in range(2, m):
             s += e[c]
         return s
     if m <= 128:
-        r = e[:8].copy()
         end = m - m % 8
-        for c in range(8, end, 8):
-            r += e[c:c + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+
+        def partial(i):  # e[i] + e[i + 8] + ... below end
+            r = e[i] if end == 8 else e[i] + e[i + 8]
+            for c in range(i + 16, end, 8):
+                r += e[c]
+            return r
+
+        s = (((partial(0) + partial(1)) + (partial(2) + partial(3)))
+             + ((partial(4) + partial(5)) + (partial(6) + partial(7))))
         for c in range(end, m):
             s += e[c]
         return s
@@ -662,6 +780,9 @@ class _Kind(NamedTuple):
     state: dict[str, Any]  # key -> layout, as _decode_state reads it
     defaults: dict[str, int | float]
     fit_folds: Callable | None = None  # (spec, data, rests, presents)
+    # (states, x) -> one posterior array per state, for states that differ
+    # only in the spec's parameters; predict is its one-state call
+    predict_shared: Callable | None = None
 
 
 # State layouts, in p (present classes), d (features) and n (training rows):
@@ -676,7 +797,7 @@ _TREE_STATE = {"tree": _TREE, "p": "p"}
 _KINDS = {
     "knn": _Kind(_fit_knn, _predict_knn,
                  {"x": (_F, "n", "d"), "y": (_LABEL, "n"), "k": "k", "p": "p"},
-                 {"k": 5}),
+                 {"k": 5}, predict_shared=_predict_knn_shared),
     "gaussian-naive-bayes": _Kind(
         _fit_gnb, _predict_gnb,
         {"theta": (_F, "p", "d"), "var": (_POSITIVE, "p", "d"),

@@ -22,8 +22,8 @@ biased as a generalization estimate.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .learners import (
     _finite_real,
     fit,
     fit_folds,
+    predict_proba_models,
 )
 from .metadata import ClassCatalog, MetaMatrix
 
@@ -48,6 +49,7 @@ __all__ = [
     "FoldPlan",
     "TrainedEnsemble",
     "PredictionDetail",
+    "PredictionBatch",
     "TrainingError",
     "default_alpha_grid",
     "derive_seed",
@@ -163,8 +165,9 @@ def fit_complements(
 
 
 def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndarray:
-    """(n, K, M) posterior profiles of the rows of x, one column per model."""
-    return np.stack([model.predict_proba_batch(x) for model in models], axis=1)
+    """(n, K, M) posterior profiles of the rows of x, one column per model.
+    The knn models of one training set share one neighbour search."""
+    return np.stack(predict_proba_models(models, x), axis=1)
 
 
 def generate_meta_cv(
@@ -305,33 +308,54 @@ def ensemble_profiles(ensemble: TrainedEnsemble, x: np.ndarray) -> np.ndarray:
     return stack_profiles(ensemble.classifiers, x)
 
 
+@dataclass(frozen=True, eq=False)
+class PredictionBatch(Sequence):
+    """The predictions of n rows as arrays: the read-only (n, K, M)
+    profiles, the (n, M, 2) [lower, upper] granule bounds, the (n, M)
+    memberships and the (n,) decisions.  As a sequence its items are the
+    rows' PredictionDetail, each built when it is read; a slice is the
+    batch of those rows."""
+
+    profiles: np.ndarray
+    bounds: np.ndarray
+    memberships: np.ndarray
+    decisions: np.ndarray
+    alpha: float
+
+    def __len__(self) -> int:
+        return len(self.decisions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PredictionBatch(self.profiles[i], self.bounds[i],
+                                   self.memberships[i], self.decisions[i],
+                                   self.alpha)
+        i = range(len(self))[i]  # a list's IndexError and TypeError
+        return PredictionDetail(
+            profile=self.profiles[i],
+            intervals=tuple(Granule(lo, hi, self.alpha)
+                            for lo, hi in self.bounds[i].tolist()),
+            memberships=tuple(self.memberships[i].tolist()),
+            decision=int(self.decisions[i]),
+        )
+
+
 def predict(ensemble: TrainedEnsemble, x: Sequence[float]) -> PredictionDetail:
     return predict_batch(ensemble, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def predict_batch(
-    ensemble: TrainedEnsemble, x: np.ndarray
-) -> list[PredictionDetail]:
-    """One PredictionDetail per row of x.  All rows go through the batch
-    granule kernel together; each detail holds its row's bounds,
-    memberships and argmax, so a row decides as `evaluate` decides on the
-    same profile."""
+def predict_batch(ensemble: TrainedEnsemble, x: np.ndarray) -> PredictionBatch:
+    """The predictions of the rows of x.  All rows go through the batch
+    granule kernel together; each row's decision is the argmax of its
+    memberships, so a row decides as `evaluate` decides on the same
+    profile."""
     profiles = MetaMatrix(
         ensemble_profiles(ensemble, x), ensemble.catalog, ensemble.classifier_ids
     ).scores
     bounds = combiners.granular_bounds_batch(profiles, ensemble.alpha)
     values = combiners.memberships_from_bounds(bounds, ensemble.h)
-    decisions = np.argmax(values, axis=1)
-    alpha = float(ensemble.alpha)
-    return [
-        PredictionDetail(
-            profile=profile,
-            intervals=tuple(Granule(lo, hi, alpha) for lo, hi in bounds[i].tolist()),
-            memberships=tuple(values[i].tolist()),
-            decision=int(decisions[i]),
-        )
-        for i, profile in enumerate(profiles)
-    ]
+    return PredictionBatch(profiles, bounds, values, np.argmax(values, axis=1),
+                           float(ensemble.alpha))
 
 
 def save_ensemble(path, ensemble: TrainedEnsemble) -> None:

@@ -279,6 +279,8 @@ def test_12_no_leakage_in_meta_cv(monkeypatch):
     violations = []
 
     class AuditedModel:
+        shared_key = None  # predicted alone, through predict_proba_batch
+
         def __init__(self, model, train_rows):
             self.model = model
             self.train_rows = train_rows

@@ -1,11 +1,14 @@
 import csv
+import io
 import json
+import warnings
 
 import pytest
 
-from granulex import training
+from granulex import evaluation, training
 from granulex.cli import MAX_GRID_POINTS, CliError, main, parse_grid
-from granulex.datasets import GeneratorSpec, bundled_path, generate
+from granulex.datasets import GeneratorSpec, bundled_path, generate, load_features
+from granulex.learners import spec_from_name
 
 
 def write_dataset_csv(path, n=60, seed=0, kind="twonorm-like", d=2, noise=1.0):
@@ -207,6 +210,39 @@ class TestEvaluate:
         assert (out1 / "report.json").read_bytes() == (
             out2 / "report.json"
         ).read_bytes()
+
+    def test_every_config_field_reaches_the_protocol(self, tmp_path, monkeypatch):
+        """A config that sets every ProtocolConfig field to a value other
+        than its default: evaluate runs that protocol, and report.json
+        echoes each value."""
+        cfg = {
+            "datasets": [{"path": str(bundled_path("rings.csv"))}],
+            "folds": 3, "repeats": 2, "seed": 4, "significance": 0.1,
+            "methods": ["rule:sum", "granular-fixed", "granular-cv"],
+            "learners": ["lda", "knn3", "knn5"],
+            "alpha_grid": [0.0, 0.5, 1.5], "fixed_alpha": 0.7, "h": "h1",
+            "inner_folds": 3,
+        }
+        seen = []
+        run = evaluation.run_protocol
+        monkeypatch.setattr(evaluation, "run_protocol",
+                            lambda data, config: run(data, seen.append(config) or config))
+        code, out = self.run_eval(tmp_path, cfg)
+        assert code == 0
+        (proto,) = seen
+        echo = evaluation.config_echo(proto)
+        default = evaluation.config_echo(evaluation.ProtocolConfig())
+        assert set(echo) == set(default) == set(cfg) - {"datasets"}
+        assert all(echo[key] != default[key] for key in echo)
+        assert all(type(echo[key]) is type(default[key]) for key in echo)
+        report = json.loads((out / "report.json").read_text())["config"]
+        for key in echo:
+            want = cfg[key]
+            if key == "learners":
+                want = [{"kind": s.kind, "params": s.params}
+                        for s in map(spec_from_name, want)]
+            assert json.loads(json.dumps(echo[key])) == want, key
+            assert report[key] == cfg[key], key
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = dict(EVAL_CONFIG)
@@ -600,4 +636,102 @@ def test_bad_model_state_exits_1(tmp_path, capsys, rings_model, case):
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: model classifier {j}: state {message}" in err
+    assert "Traceback" not in err
+
+
+# --- predict output --------------------------------------------------------
+
+def _reference_predict_csv(model, query, emit_intervals):
+    """granulex predict's output as its row-by-row writer wrote it."""
+    ensemble = training.load_ensemble(model)
+    details = training.predict_batch(ensemble, load_features(query))
+    labels = ensemble.catalog.labels
+    header = ["obs_id"]
+    if emit_intervals:
+        for lab in labels:
+            header += [f"{lab}_lower", f"{lab}_upper"]
+    for lab in labels:
+        header.append(f"{lab}_ncm")
+    header.append("decision")
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for i, det in enumerate(details):
+        row: list = [i]
+        if emit_intervals:
+            for g in det.intervals:
+                row += [f"{g.lower:.17g}", f"{g.upper:.17g}"]
+        row += [f"{v:.17g}" for v in det.memberships]
+        row.append(labels[det.decision])
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module", params=["plain", "quoted"])
+def served_model(request, tmp_path_factory):
+    """A model of lda, knn3, knn5 and a decision tree on three classes, and
+    a query CSV; the quoted case's labels hold a comma and a quote."""
+    tmp = tmp_path_factory.mktemp("serve")
+    data = generate(GeneratorSpec("concentric-rings", n=90, d=3, seed=12))
+    names = {"plain": ["in", "mid", "out"],
+             "quoted": ['a,b', 'say "hi"', "plain"]}[request.param]
+    with open(tmp / "train.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "f2", "label"])
+        for row, lab in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in row] + [names[lab]])
+    assert main(["train", "--data", str(tmp / "train.csv"), "--alpha", "0.6",
+                 "--learners", "lda,knn3,knn5,decision-tree",
+                 "--output", str(tmp / "m.json")]) == 0
+    query = generate(GeneratorSpec("concentric-rings", n=70, d=3, seed=13))
+    with open(tmp / "q.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "f2"])
+        writer.writerows([repr(float(v)) for v in row] for row in query.features)
+    return tmp / "m.json", tmp / "q.csv"
+
+
+@pytest.mark.parametrize("emit", [True, False], ids=["intervals", "ncm"])
+@pytest.mark.parametrize("dest", ["output", "stdout"])
+def test_predict_output_is_the_row_by_row_writers(
+    tmp_path, capsys, served_model, emit, dest
+):
+    model, query = served_model
+    capsys.readouterr()
+    argv = ["predict", "--model", str(model), "--data", str(query)]
+    argv += ["--emit-intervals"] * emit
+    if dest == "output":
+        argv += ["--output", str(tmp_path / "p.csv")]
+    assert main(argv) == 0
+    want = _reference_predict_csv(model, query, emit)
+    if dest == "output":
+        assert (tmp_path / "p.csv").read_bytes() == want.encode()
+    else:
+        assert capsys.readouterr().out == want
+    assert want.count("\r\n") == 71
+
+
+def test_overflowing_model_state_exits_1(tmp_path, capsys):
+    """An lda state whose scores overflow names the classifier and exits 1,
+    without a RuntimeWarning or a traceback."""
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(bundled_path("rings.csv")),
+                 "--learners", "lda,gaussian-naive-bayes", "--alpha", "1.0",
+                 "--output", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    state = payload["classifiers"][0]["state"]
+    state["inv_cov"]["__nd__"][0][0] = 1e308
+    state["means"]["__nd__"][0][0] = 1e200
+    model.write_text(json.dumps(payload))
+    rows = read_csv_rows(bundled_path("rings.csv"))
+    with open(tmp_path / "q.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(row[:3] for row in rows)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["predict", "--model", str(model), "--data",
+                     str(tmp_path / "q.csv"), "--output", str(tmp_path / "p.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: classifier lda gives non-finite posteriors" in err
     assert "Traceback" not in err

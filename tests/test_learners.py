@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from granulex.learners import (
     spec_from_name,
 )
 from granulex.metadata import ClassCatalog, validate_scores
+from granulex.training import fit_complements, make_fold_plan
 
 CAT2 = ClassCatalog(("A", "B"))
 
@@ -528,3 +530,187 @@ def test_predict_knn_memory_is_flat_in_the_rows():
     small, _ = peak(one_block)
     large, out_bytes = peak(20_000)
     assert large - small <= 3 * out_bytes
+
+
+# --- shared neighbour search ---------------------------------------------------
+
+# The k values of each roster's knn learners: default, extended, the
+# headline protocol's, a repeated k, and k at and beyond every training size.
+KNN_ROSTERS = {
+    "default": [5, 25, 50],
+    "extended": [5, 25, 50, 75],
+    "headline": [1, 3, 25],
+    "repeated": [5, 5],
+    "beyond-n": [3, 120, 400],
+}
+
+
+@pytest.mark.parametrize("roster", list(KNN_ROSTERS))
+def test_shared_knn_search_matches_reference_bitwise(roster, monkeypatch):
+    """Every k of one search is the per-query definition of its vote, on
+    quantized data with d = 1..16, ties at and beyond the k_max-th
+    distance, exact matches, and block edges between exact-match rows and
+    plain rows."""
+    ks = KNN_ROSTERS[roster]
+    rng = np.random.default_rng(310 + len(ks))
+    exact_rows = crowded_rows = mixed_edges = 0
+    for case in range(64):
+        n = int(rng.integers(1, 120))
+        d = case % 16 + 1
+        p = int(rng.integers(2, 6))
+        xt = np.round(rng.normal(size=(n, d)) * rng.choice([0.5, 1.0, 2.0]))
+        if rng.integers(0, 2):  # duplicated training rows
+            xt[: n // 2] = xt[n - n // 2:][: n // 2]
+        y = rng.integers(0, p, size=n)
+        states = [{"x": xt, "y": y, "k": k, "p": p} for k in ks]
+        q = np.vstack([np.round(rng.normal(size=(20, d))), xt[:10]])
+        q = q[rng.permutation(len(q))]
+        block = int(rng.integers(1, 8)) if case % 3 else len(q)
+        monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", block * xt.size)
+        got = learners._predict_knn_shared(states, q)
+        assert len(got) == len(states)
+        for state, posteriors in zip(states, got):
+            assert np.array_equal(posteriors, _reference_predict_knn(state, q))
+        d2 = ((q[:, None] - xt[None]) ** 2).sum(axis=2)
+        exact = (d2 == 0.0).any(axis=1)
+        exact_rows += int(exact.sum())
+        edges = np.arange(block, len(q), block)
+        mixed_edges += int((exact[edges - 1] != exact[edges]).sum())
+        kmax = min(max(ks), n)
+        v = np.sort(d2, axis=1)[:, kmax - 1:kmax]
+        crowded_rows += int(((d2 <= v).sum(axis=1) > kmax)[~exact].sum())
+    assert exact_rows > 400 and mixed_edges > 40
+    if max(ks) < 120:  # k_max = n for every training size otherwise
+        assert crowded_rows > 20
+
+
+def test_class_sum_never_writes_its_input():
+    rng = np.random.default_rng(313)
+    for m in [1, 2, 7, 8, 9, 16, 23, 24, 130, 300]:
+        e = rng.random((m, 4, 3))
+        e.setflags(write=False)
+        expected = np.ascontiguousarray(e.transpose(1, 2, 0)).sum(axis=-1)
+        assert np.array_equal(learners._class_sum(e), expected), m
+
+
+def test_sq_distances_follow_the_broadcast_expression():
+    """Bitwise for every d up to 16 and on the halving path above 128."""
+    rng = np.random.default_rng(311)
+    for d in list(range(1, 17)) + [130, 300]:
+        q = rng.normal(size=(7, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        xt = rng.normal(size=(11, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        expected = ((q[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(learners._sq_distances(q, xt), expected), d
+
+
+def _count_searches(monkeypatch):
+    """Spy on the distance kernel: one (training rows, query rows) entry
+    per call."""
+    calls = []
+    real = learners._sq_distances
+
+    def spy(q, xt):
+        calls.append((xt.tobytes(), len(q)))
+        return real(q, xt)
+
+    monkeypatch.setattr(learners, "_sq_distances", spy)
+    return calls
+
+
+def _one_by_one(models, x):
+    return np.stack([m.predict_proba_batch(x) for m in models], axis=1)
+
+
+def test_knn_models_of_one_training_set_share_one_search(monkeypatch):
+    """The default roster's three knn models take one distance kernel call
+    per block, and the stack is bitwise the per-model one."""
+    data = generate(GeneratorSpec("concentric-rings", n=200, d=3, seed=5))
+    models = [fit(spec, data, j) for j, spec in enumerate(default_roster())]
+    q = generate(GeneratorSpec("concentric-rings", n=500, d=3, seed=6)).features
+    monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", 120 * data.features.size)
+    expected = _one_by_one(models, q)
+    calls = _count_searches(monkeypatch)
+    got = np.stack(learners.predict_proba_models(models, q), axis=1)
+    assert np.array_equal(got, expected)
+    assert [rows for _, rows in calls] == [120, 120, 120, 120, 20]
+    assert {key for key, _ in calls} == {data.features.tobytes()}
+
+
+def test_knn_models_of_different_folds_do_not_share_a_search(monkeypatch):
+    """A model list mixing the folds of fit_complements: each training set
+    gets its own search, and every column is its own model's."""
+    data = load_bundled("rings")
+    plan = make_fold_plan(data.labels, 3, seed=1)
+    folds = fit_complements(data, default_roster(), plan, seed=2)
+    models = [folds[0][2], folds[1][3], folds[0][4], folds[2][2],
+              folds[1][0], folds[2][4], folds[0][3]]
+    assert [m.spec.name for m in models][:4] == ["knn5", "knn25", "knn50", "knn5"]
+    expected = _one_by_one(models, data.features)
+    calls = _count_searches(monkeypatch)
+    got = np.stack(learners.predict_proba_models(models, data.features), axis=1)
+    assert np.array_equal(got, expected)
+    trained_on = {data.features[plan.complement_indices(t)].tobytes()
+                  for t in range(3)}
+    assert sorted(key for key, _ in calls) == sorted(trained_on)
+
+
+def test_shared_key_is_kept_off_the_model_file():
+    data = load_bundled("rings")
+    knn5, knn25 = (fit(LearnerSpec("knn", {"k": k}), data, 0) for k in (5, 25))
+    before = knn5.to_state()
+    assert knn5.shared_key == knn25.shared_key
+    assert knn5.to_state() == before and "shared_key" not in str(before)
+    assert fit(LearnerSpec("lda"), data, 0).shared_key is None
+    clone = FittedClassifier.from_state(before)
+    assert clone.shared_key == knn5.shared_key
+    moved = FittedClassifier.from_state(before)
+    moved.state["x"] = moved.state["x"] + 1.0
+    assert moved.shared_key != knn5.shared_key
+
+
+def test_shared_knn_memory_is_flat_in_the_rows():
+    """As for one model: beyond one block, the rows add only the counts
+    and the posteriors of each model."""
+    rng = np.random.default_rng(312)
+    xt, y = rng.normal(size=(600, 4)), rng.integers(0, 3, size=600)
+    states = [{"x": xt, "y": y, "k": k, "p": 3} for k in (5, 25, 50)]
+    one_block = learners.KNN_BLOCK_CELLS // xt.size
+
+    def peak(rows):
+        q = rng.normal(size=(rows, 4))
+        tracemalloc.start()
+        try:
+            out = learners._predict_knn_shared(states, q)
+            return tracemalloc.get_traced_memory()[1], sum(o.nbytes for o in out)
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(one_block)
+    large, out_bytes = peak(20_000)
+    assert large - small <= 3 * out_bytes
+
+
+def test_non_finite_scores_raise_naming_the_classifier():
+    """An LDA state that overflows its scores fails with a LearnerError,
+    not a RuntimeWarning, in every prediction path."""
+    data = toy([[0.0, 0.0], [0.2, 0.1], [3.0, 3.0], [3.1, 2.9]], [0, 0, 1, 1])
+    model = fit(LearnerSpec("lda"), data, 0)
+    model.state["inv_cov"][0, 0] = 1e308
+    model.state["means"][0, 0] = 1e200
+    q = np.array([[0.0, 0.0], [3.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (model.predict_proba_batch,
+                     lambda q: learners.predict_proba_models([model], q)):
+            with pytest.raises(LearnerError,
+                               match="classifier lda gives non-finite"):
+                call(q)
+
+
+def test_posteriors_of_an_empty_batch_are_empty():
+    """The row-sum test of the catalog mapping passes a zero-row batch."""
+    data = toy([[0.0, 0.0], [0.2, 0.1], [3.0, 3.0], [3.1, 2.9]], [0, 0, 1, 1])
+    model = fit(LearnerSpec("lda"), data, 0)
+    for call in (model.predict_proba_batch,
+                 lambda q: learners.predict_proba_models([model], q)[0]):
+        assert call(np.empty((0, 2))).shape == (0, 2)

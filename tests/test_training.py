@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import granulex.training as training
-from granulex import combiners
+from granulex import combiners, learners
+from granulex.combiners import Granule
 from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
 from granulex.evaluation import alpha_error_curves
 from granulex.learners import Dataset, LearnerSpec, default_roster, extended_roster
@@ -323,6 +324,99 @@ class TestPredict:
         batch = predict_batch(e, q)
         singles = [predict(e, row) for row in q]
         assert [d.decision for d in batch] == [d.decision for d in singles]
+
+
+def _reference_details(ensemble, x):
+    """The reference for predict_batch's items: one PredictionDetail per
+    row, all built at once from the batch kernels."""
+    profiles = MetaMatrix(
+        training.ensemble_profiles(ensemble, x), ensemble.catalog,
+        ensemble.classifier_ids,
+    ).scores
+    bounds = combiners.granular_bounds_batch(profiles, ensemble.alpha)
+    values = combiners.memberships_from_bounds(bounds, ensemble.h)
+    decisions = np.argmax(values, axis=1)
+    alpha = float(ensemble.alpha)
+    return [
+        training.PredictionDetail(
+            profile=profile,
+            intervals=tuple(Granule(lo, hi, alpha) for lo, hi in bounds[i].tolist()),
+            memberships=tuple(values[i].tolist()),
+            decision=int(decisions[i]),
+        )
+        for i, profile in enumerate(profiles)
+    ]
+
+
+def _same_details(got, want):
+    got, want = list(got), list(want)
+    assert got == want
+    for g, w in zip(got, want):
+        assert np.array_equal(g.profile, w.profile)
+        assert not g.profile.flags.writeable
+
+
+class TestPredictionBatch:
+    @pytest.fixture(scope="class")
+    def case(self):
+        data = generate(GeneratorSpec("concentric-rings", n=120, d=3, seed=8))
+        e = train(data, default_roster(), seed=1, fixed_alpha=0.8)
+        q = generate(GeneratorSpec("concentric-rings", n=40, d=3, seed=9)).features
+        return predict_batch(e, q), _reference_details(e, q)
+
+    def test_arrays_are_the_details(self, case):
+        batch, ref = case
+        n, k, m = batch.profiles.shape
+        assert (len(ref), m) == batch.memberships.shape
+        assert batch.bounds.shape == (n, m, 2) and batch.decisions.shape == (n,)
+        assert [d.decision for d in ref] == batch.decisions.tolist()
+
+    def test_len_index_and_iteration(self, case):
+        batch, ref = case
+        assert len(batch) == len(ref) == 40
+        _same_details(batch, ref)
+        for i in range(-len(ref), len(ref)):
+            _same_details([batch[i]], [ref[i]])
+        _same_details([batch[np.int64(3)]], [ref[3]])
+        for bad in (40, -41):
+            with pytest.raises(IndexError):
+                batch[bad]
+        with pytest.raises(TypeError):
+            batch[1.0]
+
+    @pytest.mark.parametrize("cut", [slice(None), slice(3, 9), slice(-5, None),
+                                     slice(None, None, -3), slice(7, 2),
+                                     slice(1, 30, 4)])
+    def test_slices(self, case, cut):
+        batch, ref = case
+        part = batch[cut]
+        assert isinstance(part, training.PredictionBatch)
+        assert len(part) == len(ref[cut])
+        _same_details(part, ref[cut])
+
+
+def test_hand_edited_knn_training_rows_get_their_own_search(tmp_path, monkeypatch):
+    """A model file whose knn25 training rows differ from its knn5 and
+    knn50 ones: that model searches alone, on its own rows."""
+    data = generate(GeneratorSpec("concentric-rings", n=150, d=3, seed=10))
+    e = train(data, default_roster(), seed=2, fixed_alpha=1.0)
+    assert [c.spec.name for c in e.classifiers[2:5]] == ["knn5", "knn25", "knn50"]
+    path = tmp_path / "m.json"
+    save_ensemble(path, e)
+    model = json.loads(path.read_text())
+    model["classifiers"][3]["state"]["x"]["__nd__"][0][0] += 0.5
+    path.write_text(json.dumps(model))
+    edited = load_ensemble(path)
+    q = generate(GeneratorSpec("concentric-rings", n=60, d=3, seed=11)).features
+    calls = []
+    real = learners._sq_distances
+    monkeypatch.setattr(learners, "_sq_distances",
+                        lambda q, xt: calls.append(xt.tobytes()) or real(q, xt))
+    profiles = training.ensemble_profiles(edited, q)
+    edited_rows = edited.classifiers[3].state["x"].tobytes()
+    assert sorted(calls) == sorted([data.features.tobytes(), edited_rows])
+    for j, c in enumerate(edited.classifiers):
+        assert np.array_equal(profiles[:, j], c.predict_proba_batch(q)), j
 
 
 class TestSerialization:
