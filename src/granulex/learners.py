@@ -14,7 +14,11 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
   logistic-linear      multinomial softmax regression
   decision-tree/stump  leaf class proportions
   nearest-mean         softmin of distances to class means
-  perceptron           logistic squashing of one-vs-rest perceptron scores
+  perceptron           logistic squashing of one-vs-rest perceptron scores;
+                       an epoch after one with at most n/4 updates scores
+                       its remaining rows as one product and steps only
+                       through the rows a rounding bound cannot settle, so
+                       the weights are bitwise those of the row loop
 
 Classes absent from the fitted data always receive posterior 0.
 
@@ -67,6 +71,7 @@ __all__ = [
 RIDGE_FACTOR = 1e-6     # scatter-matrix regularization, scaled by trace/d
 VARIANCE_FLOOR = 1e-9   # per-feature variance floor in naive Bayes
 KNN_BLOCK_CELLS = 1 << 20  # query rows x training rows x features per knn block
+SYMMETRY_TOLERANCE = 1e-9  # of a loaded LDA inv_cov, relative to its largest entry
 
 
 # What a parameter must be, by the type of its default: (wording, check).
@@ -734,7 +739,8 @@ def _tree_row(node, row):
 
 
 def _predict_tree(state, x):
-    return np.asarray([_tree_row(state["tree"], row) for row in x])
+    leaves = [_tree_row(state["tree"], row) for row in x]
+    return np.array(leaves, dtype=np.float64).reshape(len(x), state["p"])
 
 
 # --- nearest mean ----------------------------------------------------------
@@ -751,23 +757,81 @@ def _predict_nearest_mean(state, x):
 
 # --- perceptron ------------------------------------------------------------
 
+_EPS = np.finfo(np.float64).eps
+_NORMAL = np.finfo(np.float64).smallest_normal
+
+
+def _unsure_rows(tx, scales, top, wa):
+    """Mask over the rows (t x_i, t) of tx of those whose perceptron step
+    `t * (x_i @ w + b) <= 0` one product with wa = (w, b) cannot settle.
+    scales[i] is 4 (d+1) eps |(x_i, 1)| and top the largest |(x_i, 1)|.
+
+    The step and tx @ wa both sum the d+1 products t x_ij w_j and t b.  In
+    any order, such a sum is within gamma_{d+1} S_i of the exact value,
+    where S_i, the sum of the products' magnitudes, is <= |(x_i, 1)| |wa|,
+    plus half the least subnormal per product that underflows (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2.1 and 3.1).  The two
+    sums thus differ by less than a quarter of the tolerance
+    4 (d+1) eps |(x_i, 1)| |wa| + |(x_i, 1)| * least normal, so a margin
+    above it means a step margin above 0: that step makes no update.
+    While top |wa| <= 2^1000 no term or partial sum overflows and every
+    margin is finite; beyond that every row is unsure."""
+    norm = math.hypot(*wa.tolist())  # inf, not a warning, on overflow
+    if not top * norm <= 2.0 ** 1000:
+        return np.ones(len(tx), dtype=bool)
+    c = 4 * tx.shape[1] * _EPS
+    return ~(tx @ wa > scales * (norm + _NORMAL / c))
+
+
 def _fit_perceptron(spec, x, y, p, seed):
+    """One-vs-rest perceptrons, one row step at a time in a fresh random
+    order each epoch.  An epoch after one with at most n/4 updates scans as
+    arrays: it scores the remaining rows at once, takes the step only for
+    the rows _unsure_rows leaves, and rescores after each update.  Every
+    update is the row loop's, so the weights are bitwise the same."""
     iterations = int(spec.params["iterations"])
     rate = float(spec.params["rate"])
     rng = np.random.default_rng(seed)
     n, d = x.shape
+    xa = np.hstack([x, np.ones((n, 1))])
+    with np.errstate(over="ignore"):
+        norms = np.hypot.reduce(xa, axis=1)  # |(x_i, 1)| >= 1; inf on overflow
+    scales, top = 4 * (d + 1) * _EPS * norms, float(norms.max())
     ws = np.zeros((p, d))
     bs = np.zeros(p)
     for c in range(p):
         t = np.where(y == c, 1.0, -1.0)
-        w = np.zeros(d)
+        tx = t[:, None] * xa
+        wa = np.zeros(d + 1)  # (w, b) for _unsure_rows
+        w = wa[:d]
         b = 0.0
+        updates = n  # the first epoch goes row by row
         for _ in range(iterations):
             order = rng.permutation(n)
-            for i in order:
+            if 4 * updates > n:
+                updates = 0
+                for i in order:
+                    if t[i] * (x[i] @ w + b) <= 0:
+                        w += rate * t[i] * x[i]
+                        b += rate * t[i]
+                        updates += 1
+                continue
+            txo, so = tx[order], scales[order]
+            wa[d] = b
+            unsure = _unsure_rows(txo, so, top, wa)
+            updates, j = 0, 0
+            while j < n:
+                j += int(unsure[j:].argmax())
+                if not unsure[j]:
+                    break
+                i = order[j]
+                j += 1
                 if t[i] * (x[i] @ w + b) <= 0:
                     w += rate * t[i] * x[i]
                     b += rate * t[i]
+                    updates += 1
+                    wa[d] = b
+                    unsure[j:] = _unsure_rows(txo[j:], so[j:], top, wa)
         ws[c], bs[c] = w, b
     return {"w": ws, "b": bs}
 
@@ -787,10 +851,11 @@ class _Kind(NamedTuple):
 
 # State layouts, in p (present classes), d (features) and n (training rows):
 # (_F, *shape) a finite float64 array, (_POSITIVE, *shape) one of values
-# > 0; (_LABEL, n) an int64 array of present class indices 0..p-1; "p" or a
-# parameter name, an integer equal to p or to that parameter; _TREE the
-# nested split and leaf dicts of _grow_tree.
-_F, _POSITIVE, _LABEL, _TREE = "float64", "positive", "label", "tree"
+# > 0, (_SPD, d, d) a symmetric positive definite one; (_LABEL, n) an int64
+# array of present class indices 0..p-1; "p" or a parameter name, an
+# integer equal to p or to that parameter; _TREE the nested split and leaf
+# dicts of _grow_tree.
+_F, _POSITIVE, _SPD, _LABEL, _TREE = "float64", "positive", "spd", "label", "tree"
 _OVR = {"w": (_F, "p", "d"), "b": (_F, "p")}
 _TREE_STATE = {"tree": _TREE, "p": "p"}
 
@@ -805,7 +870,7 @@ _KINDS = {
         {}),
     "lda": _Kind(
         _fit_lda, _predict_lda,
-        {"means": (_F, "p", "d"), "inv_cov": (_F, "d", "d"),
+        {"means": (_F, "p", "d"), "inv_cov": (_SPD, "d", "d"),
          "log_priors": (_F, "p")},
         {}),
     "fisher": _Kind(_fit_fisher, _predict_ovr_logistic, _OVR, {}),
@@ -892,6 +957,20 @@ def _check_tree(root, p: int, d: int) -> None:
             )
 
 
+def _check_spd(a: np.ndarray, what: str) -> None:
+    """A square finite matrix is symmetric to SYMMETRY_TOLERANCE of its
+    largest entry, as a fitted inverse covariance is to rounding, and
+    positive definite: its Cholesky factorization exists."""
+    with np.errstate(over="ignore"):  # a difference of two huge entries
+        skew = np.abs(a - a.T).max()
+    if not skew <= SYMMETRY_TOLERANCE * np.abs(a).max():
+        raise LearnerError(f"{what} must be a symmetric matrix")
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise LearnerError(f"{what} must be positive definite") from None
+
+
 def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
     """A fitted state from its JSON form, every value checked against the
     kind's layout: the predictor can use it and its shapes agree."""
@@ -919,7 +998,8 @@ def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
         else:
             dtype, *dims = layout
             what = f"state {key!r}"
-            stored = {_POSITIVE: "float64", _LABEL: "int64"}.get(dtype, dtype)
+            stored = {_POSITIVE: "float64", _SPD: "float64",
+                      _LABEL: "int64"}.get(dtype, dtype)
             value = _decode_array(value, stored, what)
             if value.ndim == len(dims):
                 for dim, size in zip(dims, value.shape):
@@ -934,5 +1014,7 @@ def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
                 raise LearnerError(f"{what} must hold class indices below {p}")
             if dtype == _POSITIVE and not (value > 0).all():
                 raise LearnerError(f"{what} must hold values > 0")
+            if dtype == _SPD:
+                _check_spd(value, what)
         out[key] = value
     return out

@@ -438,6 +438,7 @@ class TestErrorPaths:
         ([["1", "x"], ["3", "4"]], "rows [2]"),
         ([["1", "2"], ["nan", "4"], ["5", "inf"]], "rows [3, 4]"),
         ([["1", "2"], [], [], ["3"]], "rows [5]"),  # blank lines count
+        ([], "has no data rows"),
     ])
     def test_bad_query_row_named(self, tmp_path, capsys, rows, bad):
         data_csv = tmp_path / "train.csv"
@@ -612,6 +613,10 @@ BAD_STATES = {
                    "'tree' leaf must list 3 finite numbers"),
     "zero-variance": (4, ("state", "var", "__nd__", 0, 0), 0.0,
                       "'var' must hold values > 0"),
+    "inv-cov-skew": (0, ("state", "inv_cov", "__nd__", 0, 1), 1234.5,
+                     "'inv_cov' must be a symmetric matrix"),
+    "inv-cov-indefinite": (0, ("state", "inv_cov", "__nd__", 0, 0), -1.0,
+                           "'inv_cov' must be positive definite"),
 }
 
 

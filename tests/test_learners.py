@@ -423,6 +423,125 @@ def test_fit_logistic_is_the_one_fold_kernel(monkeypatch):
     assert np.array_equal(got, fit(spec, data, 0).state["w"])
 
 
+# --- perceptron scan oracle -------------------------------------------------
+
+def _reference_fit_perceptron(spec, x, y, p, seed):
+    """The row-loop definition of the perceptron learner."""
+    iterations = int(spec.params["iterations"])
+    rate = float(spec.params["rate"])
+    rng = np.random.default_rng(seed)
+    n, d = x.shape
+    ws = np.zeros((p, d))
+    bs = np.zeros(p)
+    for c in range(p):
+        t = np.where(y == c, 1.0, -1.0)
+        w = np.zeros(d)
+        b = 0.0
+        for _ in range(iterations):
+            order = rng.permutation(n)
+            for i in order:
+                if t[i] * (x[i] @ w + b) <= 0:
+                    w += rate * t[i] * x[i]
+                    b += rate * t[i]
+        ws[c], bs[c] = w, b
+    return {"w": ws, "b": bs}
+
+
+def _spy_scans(monkeypatch):
+    """The mask of every call of the perceptron's array scan."""
+    masks = []
+    real = learners._unsure_rows
+
+    def spy(*args):
+        masks.append(real(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(learners, "_unsure_rows", spy)
+    return masks
+
+
+def _check_perceptron(x, y, p, seed=0, **params):
+    spec = LearnerSpec("perceptron", {"iterations": 40, **params})
+    got = learners._fit_perceptron(spec, x, y, p, seed)
+    want = _reference_fit_perceptron(spec, x, y, p, seed)
+    assert np.array_equal(got["w"], want["w"]), (x.shape, params)
+    assert np.array_equal(got["b"], want["b"]), (x.shape, params)
+
+
+def _skipped_rows(masks):
+    return sum(int((~m).sum()) for m in masks)
+
+
+def test_perceptron_scan_matches_row_loop_bitwise(monkeypatch):
+    """twonorm-like data makes few mistakes per epoch, so most epochs scan
+    and most rows are settled by the array product."""
+    masks = _spy_scans(monkeypatch)
+    for d in range(1, 17):
+        data = generate(GeneratorSpec("twonorm-like", n=160, d=d, seed=d))
+        _check_perceptron(data.features, data.labels, 2, seed=d)
+    assert _skipped_rows(masks) > 0.9 * sum(m.size for m in masks)
+
+
+def test_perceptron_on_rings_keeps_the_row_loop(monkeypatch):
+    """Concentric rings are far from separable: every epoch of every class
+    makes more than n/4 mistakes, so no epoch scans."""
+    masks = _spy_scans(monkeypatch)
+    data = generate(GeneratorSpec("concentric-rings", n=150, d=3, seed=1))
+    _check_perceptron(data.features, data.labels, 3)
+    assert masks == []
+
+
+def test_perceptron_scan_decides_zero_margins_as_the_loop(monkeypatch):
+    """Integer features with rate 1 keep w and b integers, so many margins
+    are exactly 0, where the step's `<= 0` makes an update."""
+    masks = _spy_scans(monkeypatch)
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 5, 8):
+        x = rng.integers(-3, 4, size=(120, d)).astype(float)
+        y = (x @ rng.integers(-2, 3, size=d) + rng.integers(-1, 2, size=120)
+             > 0).astype(np.int64)
+        _check_perceptron(x, y, 2, rate=1.0)
+    assert _skipped_rows(masks) > 0
+
+
+@pytest.mark.parametrize("scale, path", [
+    (1e-200, "loop"),  # x @ w underflows and b alone decides: many mistakes
+    (1e150, "scan"),
+    (1e151, "step"),   # |(x_i, 1)| |(w, b)| above 2^1000: no row is settled
+])
+def test_perceptron_scan_at_extreme_scales(scale, path, monkeypatch):
+    masks = _spy_scans(monkeypatch)
+    data = generate(GeneratorSpec("twonorm-like", n=160, d=8, seed=3))
+    _check_perceptron(data.features * scale, data.labels, 2)
+    assert {"loop": masks == [], "scan": _skipped_rows(masks) > 0,
+            "step": masks and all(m.all() for m in masks)}[path]
+
+
+def test_perceptron_rows_whose_norm_overflows_go_to_the_step(monkeypatch):
+    """Row norms above the float range are inf, without a warning, and no
+    row is then settled by the product: each goes to the exact step.  The
+    least rate keeps w and the step's products finite."""
+    masks = _spy_scans(monkeypatch)
+    data = generate(GeneratorSpec("twonorm-like", n=160, d=16, seed=4))
+    x = np.sign(data.features) * (0.5e308 + 0.5e308 * np.abs(np.tanh(data.features)))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.hypot.reduce(x, axis=1)).all()
+    _check_perceptron(x, data.labels, 2, rate=5e-324)
+    assert masks and all(m.all() for m in masks)
+
+
+def test_perceptron_scan_on_tiny_data(monkeypatch):
+    """Two rows, and p = 2..5 classes of one row each among a few more."""
+    masks = _spy_scans(monkeypatch)
+    rng = np.random.default_rng(12)
+    _check_perceptron(np.array([[1.0, 2.0], [-1.0, 0.5]]), np.array([0, 1]), 2)
+    for p in range(2, 6):
+        x = rng.normal(size=(p + 6, 3))
+        y = np.concatenate([np.arange(p), np.zeros(6, dtype=np.int64)])
+        _check_perceptron(x, y, p, seed=p)
+    assert _skipped_rows(masks) > 0
+
+
 def test_class_sum_follows_numpy_row_sum():
     rng = np.random.default_rng(11)
     for m in list(range(2, 140)) + [255, 256, 257, 1000]:
@@ -708,9 +827,13 @@ def test_non_finite_scores_raise_naming_the_classifier():
 
 
 def test_posteriors_of_an_empty_batch_are_empty():
-    """The row-sum test of the catalog mapping passes a zero-row batch."""
-    data = toy([[0.0, 0.0], [0.2, 0.1], [3.0, 3.0], [3.1, 2.9]], [0, 0, 1, 1])
-    model = fit(LearnerSpec("lda"), data, 0)
-    for call in (model.predict_proba_batch,
-                 lambda q: learners.predict_proba_models([model], q)[0]):
-        assert call(np.empty((0, 2))).shape == (0, 2)
+    """Every kind's predictor and the row-sum test of the catalog mapping
+    pass a zero-row batch, also with a class absent from the fit."""
+    cat3 = ClassCatalog(("a", "b", "c"))
+    data = toy([[0.0, 0.0], [0.2, 0.1], [3.0, 3.0], [3.1, 2.9]], [0, 0, 2, 2], cat3)
+    models = [fit(spec, data, 0) for spec in extended_roster()]
+    empty = np.empty((0, 2))
+    for model in models:
+        assert model.predict_proba_batch(empty).shape == (0, 3), model.spec.name
+    assert [a.shape for a in learners.predict_proba_models(models, empty)] == [
+        (0, 3)] * len(models)

@@ -395,6 +395,16 @@ class TestPredictionBatch:
         _same_details(part, ref[cut])
 
 
+def test_predict_batch_of_no_rows_is_empty():
+    """A zero-row query gives an empty batch, tree learners included."""
+    data = generate(GeneratorSpec("concentric-rings", n=60, d=3, seed=8))
+    e = train(data, extended_roster(), seed=1, fixed_alpha=0.8)
+    batch = predict_batch(e, np.empty((0, 3)))
+    assert len(batch) == 0 and list(batch) == []
+    assert batch.profiles.shape == (0, 12, 3) and batch.bounds.shape == (0, 3, 2)
+    assert batch.memberships.shape == (0, 3) and batch.decisions.shape == (0,)
+
+
 def test_hand_edited_knn_training_rows_get_their_own_search(tmp_path, monkeypatch):
     """A model file whose knn25 training rows differ from its knn5 and
     knn50 ones: that model searches alone, on its own rows."""
