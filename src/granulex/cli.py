@@ -7,6 +7,7 @@ command-line flags override config values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -39,6 +40,13 @@ def _is_names(value) -> bool:
     return isinstance(value, list) and all(map(_is_str, value))
 
 
+# A ProtocolConfig field with a scalar default takes a value of its type:
+# (what the value must be, check); _protocol_config casts it to that type.
+_SCALAR_TYPES = {
+    int: ("an integer", _is_int),
+    float: ("a number", _is_number),
+    str: ("a string", _is_str),
+}
 # Every key a config object may hold: (what its value must be, check).
 CONFIG_TYPES = {
     "datasets": ("a non-empty list", lambda v: isinstance(v, list) and v != []),
@@ -47,13 +55,9 @@ CONFIG_TYPES = {
     "alpha_grid": ('a "lo:step:hi" string or a list of numbers',
                    lambda v: _is_str(v)
                    or (isinstance(v, list) and all(map(_is_number, v)))),
-    "fixed_alpha": ("a number", _is_number),
-    "h": ("a string", _is_str),
-    "folds": ("an integer", _is_int),
-    "repeats": ("an integer", _is_int),
-    "seed": ("an integer", _is_int),
-    "significance": ("a number", _is_number),
-    "inner_folds": ("an integer", _is_int),
+    **{f.name: _SCALAR_TYPES[type(f.default)]
+       for f in dataclasses.fields(evaluation.ProtocolConfig)
+       if type(f.default) in _SCALAR_TYPES},
 }
 DATASET_TYPES = {
     "path": ("a string", _is_str),
@@ -63,7 +67,7 @@ DATASET_TYPES = {
     "generator": ("an object", lambda v: isinstance(v, dict)),
     "name": ("a string", _is_str),
 }
-GENERATOR_KEYS = {"kind", "n", "d", "noise", "seed"}
+GENERATOR_KEYS = {f.name for f in dataclasses.fields(GeneratorSpec)}
 # Largest alpha grid a "lo:step:hi" string may expand to; the default grid
 # has 41 points, and each point costs one bound pick per meta-data column.
 MAX_GRID_POINTS = 10_000
@@ -114,14 +118,6 @@ def _split_names(flag: str, text: str) -> list[str]:
     return names
 
 
-def _roster(text: str | None) -> list[LearnerSpec]:
-    """The --learners roster of train and alpha-curve; the default roster
-    without the flag."""
-    if text is None:
-        return default_roster()
-    return [spec_from_name(name) for name in _split_names("--learners", text)]
-
-
 def _load_dataset_entry(entry: dict) -> Dataset:
     _check_object(entry, DATASET_TYPES, "dataset config")
     if "generator" in entry:
@@ -146,7 +142,10 @@ def _resolve_config(path: str | None, args) -> dict:
     cfg: dict = {}
     if path:
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise CliError(f"config {path} nests JSON too deeply") from None
         if isinstance(raw, dict) and "config" in raw and "results" in raw:
             raw = raw["config"]  # accept a previously emitted report echo
         _check_object(raw, CONFIG_TYPES, "config")
@@ -186,18 +185,34 @@ def _grid_from_cfg(value) -> AlphaGrid:
     return AlphaGrid(tuple(float(v) for v in value))
 
 
-def cmd_train(args) -> int:
-    specs = _roster(args.learners)
+def _training_inputs(args) -> tuple[list[LearnerSpec], Dataset, AlphaGrid, int]:
+    """The roster (the default roster without --learners), training data,
+    alpha grid and seed of train and alpha-curve."""
+    specs = default_roster() if args.learners is None else [
+        spec_from_name(name) for name in _split_names("--learners", args.learners)
+    ]
     data = load_csv(args.data, label_column=args.label_column,
                     header=not args.no_header)
-    kwargs = dict(h=args.h or combiners.DEFAULT_H, n_folds=args.folds)
-    if args.alpha is not None:
-        ensemble = training.train(
-            data, specs, args.seed or 0, fixed_alpha=args.alpha, **kwargs
-        )
+    grid = parse_grid(args.grid) if args.grid else default_alpha_grid()
+    return specs, data, grid, args.seed or 0
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path for a CSV writer, closed on exit; stdout without one."""
+    if not path:
+        yield sys.stdout
     else:
-        grid = parse_grid(args.grid) if args.grid else default_alpha_grid()
-        ensemble = training.train(data, specs, args.seed or 0, grid=grid, **kwargs)
+        with open(path, "w", newline="") as out:
+            yield out
+
+
+def cmd_train(args) -> int:
+    specs, data, grid, seed = _training_inputs(args)
+    ensemble = training.train(
+        data, specs, seed, grid=None if args.alpha is not None else grid,
+        fixed_alpha=args.alpha, h=args.h or combiners.DEFAULT_H, n_folds=args.folds,
+    )
     training.save_ensemble(args.output, ensemble)
     print(f"trained ensemble (alpha={ensemble.alpha:g}, h={ensemble.h}) "
           f"-> {args.output}")
@@ -230,35 +245,28 @@ def cmd_predict(args) -> int:
     table = np.hstack(columns)
     line = "%d" + ",%.17g" * table.shape[1] + ",%s\r\n"
     quoted = [_csv_field(lab) for lab in labels]
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with _output(args.output) as out:
         csv.writer(out).writerow(header)
         out.writelines(
             line % (i, *row.tolist(), quoted[d])
             for i, (row, d) in enumerate(zip(table, batch.decisions.tolist()))
         )
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
 def _protocol_config(cfg: dict) -> evaluation.ProtocolConfig:
     """The ProtocolConfig of a resolved config, field by field: the inverse
-    of evaluation.config_echo.  An int or float field takes its value as
-    that type."""
+    of evaluation.config_echo.  Every field without a reader here is a
+    scalar of _SCALAR_TYPES and takes its value as the type of its default."""
     readers = {
         "methods": tuple,
         "learners": lambda names: tuple(map(spec_from_name, names)),
         "alpha_grid": _grid_from_cfg,
     }
-    kwargs = {}
-    for f in dataclasses.fields(evaluation.ProtocolConfig):
-        read = readers.get(f.name)
-        if read is None and type(f.default) in (int, float):
-            read = type(f.default)
-        kwargs[f.name] = cfg[f.name] if read is None else read(cfg[f.name])
-    return evaluation.ProtocolConfig(**kwargs)
+    return evaluation.ProtocolConfig(**{
+        f.name: readers.get(f.name, type(f.default))(cfg[f.name])
+        for f in dataclasses.fields(evaluation.ProtocolConfig)
+    })
 
 
 def cmd_evaluate(args) -> int:
@@ -274,16 +282,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_alpha_curve(args) -> int:
-    specs = _roster(args.learners)
-    data = load_csv(args.data, label_column=args.label_column,
-                    header=not args.no_header)
-    grid = parse_grid(args.grid) if args.grid else default_alpha_grid()
+    specs, data, grid, seed = _training_inputs(args)
     h_kinds = [args.h] if args.h else list(combiners.H_KINDS)
     curves = evaluation.alpha_error_curves(
-        data, specs, grid, h_kinds, args.folds, args.seed or 0
+        data, specs, grid, h_kinds, args.folds, seed
     )
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with _output(args.output) as out:
         writer = csv.writer(out)
         writer.writerow(["alpha"] + [f"error_{h}" for h in h_kinds])
         for i, alpha in enumerate(grid.values):
@@ -291,9 +295,6 @@ def cmd_alpha_curve(args) -> int:
             for h in h_kinds:
                 row.append(f"{curves[h][i][1]:.17g}")
             writer.writerow(row)
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
@@ -311,15 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-header", action="store_true")
         p.add_argument("--seed", type=int, default=None)
 
+    def add_training_inputs(p):  # the flags _training_inputs reads
+        p.add_argument("--data", required=True)
+        p.add_argument("--learners")
+        p.add_argument("--grid", help="alpha grid lo:step:hi")
+        p.add_argument("--folds", type=int, default=10)
+        add_common(p)
+
     p_train = sub.add_parser("train", help="fit and serialize an ensemble")
-    p_train.add_argument("--data", required=True)
-    p_train.add_argument("--learners")
+    add_training_inputs(p_train)
     p_train.add_argument("--alpha", type=float, help="fixed alpha (skips CV)")
-    p_train.add_argument("--grid", help="alpha grid lo:step:hi")
     p_train.add_argument("--h", choices=combiners.H_KINDS)
-    p_train.add_argument("--folds", type=int, default=10)
     p_train.add_argument("--output", required=True)
-    add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="classify a feature CSV")
@@ -347,14 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("alpha-curve",
                              help="emit meta-level error vs alpha as CSV")
-    p_curve.add_argument("--data", required=True)
-    p_curve.add_argument("--grid", help="alpha grid lo:step:hi")
+    add_training_inputs(p_curve)
     p_curve.add_argument("--h", choices=combiners.H_KINDS,
                          help="one h function (default: all three)")
-    p_curve.add_argument("--learners")
-    p_curve.add_argument("--folds", type=int, default=10)
     p_curve.add_argument("--output")
-    add_common(p_curve)
     p_curve.set_defaults(func=cmd_alpha_curve)
     return parser
 

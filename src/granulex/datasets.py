@@ -28,6 +28,9 @@ GENERATOR_KINDS = ("two-gaussians", "twonorm-like", "concentric-rings")
 
 BUNDLED_DATASETS = ("clusters", "twonorm", "rings")
 
+# Largest n * d a generator may draw (800 MB of float64), checked before allocating.
+MAX_GENERATED_VALUES = 10**8
+
 
 class DatasetError(ValueError):
     pass
@@ -157,6 +160,9 @@ class GeneratorSpec:
                 raise DatasetError(f"generator {key} must be {expected}, got {value!r}")
         if self.n < 4 or self.d < 1 or self.noise <= 0:
             raise DatasetError("generator needs n >= 4, d >= 1, noise > 0")
+        if self.n * self.d > MAX_GENERATED_VALUES:
+            raise DatasetError(f"generator n * d must be at most "
+                               f"{MAX_GENERATED_VALUES}, got {self.n} * {self.d}")
         if self.kind == "concentric-rings" and self.d < 2:
             raise DatasetError("concentric-rings needs d >= 2")
 

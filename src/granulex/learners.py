@@ -23,11 +23,12 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
 Classes absent from the fitted data always receive posterior 0.
 
 Each kind is one entry of `_KINDS`: fitter, predictor, the layout (dtype
-and shape of each value) of the state the predictor reads, which
-`FittedClassifier.from_state` checks, the defaults of every parameter the
-fitter reads, any batched fold fitter and any shared predictor.
-`LearnerSpec` rejects other parameters and types each by its default: an
-int >= 1, or a finite real > 0.
+and shape of each value) of the state the predictor reads, the defaults of
+every parameter the fitter reads, any batched fold fitter and any shared
+predictor.  `LearnerSpec` rejects other parameters and types each by its
+default: an int >= 1, or a finite real > 0.  `FittedClassifier.from_state`
+reads the record `to_state` writes, checks its keys and its state against
+the layout, and raises LearnerError on any fault.
 
 `fit_folds` fits one learner on several row subsets of a data set, as
 cross-validation does.  For logistic-linear it steps the weights of all
@@ -52,14 +53,13 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .metadata import ClassCatalog
+from .metadata import ClassCatalog, MetadataError
 
 __all__ = [
     "Dataset",
     "LearnerSpec",
     "FittedClassifier",
     "LearnerError",
-    "STATE_KEYS",
     "fit",
     "fit_folds",
     "predict_proba_models",
@@ -287,13 +287,20 @@ class FittedClassifier:
         }
 
     @classmethod
-    def from_state(cls, payload: dict[str, Any]) -> "FittedClassifier":
-        """The classifier to_state wrote.  Raises LearnerError on a value
-        the predictor cannot use.  Keys are not checked here: the payload
-        needs every key to_state writes, and its state every key of
-        STATE_KEYS[kind], as load_ensemble checks first."""
-        spec = LearnerSpec(payload["kind"], dict(payload["params"]))
-        catalog = ClassCatalog(tuple(payload["catalog"]))
+    def from_state(cls, payload: Any) -> "FittedClassifier":
+        """The classifier to_state wrote, from its JSON record.  Raises
+        LearnerError on any record the predictor cannot use: not an object,
+        a key of to_state's or of the kind's state missing, or a value of
+        the wrong type, range or shape."""
+        _require_keys(payload, ("kind", "params", "catalog", "state"), "record")
+        _require_keys(payload["params"], (), "params")
+        spec = LearnerSpec(payload["kind"], payload["params"])
+        if not isinstance(payload["catalog"], list):
+            raise LearnerError("catalog must be a list")
+        try:
+            catalog = ClassCatalog(tuple(payload["catalog"]))
+        except MetadataError as exc:
+            raise LearnerError(str(exc)) from None
         return cls(spec, catalog, _decode_state(spec, catalog.size, payload["state"]))
 
 
@@ -887,11 +894,14 @@ _KINDS = {
         {"iterations": 100, "rate": 0.1}),
 }
 
-# The state keys each kind's predictor reads, including the two that
-# predict_proba_batch reads for every kind.
-STATE_KEYS = {
-    kind: ("present", "n_features") + tuple(k.state) for kind, k in _KINDS.items()
-}
+
+def _require_keys(obj, keys, what: str, error: type = LearnerError) -> None:
+    """Raise error unless obj is a JSON object holding every key of keys."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise error(f"{what} lacks key(s) {', '.join(missing)}")
 
 
 def _finite_real(v) -> bool:
@@ -974,6 +984,8 @@ def _check_spd(a: np.ndarray, what: str) -> None:
 def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
     """A fitted state from its JSON form, every value checked against the
     kind's layout: the predictor can use it and its shapes agree."""
+    layouts = _KINDS[spec.kind].state
+    _require_keys(state, ("present", "n_features", *layouts), "state")
     present = _decode_array(state["present"], "int64", "state 'present'")
     if not (present.ndim == 1 and present.size >= 2 and present[0] >= 0
             and present[-1] < n_classes and (np.diff(present) > 0).all()):
@@ -987,7 +999,7 @@ def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
     p = len(present)
     sizes = {"p": p, "d": d, "d+1": d + 1}
     out: dict[str, Any] = {"present": present, "n_features": d}
-    for key, layout in _KINDS[spec.kind].state.items():
+    for key, layout in layouts.items():
         value = state[key]
         if layout == _TREE:
             _check_tree(value, p, d)

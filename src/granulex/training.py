@@ -6,7 +6,9 @@ training-set error of the granular combiner, then refit all base
 classifiers on the full training set.  Prediction stacks the (n, K, M)
 posterior profiles of the refitted classifiers, checks them all in one
 MetaMatrix pass, builds per-class intervals, and decides by maximum
-numerical class membership.
+numerical class membership.  `load_ensemble` reads a model file in one
+pass: the top-level checks, then `FittedClassifier.from_state` on each
+classifier record.
 
 Every fold fit of the package goes through `fit_complements`: the meta-CV
 of `train`, the outer folds of `evaluation.run_protocol` and `alpha-curve`.
@@ -32,12 +34,12 @@ from . import combiners
 # bench/tracer.py wraps it by this name.
 from .combiners import DEFAULT_H, Granule, granular_intervals  # noqa: F401
 from .learners import (
-    STATE_KEYS,
     Dataset,
     FittedClassifier,
     LearnerError,
     LearnerSpec,
     _finite_real,
+    _require_keys,
     fit,
     fit_folds,
     predict_proba_models,
@@ -372,28 +374,17 @@ def save_ensemble(path, ensemble: TrainedEnsemble) -> None:
 
 
 _ENSEMBLE_KEYS = ("alpha", "h", "catalog", "alpha_error_curve", "classifiers")
-_CLASSIFIER_KEYS = ("kind", "params", "catalog", "state")
-
-
-def _require_keys(obj, keys, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise TrainingError(f"{what} must be a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise TrainingError(f"{what} lacks key(s) {', '.join(missing)}")
 
 
 def _check_ensemble(payload) -> None:
-    """Raise TrainingError unless payload has every key the loader and the
-    predictors read, each top-level value of the type they need, and one
-    catalog and feature count across its classifiers.  Each classifier's
-    state values are checked by FittedClassifier.from_state."""
+    """Raise TrainingError unless payload has every top-level key the
+    loader reads, each of the type it needs, and at least two classifiers."""
     if not isinstance(payload, dict):
         raise TrainingError("model file must hold a JSON object")
     version = payload.get("format_version")
     if version != ENSEMBLE_FORMAT_VERSION:
         raise TrainingError(f"unsupported ensemble format version {version!r}")
-    _require_keys(payload, _ENSEMBLE_KEYS, "model")
+    _require_keys(payload, _ENSEMBLE_KEYS, "model", TrainingError)
     alpha = payload["alpha"]
     if not (_finite_real(alpha) and alpha >= 0):
         raise TrainingError(
@@ -418,39 +409,28 @@ def _check_ensemble(payload) -> None:
         raise TrainingError("model has no classifiers")
     if len(classifiers) < 2:
         raise TrainingError("model needs at least two classifiers, it has 1")
-    n_features = None
-    for i, c in enumerate(classifiers):
-        what = f"model classifier {i}"
-        _require_keys(c, _CLASSIFIER_KEYS, what)
-        if not isinstance(c["params"], dict):
-            raise TrainingError(f"{what} params must be a JSON object")
-        try:
-            LearnerSpec(c["kind"], c["params"])
-        except LearnerError as exc:
-            raise TrainingError(f"{what}: {exc}") from None
-        _require_keys(c["state"], STATE_KEYS[c["kind"]], f"{what} state")
-        if c["catalog"] != payload["catalog"]:
-            raise TrainingError(f"{what} catalog differs from the model's")
-        d = c["state"]["n_features"]
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise TrainingError(f"{what} n_features must be an integer")
-        if n_features is not None and d != n_features:
-            raise TrainingError(
-                f"{what} takes {d} features, classifier 0 takes {n_features}"
-            )
-        n_features = d
 
 
 def load_ensemble(path) -> TrainedEnsemble:
     with open(path) as fh:
-        payload = json.load(fh)
-    _check_ensemble(payload)
-    classifiers = []
-    for j, c in enumerate(payload["classifiers"]):
         try:
-            classifiers.append(FittedClassifier.from_state(c))
+            payload = json.load(fh)
+        except RecursionError:
+            raise TrainingError(f"model file {path} nests JSON too deeply") from None
+    _check_ensemble(payload)
+    classifiers: list[FittedClassifier] = []
+    for j, c in enumerate(payload["classifiers"]):
+        what = f"model classifier {j}"
+        try:
+            model = FittedClassifier.from_state(c)
         except LearnerError as exc:
-            raise TrainingError(f"model classifier {j}: {exc}") from None
+            raise TrainingError(f"{what}: {exc}") from None
+        if c["catalog"] != payload["catalog"]:
+            raise TrainingError(f"{what} catalog differs from the model's")
+        if classifiers and model.n_features != classifiers[0].n_features:
+            raise TrainingError(f"{what} takes {model.n_features} features, "
+                                f"classifier 0 takes {classifiers[0].n_features}")
+        classifiers.append(model)
     return TrainedEnsemble(
         classifiers=tuple(classifiers),
         alpha=float(payload["alpha"]),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import warnings
@@ -6,7 +7,14 @@ import warnings
 import pytest
 
 from granulex import evaluation, training
-from granulex.cli import MAX_GRID_POINTS, CliError, main, parse_grid
+from granulex.cli import (
+    CONFIG_TYPES,
+    GENERATOR_KEYS,
+    MAX_GRID_POINTS,
+    CliError,
+    main,
+    parse_grid,
+)
 from granulex.datasets import GeneratorSpec, bundled_path, generate, load_features
 from granulex.learners import spec_from_name
 
@@ -173,6 +181,12 @@ EVAL_CONFIG = {
     "fixed_alpha": 1.0,
     "inner_folds": 3,
 }
+
+
+def test_every_dataclass_field_is_a_config_key():
+    fields = {f.name for f in dataclasses.fields(evaluation.ProtocolConfig)}
+    assert fields <= set(CONFIG_TYPES)
+    assert {f.name for f in dataclasses.fields(GeneratorSpec)} <= GENERATOR_KEYS
 
 
 class TestEvaluate:
@@ -476,6 +490,10 @@ class TestErrorPaths:
         (dict(EVAL_CONFIG, significance="0.05"), "'significance' must be a number"),
         (dict(EVAL_CONFIG, alpha_grid=5), "'alpha_grid' must be"),
         (dict(EVAL_CONFIG, alpha_grid=[0, "1"]), "'alpha_grid' must be"),
+        # rejected before anything is allocated
+        (dict(EVAL_CONFIG, datasets=[
+            {"generator": {"kind": "twonorm-like", "n": 10**12}}]),
+         "generator n * d must be at most"),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "exp.json"
@@ -485,6 +503,20 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        data_csv = tmp_path / "d.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)
+        flag = "--model" if command == "predict" else "--config"
+        code = main([command, flag, str(deep), "--data", str(data_csv),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "nests JSON too deeply" in err
+        assert "Traceback" not in err
 
     def test_evaluate_without_datasets(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"

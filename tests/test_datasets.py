@@ -3,6 +3,7 @@ import pytest
 
 from granulex.datasets import (
     BUNDLED_DATASETS,
+    MAX_GENERATED_VALUES,
     DatasetError,
     GeneratorSpec,
     bundled_path,
@@ -96,6 +97,13 @@ class TestGenerators:
             GeneratorSpec("two-gaussians", n=2)
         with pytest.raises(DatasetError):
             GeneratorSpec("concentric-rings", d=1)
+
+    def test_size_bound(self):
+        GeneratorSpec("twonorm-like", n=MAX_GENERATED_VALUES // 4, d=4)
+        with pytest.raises(DatasetError, match=r"n \* d must be at most"):
+            GeneratorSpec("twonorm-like", n=MAX_GENERATED_VALUES // 4 + 1, d=4)
+        with pytest.raises(DatasetError, match=r"got 1000000000000 \* 2"):
+            GeneratorSpec("twonorm-like", n=10**12, d=2)
 
     def test_two_gaussians_separable_for_all_learners(self):
         data = generate(GeneratorSpec("two-gaussians", n=300, d=2, seed=1))

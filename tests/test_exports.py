@@ -12,8 +12,9 @@ import granulex
 MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 
 # The K x M profile class and the one-profile combiner views that the
-# (n, K, M) batch kernels replaced, and the per-kind declarations that the
-# one `learners._KINDS` table replaced.
+# (n, K, M) batch kernels replaced, the per-kind declarations that the
+# one `learners._KINDS` table replaced, and the model-record key lists that
+# `FittedClassifier.from_state` replaced.
 RETIRED = {
     "_FITTERS",
     "_PREDICTORS",
@@ -24,6 +25,8 @@ RETIRED = {
     "column_sample",
     "ClassMembershipVector",
     "_decide",
+    "STATE_KEYS",
+    "_CLASSIFIER_KEYS",
     "fixed_rule_classify",
     "dt_classify",
     "granular_classify",

@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 import warnings
@@ -259,6 +260,43 @@ def test_state_n_features_checked(n_features):
     payload["state"]["n_features"] = n_features
     with pytest.raises(LearnerError, match="n_features must be an integer >= 1"):
         FittedClassifier.from_state(payload)
+
+
+def _record(kind):
+    """The to_state record of the extended roster's learner of kind."""
+    rng = np.random.default_rng(4)
+    y = rng.integers(0, 2, size=25)
+    y[:2] = [0, 1]
+    spec = {s.kind: s for s in extended_roster()}[kind]
+    return fit(spec, toy(rng.normal(size=(25, 2)), y), 7).to_state()
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda r: [r], "record must be a JSON object"),
+    *[(lambda r, key=key: {k: v for k, v in r.items() if k != key},
+       f"record lacks key(s) {key}")
+      for key in ("kind", "params", "catalog", "state")],
+    (lambda r: dict(r, params=5), "params must be a JSON object"),
+    (lambda r: dict(r, state=[1]), "state must be a JSON object"),
+    (lambda r: dict(r, catalog=5), "catalog must be a list"),
+    (lambda r: dict(r, catalog=["A"]), "catalog needs at least two classes"),
+], ids=["list", "no-kind", "no-params", "no-catalog", "no-state",
+        "params-5", "state-list", "catalog-5", "catalog-one-class"])
+def test_from_state_rejects_a_damaged_record(damage, message):
+    with pytest.raises(LearnerError, match=re.escape(message)):
+        FittedClassifier.from_state(damage(_record("knn")))
+
+
+@pytest.mark.parametrize("kind", learners._KINDS)
+def test_from_state_names_each_missing_state_key(kind):
+    """Every key to_state writes into a kind's state is one from_state
+    needs, and a record without it raises LearnerError naming it."""
+    written = _record(kind)
+    for key in written["state"]:
+        record = copy.deepcopy(written)
+        del record["state"][key]
+        with pytest.raises(LearnerError, match=rf"^state lacks key\(s\) {key}$"):
+            FittedClassifier.from_state(record)
 
 
 # --- split search oracle ----------------------------------------------------

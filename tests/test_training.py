@@ -429,11 +429,18 @@ def test_hand_edited_knn_training_rows_get_their_own_search(tmp_path, monkeypatc
         assert np.array_equal(profiles[:, j], c.predict_proba_batch(q)), j
 
 
+def _record_on_3_features():
+    """The record of SPECS[1] fitted on 3 features, same catalog as the
+    2-feature toy_dataset."""
+    data = generate(GeneratorSpec("twonorm-like", n=30, d=3, seed=1))
+    return learners.fit(SPECS[1], data, seed=1).to_state()
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         data = toy_dataset(n=60)
         specs = extended_roster()  # every learner kind, the perceptron too
-        assert {s.kind for s in specs} == set(training.STATE_KEYS)
+        assert {s.kind for s in specs} == set(learners._KINDS)
         e = train(data, specs, seed=3, grid=AlphaGrid((0.0, 1.0)), n_folds=3)
         path = tmp_path / "model.json"
         save_ensemble(path, e)
@@ -462,8 +469,10 @@ class TestSerialization:
     @pytest.mark.parametrize("damage, message", [
         (lambda m: m.pop("classifiers"), "lacks key.*classifiers"),
         (lambda m: m.pop("alpha_error_curve"), "lacks key.*alpha_error_curve"),
-        (lambda m: m["classifiers"][1].pop("state"), "classifier 1 lacks.*state"),
-        (lambda m: m["classifiers"].__setitem__(0, [1, 2]), "classifier 0 must"),
+        (lambda m: m["classifiers"][1].pop("state"),
+         "classifier 1: record lacks key.*state"),
+        (lambda m: m["classifiers"].__setitem__(0, [1, 2]),
+         "classifier 0: record must be a JSON object"),
         (lambda m: m.__setitem__("classifiers", {}), "must be a list"),
         (lambda m: m.__setitem__("classifiers", []), "no classifiers"),
         (lambda m: m.__setitem__("classifiers", m["classifiers"][:1]),
@@ -482,19 +491,21 @@ class TestSerialization:
         (lambda m: m["classifiers"][2].__setitem__("catalog", ["a", "b", "c"]),
          "classifier 2 catalog differs"),
         (lambda m: m["classifiers"][1]["state"].__setitem__("n_features", 3),
+         r"classifier 1: state 'x' must have shape \(n, d\) with p = 2 and d = 3"),
+        (lambda m: m["classifiers"].__setitem__(1, _record_on_3_features()),
          "classifier 1 takes 3 features, classifier 0 takes 2"),
         (lambda m: m["classifiers"][0]["state"].__setitem__("n_features", "2"),
          "n_features must be an integer"),
         (lambda m: m["classifiers"][0]["state"].pop("means"),
-         "classifier 0 state lacks key.*means"),
+         "classifier 0: state lacks key.*means"),
         (lambda m: m["classifiers"][2]["state"].pop("present"),
-         "classifier 2 state lacks key.*present"),
+         "classifier 2: state lacks key.*present"),
         (lambda m: m["classifiers"][1].__setitem__("kind", "svm"),
          "unknown kind 'svm'"),
         (lambda m: m["classifiers"][1].__setitem__("kind", ["svm"]),
          r"classifier 1: unknown kind \['svm'\]"),
         (lambda m: m["classifiers"][1].__setitem__("params", 5),
-         "classifier 1 params must be"),
+         "classifier 1: params must be a JSON object"),
     ])
     def test_schema_check(self, tmp_path, damage, message):
         e = train(toy_dataset(n=30), SPECS, seed=1, fixed_alpha=1.0, n_folds=3)
