@@ -208,6 +208,9 @@ def _output(path: str | None):
 
 
 def cmd_train(args) -> int:
+    if args.alpha is not None and args.grid:
+        raise CliError("--alpha fixes alpha and --grid searches for it: "
+                       "give one of them")
     specs, data, grid, seed = _training_inputs(args)
     ensemble = training.train(
         data, specs, seed, grid=None if args.alpha is not None else grid,

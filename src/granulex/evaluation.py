@@ -282,12 +282,17 @@ def run_protocol(
 ) -> ExperimentReport:
     """Repeated stratified k-fold evaluation of every configured method.
 
-    Outer models come from `training.fit_complements`, the fold path of
-    meta-CV, called per (dataset, repeat) with s = derive_seed(config.seed,
-    ds_idx, rep).  As derive_seed chains, learner j on fold t gets
+    Each (dataset, repeat) fits all its models in one
+    `training.part_profiles` call, one `fit_folds` call per learner, over
+    the parts `_repeat_parts` lists: the outer complements and, with
+    granular-cv, every inner training part.  With s =
+    derive_seed(config.seed, ds_idx, rep), learner j on outer fold t gets
     derive_seed(s, t, j) == derive_seed(config.seed, ds_idx, rep, t, j),
-    whatever order the fits run in.  The roster, the methods and every
-    dataset are checked before the first fit.
+    and on inner part u of fold t derive_seed(s, t, 0x2B, u, j): the seeds
+    `generate_meta_cv` gives the fold's training part with seed
+    derive_seed(s, t, 0x2B), so each inner meta matrix is the one it
+    assembles.  The roster, the methods and every dataset are checked
+    before the first fit.
     """
     specs = tuple(config.learners)
     if len(specs) < 2:
@@ -314,6 +319,7 @@ def run_protocol(
                 f"training part, too few for granular-cv's inner folds"
             )
 
+    learner_names = tuple(s.name for s in specs)
     results: dict[str, dict[str, MethodResult]] = {}
     bv: dict[str, dict[str, BiasVarianceReport]] = {}
     for ds_idx, (name, data) in enumerate(zip(names, datasets)):
@@ -322,17 +328,26 @@ def run_protocol(
         for rep in range(config.repeats):
             rep_seed = derive_seed(config.seed, ds_idx, rep)
             plan = training.make_fold_plan(data.labels, config.folds, rep_seed)
-            fold_models = training.fit_complements(data, specs, plan, rep_seed)
-            for fold, models in enumerate(fold_models):
-                run_seed = derive_seed(config.seed, ds_idx, rep, fold)
+            rests, seeds, queries, inner_plans = _repeat_parts(
+                data, plan, config, rep_seed)
+            profiles = training.part_profiles(data, specs, rests, seeds, queries)
+            inner_at = config.folds
+            for fold in range(config.folds):
                 test_idx = plan.fold_indices(fold)
-                train_part = data.subset(plan.complement_indices(fold))
+                train_part = data.subset(rests[fold])
                 truth = data.labels[test_idx]
-                test_profiles = training.stack_profiles(models, data.features[test_idx])
+                test_profiles, *train_profiles = profiles[fold]
                 base_preds = np.argmax(test_profiles, axis=2).T  # (K, n_test)
+                inner = None
+                if inner_plans:
+                    inner_plan = inner_plans[fold]
+                    held = profiles[inner_at:inner_at + inner_plan.n_folds]
+                    inner = (inner_plan, [h[0] for h in held])
+                    inner_at += inner_plan.n_folds
                 for method in config.methods:
                     preds = _method_predictions(
-                        method, models, train_part, test_profiles, config, run_seed
+                        method, learner_names, train_part, test_profiles, config,
+                        train_profiles, inner,
                     )
                     split = bias_variance(preds, base_preds, truth)
                     runs[method].append((
@@ -393,37 +408,64 @@ def _as_win(outcome: str) -> str:
     return {"a-better": "win", "b-better": "loss", "equal": "equal"}[outcome]
 
 
-def _method_predictions(method, models, train_part, test_profiles, config, run_seed):
+def _repeat_parts(data, plan, config, rep_seed):
+    """The training parts of one repeat, for one `part_profiles` call:
+    (rests, seed prefixes, queries, inner plans).  The first config.folds
+    parts are the outer complements, fold f's seeded derive_seed(rep_seed,
+    f), queried on fold f's test rows and, for decision-template, on its
+    own rows.  With granular-cv, fold f's inner plan is seeded
+    derive_seed(run_seed, 0x1A) with run_seed = derive_seed(rep_seed, f);
+    its inner parts follow, part u seeded derive_seed(run_seed, 0x2B, u),
+    as increasing indices into data, complement[inner rest], and queried
+    on the inner fold's rows."""
+    folds = range(config.folds)
+    rests = [plan.complement_indices(f) for f in folds]
+    seeds = [derive_seed(rep_seed, f) for f in folds]
+    queries = [[plan.fold_indices(f)] for f in folds]
+    if "decision-template" in config.methods:
+        for qs, rest in zip(queries, rests):
+            qs.append(rest)
+    inner_plans = []
+    if "granular-cv" in config.methods:
+        for fold, complement in enumerate(rests[:config.folds]):
+            run_seed = derive_seed(rep_seed, fold)
+            labels = data.labels[complement]
+            inner_folds = min(
+                config.inner_folds,
+                int(np.bincount(labels, minlength=data.catalog.size).min()),
+            )
+            inner = training.make_fold_plan(
+                labels, inner_folds, derive_seed(run_seed, 0x1A))
+            inner_plans.append(inner)
+            for u in range(inner.n_folds):
+                rests.append(complement[inner.complement_indices(u)])
+                seeds.append(derive_seed(run_seed, 0x2B, u))
+                queries.append([complement[inner.fold_indices(u)]])
+    return rests, seeds, queries, inner_plans
+
+
+def _method_predictions(method, names, train_part, test_profiles, config,
+                        train_profiles, inner):
+    """Decisions of method on the (n, K, M) test profiles of one outer
+    fold, whose K learners are names.  train_profiles is [the profiles of
+    the training part's own rows] when decision-template runs, else [];
+    inner is (inner plan, profiles of each inner fold) when granular-cv
+    runs, else None."""
     if method.startswith("learner:"):
-        column = {m.spec.name: j for j, m in enumerate(models)}[method[8:]]
+        column = {name: j for j, name in enumerate(names)}[method[8:]]
         return np.argmax(test_profiles[:, column, :], axis=1)
     if method.startswith("rule:"):
         scores = combiners.fixed_rule_scores_batch(test_profiles, method[5:])
         return np.argmax(scores, axis=1)
     if method == "decision-template":
-        meta = MetaMatrix(
-            training.stack_profiles(models, train_part.features),
-            train_part.catalog, tuple(m.spec.name for m in models),
-        )
+        meta = MetaMatrix(train_profiles[0], train_part.catalog, names)
         model = combiners.dt_fit(meta, train_part.labels)
         return combiners.dt_decide_batch(model, test_profiles)
     if method == "granular-fixed":
         alpha = config.fixed_alpha
     else:  # granular-cv
-        inner_folds = min(
-            config.inner_folds,
-            int(np.bincount(train_part.labels,
-                            minlength=train_part.catalog.size).min()),
-        )
-        plan = training.make_fold_plan(
-            train_part.labels, inner_folds, derive_seed(run_seed, 0x1A)
-        )
-        meta = training.generate_meta_cv(
-            train_part,
-            [model.spec for model in models],
-            plan,
-            derive_seed(run_seed, 0x2B),
-        )
+        plan, held = inner
+        meta = training.meta_from_folds(train_part, plan, held, names)
         alpha, _ = training.select_alpha(
             meta, train_part.labels, config.alpha_grid, config.h
         )

@@ -12,7 +12,7 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
   lda                  shared-covariance Gaussian discriminants, scaled to sum 1
   fisher               logistic squashing of one-vs-rest Fisher scores
   logistic-linear      multinomial softmax regression
-  decision-tree/stump  leaf class proportions
+  decision-tree/stump  leaf class proportions of a CART tree (Gini)
   nearest-mean         softmin of distances to class means
   perceptron           logistic squashing of one-vs-rest perceptron scores;
                        an epoch after one with at most n/4 updates scores
@@ -31,9 +31,12 @@ reads the record `to_state` writes, checks its keys and its state against
 the layout, and raises LearnerError on any fault.
 
 `fit_folds` fits one learner on several row subsets of a data set, as
-cross-validation does.  For logistic-linear it steps the weights of all
-subsets together in one kernel call, bitwise equal to separate `fit` calls;
-`fit` itself is the one-subset call of that kernel.
+cross-validation does.  Two kinds have a batched fold fitter, bitwise equal
+to separate `fit` calls, and `fit` itself is its one-subset call:
+logistic-linear steps the weights of all subsets together in one kernel
+call, and decision-tree and decision-stump grow the trees of all subsets
+level by level from one stable sort per feature, in groups of at most
+TREE_BLOCK_CELLS.  The other kinds fit each subset on its own.
 
 `predict_proba_models` is the prediction counterpart: models of a kind with
 a shared predictor (knn) whose states differ only in their parameters go to
@@ -49,7 +52,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +74,7 @@ __all__ = [
 RIDGE_FACTOR = 1e-6     # scatter-matrix regularization, scaled by trace/d
 VARIANCE_FLOOR = 1e-9   # per-feature variance floor in naive Bayes
 KNN_BLOCK_CELLS = 1 << 20  # query rows x training rows x features per knn block
+TREE_BLOCK_CELLS = 1 << 14  # rest rows x (features + classes) per tree group
 SYMMETRY_TOLERANCE = 1e-9  # of a loaded LDA inv_cov, relative to its largest entry
 
 
@@ -386,19 +390,21 @@ def fit_folds(
     data: Dataset,
     rests: Sequence[np.ndarray],
     seeds: Sequence[int],
-) -> list[FittedClassifier]:
-    """`[fit(spec, data.subset(r), s) for r, s in zip(rests, seeds)]`,
-    bitwise.  A kind with a batched fold fitter (logistic-linear) fits
-    every rest in one kernel call when the rests are increasing index
-    arrays with the same classes present, as cross-validation complements
-    are."""
+) -> Iterator[FittedClassifier]:
+    """The models `fit(spec, data.subset(r), s)` for r, s in zip(rests,
+    seeds), bitwise and in order, each fitted when it is read, so a caller
+    that reads them one at a time holds one at a time.  A kind with a
+    batched fold fitter fits the rests together when they are increasing
+    index arrays with the same classes present, as cross-validation
+    complements are: logistic-linear all of them in one kernel call, made
+    here, and the trees a group of at most TREE_BLOCK_CELLS at a time."""
     fit_batch = _KINDS[spec.kind].fit_folds
     if fit_batch is not None and len(rests) > 0:
         presents = [_present(data.labels[r]) for r in rests]
         if all(np.array_equal(q, presents[0]) and (np.diff(r) > 0).all()
                for q, r in zip(presents, rests)):
-            return fit_batch(spec, data, rests, presents)
-    return [fit(spec, data.subset(r), s) for r, s in zip(rests, seeds)]
+            return iter(fit_batch(spec, data, rests, presents))
+    return (fit(spec, data.subset(r), s) for r, s in zip(rests, seeds))
 
 
 # --- knn ---------------------------------------------------------------
@@ -617,30 +623,32 @@ def _logistic_weights(spec, x, y, p, masks):
     its (d+1, p) weights are bitwise those of a fit on those rows alone.
 
     The weights are held as (d+1, p, T), so both matrix products have the
-    one-fit orientation with a contiguous right operand.  Rows outside a
-    fit get target 0 and residual 0 there, so they add exact zeros to its
-    gradient, which is divided by the fit's own row count.  The softmax
-    runs on a contiguous (p, N, T) copy so the class max and the class sum
-    are slab operations."""
+    one-fit orientation with a contiguous right operand.  The softmax runs
+    on a contiguous (p, N, T) copy of the product so the class max and the
+    class sum are slab operations; the product and the residuals
+    `(onehot - probs) * keep` share one (N, p, T) buffer.  Rows outside a
+    fit get residual +0 or -0 there, which adds exactly nothing to its
+    gradient, divided by the fit's own row count; its weights start at +0,
+    so no zero's sign reaches them."""
     iterations = int(spec.params["iterations"])
     rate = float(spec.params["rate"])
     t, n = masks.shape
     d = x.shape[1]
     xa = np.hstack([x, np.ones((n, 1))])
-    keep = masks.T.astype(np.float64)                      # (N, T)
-    onehot = (y[:, None] == np.arange(p)).astype(np.float64)
-    target = onehot[:, :, None] * keep[:, None, :]        # (N, p, T)
+    keep = masks.T.astype(np.float64)[:, None, :]          # (N, 1, T)
+    onehot = (y[:, None] == np.arange(p)).astype(np.float64)[:, :, None]
     rows = masks.sum(axis=1)
     w = np.zeros((d + 1, p, t))
     resid = np.empty((n, p, t))
+    z = np.empty((p, n, t))
     for _ in range(iterations):
-        z = (xa @ w.reshape(d + 1, p * t)).reshape(n, p, t)
-        z = np.ascontiguousarray(z.transpose(1, 0, 2))    # (p, N, T)
+        np.matmul(xa, w.reshape(d + 1, p * t), out=resid.reshape(n, p * t))
+        np.copyto(z, resid.transpose(1, 0, 2))
         z -= z.max(axis=0)
         np.exp(z, out=z)
         z /= _class_sum(z)
-        np.multiply(z.transpose(1, 0, 2), keep[:, None, :], out=resid)
-        np.subtract(target, resid, out=resid)
+        np.subtract(onehot, z.transpose(1, 0, 2), out=resid)
+        resid *= keep
         grad = (xa.T @ resid.reshape(n, p * t)).reshape(d + 1, p, t)
         w += rate * grad / rows
     return [np.ascontiguousarray(w[:, :, i]) for i in range(t)]
@@ -679,64 +687,144 @@ def _gini(counts: np.ndarray, total) -> np.ndarray:
     return 1.0 - (f * f).sum(axis=-1)
 
 
-def _best_split(x, y, p, min_leaf):
-    """CART split search: for each feature, the class counts left of every
-    sorted split position come from one cumulative sum, so all positions
-    are scored at once.  Ties go to the first feature, then the first
-    position.  None when no split lowers the parent impurity."""
+def _tree_shape(spec) -> tuple[int, int]:
+    """(max_depth, min_leaf) of a tree spec; a stump is one split deep."""
+    if spec.kind == "decision-stump":
+        return 1, 1
+    return int(spec.params["max_depth"]), int(spec.params["min_leaf"])
+
+
+def _grow_trees(x, y, p, rests, max_depth, min_leaf):
+    """Yield the CART tree of the rows of x in each rest (an index array),
+    as nested split and leaf dicts.  A node is a leaf at max_depth, when it
+    holds one class or fewer than 2 min_leaf rows, or when no split lowers
+    its Gini impurity.  Otherwise it splits at the midpoint of the cut that
+    minimises the size-weighted child impurity, over cuts between distinct
+    values that leave at least min_leaf rows on each side; ties go to the
+    first feature, then the first cut.  Rows below the threshold go left.
+
+    Each feature is sorted once, stably, into ranks.  A stable filter of a
+    stable sort is the stable sort of the subset (the presort of CART,
+    Breiman et al. 1984), so each node's rows in rank order are its rows
+    sorted as a stable sort of the node alone would sort them.  Rests go in
+    groups of at most TREE_BLOCK_CELLS (rest rows x (features + classes)),
+    each grown level by level when its first tree is read."""
     n, d = x.shape
-    totals = np.bincount(y, minlength=p)
-    parent = _gini(totals, n)
-    onehot = np.eye(p)[y]
-    best = None  # (impurity, feature, threshold)
+    ranks = np.empty((d, n), dtype=np.int64)
     for j in range(d):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        # cut i puts sorted rows [0, i] left: it needs distinct values on
-        # its two sides and at least min_leaf rows on each
-        cut = np.flatnonzero(xs[:-1] != xs[1:])
-        cut = cut[(cut >= min_leaf - 1) & (cut < n - min_leaf)]
-        if cut.size == 0:
-            continue
-        left = np.cumsum(onehot[order], axis=0)[cut]
-        nl = cut + 1.0
-        nr = n - nl
-        imp = (nl * _gini(left, nl[:, None])
-               + nr * _gini(totals - left, nr[:, None])) / n
-        i = int(np.argmin(imp))
-        if best is None or imp[i] < best[0]:
-            best = (imp[i], j, (xs[cut[i]] + xs[cut[i] + 1]) / 2.0)
-    if best is None or best[0] >= parent:
-        return None
-    return best[1], best[2]
+        ranks[j, np.argsort(x[:, j], kind="stable")] = np.arange(n)
+    group, cells, leaves = [], 0, {}
+    for rest in rests:
+        if group and cells + len(rest) * (d + p) > TREE_BLOCK_CELLS:
+            yield from _grow_level_wise(x, y, p, ranks, group, max_depth,
+                                        min_leaf, leaves)
+            group, cells = [], 0
+        group.append(rest)
+        cells += len(rest) * (d + p)
+    yield from _grow_level_wise(x, y, p, ranks, group, max_depth, min_leaf,
+                                leaves)
 
 
-def _grow_tree(x, y, p, depth, max_depth, min_leaf):
-    counts = np.bincount(y, minlength=p).astype(float)
-    if depth >= max_depth or len(np.unique(y)) == 1 or len(y) < 2 * min_leaf:
-        return {"leaf": (counts / counts.sum()).tolist()}
-    split = _best_split(x, y, p, min_leaf)
-    if split is None:
-        return {"leaf": (counts / counts.sum()).tolist()}
-    j, thr = split
-    mask = x[:, j] < thr
-    return {
-        "feature": int(j),
-        "threshold": float(thr),
-        "left": _grow_tree(x[mask], y[mask], p, depth + 1, max_depth, min_leaf),
-        "right": _grow_tree(x[~mask], y[~mask], p, depth + 1, max_depth, min_leaf),
-    }
+def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf, shared_leaves):
+    """The trees of _grow_trees for one group of rests.  A cell is one
+    (rest, row) pair; node[c] is the node of this level that cell c is in,
+    -1 once its node is a leaf.  For each feature, seqs[j] lists the live
+    cells by (node, rank), and one cumulative class count over it scores
+    every cut of every node of the level.  Equal leaves are one dict,
+    kept in shared_leaves by their proportions: a deep tree has many pure
+    leaves, and a fitted tree is never written to."""
+    n, d = x.shape
+    row = np.concatenate(rests)
+    node = np.repeat(np.arange(len(rests)), [len(r) for r in rests])
+    label = y[row]
+    seqs = [np.argsort(node * n + ranks[j, row]) for j in range(d)]
+    roots = [None] * len(rests)
+    level = [(roots, t) for t in range(len(rests))]  # where each node goes
+    depth = 0
+    while level:
+        m = len(level)
+        live = np.flatnonzero(node >= 0)
+        totals = np.bincount(node[live] * p + label[live],
+                             minlength=m * p).reshape(m, p)
+        sizes = totals.sum(axis=1)
+        best_imp = np.full(m, np.inf)
+        best_feat = np.full(m, -1)
+        best_thr = np.zeros(m)
+        growing = ((sizes >= 2 * min_leaf) & ((totals > 0).sum(axis=1) > 1)
+                   & (depth < max_depth))
+        # growing nodes' first positions in a sequence restricted to them
+        start = np.cumsum(sizes * growing) - sizes * growing
+        for j in range(d if growing.any() else 0):
+            s = seqs[j][growing[node[seqs[j]]]]
+            k = node[s]
+            xs = x[row[s], j]
+            pos = np.arange(len(s)) - start[k]
+            # cut i puts the node's first i + 1 rows left
+            cut = np.flatnonzero((xs[:-1] != xs[1:]) & (pos[:-1] >= min_leaf - 1)
+                                 & (pos[:-1] < sizes[k[:-1]] - min_leaf))
+            if cut.size == 0:
+                continue
+            kc = k[cut]
+            # class counts of the sequence's first i rows, cum[i]
+            cum = np.zeros((len(s) + 1, p))
+            cum[np.arange(1, len(s) + 1), label[s]] = 1.0
+            np.cumsum(cum, axis=0, out=cum)
+            left = cum[cut + 1] - cum[start[kc]]
+            nl = pos[cut] + 1.0
+            nn = sizes[kc]
+            nr = nn - nl
+            imp = (nl * _gini(left, nl[:, None])
+                   + nr * _gini(totals[kc] - left, nr[:, None])) / nn
+            first = np.flatnonzero(np.r_[True, kc[1:] != kc[:-1]])
+            low = np.minimum.reduceat(imp, first)
+            ties = imp == np.repeat(low, np.diff(np.r_[first, len(kc)]))
+            at = np.minimum.reduceat(np.where(ties, np.arange(len(kc)), len(kc)),
+                                     first)
+            nodes = kc[first]
+            better = low < best_imp[nodes]
+            nodes, g = nodes[better], cut[at[better]]
+            best_imp[nodes] = low[better]
+            best_feat[nodes] = j
+            best_thr[nodes] = (xs[g] + xs[g + 1]) / 2.0
+        split = growing & (best_imp < _gini(totals, sizes[:, None]))
+        leaves = np.flatnonzero(~split)
+        for k, leaf in zip(leaves, (totals[leaves] / sizes[leaves, None]).tolist()):
+            owner, key = level[k]
+            owner[key] = shared_leaves.setdefault(tuple(leaf), {"leaf": leaf})
+        child = np.full(m, -1)
+        child[split] = 2 * np.arange(int(split.sum()))
+        nxt = []
+        for k in np.flatnonzero(split):
+            owner, key = level[k]
+            owner[key] = tree = {"feature": int(best_feat[k]),
+                                 "threshold": float(best_thr[k]),
+                                 "left": None, "right": None}
+            nxt += [(tree, "left"), (tree, "right")]
+        cells = live[split[node[live]]]
+        k = node[cells]
+        right = ~(x[row[cells], best_feat[k]] < best_thr[k])
+        node = np.full(len(row), -1)
+        node[cells] = child[k] + right
+        if depth + 1 < max_depth:  # the next level splits: regroup by node
+            seqs = [s[node[s] >= 0] for s in seqs]
+            seqs = [s[np.argsort(node[s], kind="stable")] for s in seqs]
+        level, depth = nxt, depth + 1
+    return roots
 
 
 def _fit_tree(spec, x, y, p, seed):
-    tree = _grow_tree(
-        x, y, p, 0, int(spec.params["max_depth"]), int(spec.params["min_leaf"])
-    )
+    """The one-rest call of _grow_trees."""
+    tree = next(_grow_trees(x, y, p, [np.arange(len(y))], *_tree_shape(spec)))
     return {"tree": tree, "p": p}
 
 
-def _fit_stump(spec, x, y, p, seed):
-    return {"tree": _grow_tree(x, y, p, 0, 1, 1), "p": p}
+def _fit_tree_folds(spec, data, rests, presents):
+    # Rows outside every rest may hold an absent class; no cell reads them.
+    compact = np.searchsorted(presents[0], data.labels)
+    trees = _grow_trees(data.features, compact, len(presents[0]), rests,
+                        *_tree_shape(spec))
+    return (_fitted(spec, data, q, {"tree": t, "p": len(q)})
+            for q, t in zip(presents, trees))
 
 
 def _tree_row(node, row):
@@ -850,7 +938,7 @@ class _Kind(NamedTuple):
     predict: Callable    # (state, x) -> (n, n present) posteriors
     state: dict[str, Any]  # key -> layout, as _decode_state reads it
     defaults: dict[str, int | float]
-    fit_folds: Callable | None = None  # (spec, data, rests, presents)
+    fit_folds: Callable | None = None  # (spec, data, rests, presents) -> models
     # (states, x) -> one posterior array per state, for states that differ
     # only in the spec's parameters; predict is its one-state call
     predict_shared: Callable | None = None
@@ -861,7 +949,7 @@ class _Kind(NamedTuple):
 # > 0, (_SPD, d, d) a symmetric positive definite one; (_LABEL, n) an int64
 # array of present class indices 0..p-1; "p" or a parameter name, an
 # integer equal to p or to that parameter; _TREE the nested split and leaf
-# dicts of _grow_tree.
+# dicts of _grow_trees.
 _F, _POSITIVE, _SPD, _LABEL, _TREE = "float64", "positive", "spd", "label", "tree"
 _OVR = {"w": (_F, "p", "d"), "b": (_F, "p")}
 _TREE_STATE = {"tree": _TREE, "p": "p"}
@@ -885,8 +973,10 @@ _KINDS = {
         _fit_logistic, _predict_logistic, {"w": (_F, "d+1", "p")},
         {"iterations": 500, "rate": 0.1}, _fit_logistic_folds),
     "decision-tree": _Kind(
-        _fit_tree, _predict_tree, _TREE_STATE, {"max_depth": 12, "min_leaf": 2}),
-    "decision-stump": _Kind(_fit_stump, _predict_tree, _TREE_STATE, {}),
+        _fit_tree, _predict_tree, _TREE_STATE, {"max_depth": 12, "min_leaf": 2},
+        _fit_tree_folds),
+    "decision-stump": _Kind(_fit_tree, _predict_tree, _TREE_STATE, {},
+                            _fit_tree_folds),
     "nearest-mean": _Kind(
         _fit_nearest_mean, _predict_nearest_mean, {"means": (_F, "p", "d")}, {}),
     "perceptron": _Kind(
@@ -934,7 +1024,7 @@ def _decode_array(value, dtype: str, what: str) -> np.ndarray:
 
 
 def _check_tree(root, p: int, d: int) -> None:
-    """Every node of a _grow_tree tree: a split on a feature below d at a
+    """Every node of a _grow_trees tree: a split on a feature below d at a
     finite threshold, or a leaf of p finite class proportions."""
     stack = [root]
     while stack:

@@ -10,9 +10,12 @@ numerical class membership.  `load_ensemble` reads a model file in one
 pass: the top-level checks, then `FittedClassifier.from_state` on each
 classifier record.
 
-Every fold fit of the package goes through `fit_complements`: the meta-CV
-of `train`, the outer folds of `evaluation.run_protocol` and `alpha-curve`.
-Its seeds come from `derive_seed`, which chains:
+Every fold fit of the package goes through `part_profiles`, one
+`fit_folds` call per learner: the meta-CV of `train` and `alpha-curve`
+through `generate_meta_cv`, and each repeat of `evaluation.run_protocol`,
+whose outer and inner training parts go in one call.  `meta_from_folds`
+assembles the meta-data of both.  Seeds come from `derive_seed`, which
+chains:
 derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
 seed depends on its coordinates, not on the call that made it.
 
@@ -56,8 +59,9 @@ __all__ = [
     "default_alpha_grid",
     "derive_seed",
     "make_fold_plan",
-    "fit_complements",
+    "part_profiles",
     "stack_profiles",
+    "meta_from_folds",
     "generate_meta_cv",
     "cross_validated_meta",
     "error_for_alpha",
@@ -144,12 +148,64 @@ def make_fold_plan(labels: np.ndarray, n_folds: int, seed: int) -> FoldPlan:
     return FoldPlan(assignments, n_folds)
 
 
-def fit_complements(
+def part_profiles(
+    data: Dataset,
+    specs: Sequence[LearnerSpec],
+    rests: Sequence[np.ndarray],
+    seeds: Sequence[int],
+    queries: Sequence[Sequence[np.ndarray]],
+) -> list[list[np.ndarray]]:
+    """out[t][i] is the (len(q), K, M) profile stack of the rows
+    q = queries[t][i] of data from the models fitted on its rows rests[t],
+    learner j with seed derive_seed(seeds[t], j).  Each learner fits every
+    part in one `fit_folds` call: one batched kernel call for
+    logistic-linear, and batched groups for the trees, when the parts are
+    increasing index arrays with the same classes present.  The learners
+    of one kind go together, part by part, so the knn models of a part
+    share one neighbour search, and a part's models are dropped once their
+    columns are filled."""
+    out = [[np.empty((len(q), len(specs), data.catalog.size)) for q in qs]
+           for qs in queries]
+    kinds: dict[str, list[int]] = {}
+    for j, spec in enumerate(specs):
+        kinds.setdefault(spec.kind, []).append(j)
+    for group in kinds.values():
+        fitted = [fit_folds(specs[j], data, rests, [derive_seed(s, j) for s in seeds])
+                  for j in group]
+        for models, qs, blocks in zip(zip(*fitted), queries, out):
+            for q, block in zip(qs, blocks):
+                block[:, group] = stack_profiles(models, data.features[q])
+    return out
+
+
+def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndarray:
+    """(n, K, M) posterior profiles of the rows of x, one column per model.
+    The knn models of one training set share one neighbour search."""
+    return np.stack(predict_proba_models(models, x), axis=1)
+
+
+def meta_from_folds(
+    data: Dataset,
+    plan: FoldPlan,
+    held_profiles: Sequence[np.ndarray],
+    names: Sequence[str],
+) -> MetaMatrix:
+    """Meta-data of data, one column per name: the rows of fold t take
+    held_profiles[t], their profiles from the models fitted on all other
+    folds."""
+    scores = np.empty((data.n_observations, len(names), data.catalog.size))
+    for t, profiles in enumerate(held_profiles):
+        scores[plan.fold_indices(t)] = profiles
+    return MetaMatrix(scores, data.catalog, tuple(names))
+
+
+def generate_meta_cv(
     data: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan, seed: int
-) -> list[list[FittedClassifier]]:
-    """models[t][j] is learner j fitted on the complement of fold t with seed
-    derive_seed(seed, t, j).  Each learner fits all T complements in one
-    `fit_folds` call: one batched kernel call for logistic-linear."""
+) -> MetaMatrix:
+    """Meta-data of the training set: each fold's profiles come from the
+    models `part_profiles` fits on the fold's complement, learner j with
+    seed derive_seed(seed, t, j).  Raises TrainingError when a class is
+    absent from a complement."""
     folds = range(plan.n_folds)
     rests = [plan.complement_indices(t) for t in folds]
     for t, rest in enumerate(rests):
@@ -159,30 +215,9 @@ def fit_complements(
             raise TrainingError(
                 f"class {label!r} absent from the training complement of fold {t}"
             )
-    per_learner = [
-        fit_folds(spec, data, rests, [derive_seed(seed, t, j) for t in folds])
-        for j, spec in enumerate(specs)
-    ]
-    return [list(models) for models in zip(*per_learner)]
-
-
-def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndarray:
-    """(n, K, M) posterior profiles of the rows of x, one column per model.
-    The knn models of one training set share one neighbour search."""
-    return np.stack(predict_proba_models(models, x), axis=1)
-
-
-def generate_meta_cv(
-    data: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan, seed: int
-) -> MetaMatrix:
-    """Meta-data of the training set: the profile of each observation in
-    fold t comes from the models `fit_complements` fits on all other
-    folds."""
-    scores = np.empty((data.n_observations, len(specs), data.catalog.size))
-    for t, models in enumerate(fit_complements(data, specs, plan, seed)):
-        held = plan.fold_indices(t)
-        scores[held] = stack_profiles(models, data.features[held])
-    return MetaMatrix(scores, data.catalog, tuple(s.name for s in specs))
+    held = part_profiles(data, specs, rests, [derive_seed(seed, t) for t in folds],
+                         [[plan.fold_indices(t)] for t in folds])
+    return meta_from_folds(data, plan, [h[0] for h in held], [s.name for s in specs])
 
 
 def cross_validated_meta(

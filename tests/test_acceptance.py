@@ -335,7 +335,7 @@ def test_13_meta_cv_equals_per_fold_fits(name):
 
 def _reference_fold_profiles(datasets, config):
     """Test profiles of every outer fold from one `fit` per (fold, learner),
-    the loop run_protocol ran before it fitted through fit_complements."""
+    the loop run_protocol ran before it fitted whole repeats at once."""
     out = []
     for ds_idx, data in enumerate(datasets):
         for rep in range(config.repeats):
@@ -357,7 +357,7 @@ def _reference_fold_profiles(datasets, config):
 
 @pytest.mark.parametrize("roster", ["headline", "extended"])
 def test_14_protocol_folds_equal_per_fold_fits(roster, monkeypatch):
-    """run_protocol fits its outer folds through fit_complements; every
+    """run_protocol fits its outer folds through part_profiles; every
     fold's test profiles must be bitwise those of one fit per fold, also
     for the seed-dependent perceptron of the extended roster."""
     specs = HEADLINE_ROSTER if roster == "headline" else tuple(extended_roster())
@@ -376,3 +376,89 @@ def test_14_protocol_folds_equal_per_fold_fits(roster, monkeypatch):
     expected = _reference_fold_profiles(datasets, config)
     assert len(seen) == len(expected) == 60
     assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+
+
+@pytest.mark.parametrize("case", ["headline", "seeded"])
+def test_15_one_fit_per_repeat_equals_meta_cv_per_fold(case, monkeypatch):
+    """run_protocol fits each (dataset, repeat)'s outer and inner training
+    parts in one fit_folds call per learner.  Each fold's inner meta matrix
+    and chosen alpha must be bitwise those of generate_meta_cv on the
+    fold's training part with its inner plan and seed, and no inner model
+    may train on its outer test fold or on the inner fold it is asked
+    about.  The seeded case puts a seed-dependent learner (the perceptron)
+    in the roster, so every inner part must get its own seed."""
+    if case == "headline":
+        datasets = [load_bundled(name) for name in BUNDLED_DATASETS]
+        specs, repeats = HEADLINE_ROSTER, 2
+    else:
+        datasets = [load_bundled("rings")]
+        specs = (LearnerSpec("lda"), LearnerSpec("perceptron", {"iterations": 5}))
+        repeats = 1
+    config = ProtocolConfig(folds=10, repeats=repeats, seed=7, learners=specs,
+                            methods=("rule:sum", "granular-cv"))
+    calls, metas, alphas = [], [], []
+
+    class AuditedModel:
+        shared_key = None  # predicted alone, through predict_proba_batch
+
+        def __init__(self, model, train_rows):
+            self.model, self.train_rows, self.asked = model, train_rows, set()
+
+        def predict_proba_batch(self, x):
+            self.asked |= {tuple(row) for row in x}
+            return self.model.predict_proba_batch(x)
+
+    real_fit_folds = training.fit_folds
+
+    def audited_fit_folds(spec, data, rests, seeds):
+        models = [AuditedModel(m, {tuple(r) for r in data.features[rest]})
+                  for m, rest in zip(real_fit_folds(spec, data, rests, seeds), rests)]
+        calls.append((spec.name, data.name, models))
+        return models
+
+    def recorded(store, fn):
+        def spy(*args):
+            out = fn(*args)
+            store.append(out)
+            return out
+        return spy
+
+    monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
+    monkeypatch.setattr(training, "meta_from_folds",
+                        recorded(metas, training.meta_from_folds))
+    monkeypatch.setattr(training, "select_alpha",
+                        recorded(alphas, training.select_alpha))
+    run_protocol(datasets, config)
+    monkeypatch.undo()
+
+    derive = training.derive_seed
+    runs = [(ds_idx, data, rep) for ds_idx, data in enumerate(datasets)
+            for rep in range(repeats)]
+    assert len(calls) == len(runs) * len(specs)
+    for at, (ds_idx, data, rep) in enumerate(runs):
+        run_calls = calls[at * len(specs):(at + 1) * len(specs)]
+        assert sorted((name, ds, len(models)) for name, ds, models in run_calls) \
+            == sorted((spec.name, data.name, 110) for spec in specs)
+        plan = make_fold_plan(data.labels, 10, derive(7, ds_idx, rep))
+        rows = [tuple(r) for r in data.features]
+        tests = [{rows[i] for i in plan.fold_indices(f)} for f in range(10)]
+        for _, _, models in run_calls:
+            for model in models:
+                assert model.asked and not model.asked & model.train_rows
+            owners = []
+            for model in models[10:]:  # the inner models
+                part = model.train_rows | model.asked
+                (fold,) = [f for f in range(10) if part == set(rows) - tests[f]]
+                assert not model.train_rows & tests[fold]
+                owners.append(fold)
+            assert owners == [f for f in range(10) for _ in range(10)]
+        for fold in range(10):
+            run_seed = derive(7, ds_idx, rep, fold)
+            part = data.subset(plan.complement_indices(fold))
+            inner = make_fold_plan(part.labels, 10, derive(run_seed, 0x1A))
+            meta = generate_meta_cv(part, specs, inner, derive(run_seed, 0x2B))
+            alpha, curve = training.select_alpha(
+                meta, part.labels, config.alpha_grid, config.h)
+            assert np.array_equal(metas[at * 10 + fold].scores, meta.scores)
+            assert alphas[at * 10 + fold] == (alpha, curve)
+    assert len(metas) == len(alphas) == 10 * len(runs)

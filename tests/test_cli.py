@@ -126,6 +126,18 @@ class TestTrainPredict:
             "decision"
         ]
 
+    @pytest.mark.parametrize("grid", ["0:1:2", "BAD"])
+    def test_alpha_with_grid_exits_1(self, tmp_path, capsys, grid):
+        """--alpha fixes alpha, so a --grid beside it would search nothing:
+        the pair exits 1 before the data is read."""
+        model = tmp_path / "model.json"
+        code = main(["train", "--data", str(tmp_path / "absent.csv"),
+                     "--alpha", "1", "--grid", grid, "--output", str(model)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: --alpha fixes alpha and --grid searches for it" in err
+        assert not model.exists()
+
     def test_grid_training(self, tmp_path):
         data_csv = tmp_path / "train.csv"
         write_dataset_csv(data_csv, n=60, seed=3)
@@ -552,7 +564,7 @@ class TestNameLists:
         self, tmp_path, capsys, monkeypatch, methods, message
     ):
         fits = []
-        monkeypatch.setattr(training, "fit_complements", lambda *a: fits.append(a))
+        monkeypatch.setattr(training, "fit_folds", lambda *a: fits.append(a))
         args = ["evaluate", "--data", str(bundled_path("rings.csv")),
                 "--learners", "lda,knn5", "--folds", "3", "--repeats", "1",
                 "--output", str(tmp_path / "out")]
@@ -566,6 +578,23 @@ class TestNameLists:
         assert f"error: {message}" in capsys.readouterr().err
         assert fits == []
         assert not (tmp_path / "out").exists()
+
+    def test_fit_spy_sees_a_valid_method_list(self, tmp_path, monkeypatch):
+        """The positive control of the test above: evaluate fits through
+        training.fit_folds, one call per learner and repeat."""
+        fits = []
+        real = training.fit_folds
+
+        def spy(*args):
+            fits.append(args[0].name)
+            return real(*args)
+
+        monkeypatch.setattr(training, "fit_folds", spy)
+        assert main(["evaluate", "--data", str(bundled_path("rings.csv")),
+                     "--learners", "lda,knn5", "--folds", "3", "--repeats", "1",
+                     "--methods", "rule:sum,granular-fixed",
+                     "--output", str(tmp_path / "out")]) == 0
+        assert fits == ["lda", "knn5"]
 
 
 @pytest.fixture(scope="module")

@@ -198,6 +198,20 @@ SMALL_LEARNERS = (
 )
 
 
+def spy_fits(monkeypatch):
+    """The arguments of every fit through `training.fit_folds`, the one
+    fold fitter run_protocol and meta-CV call; each fit still runs."""
+    fits = []
+    real = training.fit_folds
+
+    def spy(*args):
+        fits.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(training, "fit_folds", spy)
+    return fits
+
+
 class TestProtocol:
     def small_config(self, **kw):
         base = dict(
@@ -258,9 +272,7 @@ class TestProtocol:
     def test_protocol_checked_before_the_first_fit(
         self, monkeypatch, change, names, message
     ):
-        fits = []
-        monkeypatch.setattr(training, "fit_complements",
-                            lambda *a: fits.append(a))
+        fits = spy_fits(monkeypatch)
         datasets = []
         for n, name in zip((40, 10), names):
             d = generate(GeneratorSpec("twonorm-like", n=n, d=2, seed=1))
@@ -268,6 +280,20 @@ class TestProtocol:
         with pytest.raises(EvaluationError, match=message):
             run_protocol(datasets, self.small_config(**change))
         assert fits == []
+
+    def test_fit_spy_sees_a_valid_protocol(self, monkeypatch):
+        """The positive control of the "checked before the first fit"
+        tests: run_protocol fits through training.fit_folds, one call per
+        (learner, dataset, repeat), so their spy would see a fit."""
+        fits = spy_fits(monkeypatch)
+        datasets = []
+        for name in ("a", "b"):
+            d = generate(GeneratorSpec("twonorm-like", n=40, d=2, seed=1))
+            datasets.append(Dataset(d.features, d.labels, d.catalog, name))
+        run_protocol(datasets, self.small_config(repeats=2))
+        assert [(spec.name, data.name) for spec, data, *_ in fits] == [
+            (spec.name, name) for name in ("a", "b") for _ in range(2)
+            for spec in SMALL_LEARNERS]
 
     @staticmethod
     def two_class(n_a, n_b):
@@ -281,9 +307,7 @@ class TestProtocol:
     ):
         """With 2 folds, a fold can hold 1 of the 2 b rows, so a training
         part keeps a single b row: too few for inner cross-validation."""
-        fits = []
-        monkeypatch.setattr(training, "fit_complements",
-                            lambda *a: fits.append(a))
+        fits = spy_fits(monkeypatch)
         with pytest.raises(EvaluationError,
                            match="'ab': some class keeps fewer than 2 rows"):
             run_protocol([self.two_class(10, 2)], self.small_config(

@@ -20,7 +20,7 @@ from granulex.learners import (
     spec_from_name,
 )
 from granulex.metadata import ClassCatalog, validate_scores
-from granulex.training import fit_complements, make_fold_plan
+from granulex.training import make_fold_plan
 
 CAT2 = ClassCatalog(("A", "B"))
 
@@ -336,10 +336,30 @@ def _reference_best_split(x, y, p, min_leaf):
     return best[1], best[2]
 
 
-def _random_split_case(rng):
-    n = int(rng.integers(2, 301))
-    d = int(rng.integers(1, 5))
-    p = int(rng.choice([2, 3, 4]))
+def _reference_grow_tree(x, y, p, depth, max_depth, min_leaf):
+    """The recursive definition of a CART tree, on the scalar split."""
+    counts = np.bincount(y, minlength=p).astype(float)
+    if depth >= max_depth or len(np.unique(y)) == 1 or len(y) < 2 * min_leaf:
+        return {"leaf": (counts / counts.sum()).tolist()}
+    split = _reference_best_split(x, y, p, min_leaf)
+    if split is None:
+        return {"leaf": (counts / counts.sum()).tolist()}
+    j, thr = split
+    mask = x[:, j] < thr
+    return {
+        "feature": int(j),
+        "threshold": float(thr),
+        "left": _reference_grow_tree(x[mask], y[mask], p, depth + 1, max_depth,
+                                     min_leaf),
+        "right": _reference_grow_tree(x[~mask], y[~mask], p, depth + 1,
+                                      max_depth, min_leaf),
+    }
+
+
+def _random_split_case(rng, p=None, n_max=300, d_max=4):
+    n = int(rng.integers(2, n_max + 1))
+    d = int(rng.integers(1, d_max + 1))
+    p = int(rng.choice([2, 3, 4])) if p is None else p
     x = rng.normal(size=(n, d))
     y = rng.integers(0, p, size=n)
     for j in range(d):
@@ -360,13 +380,19 @@ def _random_split_case(rng):
 
 
 def test_best_split_matches_scalar_reference():
+    """A tree one split deep splits the root as the scalar search does:
+    the first minimum of each feature, ties to the first feature, and a
+    leaf when no split lowers the parent impurity."""
     rng = np.random.default_rng(20240917)
     splits = 0
     for _ in range(400):
         x, y, p = _random_split_case(rng)
         for min_leaf in (1, 2, 5):
             expected = _reference_best_split(x, y, p, min_leaf)
-            assert learners._best_split(x, y, p, min_leaf) == expected
+            (root,) = learners._grow_trees(x, y, p, [np.arange(len(y))], 1,
+                                           min_leaf)
+            got = None if "leaf" in root else (root["feature"], root["threshold"])
+            assert got == expected
             splits += expected is not None
     assert splits > 300  # the cases exercise real splits, not only None
 
@@ -376,11 +402,107 @@ def test_best_split_matches_scalar_reference():
     LearnerSpec("decision-tree", {"max_depth": 20, "min_leaf": 1}),
     LearnerSpec("decision-stump"),
 ], ids=lambda s: s.kind)
-def test_tree_matches_scalar_reference(name, spec, monkeypatch):
+def test_tree_matches_scalar_reference(name, spec):
     data = load_bundled(name)
-    grown = fit(spec, data, 0).state["tree"]
-    monkeypatch.setattr(learners, "_best_split", _reference_best_split)
-    assert grown == fit(spec, data, 0).state["tree"]
+    max_depth, min_leaf = learners._tree_shape(spec)
+    expected = _reference_grow_tree(data.features, data.labels,
+                                    data.catalog.size, 0, max_depth, min_leaf)
+    assert fit(spec, data, 0).state["tree"] == expected
+
+
+def _spy_tree_calls(monkeypatch):
+    """The number of rests of every _grow_trees call."""
+    calls = []
+    real = learners._grow_trees
+
+    def spy(x, y, p, rests, *shape):
+        calls.append(len(rests))
+        return real(x, y, p, rests, *shape)
+
+    monkeypatch.setattr(learners, "_grow_trees", spy)
+    return calls
+
+
+def _tree_parts_case(rng, p, parts, n_max):
+    """A data set of p classes and `parts` increasing rests of about 80%
+    of its rows, each holding every class."""
+    x, y, _ = _random_split_case(rng, p=p, n_max=n_max)
+    x = np.vstack([x[:1].repeat(p, axis=0), x])
+    y = np.r_[np.arange(p), y]
+    data = Dataset(x, y, ClassCatalog(tuple(f"c{c}" for c in range(p))))
+    rests = [np.r_[np.arange(p), p + np.flatnonzero(rng.random(len(y) - p) < 0.8)]
+             for _ in range(parts)]
+    return data, rests
+
+
+@pytest.mark.parametrize("parts", [1, 2, 10, 110])
+def test_fit_folds_trees_match_reference(parts, monkeypatch):
+    """One _grow_trees call fits every rest level by level, and each tree
+    is the recursive oracle's on the rest alone: p = 2..6, max_depth 1, 2,
+    12 and 20, min_leaf 1, 2 and 5, on tie-heavy and mirrored data."""
+    rng = np.random.default_rng(7000 + parts)
+    calls = _spy_tree_calls(monkeypatch)
+    shapes = [(md, ml) for md in (1, 2, 12, 20) for ml in (1, 2, 5)]
+    few = parts > 10  # the oracle is slow: fewer and smaller cases
+    for i in range(5 if few else len(shapes)):
+        max_depth, min_leaf = shapes[(5 * i + parts) % len(shapes)]
+        p = 2 + i % 5
+        data, rests = _tree_parts_case(rng, p, parts, 40 if few else 120)
+        for spec in (LearnerSpec("decision-tree", {"max_depth": max_depth,
+                                                   "min_leaf": min_leaf}),
+                     LearnerSpec("decision-stump")):
+            del calls[:]
+            models = list(fit_folds(spec, data, rests, range(parts)))
+            assert calls == [parts]
+            shape = learners._tree_shape(spec)
+            for rest, model in zip(rests, models):
+                assert model.state["tree"] == _reference_grow_tree(
+                    data.features[rest], data.labels[rest], p, 0, *shape)
+
+
+def test_tree_groups_stay_within_the_cell_budget(monkeypatch):
+    """Rests go in groups of at most TREE_BLOCK_CELLS rest rows x (features
+    + classes), so the working set does not grow with the number of rests,
+    and the grouping changes no tree."""
+    data = load_bundled("twonorm")
+    rng = np.random.default_rng(4)
+    rests = [np.sort(rng.choice(150, size=120, replace=False)) for _ in range(9)]
+    spec = LearnerSpec("decision-tree", {"max_depth": 20, "min_leaf": 1})
+    whole = list(fit_folds(spec, data, rests, range(9)))
+    groups = []
+    real = learners._grow_level_wise
+
+    def spy(x, y, p, ranks, group, *rest):
+        groups.append(len(group))
+        return real(x, y, p, ranks, group, *rest)
+
+    monkeypatch.setattr(learners, "_grow_level_wise", spy)
+    monkeypatch.setattr(learners, "TREE_BLOCK_CELLS", 3 * 120 * (6 + 2))
+    grouped = list(fit_folds(spec, data, rests, range(9)))
+    assert groups == [3, 3, 3]
+    assert [m.state["tree"] for m in grouped] == [m.state["tree"] for m in whole]
+
+
+@pytest.mark.parametrize("fault", ["absent-class", "not-increasing"])
+def test_tree_parts_outside_the_guard_fit_one_by_one(fault, monkeypatch):
+    """A rest missing a class, or not increasing, sends every rest to the
+    one-rest fit, and each tree is still the oracle's."""
+    data = load_bundled("rings")
+    rng = np.random.default_rng(9)
+    rests = [np.sort(rng.choice(150, size=100, replace=False)) for _ in range(3)]
+    if fault == "absent-class":
+        rests.append(np.flatnonzero(data.labels != 0))
+    else:
+        rests.append(rests[0][::-1])
+    calls = _spy_tree_calls(monkeypatch)
+    models = list(fit_folds(LearnerSpec("decision-tree"), data, rests, range(4)))
+    assert calls == [1, 1, 1, 1]
+    for rest, model in zip(rests, models):
+        part = data.subset(rest)
+        present = np.unique(part.labels)
+        y = np.searchsorted(present, part.labels)
+        assert model.state["tree"] == _reference_grow_tree(
+            part.features, y, len(present), 0, 12, 2)
 
 
 # --- batched logistic fits oracle -------------------------------------------
@@ -446,7 +568,7 @@ def test_fit_folds_logistic_matches_reference_bitwise(monkeypatch):
         for rest, model in zip(rests, models):
             expected = fit(spec, data.subset(rest), 0).state["w"]
             assert model.state["w"].shape == expected.shape
-            assert np.array_equal(model.state["w"], expected)
+            assert model.state["w"].tobytes() == expected.tobytes()
     # both class-sum regimes and real batches are exercised
     assert {data.catalog.size >= 8 for data, _ in cases} == {False, True}
     assert max(batch_sizes) == 10
@@ -458,7 +580,7 @@ def test_fit_logistic_is_the_one_fold_kernel(monkeypatch):
     spec = LearnerSpec("logistic-linear", {"iterations": 50})
     got = fit(spec, data, 0).state["w"]
     _patch_fitter(monkeypatch, "logistic-linear", _reference_fit_logistic)
-    assert np.array_equal(got, fit(spec, data, 0).state["w"])
+    assert got.tobytes() == fit(spec, data, 0).state["w"].tobytes()
 
 
 # --- perceptron scan oracle -------------------------------------------------
@@ -794,11 +916,13 @@ def test_knn_models_of_one_training_set_share_one_search(monkeypatch):
 
 
 def test_knn_models_of_different_folds_do_not_share_a_search(monkeypatch):
-    """A model list mixing the folds of fit_complements: each training set
-    gets its own search, and every column is its own model's."""
+    """A model list mixing the fold complements' models: each training
+    set gets its own search, and every column is its own model's."""
     data = load_bundled("rings")
     plan = make_fold_plan(data.labels, 3, seed=1)
-    folds = fit_complements(data, default_roster(), plan, seed=2)
+    rests = [plan.complement_indices(t) for t in range(3)]
+    folds = list(zip(*(fit_folds(spec, data, rests, [2, 2, 2])
+                       for spec in default_roster())))
     models = [folds[0][2], folds[1][3], folds[0][4], folds[2][2],
               folds[1][0], folds[2][4], folds[0][3]]
     assert [m.spec.name for m in models][:4] == ["knn5", "knn25", "knn50", "knn5"]
