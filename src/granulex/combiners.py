@@ -117,16 +117,13 @@ def dt_fit(meta: MetaMatrix, labels: np.ndarray) -> DecisionTemplateModel:
 def s1_similarity(profile: np.ndarray, template: np.ndarray) -> float:
     """Fuzzy Jaccard similarity between two equal-shape matrices: cardinality
     of the elementwise min over the elementwise max. An all-zero union means
-    both matrices are all-zero: similarity 1."""
+    both matrices are all-zero: similarity 1.  The one-pair call of
+    s1_similarity_batch."""
     profile = np.asarray(profile, dtype=np.float64)
     template = np.asarray(template, dtype=np.float64)
     if profile.shape != template.shape:
         raise MetadataError("template/profile shape mismatch")
-    inter = np.minimum(profile, template).sum()
-    union = np.maximum(profile, template).sum()
-    if union == 0.0:
-        return 1.0
-    return float(inter / union)
+    return float(s1_similarity_batch(profile[None], template[None])[0, 0])
 
 
 def s1_similarity_batch(profiles: np.ndarray, templates: np.ndarray) -> np.ndarray:

@@ -178,27 +178,21 @@ def generate(spec: GeneratorSpec) -> Dataset:
                      two axes with radial noise; not linearly separable.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "two-gaussians":
+    if spec.kind in ("two-gaussians", "twonorm-like"):
         half = spec.n // 2
         sizes = [half, spec.n - half]
-        offset = np.zeros(spec.d)
-        offset[0] = 2.0 * spec.noise
+        if spec.kind == "two-gaussians":
+            offset = np.zeros(spec.d)
+            offset[0] = 2.0 * spec.noise
+            catalog = ClassCatalog(("pos", "neg"))
+        else:
+            offset = np.full(spec.d, 2.0 / np.sqrt(spec.d))
+            catalog = ClassCatalog(("norm1", "norm2"))
         x = np.vstack([
             rng.normal(size=(sizes[0], spec.d)) * spec.noise + offset,
             rng.normal(size=(sizes[1], spec.d)) * spec.noise - offset,
         ])
         y = np.concatenate([np.zeros(sizes[0]), np.ones(sizes[1])])
-        catalog = ClassCatalog(("pos", "neg"))
-    elif spec.kind == "twonorm-like":
-        half = spec.n // 2
-        sizes = [half, spec.n - half]
-        a = 2.0 / np.sqrt(spec.d)
-        x = np.vstack([
-            rng.normal(size=(sizes[0], spec.d)) * spec.noise + a,
-            rng.normal(size=(sizes[1], spec.d)) * spec.noise - a,
-        ])
-        y = np.concatenate([np.zeros(sizes[0]), np.ones(sizes[1])])
-        catalog = ClassCatalog(("norm1", "norm2"))
     else:  # concentric-rings
         third = spec.n // 3
         sizes = [third, third, spec.n - 2 * third]

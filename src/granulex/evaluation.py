@@ -4,6 +4,8 @@ comparisons, average rankings, and a 0-1-loss bias/variance diagnostic.
 
 F1 is macro-averaged one-vs-rest.  Every method is evaluated on identical
 fold splits per (dataset, repeat), so paired significance tests are valid.
+A repeat's outer folds and each fold's inner cross-validation are listed by
+`training.fold_parts` and fitted in one `training.part_profiles` call.
 """
 
 from __future__ import annotations
@@ -285,14 +287,13 @@ def run_protocol(
     Each (dataset, repeat) fits all its models in one
     `training.part_profiles` call, one `fit_folds` call per learner, over
     the parts `_repeat_parts` lists: the outer complements and, with
-    granular-cv, every inner training part.  With s =
-    derive_seed(config.seed, ds_idx, rep), learner j on outer fold t gets
-    derive_seed(s, t, j) == derive_seed(config.seed, ds_idx, rep, t, j),
-    and on inner part u of fold t derive_seed(s, t, 0x2B, u, j): the seeds
-    `generate_meta_cv` gives the fold's training part with seed
-    derive_seed(s, t, 0x2B), so each inner meta matrix is the one it
-    assembles.  The roster, the methods and every dataset are checked
-    before the first fit.
+    granular-cv, every inner training part, each listed and seeded by
+    `training.fold_parts`.  With s = derive_seed(config.seed, ds_idx, rep),
+    learner j on outer fold t gets derive_seed(s, t, j), and the inner
+    parts of fold t are the ones `generate_meta_cv` fits for the fold's
+    training part with seed derive_seed(s, t, 0x2B), so each inner meta
+    matrix is the one it assembles.  The roster, the methods and every
+    dataset are checked before the first fit.
     """
     specs = tuple(config.learners)
     if len(specs) < 2:
@@ -411,24 +412,21 @@ def _as_win(outcome: str) -> str:
 def _repeat_parts(data, plan, config, rep_seed):
     """The training parts of one repeat, for one `part_profiles` call:
     (rests, seed prefixes, queries, inner plans).  The first config.folds
-    parts are the outer complements, fold f's seeded derive_seed(rep_seed,
-    f), queried on fold f's test rows and, for decision-template, on its
-    own rows.  With granular-cv, fold f's inner plan is seeded
-    derive_seed(run_seed, 0x1A) with run_seed = derive_seed(rep_seed, f);
-    its inner parts follow, part u seeded derive_seed(run_seed, 0x2B, u),
-    as increasing indices into data, complement[inner rest], and queried
-    on the inner fold's rows."""
-    folds = range(config.folds)
-    rests = [plan.complement_indices(f) for f in folds]
-    seeds = [derive_seed(rep_seed, f) for f in folds]
-    queries = [[plan.fold_indices(f)] for f in folds]
+    parts are the outer folds, `training.fold_parts(plan, rep_seed, all
+    rows)`, each also queried on its own rows for decision-template.  With
+    granular-cv, fold f's inner plan over its complement is seeded
+    derive_seed(run_seed, 0x1A), run_seed the seed of outer part f, and its
+    inner parts follow: `fold_parts(inner plan, derive_seed(run_seed, 0x2B),
+    complement)`, as generate_meta_cv lists them for the fold's training
+    part with that seed."""
+    rests, seeds, queries = training.fold_parts(
+        plan, rep_seed, np.arange(data.n_observations))
     if "decision-template" in config.methods:
         for qs, rest in zip(queries, rests):
             qs.append(rest)
     inner_plans = []
     if "granular-cv" in config.methods:
-        for fold, complement in enumerate(rests[:config.folds]):
-            run_seed = derive_seed(rep_seed, fold)
+        for complement, run_seed in list(zip(rests, seeds)):  # outer parts only
             labels = data.labels[complement]
             inner_folds = min(
                 config.inner_folds,
@@ -437,10 +435,10 @@ def _repeat_parts(data, plan, config, rep_seed):
             inner = training.make_fold_plan(
                 labels, inner_folds, derive_seed(run_seed, 0x1A))
             inner_plans.append(inner)
-            for u in range(inner.n_folds):
-                rests.append(complement[inner.complement_indices(u)])
-                seeds.append(derive_seed(run_seed, 0x2B, u))
-                queries.append([complement[inner.fold_indices(u)]])
+            parts = training.fold_parts(
+                inner, derive_seed(run_seed, 0x2B), complement)
+            for whole, part in zip((rests, seeds, queries), parts):
+                whole += part
     return rests, seeds, queries, inner_plans
 
 

@@ -36,7 +36,10 @@ to separate `fit` calls, and `fit` itself is its one-subset call:
 logistic-linear steps the weights of all subsets together in one kernel
 call, and decision-tree and decision-stump grow the trees of all subsets
 level by level from one stable sort per feature, in groups of at most
-TREE_BLOCK_CELLS.  The other kinds fit each subset on its own.
+TREE_BLOCK_CELLS.  A batched fitter returns one state per subset, as a
+kind's fitter does for one; `fit_folds` compacts the labels once for all
+subsets and wraps each state as `fit` does.  The other kinds fit each
+subset on its own.
 
 `predict_proba_models` is the prediction counterpart: models of a kind with
 a shared predictor (knn) whose states differ only in their parameters go to
@@ -401,9 +404,14 @@ def fit_folds(
     fit_batch = _KINDS[spec.kind].fit_folds
     if fit_batch is not None and len(rests) > 0:
         presents = [_present(data.labels[r]) for r in rests]
-        if all(np.array_equal(q, presents[0]) and (np.diff(r) > 0).all()
+        present = presents[0]
+        if all(np.array_equal(q, present) and (np.diff(r) > 0).all()
                for q, r in zip(presents, rests)):
-            return iter(fit_batch(spec, data, rests, presents))
+            # Rows outside every rest may hold an absent class; no fit
+            # reads their compact label.
+            compact = np.searchsorted(present, data.labels)
+            states = fit_batch(spec, data.features, compact, len(present), rests)
+            return (_fitted(spec, data, present, state) for state in states)
     return (fit(spec, data.subset(r), s) for r, s in zip(rests, seeds))
 
 
@@ -655,23 +663,15 @@ def _logistic_weights(spec, x, y, p, masks):
 
 
 def _fit_logistic(spec, x, y, p, seed):
-    everything = np.ones((1, len(y)), dtype=bool)
-    return {"w": _logistic_weights(spec, x, y, p, everything)[0]}
+    """The one-rest call of _fit_logistic_folds."""
+    return _fit_logistic_folds(spec, x, y, p, [np.arange(len(y))])[0]
 
 
-def _fit_logistic_folds(spec, data, rests, presents):
-    masks = np.zeros((len(rests), data.n_observations), dtype=bool)
+def _fit_logistic_folds(spec, x, y, p, rests):
+    masks = np.zeros((len(rests), len(y)), dtype=bool)
     for t, r in enumerate(rests):
         masks[t, r] = True
-    # Rows outside every rest may hold an absent class; their compact label
-    # is never a target, since no mask keeps them.
-    compact = np.searchsorted(presents[0], data.labels)
-    weights = _logistic_weights(
-        spec, data.features, compact, len(presents[0]), masks
-    )
-    return [
-        _fitted(spec, data, q, {"w": w}) for q, w in zip(presents, weights)
-    ]
+    return [{"w": w} for w in _logistic_weights(spec, x, y, p, masks)]
 
 
 def _predict_logistic(state, x):
@@ -813,18 +813,13 @@ def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf, shared_leaves):
 
 
 def _fit_tree(spec, x, y, p, seed):
-    """The one-rest call of _grow_trees."""
-    tree = next(_grow_trees(x, y, p, [np.arange(len(y))], *_tree_shape(spec)))
-    return {"tree": tree, "p": p}
+    """The one-rest call of _fit_tree_folds."""
+    return next(_fit_tree_folds(spec, x, y, p, [np.arange(len(y))]))
 
 
-def _fit_tree_folds(spec, data, rests, presents):
-    # Rows outside every rest may hold an absent class; no cell reads them.
-    compact = np.searchsorted(presents[0], data.labels)
-    trees = _grow_trees(data.features, compact, len(presents[0]), rests,
-                        *_tree_shape(spec))
-    return (_fitted(spec, data, q, {"tree": t, "p": len(q)})
-            for q, t in zip(presents, trees))
+def _fit_tree_folds(spec, x, y, p, rests):
+    trees = _grow_trees(x, y, p, rests, *_tree_shape(spec))
+    return ({"tree": tree, "p": p} for tree in trees)
 
 
 def _tree_row(node, row):
@@ -938,7 +933,8 @@ class _Kind(NamedTuple):
     predict: Callable    # (state, x) -> (n, n present) posteriors
     state: dict[str, Any]  # key -> layout, as _decode_state reads it
     defaults: dict[str, int | float]
-    fit_folds: Callable | None = None  # (spec, data, rests, presents) -> models
+    # (spec, x, compact labels, n present, rests) -> one state per rest
+    fit_folds: Callable | None = None
     # (states, x) -> one posterior array per state, for states that differ
     # only in the spec's parameters; predict is its one-state call
     predict_shared: Callable | None = None

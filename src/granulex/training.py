@@ -11,11 +11,12 @@ pass: the top-level checks, then `FittedClassifier.from_state` on each
 classifier record.
 
 Every fold fit of the package goes through `part_profiles`, one
-`fit_folds` call per learner: the meta-CV of `train` and `alpha-curve`
-through `generate_meta_cv`, and each repeat of `evaluation.run_protocol`,
-whose outer and inner training parts go in one call.  `meta_from_folds`
-assembles the meta-data of both.  Seeds come from `derive_seed`, which
-chains:
+`fit_folds` call per learner, over parts that `fold_parts` lists: the
+meta-CV of `train` and `alpha-curve` through `generate_meta_cv`, and each
+repeat of `evaluation.run_protocol`, whose outer and inner training parts
+go in one call.  `fold_parts` is the one place a part's seed is derived,
+and `meta_from_folds` assembles the meta-data of both.  Seeds come from
+`derive_seed`, which chains:
 derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
 seed depends on its coordinates, not on the call that made it.
 
@@ -59,6 +60,7 @@ __all__ = [
     "default_alpha_grid",
     "derive_seed",
     "make_fold_plan",
+    "fold_parts",
     "part_profiles",
     "stack_profiles",
     "meta_from_folds",
@@ -148,6 +150,19 @@ def make_fold_plan(labels: np.ndarray, n_folds: int, seed: int) -> FoldPlan:
     return FoldPlan(assignments, n_folds)
 
 
+def fold_parts(
+    plan: FoldPlan, seed: int, rows: np.ndarray
+) -> tuple[list[np.ndarray], list[int], list[list[np.ndarray]]]:
+    """The parts of the cross-validation plan over the data rows `rows`
+    (increasing indices into the data), as `part_profiles` reads them:
+    part t trains on rows[plan.complement_indices(t)], increasing, has
+    seed derive_seed(seed, t) and is queried on rows[plan.fold_indices(t)]."""
+    folds = range(plan.n_folds)
+    return ([rows[plan.complement_indices(t)] for t in folds],
+            [derive_seed(seed, t) for t in folds],
+            [[rows[plan.fold_indices(t)]] for t in folds])
+
+
 def part_profiles(
     data: Dataset,
     specs: Sequence[LearnerSpec],
@@ -160,22 +175,13 @@ def part_profiles(
     learner j with seed derive_seed(seeds[t], j).  Each learner fits every
     part in one `fit_folds` call: one batched kernel call for
     logistic-linear, and batched groups for the trees, when the parts are
-    increasing index arrays with the same classes present.  The learners
-    of one kind go together, part by part, so the knn models of a part
-    share one neighbour search, and a part's models are dropped once their
-    columns are filled."""
-    out = [[np.empty((len(q), len(specs), data.catalog.size)) for q in qs]
-           for qs in queries]
-    kinds: dict[str, list[int]] = {}
-    for j, spec in enumerate(specs):
-        kinds.setdefault(spec.kind, []).append(j)
-    for group in kinds.values():
-        fitted = [fit_folds(specs[j], data, rests, [derive_seed(s, j) for s in seeds])
-                  for j in group]
-        for models, qs, blocks in zip(zip(*fitted), queries, out):
-            for q, block in zip(qs, blocks):
-                block[:, group] = stack_profiles(models, data.features[q])
-    return out
+    increasing index arrays with the same classes present.  The models are
+    read part by part, so a part's models are dropped once its profiles are
+    stacked, and its knn models share one neighbour search."""
+    fitted = [fit_folds(spec, data, rests, [derive_seed(s, j) for s in seeds])
+              for j, spec in enumerate(specs)]
+    return [[stack_profiles(models, data.features[q]) for q in qs]
+            for models, qs in zip(zip(*fitted), queries)]
 
 
 def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndarray:
@@ -203,11 +209,10 @@ def generate_meta_cv(
     data: Dataset, specs: Sequence[LearnerSpec], plan: FoldPlan, seed: int
 ) -> MetaMatrix:
     """Meta-data of the training set: each fold's profiles come from the
-    models `part_profiles` fits on the fold's complement, learner j with
-    seed derive_seed(seed, t, j).  Raises TrainingError when a class is
-    absent from a complement."""
-    folds = range(plan.n_folds)
-    rests = [plan.complement_indices(t) for t in folds]
+    models `part_profiles` fits on the parts `fold_parts` lists, learner j
+    of fold t with seed derive_seed(seed, t, j).  Raises TrainingError when
+    a class is absent from a complement."""
+    rests, seeds, queries = fold_parts(plan, seed, np.arange(data.n_observations))
     for t, rest in enumerate(rests):
         absent = np.bincount(data.labels[rest], minlength=data.catalog.size) == 0
         if absent.any():
@@ -215,8 +220,7 @@ def generate_meta_cv(
             raise TrainingError(
                 f"class {label!r} absent from the training complement of fold {t}"
             )
-    held = part_profiles(data, specs, rests, [derive_seed(seed, t) for t in folds],
-                         [[plan.fold_indices(t)] for t in folds])
+    held = part_profiles(data, specs, rests, seeds, queries)
     return meta_from_folds(data, plan, [h[0] for h in held], [s.name for s in specs])
 
 

@@ -184,6 +184,33 @@ class TestDecisionTemplate:
                 assert tuple(sims) == tuple(s1_similarity(p, t) for t in templates)
                 assert dt_decide_batch(model, profiles[i:i + 1])[0] == decisions[i]
 
+    @staticmethod
+    def reference_s1(profile, template):
+        """The standalone pair formula s1_similarity had before it became
+        the one-pair call of s1_similarity_batch."""
+        inter = np.minimum(profile, template).sum()
+        union = np.maximum(profile, template).sum()
+        if union == 0.0:
+            return 1.0
+        return float(inter / union)
+
+    def test_s1_similarity_is_the_one_pair_batch(self):
+        """Bitwise the pair formula on random and 1-decimal pairs with
+        K * M up to 200, and on the all-zero union."""
+        rng = np.random.default_rng(2025)
+        for i in range(400):
+            k, m = int(rng.integers(1, 21)), int(rng.integers(1, 11))
+            a, b = rng.random((k, m)), rng.random((k, m))
+            if i % 2:
+                a, b = np.round(a, 1), np.round(b, 1)
+            got = s1_similarity(a, b)
+            assert type(got) is float
+            assert got == self.reference_s1(a, b), (k, m)
+        zero = np.zeros((3, 4))
+        assert s1_similarity(zero, zero) == self.reference_s1(zero, zero) == 1.0
+        with pytest.raises(MetadataError, match="shape mismatch"):
+            s1_similarity(np.zeros((2, 3)), np.zeros((3, 2)))
+
     def test_shape_mismatch(self):
         p = random_profile(np.random.default_rng(5), 4, 2)
         model = DecisionTemplateModel(np.zeros((2, 3, 2)))

@@ -17,6 +17,7 @@ from granulex.training import (
     default_alpha_grid,
     derive_seed,
     error_for_alpha,
+    fold_parts,
     generate_meta_cv,
     load_ensemble,
     make_fold_plan,
@@ -126,6 +127,68 @@ class TestGenerateMetaCV:
         plan = make_fold_plan(data.labels, 2, seed=0)
         with pytest.raises(TrainingError, match="'b'.*fold"):
             generate_meta_cv(data, SPECS[:2], plan, 0)
+
+
+class TestFoldParts:
+    def test_parts_of_random_plans_over_row_subsets(self):
+        """Each rest is increasing, disjoint from its query and with it
+        makes up rows; part t has seed derive_seed(seed, t)."""
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            n = int(rng.integers(10, 200))
+            rows = np.sort(rng.choice(n, size=int(rng.integers(4, n + 1)),
+                                      replace=False))
+            labels = rng.integers(0, int(rng.integers(1, 4)), size=len(rows))
+            folds = int(rng.integers(2, min(len(rows), 10) + 1))
+            plan = make_fold_plan(labels, folds, seed=int(rng.integers(1 << 30)))
+            seed = int(rng.integers(0, 2**63))
+            rests, seeds, queries = fold_parts(plan, seed, rows)
+            assert len(rests) == len(seeds) == len(queries) == folds
+            assert seeds == [derive_seed(seed, t) for t in range(folds)]
+            for t, (rest, query) in enumerate(zip(rests, queries)):
+                (q,) = query
+                assert (np.diff(rest) > 0).all()
+                assert not set(rest.tolist()) & set(q.tolist())
+                assert np.array_equal(np.sort(np.r_[rest, q]), rows)
+                assert np.array_equal(q, rows[plan.assignments == t])
+
+
+def test_part_profiles_share_one_search_per_part_across_the_roster(monkeypatch):
+    """The knn models of a part share one neighbour search per query
+    block even when other learners sit between them in the roster, and
+    every profile is bitwise that of the part's own fit."""
+    data = generate(GeneratorSpec("concentric-rings", n=120, d=3, seed=21))
+    specs = [learners.spec_from_name(name)
+             for name in ("knn5", "lda", "knn25", "nearest-mean", "knn50")]
+    rows = np.flatnonzero(np.arange(data.n_observations) % 5 != 0)
+    plan = make_fold_plan(data.labels[rows], 4, seed=3)
+    rests, seeds, queries = fold_parts(plan, 11, rows)
+    for qs, rest in zip(queries, rests):
+        qs.append(rest)
+    monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", 40 * len(rests[0]) * 3)
+    calls = []
+    real = learners._sq_distances
+    monkeypatch.setattr(learners, "_sq_distances",
+                        lambda q, xt: calls.append((xt.tobytes(), len(q)))
+                        or real(q, xt))
+    out = training.part_profiles(data, specs, rests, seeds, queries)
+    expected_calls = []
+    for rest, qs in zip(rests, queries):
+        block = learners.KNN_BLOCK_CELLS // data.features[rest].size
+        for q in qs:
+            expected_calls += [(data.features[rest].tobytes(), min(block, len(q) - lo))
+                               for lo in range(0, len(q), block)]
+    assert calls == expected_calls
+    monkeypatch.undo()
+    for rest, seed, qs, got in zip(rests, seeds, queries, out):
+        part = data.subset(rest)
+        models = [learners.fit(spec, part, derive_seed(seed, j))
+                  for j, spec in enumerate(specs)]
+        for q, stack in zip(qs, got):
+            expected = np.stack([m.predict_proba_batch(data.features[q])
+                                 for m in models], axis=1)
+            assert stack.shape == expected.shape
+            assert stack.tobytes() == expected.tobytes()
 
 
 class TestAlphaSelection:
