@@ -117,8 +117,13 @@ def load_csv(
         if columns is None or label_column not in columns:
             raise DatasetError(f"label column {label_column!r} not found")
         label_idx = columns.index(label_column)
-    else:
+    elif -width <= label_column < width:
         label_idx = label_column % width
+    else:
+        raise DatasetError(
+            f"{path}: label column {label_column} is out of range for "
+            f"{width} columns (use -{width} to {width - 1})"
+        )
 
     features = _feature_rows(path, rows, label_idx)
     raw_labels = [row[label_idx] for _, row in rows]

@@ -224,6 +224,8 @@ class ProtocolConfig:
             raise EvaluationError("need folds, inner_folds >= 2 and repeats >= 1")
         if not 0.0 < self.significance < 1.0:
             raise EvaluationError("significance must lie in (0, 1)")
+        if not 0.0 <= self.fixed_alpha < math.inf:  # NaN fails too
+            raise EvaluationError("fixed_alpha must be finite and >= 0")
         if not self.methods:
             raise EvaluationError("need at least one method")
         named = default_methods()

@@ -24,22 +24,22 @@ Classes absent from the fitted data always receive posterior 0.
 
 Each kind is one entry of `_KINDS`: fitter, predictor, the layout (dtype
 and shape of each value) of the state the predictor reads, the defaults of
-every parameter the fitter reads, any batched fold fitter and any shared
-predictor.  `LearnerSpec` rejects other parameters and types each by its
-default: an int >= 1, or a finite real > 0.  `FittedClassifier.from_state`
-reads the record `to_state` writes, checks its keys and its state against
-the layout, and raises LearnerError on any fault.
+every parameter the fitter reads, and any shared predictor.
+`LearnerSpec` rejects other parameters and types each by its default: an
+int >= 1, or a finite real > 0.  `FittedClassifier.from_state` reads the
+record `to_state` writes, checks its keys and its state against the layout,
+and raises LearnerError on any fault.
 
-`fit_folds` fits one learner on several row subsets of a data set, as
-cross-validation does.  Two kinds have a batched fold fitter, bitwise equal
-to separate `fit` calls, and `fit` itself is its one-subset call:
-logistic-linear steps the weights of all subsets together in one kernel
-call, and decision-tree and decision-stump grow the trees of all subsets
-level by level from one stable sort per feature, in groups of at most
-TREE_BLOCK_CELLS.  A batched fitter returns one state per subset, as a
-kind's fitter does for one; `fit_folds` compacts the labels once for all
-subsets and wraps each state as `fit` does.  The other kinds fit each
-subset on its own.
+A kind has one fitter, over parts: given the features, the compact labels
+of every row and a list of row subsets (rests) with their seeds, it returns
+one state per rest.  `fit_folds` fits one learner on several rests of a
+data set, as cross-validation does; it compacts the labels once and wraps
+each state, and `fit` is its one-rest call.  Two kinds fit the rests
+together, bitwise equal to separate fits: logistic-linear steps the weights
+of all rests in one kernel call, and decision-tree and decision-stump grow
+the trees of all rests level by level from one stable sort per feature, in
+groups of at most TREE_BLOCK_CELLS.  The other kinds fit each rest on its
+own rows (`_each_part`).
 
 `predict_proba_models` is the prediction counterpart: models of a kind with
 a shared predictor (knn) whose states differ only in their parameters go to
@@ -381,11 +381,7 @@ def _fitted(spec, data, present, state) -> FittedClassifier:
 
 def fit(spec: LearnerSpec, data: Dataset, seed: int) -> FittedClassifier:
     """Fit one learner. Deterministic given (spec, data, seed)."""
-    present = _present(data.labels)
-    # Compact labels to 0..P-1 over present classes; predict maps them back.
-    compact = np.searchsorted(present, data.labels)
-    state = _KINDS[spec.kind].fit(spec, data.features, compact, len(present), seed)
-    return _fitted(spec, data, present, state)
+    return next(fit_folds(spec, data, [np.arange(data.n_observations)], [seed]))
 
 
 def fit_folds(
@@ -396,29 +392,37 @@ def fit_folds(
 ) -> Iterator[FittedClassifier]:
     """The models `fit(spec, data.subset(r), s)` for r, s in zip(rests,
     seeds), bitwise and in order, each fitted when it is read, so a caller
-    that reads them one at a time holds one at a time.  A kind with a
-    batched fold fitter fits the rests together when they are increasing
-    index arrays with the same classes present, as cross-validation
-    complements are: logistic-linear all of them in one kernel call, made
-    here, and the trees a group of at most TREE_BLOCK_CELLS at a time."""
-    fit_batch = _KINDS[spec.kind].fit_folds
-    if fit_batch is not None and len(rests) > 0:
-        presents = [_present(data.labels[r]) for r in rests]
+    that reads them one at a time holds one at a time.  When the rests are
+    increasing index arrays with the same classes present, as
+    cross-validation complements are, the labels are compacted once and the
+    kind's fitter reads the rests' rows of data itself; other rests are
+    fitted each on its own subset."""
+    presents = [_present(data.labels[r]) for r in rests]
+    if presents and all(np.array_equal(q, presents[0]) and (np.diff(r) > 0).all()
+                        for q, r in zip(presents, rests)):
         present = presents[0]
-        if all(np.array_equal(q, present) and (np.diff(r) > 0).all()
-               for q, r in zip(presents, rests)):
-            # Rows outside every rest may hold an absent class; no fit
-            # reads their compact label.
-            compact = np.searchsorted(present, data.labels)
-            states = fit_batch(spec, data.features, compact, len(present), rests)
-            return (_fitted(spec, data, present, state) for state in states)
+        # Compact labels to 0..P-1 over present classes; predict maps them
+        # back.  Rows outside every rest may hold an absent class; no fit
+        # reads their compact label.
+        compact = np.searchsorted(present, data.labels)
+        states = _KINDS[spec.kind].fit(spec, data.features, compact, len(present),
+                                       rests, seeds)
+        return (_fitted(spec, data, present, state) for state in states)
     return (fit(spec, data.subset(r), s) for r, s in zip(rests, seeds))
+
+
+def _each_part(fit_one):
+    """A kind's fitter from its one-part fitter (spec, x, compact labels,
+    n present, seed) -> state: each rest fitted on its own rows."""
+    def fit_parts(spec, x, y, p, rests, seeds):
+        return (fit_one(spec, x[r], y[r], p, s) for r, s in zip(rests, seeds))
+    return fit_parts
 
 
 # --- knn ---------------------------------------------------------------
 
 def _fit_knn(spec, x, y, p, seed):
-    return {"x": x.copy(), "y": y.copy(), "k": int(spec.params["k"]), "p": p}
+    return {"x": x, "y": y, "k": int(spec.params["k"]), "p": p}
 
 
 def _predict_knn(state, x):
@@ -662,12 +666,8 @@ def _logistic_weights(spec, x, y, p, masks):
     return [np.ascontiguousarray(w[:, :, i]) for i in range(t)]
 
 
-def _fit_logistic(spec, x, y, p, seed):
-    """The one-rest call of _fit_logistic_folds."""
-    return _fit_logistic_folds(spec, x, y, p, [np.arange(len(y))])[0]
-
-
-def _fit_logistic_folds(spec, x, y, p, rests):
+def _fit_logistic(spec, x, y, p, rests, seeds):
+    """Every rest in one kernel call; the fit draws no random numbers."""
     masks = np.zeros((len(rests), len(y)), dtype=bool)
     for t, r in enumerate(rests):
         masks[t, r] = True
@@ -812,12 +812,8 @@ def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf, shared_leaves):
     return roots
 
 
-def _fit_tree(spec, x, y, p, seed):
-    """The one-rest call of _fit_tree_folds."""
-    return next(_fit_tree_folds(spec, x, y, p, [np.arange(len(y))]))
-
-
-def _fit_tree_folds(spec, x, y, p, rests):
+def _fit_tree(spec, x, y, p, rests, seeds):
+    """The trees of _grow_trees; the fit draws no random numbers."""
     trees = _grow_trees(x, y, p, rests, *_tree_shape(spec))
     return ({"tree": tree, "p": p} for tree in trees)
 
@@ -929,12 +925,11 @@ def _fit_perceptron(spec, x, y, p, seed):
 # --- the kinds ---------------------------------------------------------------
 
 class _Kind(NamedTuple):
-    fit: Callable        # (spec, x, compact labels, n present, seed) -> state
+    # (spec, x, compact labels, n present, rests, seeds) -> one state per rest
+    fit: Callable
     predict: Callable    # (state, x) -> (n, n present) posteriors
     state: dict[str, Any]  # key -> layout, as _decode_state reads it
     defaults: dict[str, int | float]
-    # (spec, x, compact labels, n present, rests) -> one state per rest
-    fit_folds: Callable | None = None
     # (states, x) -> one posterior array per state, for states that differ
     # only in the spec's parameters; predict is its one-state call
     predict_shared: Callable | None = None
@@ -951,32 +946,31 @@ _OVR = {"w": (_F, "p", "d"), "b": (_F, "p")}
 _TREE_STATE = {"tree": _TREE, "p": "p"}
 
 _KINDS = {
-    "knn": _Kind(_fit_knn, _predict_knn,
+    "knn": _Kind(_each_part(_fit_knn), _predict_knn,
                  {"x": (_F, "n", "d"), "y": (_LABEL, "n"), "k": "k", "p": "p"},
                  {"k": 5}, predict_shared=_predict_knn_shared),
     "gaussian-naive-bayes": _Kind(
-        _fit_gnb, _predict_gnb,
+        _each_part(_fit_gnb), _predict_gnb,
         {"theta": (_F, "p", "d"), "var": (_POSITIVE, "p", "d"),
          "log_priors": (_F, "p")},
         {}),
     "lda": _Kind(
-        _fit_lda, _predict_lda,
+        _each_part(_fit_lda), _predict_lda,
         {"means": (_F, "p", "d"), "inv_cov": (_SPD, "d", "d"),
          "log_priors": (_F, "p")},
         {}),
-    "fisher": _Kind(_fit_fisher, _predict_ovr_logistic, _OVR, {}),
+    "fisher": _Kind(_each_part(_fit_fisher), _predict_ovr_logistic, _OVR, {}),
     "logistic-linear": _Kind(
         _fit_logistic, _predict_logistic, {"w": (_F, "d+1", "p")},
-        {"iterations": 500, "rate": 0.1}, _fit_logistic_folds),
+        {"iterations": 500, "rate": 0.1}),
     "decision-tree": _Kind(
-        _fit_tree, _predict_tree, _TREE_STATE, {"max_depth": 12, "min_leaf": 2},
-        _fit_tree_folds),
-    "decision-stump": _Kind(_fit_tree, _predict_tree, _TREE_STATE, {},
-                            _fit_tree_folds),
+        _fit_tree, _predict_tree, _TREE_STATE, {"max_depth": 12, "min_leaf": 2}),
+    "decision-stump": _Kind(_fit_tree, _predict_tree, _TREE_STATE, {}),
     "nearest-mean": _Kind(
-        _fit_nearest_mean, _predict_nearest_mean, {"means": (_F, "p", "d")}, {}),
+        _each_part(_fit_nearest_mean), _predict_nearest_mean,
+        {"means": (_F, "p", "d")}, {}),
     "perceptron": _Kind(
-        _fit_perceptron, _predict_ovr_logistic, _OVR,
+        _each_part(_fit_perceptron), _predict_ovr_logistic, _OVR,
         {"iterations": 100, "rate": 0.1}),
 }
 

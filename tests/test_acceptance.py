@@ -355,6 +355,25 @@ def _reference_fold_profiles(datasets, config):
     return out
 
 
+def test_headline_repeat_builds_one_dataset_per_outer_fold(monkeypatch):
+    """The 110 training parts of a headline (dataset, repeat) are fitted
+    from the data set's rows: the only Datasets it builds are
+    run_protocol's ten outer training parts, not one per (learner, part)."""
+    data = load_bundled(BUNDLED_DATASETS[0])
+    built = []
+    original = Dataset.__post_init__
+
+    def counting(self):
+        original(self)
+        built.append(self.n_observations)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counting)
+    run_protocol([data], ProtocolConfig(folds=10, repeats=1, seed=7,
+                                        learners=HEADLINE_ROSTER))
+    assert len(built) == 10
+    assert sum(built) == 9 * data.n_observations  # each leaves one fold out
+
+
 @pytest.mark.parametrize("roster", ["headline", "extended"])
 def test_14_protocol_folds_equal_per_fold_fits(roster, monkeypatch):
     """run_protocol fits its outer folds through part_profiles; every

@@ -318,6 +318,29 @@ class TestErrorPaths:
         assert "error: need at least two base learners" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_label_column_out_of_range_exits_1(self, tmp_path, capsys):
+        code = main(["train", "--data", str(bundled_path("rings.csv")),
+                     "--label-column", "5", "--alpha", "1.0",
+                     "--output", str(tmp_path / "m.json")])
+        assert code == 1
+        assert ("label column 5 is out of range for 4 columns"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_bad_fixed_alpha_exits_1_before_the_first_fit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        fits = []
+        monkeypatch.setattr(training, "fit_folds", lambda *a: fits.append(a))
+        code = main(["evaluate", "--data", str(bundled_path("rings.csv")),
+                     "--learners", "lda,knn5", "--folds", "3", "--repeats", "1",
+                     "--alpha", "-1", "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert ("error: fixed_alpha must be finite and >= 0"
+                in capsys.readouterr().err)
+        assert fits == []
+        assert not (tmp_path / "out").exists()
+
     def test_bad_knn_entry_exits_1(self, tmp_path, capsys):
         code = main(["train", "--data", str(bundled_path("rings.csv")),
                      "--learners", "lda,knn2.7", "--alpha", "1.0",

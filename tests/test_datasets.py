@@ -36,6 +36,21 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.features[0], [1.0, 2.0])
         np.testing.assert_array_equal(data.labels, [0, 1, 0])
 
+    def test_negative_label_column_counts_from_the_end(self, tmp_path):
+        path = self.write(tmp_path, "label,f1,f2\na,1,2\nb,3,4\na,5,6\n")
+        data = load_csv(path, label_column=-3)
+        np.testing.assert_array_equal(data.features[0], [1.0, 2.0])
+        np.testing.assert_array_equal(data.labels, [0, 1, 0])
+
+    @pytest.mark.parametrize("column", [3, 5, 7, -4])
+    def test_label_column_out_of_range_rejected(self, tmp_path, column):
+        """Each was once taken modulo the width: 5 and -4 picked column 2,
+        7 picked column 1 and failed on its feature cells."""
+        path = self.write(tmp_path, "f1,f2,label\n1,2,a\n3,4,b\n")
+        with pytest.raises(DatasetError, match=rf"label column {column} is out "
+                           rf"of range for 3 columns \(use -3 to 2\)"):
+            load_csv(path, label_column=column)
+
     def test_label_column_by_name(self, tmp_path):
         path = self.write(tmp_path, "y,f1\nup,1\ndown,2\n")
         data = load_csv(path, label_column="y")

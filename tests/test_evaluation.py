@@ -281,6 +281,13 @@ class TestProtocol:
             run_protocol(datasets, self.small_config(**change))
         assert fits == []
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_fixed_alpha_must_be_finite_and_nonnegative(self, alpha):
+        with pytest.raises(EvaluationError,
+                           match="fixed_alpha must be finite and >= 0"):
+            self.small_config(fixed_alpha=alpha)
+        assert self.small_config(fixed_alpha=0.0).fixed_alpha == 0.0
+
     def test_fit_spy_sees_a_valid_protocol(self, monkeypatch):
         """The positive control of the "checked before the first fit"
         tests: run_protocol fits through training.fit_folds, one call per

@@ -13,8 +13,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 
 # The K x M profile class and the one-profile combiner views that the
 # (n, K, M) batch kernels replaced, the per-kind declarations that the
-# one `learners._KINDS` table replaced, and the model-record key lists that
-# `FittedClassifier.from_state` replaced.
+# one `learners._KINDS` table replaced, the model-record key lists that
+# `FittedClassifier.from_state` replaced, and the batched fold fitters that
+# became the logistic and tree kinds' one fitter.
 RETIRED = {
     "_FITTERS",
     "_PREDICTORS",
@@ -31,6 +32,8 @@ RETIRED = {
     "dt_classify",
     "granular_classify",
     "ncm",
+    "_fit_logistic_folds",
+    "_fit_tree_folds",
 }
 
 # Module attributes the bench tracer replaces by name.

@@ -544,8 +544,10 @@ def _random_folds_case(rng):
 
 
 def _patch_fitter(monkeypatch, kind, fitter):
+    """Make the one-part fitter the kind's fitter, each part fitted alone."""
     entry = learners._KINDS[kind]
-    monkeypatch.setitem(learners._KINDS, kind, entry._replace(fit=fitter))
+    monkeypatch.setitem(learners._KINDS, kind,
+                        entry._replace(fit=learners._each_part(fitter)))
 
 
 def test_fit_folds_logistic_matches_reference_bitwise(monkeypatch):
@@ -722,6 +724,11 @@ def test_fit_folds_equals_fit_loop(spec):
         single = fit(spec, data.subset(rest), seed)
         assert (learners._jsonable(model.state)
                 == learners._jsonable(single.state))
+
+
+@pytest.mark.parametrize("kind", list(learners._KINDS))
+def test_fit_folds_of_no_rests_yields_nothing(kind):
+    assert list(fit_folds(LearnerSpec(kind), load_bundled("rings"), [], [])) == []
 
 
 # --- knn prediction oracle --------------------------------------------------
