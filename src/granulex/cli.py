@@ -1,7 +1,9 @@
 """Command-line interface: train, predict, evaluate, alpha-curve.
 
-Configuration is strict JSON (unknown keys and ill-typed values rejected);
-command-line flags override config values.
+Configuration is strict JSON (unknown keys and ill-typed values rejected).
+A flag writes the config key of its name (--alpha fixed_alpha, --grid
+alpha_grid) over the config's value; _resolve_config is the one reader of
+flags, config and defaults, for train and alpha-curve as for evaluate.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import combiners, evaluation, report, training
 from .datasets import GeneratorSpec, generate, load_csv, load_features
 from .learners import Dataset, LearnerSpec, default_roster, spec_from_name
-from .training import AlphaGrid, default_alpha_grid
+from .training import AlphaGrid
 
 
 def _is_int(value) -> bool:
@@ -119,23 +121,23 @@ def _split_names(flag: str, text: str) -> list[str]:
 
 
 def _load_dataset_entry(entry: dict) -> Dataset:
+    """The data set of a dataset entry: a generator object alone, or
+    load_csv's keyword arguments."""
     _check_object(entry, DATASET_TYPES, "dataset config")
-    if "generator" in entry:
-        gen = entry["generator"]
-        bad = set(gen) - GENERATOR_KEYS
-        if bad:
-            raise CliError(f"unknown generator keys: {sorted(bad)}")
-        if "kind" not in gen:
-            raise CliError("generator needs a 'kind'")
-        return generate(GeneratorSpec(**gen))
-    if "path" not in entry:
-        raise CliError("dataset entry needs 'path' or 'generator'")
-    return load_csv(
-        entry["path"],
-        label_column=entry.get("label_column", -1),
-        header=entry.get("header", True),
-        name=entry.get("name", ""),
-    )
+    if "generator" not in entry:
+        if "path" not in entry:
+            raise CliError("dataset entry needs 'path' or 'generator'")
+        return load_csv(**entry)
+    gen = entry["generator"]
+    stray = set(entry) - {"generator"}
+    if stray:
+        raise CliError(f"a generator dataset entry takes no {sorted(stray)}")
+    bad = set(gen) - GENERATOR_KEYS
+    if bad:
+        raise CliError(f"unknown generator keys: {sorted(bad)}")
+    if "kind" not in gen:
+        raise CliError("generator needs a 'kind'")
+    return generate(GeneratorSpec(**gen))
 
 
 def _resolve_config(path: str | None, args) -> dict:
@@ -151,24 +153,17 @@ def _resolve_config(path: str | None, args) -> dict:
         _check_object(raw, CONFIG_TYPES, "config")
         cfg.update(raw)
 
-    # Flag overrides (CLI > config > defaults).
-    if getattr(args, "data", None):
-        cfg["datasets"] = [
-            {"path": args.data, "label_column": args.label_column,
-             "header": not args.no_header}
-        ]
-    for key in ("folds", "repeats", "seed", "h", "inner_folds"):
+    # Flag overrides (CLI > config > defaults): each flag's dest is its key.
+    if args.data:
+        cfg["datasets"] = [{"path": args.data, "label_column": args.label_column,
+                            "header": not args.no_header}]
+    elif args.label_column != -1 or args.no_header:
+        raise CliError("--label-column and --no-header describe the --data "
+                       "file: give --data, or set them in a datasets entry")
+    for key, (_, ok) in CONFIG_TYPES.items():
         val = getattr(args, key, None)
         if val is not None:
-            cfg[key] = val
-    if getattr(args, "grid", None):
-        cfg["alpha_grid"] = args.grid
-    if getattr(args, "alpha", None) is not None:
-        cfg["fixed_alpha"] = args.alpha
-    for key in ("learners", "methods"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = _split_names(f"--{key}", val)
+            cfg[key] = _split_names(f"--{key}", val) if ok is _is_names else val
 
     # Defaults: the default roster, and ProtocolConfig's for the rest.
     cfg.setdefault("learners", [s.name for s in default_roster()])
@@ -179,22 +174,24 @@ def _resolve_config(path: str | None, args) -> dict:
     return cfg
 
 
-def _grid_from_cfg(value) -> AlphaGrid:
-    if isinstance(value, str):
-        return parse_grid(value)
-    return AlphaGrid(tuple(float(v) for v in value))
+# The reader of each config key whose ProtocolConfig field is not a scalar of
+# _SCALAR_TYPES: a resolved config value -> the field's value.
+_READERS = {
+    "methods": tuple,
+    "learners": lambda names: tuple(map(spec_from_name, names)),
+    "alpha_grid": lambda v: (parse_grid(v) if isinstance(v, str)
+                             else AlphaGrid(tuple(float(x) for x in v))),
+}
 
 
-def _training_inputs(args) -> tuple[list[LearnerSpec], Dataset, AlphaGrid, int]:
-    """The roster (the default roster without --learners), training data,
-    alpha grid and seed of train and alpha-curve."""
-    specs = default_roster() if args.learners is None else [
-        spec_from_name(name) for name in _split_names("--learners", args.learners)
-    ]
-    data = load_csv(args.data, label_column=args.label_column,
-                    header=not args.no_header)
-    grid = parse_grid(args.grid) if args.grid else default_alpha_grid()
-    return specs, data, grid, args.seed or 0
+def _training_inputs(args) -> tuple[dict, tuple[LearnerSpec, ...], Dataset,
+                                    AlphaGrid]:
+    """The resolved config, roster, training data and alpha grid of train
+    and alpha-curve, read as evaluate reads them."""
+    cfg = _resolve_config(None, args)
+    specs = _READERS["learners"](cfg["learners"])
+    (data,) = map(_load_dataset_entry, cfg["datasets"])
+    return cfg, specs, data, _READERS["alpha_grid"](cfg["alpha_grid"])
 
 
 @contextlib.contextmanager
@@ -208,13 +205,17 @@ def _output(path: str | None):
 
 
 def cmd_train(args) -> int:
-    if args.alpha is not None and args.grid:
+    fixed = args.fixed_alpha
+    if fixed is not None and args.alpha_grid is not None:
         raise CliError("--alpha fixes alpha and --grid searches for it: "
                        "give one of them")
-    specs, data, grid, seed = _training_inputs(args)
+    if fixed is not None and args.folds is not None:
+        raise CliError("--alpha skips the cross-validation that --folds "
+                       "sets: give one of them")
+    cfg, specs, data, grid = _training_inputs(args)
     ensemble = training.train(
-        data, specs, seed, grid=None if args.alpha is not None else grid,
-        fixed_alpha=args.alpha, h=args.h or combiners.DEFAULT_H, n_folds=args.folds,
+        data, specs, cfg["seed"], grid=None if fixed is not None else grid,
+        fixed_alpha=fixed, h=cfg["h"], n_folds=cfg["folds"],
     )
     training.save_ensemble(args.output, ensemble)
     print(f"trained ensemble (alpha={ensemble.alpha:g}, h={ensemble.h}) "
@@ -259,15 +260,11 @@ def cmd_predict(args) -> int:
 
 def _protocol_config(cfg: dict) -> evaluation.ProtocolConfig:
     """The ProtocolConfig of a resolved config, field by field: the inverse
-    of evaluation.config_echo.  Every field without a reader here is a
-    scalar of _SCALAR_TYPES and takes its value as the type of its default."""
-    readers = {
-        "methods": tuple,
-        "learners": lambda names: tuple(map(spec_from_name, names)),
-        "alpha_grid": _grid_from_cfg,
-    }
+    of evaluation.config_echo.  Every field without a reader in _READERS is
+    a scalar of _SCALAR_TYPES and takes its value as the type of its
+    default."""
     return evaluation.ProtocolConfig(**{
-        f.name: readers.get(f.name, type(f.default))(cfg[f.name])
+        f.name: _READERS.get(f.name, type(f.default))(cfg[f.name])
         for f in dataclasses.fields(evaluation.ProtocolConfig)
     })
 
@@ -285,10 +282,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_alpha_curve(args) -> int:
-    specs, data, grid, seed = _training_inputs(args)
+    cfg, specs, data, grid = _training_inputs(args)
     h_kinds = [args.h] if args.h else list(combiners.H_KINDS)
     curves = evaluation.alpha_error_curves(
-        data, specs, grid, h_kinds, args.folds, seed
+        data, specs, grid, h_kinds, cfg["folds"], cfg["seed"]
     )
     with _output(args.output) as out:
         writer = csv.writer(out)
@@ -313,18 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
                        type=lambda s: int(s) if s.lstrip("-").isdigit() else s,
                        help="label column index or name (default: last)")
         p.add_argument("--no-header", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int)
 
     def add_training_inputs(p):  # the flags _training_inputs reads
         p.add_argument("--data", required=True)
         p.add_argument("--learners")
-        p.add_argument("--grid", help="alpha grid lo:step:hi")
-        p.add_argument("--folds", type=int, default=10)
+        p.add_argument("--grid", dest="alpha_grid", help="alpha grid lo:step:hi")
+        p.add_argument("--folds", type=int)
         add_common(p)
 
     p_train = sub.add_parser("train", help="fit and serialize an ensemble")
     add_training_inputs(p_train)
-    p_train.add_argument("--alpha", type=float, help="fixed alpha (skips CV)")
+    p_train.add_argument("--alpha", dest="fixed_alpha", type=float,
+                         help="fixed alpha (skips CV)")
     p_train.add_argument("--h", choices=combiners.H_KINDS)
     p_train.add_argument("--output", required=True)
     p_train.set_defaults(func=cmd_train)
@@ -343,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--folds", type=int)
     p_eval.add_argument("--repeats", type=int)
     p_eval.add_argument("--inner-folds", dest="inner_folds", type=int)
-    p_eval.add_argument("--alpha", type=float)
-    p_eval.add_argument("--grid")
+    p_eval.add_argument("--alpha", dest="fixed_alpha", type=float)
+    p_eval.add_argument("--grid", dest="alpha_grid")
     p_eval.add_argument("--h", choices=combiners.H_KINDS)
     p_eval.add_argument("--learners")
     p_eval.add_argument("--methods")

@@ -30,6 +30,8 @@ BUNDLED_DATASETS = ("clusters", "twonorm", "rings")
 
 # Largest n * d a generator may draw (800 MB of float64), checked before allocating.
 MAX_GENERATED_VALUES = 10**8
+# Most bad line numbers a CSV error names; past these it states the count.
+_NAMED_ROWS = 10
 
 
 class DatasetError(ValueError):
@@ -78,7 +80,8 @@ def _feature_rows(
 ) -> list[list[float]]:
     """The float cells of every row but column label_idx.  Every row whose
     width differs from the first's, or with a non-numeric or non-finite
-    feature cell, aborts with all such line numbers."""
+    feature cell, aborts naming the first _NAMED_ROWS such line numbers and,
+    past those, how many there are."""
     width = len(rows[0][1])
     features = []
     bad: list[int] = []
@@ -93,8 +96,11 @@ def _feature_rows(
         else:
             bad.append(lineno)
     if bad:
+        named = f"{bad}" if len(bad) <= _NAMED_ROWS else (
+            f"{bad[:_NAMED_ROWS]} and {len(bad) - _NAMED_ROWS} more, "
+            f"{len(bad)} in all")
         raise DatasetError(
-            f"{path}: non-numeric or malformed feature cells in rows {bad}"
+            f"{path}: non-numeric or malformed feature cells in rows {named}"
         )
     return features
 
@@ -108,8 +114,8 @@ def load_csv(
     """Read a numeric-feature CSV with one label column.
 
     Classes are cataloged in first-appearance order.  Any row with a
-    non-numeric or missing feature cell aborts the load, reporting every
-    offending line number of the file.
+    non-numeric or missing feature cell aborts the load, naming the first
+    offending line numbers of the file and their count.
     """
     columns, rows = _read_rows(path, header)
     width = len(rows[0][1])

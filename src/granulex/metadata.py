@@ -149,7 +149,8 @@ def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
     """Parse a file written by write_meta_csv. Returns (matrix, labels).
 
     A missing header, a row of the wrong length, a non-numeric posterior or
-    a label outside the catalog raises MetadataError naming the line."""
+    a label outside the catalog raises MetadataError naming the line; a
+    header with no data row after it raises one naming the file."""
     label_index = {label: i for i, label in enumerate(catalog.labels)}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -177,5 +178,7 @@ def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
             if rec[-1] not in label_index:
                 raise fault(f"label {rec[-1]!r} is not in the catalog")
             labels.append(label_index[rec[-1]])
+    if not rows:
+        raise MetadataError(f"{path}: no data rows after the header")
     scores = np.asarray(rows, dtype=np.float64).reshape(len(rows), k, m)
     return MetaMatrix(scores, catalog), np.asarray(labels, dtype=np.int64)

@@ -249,6 +249,8 @@ def _alpha_errors(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != meta.n_observations:
         raise TrainingError("labels length does not match meta matrix")
+    if meta.n_observations == 0:
+        raise TrainingError("meta matrix has no observations to score alpha on")
     return [
         float(np.mean(np.argmax(values, axis=1) != labels))
         for values in combiners.granular_ncm_sweep(meta.scores, alphas, h)

@@ -2,10 +2,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import granulex
 from granulex import evaluation, training
 from granulex.cli import (
     CONFIG_TYPES,
@@ -195,6 +200,9 @@ EVAL_CONFIG = {
 }
 
 
+GENERATOR_ENTRY = {"generator": {"kind": "twonorm-like", "n": 60, "d": 2, "seed": 1}}
+
+
 def test_every_dataclass_field_is_a_config_key():
     fields = {f.name for f in dataclasses.fields(evaluation.ProtocolConfig)}
     assert fields <= set(CONFIG_TYPES)
@@ -296,6 +304,25 @@ class TestEvaluate:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["results"]) == 1
+
+    @pytest.mark.parametrize("extra, keys", [
+        ({"name": "mine"}, "['name']"),
+        ({"path": "/nonexistent.csv"}, "['path']"),
+        ({"header": False}, "['header']"),
+        ({"label_column": 0, "path": "d.csv"}, "['label_column', 'path']"),
+    ])
+    def test_generator_entry_with_csv_keys_exits_1_before_the_first_fit(
+        self, tmp_path, capsys, monkeypatch, extra, keys
+    ):
+        fits = []
+        monkeypatch.setattr(training, "fit_folds", lambda *a: fits.append(a))
+        cfg = dict(EVAL_CONFIG, datasets=[dict(GENERATOR_ENTRY, **extra)])
+        code, out = self.run_eval(tmp_path, cfg)
+        assert code == 1
+        assert (f"error: a generator dataset entry takes no {keys}"
+                in capsys.readouterr().err)
+        assert fits == []
+        assert not out.exists()
 
 
 class TestErrorPaths:
@@ -824,3 +851,85 @@ def test_overflowing_model_state_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: classifier lda gives non-finite posteriors" in err
     assert "Traceback" not in err
+
+
+# --- one reader of the settings ----------------------------------------------
+
+def test_train_alpha_with_folds_exits_1_before_the_first_fit(
+    tmp_path, capsys, monkeypatch
+):
+    """Fixed-alpha training runs no cross-validation, so a --folds beside
+    --alpha would set nothing."""
+    fits = []
+    monkeypatch.setattr(training, "fit_folds", lambda *a: fits.append(a))
+    model = tmp_path / "model.json"
+    code = main(["train", "--data", str(bundled_path("rings.csv")),
+                 "--alpha", "1", "--folds", "1", "--output", str(model)])
+    assert code == 1
+    assert ("error: --alpha skips the cross-validation that --folds sets"
+            in capsys.readouterr().err)
+    assert fits == []
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--seed", "2", "--folds", "4", "--learners", "lda,knn5,nearest-mean",
+     "--grid", "0:0.25:3"],
+], ids=["defaults", "explicit"])
+def test_alpha_curve_prints_the_curve_train_saves(tmp_path, flags):
+    """alpha-curve and train read --data, --seed, --folds, --learners and
+    --grid with one reader and one set of defaults, so the h3 column is
+    bitwise the curve train searches and saves."""
+    data = ["--data", str(bundled_path("rings.csv"))]
+    model = tmp_path / "m.json"
+    assert main(["train", *data, *flags, "--output", str(model)]) == 0
+    assert main(["alpha-curve", *data, *flags, "--h", "h3",
+                 "--output", str(tmp_path / "c.csv")]) == 0
+    saved = json.loads(model.read_text())["alpha_error_curve"]
+    rows = read_csv_rows(tmp_path / "c.csv")
+    assert rows[0] == ["alpha", "error_h3"]
+    assert [[float(a), float(e)] for a, e in rows[1:]] == saved
+    assert len(saved) == (41 if not flags else 13)
+
+
+def test_evaluate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Run in fresh interpreters, evaluate writes the same bytes under two
+    string-hash seeds: no output follows a set's iteration order."""
+    src = str(Path(granulex.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"r{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "granulex.cli", "evaluate", "--config",
+             str(bundled_path("toy_config.json")), "--output", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append([(out / name).read_bytes()
+                        for name in ("report.json", "per_run.csv", "report.txt")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["train", "alpha-curve", "evaluate"])
+def test_empty_grid_flag_exits_1(tmp_path, capsys, command):
+    """An empty --grid is read like any other value, not skipped as unset."""
+    code = main([command, "--data", str(bundled_path("rings.csv")), "--grid",
+                 "", "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert "error: grid must be lo:step:hi, got ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--label-column", "7"], ["--no-header"]])
+def test_evaluate_csv_flags_without_data_exit_1(tmp_path, capsys, flags):
+    """--label-column and --no-header describe the --data file, so beside
+    a config's datasets alone they would set nothing."""
+    out = tmp_path / "ev"
+    code = main(["evaluate", "--config", str(bundled_path("toy_config.json")),
+                 *flags, "--output", str(out)])
+    assert code == 1
+    assert ("error: --label-column and --no-header describe the --data file"
+            in capsys.readouterr().err)
+    assert not out.exists()

@@ -61,6 +61,16 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=r"rows \[3, 5\]"):
             load_csv(path)
 
+    def test_many_bad_rows_named_up_to_ten_with_the_count(self, tmp_path):
+        text = "f1,label\n" + "NA,a\n" * 150 + "1,a\n2,b\n"
+        path = self.write(tmp_path, text)
+        with pytest.raises(DatasetError) as info:
+            load_csv(path)
+        assert str(info.value) == (
+            f"{path}: non-numeric or malformed feature cells in rows "
+            "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 140 more, 150 in all"
+        )
+
     def test_single_class_rejected(self, tmp_path):
         path = self.write(tmp_path, "f1,label\n1,a\n2,a\n")
         with pytest.raises(DatasetError, match="two classes"):

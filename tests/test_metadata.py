@@ -149,6 +149,15 @@ def test_read_meta_csv_names_the_bad_line(tmp_path, text, message):
         read_meta_csv(path, ClassCatalog(("a", "b")))
 
 
+def test_read_meta_csv_rejects_a_header_without_rows(tmp_path):
+    """A 0-row meta matrix would give select_alpha a curve of NaN."""
+    path = tmp_path / "meta.csv"
+    path.write_text(META_HEADER)
+    with pytest.raises(MetadataError, match="meta.csv: no data rows after "
+                       "the header"):
+        read_meta_csv(path, ClassCatalog(("a", "b")))
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(42)
     raw = rng.random((6, 4, 3))

@@ -214,6 +214,15 @@ class TestAlphaSelection:
         with pytest.raises(TrainingError):
             error_for_alpha(meta, np.zeros(3, dtype=int), 1.0)
 
+    def test_no_observations_rejected(self):
+        """Scored on no rows, every alpha's error would be NaN."""
+        meta, labels = self.make_meta(np.empty((0, 3, 2)), np.zeros(0, dtype=int))
+        message = "meta matrix has no observations"
+        with pytest.raises(TrainingError, match=message):
+            select_alpha(meta, labels, default_alpha_grid(), "h3")
+        with pytest.raises(TrainingError, match=message):
+            error_for_alpha(meta, labels, 1.0)
+
     def test_select_alpha_is_linear_scan_argmin(self):
         data = toy_dataset(n=60, seed=3)
         plan = make_fold_plan(data.labels, 5, seed=2)
