@@ -143,7 +143,7 @@ def _load_dataset_entry(entry: dict) -> Dataset:
 def _resolve_config(path: str | None, args) -> dict:
     cfg: dict = {}
     if path:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except RecursionError:
@@ -200,7 +200,7 @@ def _output(path: str | None):
     if not path:
         yield sys.stdout
     else:
-        with open(path, "w", newline="") as out:
+        with open(path, "w", newline="", encoding="utf-8") as out:
             yield out
 
 
@@ -274,9 +274,9 @@ def cmd_evaluate(args) -> int:
     datasets = [_load_dataset_entry(e) for e in cfg["datasets"]]
     proto = _protocol_config(cfg)
     result = evaluation.run_protocol(datasets, proto)
-    echo = dict(cfg)
-    echo["alpha_grid"] = list(proto.alpha_grid.values)
-    paths = report.write_report_files(result, args.output, echo)
+    echo = dict(cfg, alpha_grid=list(proto.alpha_grid.values))
+    paths = report.write_report_files(
+        dataclasses.replace(result, config=echo), args.output)
     print(f"report written: {paths['json']}")
     return 0
 

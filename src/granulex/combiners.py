@@ -50,7 +50,18 @@ __all__ = [
     "granular_decide_batch",
 ]
 
-FIXED_RULES = ("sum", "product", "max", "min", "median", "majority-vote")
+# Per-class scores of each fixed rule on a (n, K, M) profile stack.
+_RULES = {
+    "sum": lambda p: p.sum(axis=1),
+    "product": lambda p: p.prod(axis=1),
+    "max": lambda p: p.max(axis=1),
+    "min": lambda p: p.min(axis=1),
+    "median": lambda p: np.median(p, axis=1),
+    "majority-vote": lambda p: (
+        np.argmax(p, axis=2)[:, :, None] == np.arange(p.shape[2])
+    ).sum(axis=1, dtype=np.float64),
+}
+FIXED_RULES = tuple(_RULES)
 DEFAULT_H = "h3"
 H2_LENGTH_FLOOR = 1e-12  # guard against zero-length intervals in h2
 
@@ -66,24 +77,9 @@ H_KINDS = tuple(_H_TABLE)
 
 def fixed_rule_scores_batch(profiles: np.ndarray, rule: str) -> np.ndarray:
     """Per-class scores of one fixed rule for a (n, K, M) profile stack."""
-    if rule == "sum":
-        return profiles.sum(axis=1)
-    if rule == "product":
-        return profiles.prod(axis=1)
-    if rule == "max":
-        return profiles.max(axis=1)
-    if rule == "min":
-        return profiles.min(axis=1)
-    if rule == "median":
-        return np.median(profiles, axis=1)
-    if rule == "majority-vote":
-        n, k, m = profiles.shape
-        votes = np.argmax(profiles, axis=2)  # per-classifier decision
-        out = np.zeros((n, m))
-        for j in range(m):
-            out[:, j] = (votes == j).sum(axis=1)
-        return out
-    raise ValueError(f"unknown fixed rule {rule!r}")
+    if rule not in _RULES:
+        raise ValueError(f"unknown fixed rule {rule!r}")
+    return _RULES[rule](profiles)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def _read_rows(
     """The header (None without one) and the non-blank data rows of a CSV,
     each with its 1-based line number in the file."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -240,8 +240,14 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class MethodResult:
+    """The runs of one method on one data set, one entry per (repeat, outer
+    fold) in run order: the error rate, the macro-F1, and the 0-1-loss bias
+    and variance `bias_variance` reports for that fold."""
+
     errors: tuple[float, ...]
     f1s: tuple[float, ...]
+    biases: tuple[float, ...]
+    variances: tuple[float, ...]
 
     @property
     def mean_error(self) -> float:
@@ -259,6 +265,14 @@ class MethodResult:
     def var_f1(self) -> float:
         return float(np.var(self.f1s))
 
+    @property
+    def mean_bias(self) -> float:
+        return float(np.mean(self.biases))
+
+    @property
+    def mean_variance(self) -> float:
+        return float(np.mean(self.variances))
+
 
 @dataclass(frozen=True)
 class Comparison:
@@ -272,13 +286,16 @@ class Comparison:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """What `run_protocol` found, each fact held once: the config it echoes,
+    one MethodResult per (dataset, method), the Wilcoxon comparisons of the
+    granular methods, and the average ranks.  The report files are written
+    from these fields alone."""
+
     config: dict
     dataset_names: tuple[str, ...]
     results: dict            # dataset -> method -> MethodResult
     comparisons: tuple[Comparison, ...]
-    rankings_error: dict     # method -> average rank
-    rankings_f1: dict
-    bias_variance: dict      # dataset -> method -> BiasVarianceReport
+    rankings: dict           # "error" | "f1" -> method -> average rank
 
 
 def run_protocol(
@@ -324,9 +341,8 @@ def run_protocol(
 
     learner_names = tuple(s.name for s in specs)
     results: dict[str, dict[str, MethodResult]] = {}
-    bv: dict[str, dict[str, BiasVarianceReport]] = {}
     for ds_idx, (name, data) in enumerate(zip(names, datasets)):
-        # method -> one (error, F1, bias, variance) record per run
+        # method -> one record per run, in MethodResult's field order
         runs: dict[str, list[tuple[float, ...]]] = {m: [] for m in config.methods}
         for rep in range(config.repeats):
             rep_seed = derive_seed(config.seed, ds_idx, rep)
@@ -359,12 +375,7 @@ def run_protocol(
                         split.bias,
                         split.variance,
                     ))
-        columns = {m: tuple(zip(*r)) for m, r in runs.items()}
-        results[name] = {m: MethodResult(c[0], c[1]) for m, c in columns.items()}
-        bv[name] = {
-            m: BiasVarianceReport(float(np.mean(c[2])), float(np.mean(c[3])))
-            for m, c in columns.items()
-        }
+        results[name] = {m: MethodResult(*zip(*r)) for m, r in runs.items()}
 
     losses = {n: {m: _losses(r) for m, r in results[n].items()} for n in names}
     comparisons = []
@@ -396,9 +407,7 @@ def run_protocol(
         dataset_names=names,
         results=results,
         comparisons=tuple(comparisons),
-        rankings_error=rankings["error"],
-        rankings_f1=rankings["f1"],
-        bias_variance=bv,
+        rankings=rankings,
     )
 
 

@@ -135,7 +135,7 @@ def write_meta_csv(path, matrix: MetaMatrix, labels: Sequence[int]) -> None:
         for mi in range(m):
             header.append(f"k{ki + 1}_y{mi + 1}")
     header.append("label")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(n):
@@ -152,7 +152,7 @@ def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
     a label outside the catalog raises MetadataError naming the line; a
     header with no data row after it raises one naming the file."""
     label_index = {label: i for i, label in enumerate(catalog.labels)}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -160,7 +160,8 @@ def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
         ncols = len(header) - 2
         m = catalog.size
         if ncols % m != 0:
-            raise MetadataError("column count is not a multiple of M")
+            raise MetadataError(f"{path}, line 1: {ncols} posterior columns, "
+                                f"not a multiple of the {m} classes")
         k = ncols // m
         rows = []
         labels = []

@@ -1,21 +1,24 @@
 """Serialization of experiment reports: machine-readable JSON/CSV and a
-human-readable summary table.  Output is a pure function of the report, so
-identical runs produce byte-identical files."""
+human-readable summary table.  Every file is written from the report's own
+records alone (its config, one MethodResult per (dataset, method), its
+comparisons and rankings), so identical runs produce byte-identical files.
+A caller that echoes another config stores it with dataclasses.replace."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 
-from .evaluation import GRANULAR_METHODS, ExperimentReport
+from .evaluation import ExperimentReport
 
 __all__ = ["report_to_dict", "report_json_bytes", "write_report_files"]
 
 
-def report_to_dict(report: ExperimentReport, config: dict | None = None) -> dict:
+def report_to_dict(report: ExperimentReport) -> dict:
     return {
-        "config": config if config is not None else report.config,
+        "config": report.config,
         "datasets": list(report.dataset_names),
         "results": {
             ds: {
@@ -31,53 +34,24 @@ def report_to_dict(report: ExperimentReport, config: dict | None = None) -> dict
             }
             for ds, methods in report.results.items()
         },
-        "comparisons": [
-            {
-                "dataset": c.dataset,
-                "method": c.method,
-                "baseline": c.baseline,
-                "metric": c.metric,
-                "outcome": c.outcome,
-                "p_value": c.p_value,
-            }
-            for c in report.comparisons
-        ],
-        "rankings": {
-            "error": report.rankings_error,
-            "f1": report.rankings_f1,
-        },
+        "comparisons": [dataclasses.asdict(c) for c in report.comparisons],
+        "rankings": report.rankings,
         "bias_variance": {
             ds: {
-                method: {"bias": r.bias, "variance": r.variance}
-                for method, r in methods.items()
+                method: {"bias": res.mean_bias, "variance": res.mean_variance}
+                for method, res in methods.items()
             }
-            for ds, methods in report.bias_variance.items()
+            for ds, methods in report.results.items()
         },
     }
 
 
-def report_json_bytes(report: ExperimentReport, config: dict | None = None) -> bytes:
-    payload = report_to_dict(report, config)
-    return json.dumps(payload, indent=1, sort_keys=True).encode()
-
-
-def _method_order(report: ExperimentReport) -> list[str]:
-    first = next(iter(report.results.values()))
-    return list(first)
-
-
-def _win_equal_loss(report: ExperimentReport, gmethod: str, metric: str) -> dict:
-    tally: dict[str, list[int]] = {}
-    for c in report.comparisons:
-        if c.method != gmethod or c.metric != metric:
-            continue
-        counts = tally.setdefault(c.baseline, [0, 0, 0])
-        counts[("win", "equal", "loss").index(c.outcome)] += 1
-    return tally
+def report_json_bytes(report: ExperimentReport) -> bytes:
+    return json.dumps(report_to_dict(report), indent=1, sort_keys=True).encode()
 
 
 def human_table(report: ExperimentReport) -> str:
-    methods = _method_order(report)
+    methods = list(next(iter(report.results.values())))
     lines = []
     width = max(len(m) for m in methods) + 2
     for ds in report.dataset_names:
@@ -94,35 +68,36 @@ def human_table(report: ExperimentReport) -> str:
             )
         lines.append("")
 
-    for gmethod in GRANULAR_METHODS:
-        for metric in ("error", "f1"):
-            tally = _win_equal_loss(report, gmethod, metric)
-            if not tally:
-                continue
-            lines.append(f"-- {gmethod} vs baselines ({metric}): win/equal/loss --")
-            for baseline, (w, e, l) in tally.items():
-                lines.append(f"{baseline:<{width}}{w:>4}{e:>6}{l:>6}")
-            lines.append("")
+    # (granular method, metric) -> baseline -> [win, equal, loss], in first-seen order
+    tallies: dict[tuple[str, str], dict[str, list[int]]] = {}
+    for c in report.comparisons:
+        tally = tallies.setdefault((c.method, c.metric), {})
+        counts = tally.setdefault(c.baseline, [0, 0, 0])
+        counts[("win", "equal", "loss").index(c.outcome)] += 1
+    for (gmethod, metric), tally in tallies.items():
+        lines.append(f"-- {gmethod} vs baselines ({metric}): win/equal/loss --")
+        for baseline, (w, e, l) in tally.items():
+            lines.append(f"{baseline:<{width}}{w:>4}{e:>6}{l:>6}")
+        lines.append("")
 
     lines.append("-- average rank (error | F1) --")
     for m in methods:
         lines.append(
-            f"{m:<{width}}{report.rankings_error[m]:>7.2f}"
-            f"{report.rankings_f1[m]:>8.2f}"
+            f"{m:<{width}}{report.rankings['error'][m]:>7.2f}"
+            f"{report.rankings['f1'][m]:>8.2f}"
         )
     lines.append("")
 
     lines.append("-- bias/variance (0-1 loss, mean over runs) --")
     for ds in report.dataset_names:
         for m in methods:
-            r = report.bias_variance[ds][m]
-            lines.append(f"{ds}  {m:<{width}}bias={r.bias:.4f}  var={r.variance:.4f}")
+            r = report.results[ds][m]
+            lines.append(f"{ds}  {m:<{width}}bias={r.mean_bias:.4f}  "
+                         f"var={r.mean_variance:.4f}")
     return "\n".join(lines) + "\n"
 
 
-def write_report_files(
-    report: ExperimentReport, outdir, config: dict | None = None
-) -> dict[str, str]:
+def write_report_files(report: ExperimentReport, outdir) -> dict[str, str]:
     """Write report.json, per_run.csv, and report.txt under outdir; returns
     the file paths."""
     os.makedirs(outdir, exist_ok=True)
@@ -132,14 +107,14 @@ def write_report_files(
         "txt": os.path.join(outdir, "report.txt"),
     }
     with open(paths["json"], "wb") as fh:
-        fh.write(report_json_bytes(report, config))
-    with open(paths["csv"], "w", newline="") as fh:
+        fh.write(report_json_bytes(report))
+    with open(paths["csv"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "method", "run", "error", "macro_f1"])
         for ds in report.dataset_names:
             for method, res in report.results[ds].items():
                 for i, (e, f) in enumerate(zip(res.errors, res.f1s)):
                     writer.writerow([ds, method, i, f"{e:.17g}", f"{f:.17g}"])
-    with open(paths["txt"], "w") as fh:
+    with open(paths["txt"], "w", encoding="utf-8") as fh:
         fh.write(human_table(report))
     return paths

@@ -410,7 +410,7 @@ def save_ensemble(path, ensemble: TrainedEnsemble) -> None:
         "alpha_error_curve": [list(p) for p in ensemble.alpha_error_curve],
         "classifiers": [c.to_state() for c in ensemble.classifiers],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
 
 
@@ -453,7 +453,7 @@ def _check_ensemble(payload) -> None:
 
 
 def load_ensemble(path) -> TrainedEnsemble:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except RecursionError:

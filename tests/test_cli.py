@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -933,3 +934,86 @@ def test_evaluate_csv_flags_without_data_exit_1(tmp_path, capsys, flags):
     assert ("error: --label-column and --no-header describe the --data file"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def c_locale_python(*args):
+    """Run the interpreter on args in the C locale with UTF-8 mode and
+    locale coercion off, so the locale encoding is ASCII, and with every
+    text open() that relies on that default raising EncodingWarning."""
+    src = str(Path(granulex.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", *args],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def test_cli_files_are_utf8_whatever_the_locale(tmp_path):
+    """train, predict and evaluate read and write UTF-8 in an ASCII locale,
+    writing the bytes an in-process run writes."""
+    data = generate(GeneratorSpec("twonorm-like", n=60, d=2, seed=1))
+    names = ("café", "thé")
+    train_csv, query_csv = tmp_path / "train.csv", tmp_path / "query.csv"
+    with open(train_csv, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "label"])
+        for row, lab in zip(data.features, data.labels):
+            writer.writerow([f"{v:.17g}" for v in row] + [names[lab]])
+    with open(query_csv, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1"])
+        writer.writerows([f"{v:.17g}" for v in row] for row in data.features[:9])
+
+    def commands(out):
+        return [
+            ["train", "--data", str(train_csv), "--folds", "3",
+             "--learners", "nearest-mean,knn3,gaussian-naive-bayes",
+             "--output", str(out / "model.json")],
+            ["predict", "--model", str(out / "model.json"), "--data",
+             str(query_csv), "--emit-intervals", "--output",
+             str(out / "predictions.csv")],
+            ["evaluate", "--data", str(train_csv), "--folds", "3",
+             "--repeats", "1", "--inner-folds", "3",
+             "--learners", "nearest-mean,knn3,gaussian-naive-bayes",
+             "--output", str(out / "report")],
+        ]
+
+    written = ("model.json", "predictions.csv", "report/report.json",
+               "report/per_run.csv", "report/report.txt")
+    outputs = []
+    for out, in_process in ((tmp_path / "c", False), (tmp_path / "main", True)):
+        out.mkdir()
+        for argv in commands(out):
+            if in_process:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+            else:
+                run = c_locale_python("-m", "granulex.cli", *argv)
+                assert run.returncode == 0, run.stderr
+        outputs.append([(out / name).read_bytes() for name in written])
+    assert outputs[0] == outputs[1]
+    assert "thé_ncm".encode() in outputs[0][1]
+
+
+def test_meta_csv_round_trip_in_an_ascii_locale(tmp_path):
+    path = tmp_path / "meta.csv"
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from granulex.metadata import ClassCatalog, MetaMatrix, read_meta_csv, "
+        "write_meta_csv\n"
+        "cat = ClassCatalog(('caf\\u00e9', 'th\\u00e9'))\n"
+        "scores = np.array([[[0.25, 0.75], [0.5, 0.5]], "
+        "[[1.0, 0.0], [0.125, 0.875]]])\n"
+        "write_meta_csv(sys.argv[1], MetaMatrix(scores, cat), [1, 0])\n"
+        "meta, labels = read_meta_csv(sys.argv[1], cat)\n"
+        "assert np.array_equal(meta.scores, scores)\n"
+        "assert labels.tolist() == [1, 0]\n"
+    )
+    run = c_locale_python("-c", script, str(path))
+    assert run.returncode == 0, run.stderr
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+        "0,0.25,0.75,0.5,0.5,thé", "1,1,0,0.125,0.875,café"]

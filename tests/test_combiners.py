@@ -93,6 +93,21 @@ class TestFixedRules:
         assert tuple(scores) == (2.0, 1.0)
         assert np.argmax(scores) == 0
 
+    def test_majority_vote_equals_class_by_class_count(self):
+        rng = np.random.default_rng(5)
+        profiles = np.stack([random_profile(rng, 6, 4) for _ in range(40)])
+        votes = np.argmax(profiles, axis=2)
+        expected = np.zeros((40, 4))
+        for j in range(4):
+            expected[:, j] = (votes == j).sum(axis=1)
+        scores = fixed_rule_scores_batch(profiles, "majority-vote")
+        assert scores.dtype == np.float64
+        assert np.array_equal(scores, expected)
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError, match="unknown fixed rule 'mean'"):
+            fixed_rule_scores_batch(WORKED[None], "mean")
+
     def test_tie_goes_to_lowest_index(self):
         tied = np.array([[0.5, 0.5], [0.5, 0.5]])
         for rule in FIXED_RULES:

@@ -1,9 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from granulex import training
+from granulex import evaluation, training
 from granulex.datasets import GeneratorSpec, generate
 from granulex.evaluation import (
     Comparison,
@@ -391,10 +392,65 @@ class TestProtocol:
                for m in cfg.methods]
         f1 = [[-report.results[n][m].mean_f1 for n in names]
               for m in cfg.methods]
-        assert report.rankings_error == dict(
+        assert report.rankings["error"] == dict(
             zip(cfg.methods, average_ranks(np.array(err)).tolist()))
-        assert report.rankings_f1 == dict(
+        assert report.rankings["f1"] == dict(
             zip(cfg.methods, average_ranks(np.array(f1)).tolist()))
+
+    def test_report_files_aggregate_the_runs(self, tmp_path, monkeypatch):
+        """report.json's bias/variance is the mean of each method's per-run
+        bias_variance values, and report.txt prints those means and the
+        win/equal/loss counts of report.comparisons."""
+        from granulex.report import write_report_files
+
+        splits = []
+        real = evaluation.bias_variance
+
+        def spy(*args):
+            splits.append(real(*args))
+            return splits[-1]
+
+        monkeypatch.setattr(evaluation, "bias_variance", spy)
+        datasets = [generate(GeneratorSpec(kind, n=40, d=2, seed=4))
+                    for kind in ("twonorm-like", "concentric-rings")]
+        cfg = self.small_config(folds=3, repeats=2, methods=(
+            "granular-cv", "rule:sum", "granular-fixed", "decision-template"))
+        report = run_protocol(datasets, cfg)
+        paths = write_report_files(report, tmp_path)
+        with open(paths["json"], encoding="utf-8") as fh:
+            written = json.load(fh)["bias_variance"]
+        with open(paths["txt"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+
+        # One call per (dataset, repeat, fold, method), methods innermost.
+        n_methods, width = len(cfg.methods), max(map(len, cfg.methods)) + 2
+        per_dataset = cfg.repeats * cfg.folds * n_methods
+        assert len(splits) == len(datasets) * per_dataset
+        for d, data in enumerate(datasets):
+            for i, m in enumerate(cfg.methods):
+                runs = splits[d * per_dataset + i:(d + 1) * per_dataset:n_methods]
+                bias = float(np.mean([r.bias for r in runs]))
+                variance = float(np.mean([r.variance for r in runs]))
+                assert written[data.name][m] == {"bias": bias, "variance": variance}
+                assert (f"{data.name}  {m:<{width}}bias={bias:.4f}  "
+                        f"var={variance:.4f}") in lines
+
+        tallies = {}
+        for c in report.comparisons:
+            counts = tallies.setdefault((c.method, c.metric), {}).setdefault(
+                c.baseline, [0, 0, 0])
+            counts[("win", "equal", "loss").index(c.outcome)] += 1
+        printed = {}
+        for at, line in enumerate(lines):
+            if line.endswith("win/equal/loss --"):
+                gmethod, rest = line[3:].split(" vs baselines (")
+                rows = lines[at + 1:lines.index("", at)]
+                printed[(gmethod, rest.split(")")[0])] = {
+                    b: [int(w), int(e), int(l)]
+                    for b, w, e, l in map(str.split, rows)}
+        assert printed == tallies
+        assert sorted(printed) == [(g, metric) for g in ("granular-cv",
+                                   "granular-fixed") for metric in ("error", "f1")]
 
     def test_default_methods_include_all_rules(self):
         methods = default_methods()
