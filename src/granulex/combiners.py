@@ -27,7 +27,7 @@ from .granule import (
     Granule,
     construct_granule,
     construct_granules_batch,
-    pick_bounds,
+    pick_bounds_blocks,
     prepare_samples,
 )
 from .metadata import MetaMatrix, MetadataError
@@ -46,6 +46,7 @@ __all__ = [
     "granular_bounds_batch",
     "memberships_from_bounds",
     "granular_ncm_batch",
+    "granular_bounds_sweep",
     "granular_ncm_sweep",
     "granular_decide_batch",
 ]
@@ -173,16 +174,25 @@ def granular_ncm_batch(profiles: np.ndarray, alpha: float, h: str) -> np.ndarray
     return memberships_from_bounds(granular_bounds_batch(profiles, alpha), h)
 
 
+def granular_bounds_sweep(
+    profiles: np.ndarray, alphas: Iterable[float]
+) -> Iterator[np.ndarray]:
+    """granular_bounds_batch(profiles, alpha) for each alpha in turn, as
+    (A, n, M, 2) arrays over consecutive blocks of A alphas, from one
+    preparation of the class columns: only the bound pick runs per block."""
+    n, k, m = profiles.shape
+    prepared = prepare_samples(_columns(profiles))
+    for bounds in pick_bounds_blocks(prepared, alphas):
+        yield bounds.reshape(-1, n, m, 2)
+
+
 def granular_ncm_sweep(
     profiles: np.ndarray, alphas: Iterable[float], h: str
 ) -> Iterator[np.ndarray]:
-    """granular_ncm_batch(profiles, alpha, h) for each alpha in turn, from
-    one preparation of the class columns: only the bound pick runs per
-    alpha."""
-    n, k, m = profiles.shape
-    prepared = prepare_samples(_columns(profiles))
-    for alpha in alphas:
-        yield memberships_from_bounds(pick_bounds(prepared, alpha).reshape(n, m, 2), h)
+    """granular_ncm_batch(profiles, alpha, h) for each alpha in turn, each
+    block of granular_bounds_sweep de-granulated at once."""
+    for bounds in granular_bounds_sweep(profiles, alphas):
+        yield from memberships_from_bounds(bounds, h)
 
 
 def granular_decide_batch(profiles: np.ndarray, alpha: float, h: str) -> np.ndarray:

@@ -500,6 +500,7 @@ def alpha_error_curves(
 ) -> dict[str, list[tuple[float, float]]]:
     """Meta-level error as a function of alpha, one curve per h function,
     over the meta-data `training.train` builds with the same seed and
-    n_folds: each curve is the one train's select_alpha searches."""
+    n_folds: each curve is the one train's select_alpha searches.  The
+    bounds are picked once per alpha for all h functions."""
     meta = training.cross_validated_meta(data, specs, n_folds, seed)
-    return {h: training.select_alpha(meta, data.labels, grid, h)[1] for h in h_kinds}
+    return training.error_curves(meta, data.labels, grid, tuple(h_kinds))

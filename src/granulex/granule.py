@@ -5,20 +5,27 @@ the product of coverage (how many sample points fall inside) and specificity
 (exp(-alpha * length), so shorter intervals score higher).  Both bounds are
 always elements of the sample and are optimized independently of each other.
 
-One kernel builds every granule, in two steps: `prepare_samples` does the
-work that does not depend on alpha (sort each sample, take its median, count
-the coverage of every candidate bound) and `pick_bounds` picks both bounds
-at one alpha.  `construct_granules_batch` is the two steps in a row, and
-`construct_granule` its one-sample case; a search over many alphas prepares
-once and picks once per alpha.  `evidence_score` and `median_of` state the
-definitions the kernel implements.
+One kernel builds every granule, in two steps.  `prepare_samples` does the
+work that does not depend on alpha: it sorts each sample, takes its median,
+and lays out each side's candidate bounds as one contiguous (n, w) block,
+w = k // 2 + 1, since no bound can lie on the far side of the median.  The
+upper side holds the top w sorted values; the lower side holds the bottom
+w, reversed, so that on both sides the first candidate is the one nearest
+the median.  Each candidate's coverage count is read off the tie runs of
+its sorted row.  The pick then scores a block of alphas at once, as
+(alphas, side, n, w) arrays of count x exp(-alpha * dist), with at most
+GRANULE_BLOCK_CELLS cells per side: `pick_bounds_blocks` walks any number
+of alphas block by block, and `pick_bounds` is its one-alpha view.
+`construct_granules_batch` is preparation and pick in a row, and
+`construct_granule` its one-sample case.  `evidence_score` and `median_of`
+state the definitions the kernel implements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,9 +37,12 @@ __all__ = [
     "PreparedSamples",
     "prepare_samples",
     "pick_bounds",
+    "pick_bounds_blocks",
     "construct_granules_batch",
     "construct_granule",
 ]
+
+GRANULE_BLOCK_CELLS = 1 << 17  # alphas x samples x candidates per side, per pick block
 
 
 class GranuleError(ValueError):
@@ -85,7 +95,10 @@ def median_of(values: Sequence[float]) -> float:
     mid = n // 2
     if n % 2 == 1:
         return vals[mid]
-    return (vals[mid - 1] + vals[mid]) / 2.0
+    total = vals[mid - 1] + vals[mid]
+    if math.isfinite(total):
+        return total / 2.0
+    return vals[mid - 1] / 2.0 + vals[mid] / 2.0
 
 
 def evidence_score(
@@ -119,17 +132,34 @@ def evidence_score(
 @dataclass(frozen=True)
 class PreparedSamples:
     """The alpha-independent part of granule construction for n samples of
-    k values each: every row sorted ascending, each value's distance to its
-    row's median, and each candidate bound's coverage count on its side of
-    the median.  Only exp(-alpha * dist) depends on alpha, so one
-    preparation serves any number of pick_bounds calls."""
+    k values each.  Index 0 of the first axis is the lower side, index 1
+    the upper side, and each side is one contiguous (n, w) block of
+    candidate bounds, w = k // 2 + 1: the upper side holds the sorted
+    columns [k - w, k), the lower side the columns [0, w) reversed, so on
+    both sides candidate 0 is the one nearest the median.
 
-    values: np.ndarray       # (n, k), each row ascending
-    dist: np.ndarray         # (n, k), |median - value|
-    upper_ok: np.ndarray     # (n, k), value >= median
-    upper_count: np.ndarray  # (n, k), #{l: median <= v_l <= v_j}
-    lower_ok: np.ndarray     # (n, k), value <= median
-    lower_count: np.ndarray  # (n, k), #{l: v_j <= v_l <= median}
+    No bound lies outside its side's window: a sorted column outside it on
+    the median's side is a tie of the window's first candidate, with the
+    same value, count and distance.  A window cell on the wrong side of
+    the median holds dist 0 and count -1, so its score
+    count * exp(-alpha * dist) is -1 at every alpha, below every
+    candidate's.  Only exp(-alpha * dist) depends on alpha, so one
+    preparation serves any number of alphas."""
+
+    values: np.ndarray  # (2, n, w), candidate bounds, nearest the median first
+    dist: np.ndarray    # (2, n, w), |median - value|; 0 off-side
+    count: np.ndarray   # (2, n, w), values between median and bound; -1 off-side
+
+
+def _midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2 elementwise, or a / 2 + b / 2 where the sum overflows:
+    either way the result lies between a and b."""
+    with np.errstate(over="ignore"):
+        total = a + b
+    finite = np.isfinite(total)
+    if finite.all():
+        return total / 2.0
+    return np.where(finite, total / 2.0, a / 2.0 + b / 2.0)
 
 
 def prepare_samples(samples: np.ndarray) -> PreparedSamples:
@@ -141,51 +171,73 @@ def prepare_samples(samples: np.ndarray) -> PreparedSamples:
     if not np.isfinite(v).all():
         raise GranuleError("non-finite sample value")
     v = np.sort(v, axis=1)
-    k = v.shape[1]
+    n, k = v.shape
     mid = k // 2
-    if k % 2 == 1:
-        med = v[:, mid]
-    else:
-        med = (v[:, mid - 1] + v[:, mid]) / 2.0
+    med = v[:, mid] if k % 2 == 1 else _midpoints(v[:, mid - 1], v[:, mid])
     medc = med[:, None]
 
-    # Pairwise comparisons within each row; k is small (one value per
-    # classifier), so the (n, k, k) intermediates are cheap.
-    le = (v[:, None, :] <= v[:, :, None]).sum(axis=2)  # #{l: v_l <= v_j}
-    lt = (v[:, None, :] < v[:, :, None]).sum(axis=2)   # #{l: v_l <  v_j}
-    below_med = (v < medc).sum(axis=1)[:, None]         # #{l: v_l <  med}
-    le_med = (v <= medc).sum(axis=1)[:, None]           # #{l: v_l <= med}
+    # Side 0 holds the lower candidates, side 1 the upper ones, each ordered
+    # from the median outwards.  As v[mid - 1] <= med <= v[mid], a column
+    # left out of a side's window but on that side ties its first candidate.
+    w = mid + 1
+    values = np.empty((2, n, w))
+    values[0] = v[:, w - 1::-1]
+    values[1] = v[:, k - w:]
+    off_side = np.empty((2, n, w), dtype=bool)
+    np.greater(values[0], medc, out=off_side[0])
+    np.less(values[1], medc, out=off_side[1])
+
+    # A candidate covers the k values less those strictly across the median
+    # and those beyond it.  The values beyond it lie in the window past its
+    # tie run's outer end: w - 1 - run_last of them.
+    across = np.empty((2, n, k), dtype=bool)
+    np.greater(v, medc, out=across[0])
+    np.less(v, medc, out=across[1])
+    run_end = np.ones((2, n, w), dtype=bool)
+    np.not_equal(values[..., 1:], values[..., :-1], out=run_end[..., :-1])
+    run_last = np.minimum.accumulate(  # from the outer end, so read reversed
+        np.where(run_end, np.arange(w), w)[..., ::-1], axis=2
+    )[..., ::-1]
+    count = run_last + (k - w + 1) - np.add.reduce(across, axis=2, keepdims=True)
+    dist = np.abs(medc - values)
+    dist[off_side] = 0.0
     return PreparedSamples(
-        values=v,
-        dist=np.abs(medc - v),
-        upper_ok=v >= medc,
-        upper_count=(le - below_med).astype(np.float64),
-        lower_ok=v <= medc,
-        lower_count=(le_med - lt).astype(np.float64),
+        values=values, dist=dist, count=np.where(off_side, -1.0, count)
     )
+
+
+def _pick(prepared: PreparedSamples, alphas: np.ndarray) -> np.ndarray:
+    """(A, n, 2) [lower, upper] bounds at each of A checked alphas: on each
+    side, the first candidate maximizing count x exp(-alpha * dist)."""
+    p = prepared
+    _, n, w = p.values.shape
+    with np.errstate(over="ignore"):  # past the float range: -inf, exp gives 0
+        scores = np.multiply.outer(-alphas, p.dist)
+    np.exp(scores, out=scores)
+    scores *= p.count
+    best = scores.argmax(axis=3)
+    best += np.arange(0, 2 * n * w, w).reshape(2, n)
+    return np.take(p.values, best.transpose(0, 2, 1))
+
+
+def pick_bounds_blocks(
+    prepared: PreparedSamples, alphas: Iterable[float]
+) -> Iterator[np.ndarray]:
+    """Bounds at each alpha in turn, as (A, n, 2) arrays over consecutive
+    blocks of A alphas, A = GRANULE_BLOCK_CELLS // (n * w): each block
+    scores its alphas in one pass."""
+    checked = np.array([_check_alpha(a) for a in alphas], dtype=np.float64)
+    _, n, w = prepared.values.shape
+    size = max(1, GRANULE_BLOCK_CELLS // max(1, n * w))
+    for start in range(0, len(checked), size):
+        yield _pick(prepared, checked[start:start + size])
 
 
 def pick_bounds(prepared: PreparedSamples, alpha: float) -> np.ndarray:
     """(n, 2) array of [lower, upper] bounds of the prepared samples'
     granules at one alpha: on each side, the candidate maximizing coverage
     x exp(-alpha * dist), ties going to the one nearest the median."""
-    alpha = _check_alpha(alpha)
-    p = prepared
-    n, k = p.values.shape
-    rows = np.arange(n)
-    decay = np.exp(-alpha * p.dist)
-
-    upper_scores = np.where(p.upper_ok, p.upper_count * decay, -1.0)
-    # Columns are ascending, so the first max is nearest the median.
-    upper = p.values[rows, np.argmax(upper_scores, axis=1)]
-
-    lower_scores = np.where(p.lower_ok, p.lower_count * decay, -1.0)
-    # For the lower side the nearest-median candidate has the LARGEST column
-    # index; scan reversed columns so argmax's first-max rule matches.
-    rev_idx = np.argmax(lower_scores[:, ::-1], axis=1)
-    lower = p.values[rows, k - 1 - rev_idx]
-
-    return np.stack([lower, upper], axis=1)
+    return _pick(prepared, np.array([_check_alpha(alpha)]))[0]
 
 
 def construct_granules_batch(samples: np.ndarray, alpha: float) -> np.ndarray:

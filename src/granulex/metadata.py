@@ -148,9 +148,10 @@ def write_meta_csv(path, matrix: MetaMatrix, labels: Sequence[int]) -> None:
 def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
     """Parse a file written by write_meta_csv. Returns (matrix, labels).
 
-    A missing header, a row of the wrong length, a non-numeric posterior or
-    a label outside the catalog raises MetadataError naming the line; a
-    header with no data row after it raises one naming the file."""
+    A missing header, a header with fewer than two classifier rows, a row of
+    the wrong length, a non-numeric posterior or a label outside the catalog
+    raises MetadataError naming the line; a header with no data row after it
+    raises one naming the file."""
     label_index = {label: i for i, label in enumerate(catalog.labels)}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -159,9 +160,14 @@ def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
             raise MetadataError(f"{path}, line 1: empty file, expected a header")
         ncols = len(header) - 2
         m = catalog.size
-        if ncols % m != 0:
+        if ncols > 0 and ncols % m != 0:
             raise MetadataError(f"{path}, line 1: {ncols} posterior columns, "
                                 f"not a multiple of the {m} classes")
+        if ncols < 2 * m:
+            raise MetadataError(
+                f"{path}, line 1: {max(ncols, 0)} posterior columns; a profile "
+                f"needs at least two classifier rows of {m} columns each"
+            )
         k = ncols // m
         rows = []
         labels = []

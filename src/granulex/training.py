@@ -67,6 +67,7 @@ __all__ = [
     "generate_meta_cv",
     "cross_validated_meta",
     "error_for_alpha",
+    "error_curves",
     "select_alpha",
     "train",
     "predict",
@@ -241,27 +242,39 @@ def cross_validated_meta(
 
 
 def _alpha_errors(
-    meta: MetaMatrix, labels: np.ndarray, alphas: Sequence[float], h: str
-) -> list[float]:
-    """Meta-level error of the granular combiner at each alpha.  The class
-    columns are sorted and counted once; only the bound pick runs per
-    alpha."""
+    meta: MetaMatrix, labels: np.ndarray, alphas: Sequence[float], hs: Sequence[str]
+) -> dict[str, list[float]]:
+    """Meta-level error of the granular combiner at each alpha, for each h
+    function in hs.  The class columns are sorted and counted once, the
+    bounds are picked once per alpha for every h, and each picked block of
+    alphas is de-granulated once per h."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != meta.n_observations:
         raise TrainingError("labels length does not match meta matrix")
     if meta.n_observations == 0:
         raise TrainingError("meta matrix has no observations to score alpha on")
-    return [
-        float(np.mean(np.argmax(values, axis=1) != labels))
-        for values in combiners.granular_ncm_sweep(meta.scores, alphas, h)
-    ]
+    errors: dict[str, list[float]] = {h: [] for h in hs}
+    for bounds in combiners.granular_bounds_sweep(meta.scores, alphas):
+        for h, curve in errors.items():
+            decisions = np.argmax(combiners.memberships_from_bounds(bounds, h), axis=2)
+            curve.extend(np.mean(decisions != labels, axis=1).tolist())
+    return errors
 
 
 def error_for_alpha(
     meta: MetaMatrix, labels: np.ndarray, alpha: float, h: str = DEFAULT_H
 ) -> float:
     """Fraction of observations the granular combiner misclassifies."""
-    return _alpha_errors(meta, labels, (alpha,), h)[0]
+    return _alpha_errors(meta, labels, (alpha,), (h,))[h][0]
+
+
+def error_curves(
+    meta: MetaMatrix, labels: np.ndarray, grid: AlphaGrid, hs: Sequence[str]
+) -> dict[str, list[tuple[float, float]]]:
+    """The (alpha, meta-level error) curve over the grid for each h in hs,
+    from one bound pick per alpha."""
+    errors = _alpha_errors(meta, labels, grid.values, hs)
+    return {h: list(zip(grid.values, errors[h])) for h in hs}
 
 
 def select_alpha(
@@ -272,7 +285,7 @@ def select_alpha(
 ) -> tuple[float, list[tuple[float, float]]]:
     """Grid value with the lowest meta-level error; ties go to the smallest
     alpha. Returns (alpha, full error curve)."""
-    curve = list(zip(grid.values, _alpha_errors(meta, labels, grid.values, h)))
+    curve = error_curves(meta, labels, grid, (h,))[h]
     best_alpha, _ = min(curve, key=lambda pair: (pair[1], pair[0]))
     return best_alpha, curve
 

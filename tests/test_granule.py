@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from granulex import combiners, granule
 from granulex.granule import (
     Granule,
     GranuleError,
@@ -11,25 +12,37 @@ from granulex.granule import (
     evidence_score,
     median_of,
     pick_bounds,
+    pick_bounds_blocks,
     prepare_samples,
 )
 
 GRID = tuple(round(0.1 * i, 1) for i in range(41))
+ALPHAS = GRID + (0.0, 25.0, 1e6)
+
+
+def midpoint(a, b):
+    """Mean of two floats; halves first where their sum overflows."""
+    total = a + b
+    return total / 2.0 if math.isfinite(total) else a / 2.0 + b / 2.0
 
 
 def reference_granules_batch(samples, alpha):
     """The one-shot batch kernel: sort, count and score at a single alpha,
-    all in one pass."""
+    all in one pass, over every column of the sorted rows."""
     v = np.sort(np.asarray(samples, dtype=np.float64), axis=1)
     n, k = v.shape
     mid = k // 2
-    med = v[:, mid] if k % 2 == 1 else (v[:, mid - 1] + v[:, mid]) / 2.0
+    if k % 2 == 1:
+        med = v[:, mid]
+    else:
+        med = np.array([midpoint(a, b) for a, b in v[:, mid - 1:mid + 1].tolist()])
     medc = med[:, None]
     le = (v[:, None, :] <= v[:, :, None]).sum(axis=2)
     lt = (v[:, None, :] < v[:, :, None]).sum(axis=2)
     below_med = (v < medc).sum(axis=1)[:, None]
     le_med = (v <= medc).sum(axis=1)[:, None]
-    decay = np.exp(-alpha * np.abs(medc - v))
+    with np.errstate(over="ignore"):
+        decay = np.exp(-alpha * np.abs(medc - v))
     upper_scores = np.where(v >= medc, (le - below_med) * decay, -1.0)
     upper = v[np.arange(n), np.argmax(upper_scores, axis=1)]
     lower_scores = np.where(v <= medc, (le_med - lt) * decay, -1.0)
@@ -42,7 +55,7 @@ def brute_force_granule(values, alpha):
     straight from the coverage x specificity definition."""
     vals = sorted(values)
     n = len(vals)
-    med = vals[n // 2] if n % 2 else (vals[n // 2 - 1] + vals[n // 2]) / 2.0
+    med = vals[n // 2] if n % 2 else midpoint(vals[n // 2 - 1], vals[n // 2])
 
     def score(bound, lo, hi):
         count = sum(1 for v in vals if lo <= v <= hi)
@@ -71,6 +84,17 @@ class TestMedian:
     def test_empty(self):
         with pytest.raises(GranuleError, match="empty sample"):
             median_of([])
+
+    def test_overflowing_sum(self):
+        # (1e308 + 1.5e308) / 2 would be inf, outside the two middle values.
+        assert median_of([1e308, 1.5e308]) == 1.25e308
+        assert median_of([-1.5e308, -1e308]) == -1.25e308
+        g = construct_granule([1e308, 1.5e308], 1.0)
+        assert (g.lower, g.upper) == (1e308, 1.5e308)
+
+    def test_finite_sum_is_unchanged(self):
+        for a, b in ((0.1, 0.2), (5e-324, 1e-323), (0.0, 5e-324), (-3.0, 7.5)):
+            assert median_of([b, a]) == (a + b) / 2.0
 
 
 class TestEvidenceScore:
@@ -195,41 +219,96 @@ class TestProperties:
             assert (g0.lower, g0.upper) == (g1.lower, g1.upper)
 
 
+def kernel_cases():
+    """(k, samples) for k = 1..13: continuous samples, vote-tied samples,
+    samples of values near +-1e308 (each row of one sign, so every distance
+    to the median stays finite) and samples of subnormals."""
+    rng = np.random.default_rng(41)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for k in range(1, 14):
+        yield k, rng.random((150, k))
+        yield k, rng.integers(0, k + 1, size=(150, k)) / k
+        huge = rng.choice([1e308, 1.25e308, 1.5e308, 1.7976931348623157e308], size=(60, k))
+        yield k, huge * rng.choice([-1.0, 1.0], size=(60, 1))
+        yield k, rng.integers(0, 5, size=(60, k)) * tiny
+
+
 class TestBatch:
     def test_matches_scalar(self):
-        rng = np.random.default_rng(31)
-        for k in (2, 3, 5, 10, 11):
-            samples = rng.random((200, k))
+        for k, samples in kernel_cases():
             for alpha in (0.0, 0.7, 1.0, 3.0):
                 bounds = construct_granules_batch(samples, alpha)
                 for row, (lo, hi) in zip(samples, bounds):
                     g = construct_granule(row.tolist(), alpha)
                     assert (g.lower, g.upper) == (lo, hi)
 
+    def test_matches_brute_force_on_ties_and_extremes(self):
+        for k, samples in kernel_cases():
+            for alpha in (0.0, 1.0, 1e6):
+                bounds = construct_granules_batch(samples[:20], alpha)
+                for row, (lo, hi) in zip(samples[:20], bounds):
+                    assert brute_force_granule(row.tolist(), alpha) == (lo, hi), k
+
     def test_one_preparation_serves_every_alpha(self):
-        # Prepared once, picked at every grid alpha in turn (and back at the
+        # Prepared once, picked at every alpha in turn (and back at the
         # first), the bounds equal the one-shot kernel's at each alpha.
-        rng = np.random.default_rng(41)
-        for k in range(1, 14):
-            continuous = rng.random((150, k))
-            votes = rng.integers(0, k + 1, size=(150, k)) / k  # many ties
-            for samples in (continuous, votes):
-                prepared = prepare_samples(samples)
-                for alpha in GRID + (0.0, 25.0, 1e6):
-                    assert np.array_equal(
-                        pick_bounds(prepared, alpha),
-                        reference_granules_batch(samples, alpha),
-                    )
-                    assert np.array_equal(
-                        construct_granules_batch(samples, alpha),
-                        reference_granules_batch(samples, alpha),
-                    )
+        for k, samples in kernel_cases():
+            prepared = prepare_samples(samples)
+            for alpha in ALPHAS:
+                expected = reference_granules_batch(samples, alpha)
+                assert np.array_equal(pick_bounds(prepared, alpha), expected), k
+                assert np.array_equal(construct_granules_batch(samples, alpha), expected)
+
+    @pytest.mark.parametrize("per_block", [None, 1, 12])
+    def test_alpha_blocks_match_one_alpha_at_a_time(self, monkeypatch, per_block):
+        # A block of alphas is scored in one pass; blocks of 1 alpha and of
+        # 12 (41 + 3 alphas split 12, 12, 12, 8), and the default, pick the
+        # same bounds as the one-shot kernel.
+        for k, samples in kernel_cases():
+            prepared = prepare_samples(samples)
+            n, w = prepared.values.shape[1:]
+            if per_block is not None:
+                monkeypatch.setattr(granule, "GRANULE_BLOCK_CELLS", per_block * n * w)
+            blocks = list(pick_bounds_blocks(prepared, ALPHAS))
+            if per_block is not None:
+                assert [len(b) for b in blocks] == (
+                    [1] * 44 if per_block == 1 else [12, 12, 12, 8]
+                )
+            picked = np.concatenate(blocks)
+            for bounds, alpha in zip(picked, ALPHAS, strict=True):
+                assert np.array_equal(bounds, reference_granules_batch(samples, alpha)), k
+
+    def test_block_of_one_cell(self, monkeypatch):
+        monkeypatch.setattr(granule, "GRANULE_BLOCK_CELLS", 1)
+        samples = np.random.default_rng(3).random((40, 12))
+        blocks = list(pick_bounds_blocks(prepare_samples(samples), GRID))
+        assert len(blocks) == len(GRID)
+        for bounds, alpha in zip(blocks, GRID):
+            assert np.array_equal(bounds[0], reference_granules_batch(samples, alpha))
+
+    @pytest.mark.parametrize("per_block", [1, 7, None])
+    def test_ncm_sweep_equals_one_alpha_at_a_time(self, monkeypatch, per_block):
+        # 30 x 3 class columns of 11 posteriors, 6 candidates per side.
+        rng = np.random.default_rng(8)
+        profiles = rng.random((30, 11, 3))
+        profiles /= profiles.sum(axis=2, keepdims=True)
+        if per_block is not None:
+            monkeypatch.setattr(granule, "GRANULE_BLOCK_CELLS", per_block * 90 * 6)
+        for h in combiners.H_KINDS:
+            swept = list(combiners.granular_ncm_sweep(profiles, GRID, h))
+            assert len(swept) == len(GRID)
+            for values, alpha in zip(swept, GRID):
+                assert np.array_equal(
+                    values, combiners.granular_ncm_batch(profiles, alpha, h)
+                )
 
     def test_pick_rejects_bad_alpha(self):
         prepared = prepare_samples(np.array([[0.1, 0.5, 0.9]]))
         for alpha in (-0.1, float("nan"), float("inf")):
             with pytest.raises(GranuleError):
                 pick_bounds(prepared, alpha)
+            with pytest.raises(GranuleError):
+                list(pick_bounds_blocks(prepared, (0.5, alpha)))
 
     def test_rejects_bad_input(self):
         with pytest.raises(GranuleError):

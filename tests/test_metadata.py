@@ -143,6 +143,11 @@ META_ROW = "0,0.5,0.5,0.5,0.5,a\n"
     (META_HEADER + "0,0.5,half,0.5,0.5,a\n", "line 2: non-numeric posterior"),
     ("obs_id,k1_y1,k1_y2,k2_y1,label\n0,0.5,0.5,0.5,a\n",
      "meta.csv, line 1: 3 posterior columns, not a multiple of the 2 classes"),
+    ("obs_id,k1_y1,k1_y2,label\n0,0.5,0.5,a\n",
+     "meta.csv, line 1: 2 posterior columns; a profile needs at least two "
+     "classifier rows"),
+    ("x\n0\n", "meta.csv, line 1: 0 posterior columns; a profile needs at "
+     "least two classifier rows"),
 ])
 def test_read_meta_csv_names_the_bad_line(tmp_path, text, message):
     path = tmp_path / "meta.csv"

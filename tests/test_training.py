@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import granulex.training as training
-from granulex import combiners, learners
+from granulex import combiners, granule, learners
 from granulex.combiners import Granule
 from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
 from granulex.evaluation import alpha_error_curves
@@ -16,6 +16,7 @@ from granulex.training import (
     TrainingError,
     default_alpha_grid,
     derive_seed,
+    error_curves,
     error_for_alpha,
     fold_parts,
     generate_meta_cv,
@@ -234,6 +235,27 @@ class TestAlphaSelection:
         best = min(range(len(errs)), key=lambda i: (errs[i], grid.values[i]))
         assert alpha == grid.values[best]
         assert [e for _, e in curve] == errs
+
+    @pytest.mark.parametrize("per_block", [1, 12, None])
+    def test_error_for_alpha_equals_every_curve_entry(self, monkeypatch, per_block):
+        # Whether the grid is picked one alpha at a time, in blocks of 12
+        # (41 = 12 + 12 + 12 + 5) or in the default blocks, every curve entry
+        # is the error of that alpha picked alone, and every h's curve from
+        # one shared pick is the curve select_alpha finds for that h.
+        data = toy_dataset(n=60, seed=5)
+        meta = generate_meta_cv(data, SPECS, make_fold_plan(data.labels, 5, seed=4), 2)
+        if per_block is not None:
+            columns = meta.n_observations * meta.catalog.size
+            window = len(SPECS) // 2 + 1
+            monkeypatch.setattr(granule, "GRANULE_BLOCK_CELLS", per_block * columns * window)
+        grid = default_alpha_grid()
+        curves = error_curves(meta, data.labels, grid, combiners.H_KINDS)
+        for h in combiners.H_KINDS:
+            _, curve = select_alpha(meta, data.labels, grid, h)
+            assert curves[h] == curve
+            assert [a for a, _ in curve] == list(grid.values)
+            for a, error in curve:
+                assert error_for_alpha(meta, data.labels, a, h) == error
 
     @pytest.mark.parametrize("name", BUNDLED_DATASETS)
     def test_sweep_equals_one_alpha_at_a_time(self, name):
