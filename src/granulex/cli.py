@@ -284,9 +284,8 @@ def cmd_evaluate(args) -> int:
 def cmd_alpha_curve(args) -> int:
     cfg, specs, data, grid = _training_inputs(args)
     h_kinds = [args.h] if args.h else list(combiners.H_KINDS)
-    curves = evaluation.alpha_error_curves(
-        data, specs, grid, h_kinds, cfg["folds"], cfg["seed"]
-    )
+    meta = training.cross_validated_meta(data, specs, cfg["folds"], cfg["seed"])
+    curves = training.error_curves(meta, data.labels, grid.values, h_kinds)
     with _output(args.output) as out:
         writer = csv.writer(out)
         writer.writerow(["alpha"] + [f"error_{h}" for h in h_kinds])

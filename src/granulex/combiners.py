@@ -12,6 +12,10 @@ family has one batched implementation over an (n, K, M) profile stack and
 no other: one (K, M) profile is the stack profile[None], so a profile
 decides the same way alone and inside a batch.  granular_intervals is the
 one view kept, and it too runs that kernel on profile[None].
+
+The granular combiner has one entry per question: granular_bounds_batch
+(one alpha) and granular_bounds_sweep (many) build the intervals,
+memberships_from_bounds de-granulates them, granular_decide_batch decides.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 # bench/tracer.py wraps it by this name.
 from .granule import (
     Granule,
+    _midpoints,
     construct_granule,
     construct_granules_batch,
     pick_bounds_blocks,
@@ -45,9 +50,7 @@ __all__ = [
     "granular_intervals",
     "granular_bounds_batch",
     "memberships_from_bounds",
-    "granular_ncm_batch",
     "granular_bounds_sweep",
-    "granular_ncm_sweep",
     "granular_decide_batch",
 ]
 
@@ -159,7 +162,7 @@ def memberships_from_bounds(bounds: np.ndarray, h: str) -> np.ndarray:
     if h not in _H_TABLE:
         raise ValueError(f"unknown h function {h!r}")
     lower, upper = bounds[..., 0], bounds[..., 1]
-    return (lower + upper) / 2.0 * _H_TABLE[h](upper - lower)
+    return _midpoints(lower, upper) * _H_TABLE[h](upper - lower)
 
 
 def granular_intervals(profile: np.ndarray, alpha: float) -> list[Granule]:
@@ -167,11 +170,6 @@ def granular_intervals(profile: np.ndarray, alpha: float) -> list[Granule]:
     posterior column: the one-row case of granular_bounds_batch."""
     bounds = granular_bounds_batch(np.asarray(profile)[None], alpha)[0]
     return [Granule(float(lo), float(hi), float(alpha)) for lo, hi in bounds]
-
-
-def granular_ncm_batch(profiles: np.ndarray, alpha: float, h: str) -> np.ndarray:
-    """Numerical class memberships for a (n, K, M) profile stack."""
-    return memberships_from_bounds(granular_bounds_batch(profiles, alpha), h)
 
 
 def granular_bounds_sweep(
@@ -186,15 +184,8 @@ def granular_bounds_sweep(
         yield bounds.reshape(-1, n, m, 2)
 
 
-def granular_ncm_sweep(
-    profiles: np.ndarray, alphas: Iterable[float], h: str
-) -> Iterator[np.ndarray]:
-    """granular_ncm_batch(profiles, alpha, h) for each alpha in turn, each
-    block of granular_bounds_sweep de-granulated at once."""
-    for bounds in granular_bounds_sweep(profiles, alphas):
-        yield from memberships_from_bounds(bounds, h)
-
-
 def granular_decide_batch(profiles: np.ndarray, alpha: float, h: str) -> np.ndarray:
-    """Vectorized granular decisions for a (n, K, M) profile stack."""
-    return np.argmax(granular_ncm_batch(profiles, alpha, h), axis=1)
+    """Granular decisions for a (n, K, M) profile stack: the class of
+    largest numerical membership."""
+    bounds = granular_bounds_batch(profiles, alpha)
+    return np.argmax(memberships_from_bounds(bounds, h), axis=1)

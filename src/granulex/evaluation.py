@@ -38,7 +38,6 @@ __all__ = [
     "WilcoxonResult",
     "midranks",
     "average_ranks",
-    "alpha_error_curves",
     "run_protocol",
     "default_methods",
     "config_echo",
@@ -241,12 +240,12 @@ class ProtocolConfig:
 @dataclass(frozen=True)
 class MethodResult:
     """The runs of one method on one data set, one entry per (repeat, outer
-    fold) in run order: the error rate, the macro-F1, and the 0-1-loss bias
-    and variance `bias_variance` reports for that fold."""
+    fold) in run order: the error rate, the macro-F1, and the 0-1-loss
+    variance `bias_variance` reports for that fold.  Its bias is the error
+    rate of the same predictions, so `errors` holds it too."""
 
     errors: tuple[float, ...]
     f1s: tuple[float, ...]
-    biases: tuple[float, ...]
     variances: tuple[float, ...]
 
     @property
@@ -264,10 +263,6 @@ class MethodResult:
     @property
     def var_f1(self) -> float:
         return float(np.var(self.f1s))
-
-    @property
-    def mean_bias(self) -> float:
-        return float(np.mean(self.biases))
 
     @property
     def mean_variance(self) -> float:
@@ -368,12 +363,10 @@ def run_protocol(
                         method, learner_names, train_part, test_profiles, config,
                         train_profiles, inner,
                     )
-                    split = bias_variance(preds, base_preds, truth)
                     runs[method].append((
                         error_rate(preds, truth),
                         macro_f1(preds, truth, data.catalog.size),
-                        split.bias,
-                        split.variance,
+                        bias_variance(preds, base_preds, truth).variance,
                     ))
         results[name] = {m: MethodResult(*zip(*r)) for m, r in runs.items()}
 
@@ -488,19 +481,3 @@ def config_echo(config: ProtocolConfig) -> dict:
     echo["learners"] = [{"kind": s.kind, "params": s.params} for s in config.learners]
     echo["alpha_grid"] = list(config.alpha_grid.values)
     return echo
-
-
-def alpha_error_curves(
-    data: Dataset,
-    specs: Sequence[LearnerSpec],
-    grid: AlphaGrid,
-    h_kinds: Sequence[str],
-    n_folds: int,
-    seed: int,
-) -> dict[str, list[tuple[float, float]]]:
-    """Meta-level error as a function of alpha, one curve per h function,
-    over the meta-data `training.train` builds with the same seed and
-    n_folds: each curve is the one train's select_alpha searches.  The
-    bounds are picked once per alpha for all h functions."""
-    meta = training.cross_validated_meta(data, specs, n_folds, seed)
-    return training.error_curves(meta, data.labels, grid, tuple(h_kinds))

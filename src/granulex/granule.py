@@ -15,10 +15,10 @@ the median.  Each candidate's coverage count is read off the tie runs of
 its sorted row.  The pick then scores a block of alphas at once, as
 (alphas, side, n, w) arrays of count x exp(-alpha * dist), with at most
 GRANULE_BLOCK_CELLS cells per side: `pick_bounds_blocks` walks any number
-of alphas block by block, and `pick_bounds` is its one-alpha view.
-`construct_granules_batch` is preparation and pick in a row, and
-`construct_granule` its one-sample case.  `evidence_score` and `median_of`
-state the definitions the kernel implements.
+of alphas block by block.  `construct_granules_batch` is preparation and a
+one-alpha pick in a row, and `construct_granule` its one-sample case.
+`evidence_score` and `median_of` state the definitions the kernel
+implements.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "evidence_score",
     "PreparedSamples",
     "prepare_samples",
-    "pick_bounds",
     "pick_bounds_blocks",
     "construct_granules_batch",
     "construct_granule",
@@ -67,7 +66,7 @@ class Granule:
 
     @property
     def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2.0
+        return float(_midpoints(self.lower, self.upper))
 
 
 def _check_sample(values: Sequence[float]) -> list[float]:
@@ -95,10 +94,7 @@ def median_of(values: Sequence[float]) -> float:
     mid = n // 2
     if n % 2 == 1:
         return vals[mid]
-    total = vals[mid - 1] + vals[mid]
-    if math.isfinite(total):
-        return total / 2.0
-    return vals[mid - 1] / 2.0 + vals[mid] / 2.0
+    return float(_midpoints(vals[mid - 1], vals[mid]))
 
 
 def evidence_score(
@@ -126,7 +122,8 @@ def evidence_score(
         count = sum(1 for v in vals if bound <= v <= med)
     else:
         raise GranuleError(f"side must be 'lower' or 'upper', got {side!r}")
-    return count * math.exp(-alpha * abs(med - bound))
+    # exp(-0 * dist) is 1, also where the dist overflows to inf.
+    return count * (math.exp(-alpha * abs(med - bound)) if alpha else 1.0)
 
 
 @dataclass(frozen=True)
@@ -151,9 +148,10 @@ class PreparedSamples:
     count: np.ndarray   # (2, n, w), values between median and bound; -1 off-side
 
 
-def _midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a + b) / 2 elementwise, or a / 2 + b / 2 where the sum overflows:
-    either way the result lies between a and b."""
+def _midpoints(a, b):
+    """(a + b) / 2 elementwise, of arrays or floats, or a / 2 + b / 2 where
+    the sum overflows: either way the result lies between a and b.  Every
+    median and interval midpoint of the package is computed here."""
     with np.errstate(over="ignore"):
         total = a + b
     finite = np.isfinite(total)
@@ -199,7 +197,8 @@ def prepare_samples(samples: np.ndarray) -> PreparedSamples:
         np.where(run_end, np.arange(w), w)[..., ::-1], axis=2
     )[..., ::-1]
     count = run_last + (k - w + 1) - np.add.reduce(across, axis=2, keepdims=True)
-    dist = np.abs(medc - values)
+    with np.errstate(over="ignore"):  # a spread past the float range: inf
+        dist = np.abs(medc - values)
     dist[off_side] = 0.0
     return PreparedSamples(
         values=values, dist=dist, count=np.where(off_side, -1.0, count)
@@ -211,8 +210,11 @@ def _pick(prepared: PreparedSamples, alphas: np.ndarray) -> np.ndarray:
     side, the first candidate maximizing count x exp(-alpha * dist)."""
     p = prepared
     _, n, w = p.values.shape
-    with np.errstate(over="ignore"):  # past the float range: -inf, exp gives 0
+    # Past the float range -alpha * dist is -inf, and exp gives 0; at
+    # alpha = 0 it is 0 whatever the dist, where -0 * inf would be NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
         scores = np.multiply.outer(-alphas, p.dist)
+    scores[alphas == 0.0] = 0.0
     np.exp(scores, out=scores)
     scores *= p.count
     best = scores.argmax(axis=3)
@@ -233,20 +235,14 @@ def pick_bounds_blocks(
         yield _pick(prepared, checked[start:start + size])
 
 
-def pick_bounds(prepared: PreparedSamples, alpha: float) -> np.ndarray:
-    """(n, 2) array of [lower, upper] bounds of the prepared samples'
-    granules at one alpha: on each side, the candidate maximizing coverage
-    x exp(-alpha * dist), ties going to the one nearest the median."""
-    return _pick(prepared, np.array([_check_alpha(alpha)]))[0]
-
-
 def construct_granules_batch(samples: np.ndarray, alpha: float) -> np.ndarray:
     """Granules of many same-length samples at one alpha.
 
     samples: (n, k) array, one sample per row.  Returns an (n, 2) array of
-    [lower, upper] bounds; each row maximizes evidence_score on both sides.
+    [lower, upper] bounds; each row maximizes evidence_score on both sides,
+    ties going to the candidate nearest the median.
     """
-    return pick_bounds(prepare_samples(samples), alpha)
+    return _pick(prepare_samples(samples), np.array([_check_alpha(alpha)]))[0]
 
 
 def construct_granule(values: Sequence[float], alpha: float) -> Granule:

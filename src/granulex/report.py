@@ -36,9 +36,10 @@ def report_to_dict(report: ExperimentReport) -> dict:
         },
         "comparisons": [dataclasses.asdict(c) for c in report.comparisons],
         "rankings": report.rankings,
+        # The 0-1-loss bias of the combined hypothesis is its error rate.
         "bias_variance": {
             ds: {
-                method: {"bias": res.mean_bias, "variance": res.mean_variance}
+                method: {"bias": res.mean_error, "variance": res.mean_variance}
                 for method, res in methods.items()
             }
             for ds, methods in report.results.items()
@@ -88,11 +89,12 @@ def human_table(report: ExperimentReport) -> str:
         )
     lines.append("")
 
+    # The 0-1-loss bias of the combined hypothesis is its error rate.
     lines.append("-- bias/variance (0-1 loss, mean over runs) --")
     for ds in report.dataset_names:
         for m in methods:
             r = report.results[ds][m]
-            lines.append(f"{ds}  {m:<{width}}bias={r.mean_bias:.4f}  "
+            lines.append(f"{ds}  {m:<{width}}bias={r.mean_error:.4f}  "
                          f"var={r.mean_variance:.4f}")
     return "\n".join(lines) + "\n"
 

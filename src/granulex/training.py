@@ -241,13 +241,13 @@ def cross_validated_meta(
     return generate_meta_cv(data, specs, plan, seed)
 
 
-def _alpha_errors(
+def error_curves(
     meta: MetaMatrix, labels: np.ndarray, alphas: Sequence[float], hs: Sequence[str]
-) -> dict[str, list[float]]:
-    """Meta-level error of the granular combiner at each alpha, for each h
-    function in hs.  The class columns are sorted and counted once, the
-    bounds are picked once per alpha for every h, and each picked block of
-    alphas is de-granulated once per h."""
+) -> dict[str, list[tuple[float, float]]]:
+    """The (alpha, meta-level error) curve of the granular combiner over
+    the alphas, for each h function in hs.  The class columns are sorted
+    and counted once, the bounds are picked once per alpha for every h,
+    and each picked block of alphas is de-granulated once per h."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != meta.n_observations:
         raise TrainingError("labels length does not match meta matrix")
@@ -258,23 +258,14 @@ def _alpha_errors(
         for h, curve in errors.items():
             decisions = np.argmax(combiners.memberships_from_bounds(bounds, h), axis=2)
             curve.extend(np.mean(decisions != labels, axis=1).tolist())
-    return errors
+    return {h: list(zip(alphas, curve)) for h, curve in errors.items()}
 
 
 def error_for_alpha(
     meta: MetaMatrix, labels: np.ndarray, alpha: float, h: str = DEFAULT_H
 ) -> float:
     """Fraction of observations the granular combiner misclassifies."""
-    return _alpha_errors(meta, labels, (alpha,), (h,))[h][0]
-
-
-def error_curves(
-    meta: MetaMatrix, labels: np.ndarray, grid: AlphaGrid, hs: Sequence[str]
-) -> dict[str, list[tuple[float, float]]]:
-    """The (alpha, meta-level error) curve over the grid for each h in hs,
-    from one bound pick per alpha."""
-    errors = _alpha_errors(meta, labels, grid.values, hs)
-    return {h: list(zip(grid.values, errors[h])) for h in hs}
+    return error_curves(meta, labels, (alpha,), (h,))[h][0][1]
 
 
 def select_alpha(
@@ -285,7 +276,7 @@ def select_alpha(
 ) -> tuple[float, list[tuple[float, float]]]:
     """Grid value with the lowest meta-level error; ties go to the smallest
     alpha. Returns (alpha, full error curve)."""
-    curve = error_curves(meta, labels, grid, (h,))[h]
+    curve = error_curves(meta, labels, grid.values, (h,))[h]
     best_alpha, _ = min(curve, key=lambda pair: (pair[1], pair[0]))
     return best_alpha, curve
 

@@ -30,7 +30,6 @@ from granulex.datasets import (
 )
 from granulex.evaluation import (
     ProtocolConfig,
-    alpha_error_curves,
     bias_variance,
     midranks,
     run_protocol,
@@ -243,15 +242,16 @@ def test_10_h_function_study():
     data = generate(GeneratorSpec("concentric-rings", n=120, d=2,
                                   noise=0.4, seed=10))
     assert data.catalog.size == 3
-    curves = alpha_error_curves(
+    meta = training.cross_validated_meta(
         data,
         [LearnerSpec("nearest-mean"), LearnerSpec("lda"),
          LearnerSpec("knn", {"k": 5}), LearnerSpec("gaussian-naive-bayes"),
          LearnerSpec("decision-stump")],
-        default_alpha_grid(),
-        ["h1", "h2", "h3"],
         n_folds=10,
         seed=0,
+    )
+    curves = training.error_curves(
+        meta, data.labels, default_alpha_grid().values, ["h1", "h2", "h3"]
     )
     minima = {}
     for h, curve in curves.items():

@@ -12,7 +12,6 @@ from granulex.combiners import (
     granular_bounds_batch,
     granular_decide_batch,
     granular_intervals,
-    granular_ncm_batch,
     memberships_from_bounds,
     s1_similarity,
     s1_similarity_batch,
@@ -36,8 +35,14 @@ def rule_scores(profile, rule):
     return fixed_rule_scores_batch(profile[None], rule)[0]
 
 
+def granular_memberships(profiles, alpha, h):
+    """Numerical class memberships of a (n, K, M) profile stack: its
+    bounds, de-granulated."""
+    return memberships_from_bounds(granular_bounds_batch(profiles, alpha), h)
+
+
 def granular_ncm(profile, alpha, h):
-    return granular_ncm_batch(profile[None], alpha, h)[0]
+    return granular_memberships(profile[None], alpha, h)[0]
 
 
 def granular_decision(profile, alpha, h):
@@ -352,7 +357,7 @@ class TestScalarIsBatchRow:
             for alpha in GRID:
                 cols = np.transpose(profiles, (0, 2, 1)).reshape(-1, k)
                 bounds = construct_granules_batch(cols, alpha).reshape(6, m, 2)
-                ncm_rows = {h: granular_ncm_batch(profiles, alpha, h)
+                ncm_rows = {h: granular_memberships(profiles, alpha, h)
                             for h in ("h1", "h2", "h3")}
                 for i, scores in enumerate(profiles):
                     one = profiles[i:i + 1]
@@ -363,6 +368,6 @@ class TestScalarIsBatchRow:
                         single = construct_granule(scores[:, j].tolist(), alpha)
                         assert (single.lower, single.upper) == tuple(bounds[i, j])
                     for h, rows in ncm_rows.items():
-                        assert np.array_equal(granular_ncm_batch(one, alpha, h)[0], rows[i])
+                        assert np.array_equal(granular_memberships(one, alpha, h)[0], rows[i])
                         assert granular_decide_batch(one, alpha, h)[0] == np.argmax(rows[i])
                         assert [ncm(g.lower, g.upper, h) for g in grans] == list(rows[i])

@@ -15,7 +15,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 # (n, K, M) batch kernels replaced, the per-kind declarations that the
 # one `learners._KINDS` table replaced, the model-record key lists that
 # `FittedClassifier.from_state` replaced, and the batched fold fitters that
-# became the logistic and tree kinds' one fitter.
+# became the logistic and tree kinds' one fitter; and the one-alpha pick,
+# membership and alpha-curve wrappers over the granular combiner's
+# bounds, de-granulation and error-curve entries.
 RETIRED = {
     "_FITTERS",
     "_PREDICTORS",
@@ -34,6 +36,11 @@ RETIRED = {
     "ncm",
     "_fit_logistic_folds",
     "_fit_tree_folds",
+    "pick_bounds",
+    "granular_ncm_batch",
+    "granular_ncm_sweep",
+    "alpha_error_curves",
+    "_alpha_errors",
 }
 
 # Module attributes the bench tracer replaces by name.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from granulex.granule import (
     construct_granules_batch,
     evidence_score,
     median_of,
-    pick_bounds,
     pick_bounds_blocks,
     prepare_samples,
 )
@@ -91,10 +91,16 @@ class TestMedian:
         assert median_of([-1.5e308, -1e308]) == -1.25e308
         g = construct_granule([1e308, 1.5e308], 1.0)
         assert (g.lower, g.upper) == (1e308, 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.midpoint == 1.25e308
+            values = combiners.memberships_from_bounds(np.array([[1e308, 1.5e308]]), "h1")
+        assert values.tolist() == [1.25e308]
 
     def test_finite_sum_is_unchanged(self):
         for a, b in ((0.1, 0.2), (5e-324, 1e-323), (0.0, 5e-324), (-3.0, 7.5)):
             assert median_of([b, a]) == (a + b) / 2.0
+            assert Granule(a, b, 1.0).midpoint == (a + b) / 2.0
 
 
 class TestEvidenceScore:
@@ -110,6 +116,20 @@ class TestEvidenceScore:
     def test_alpha_zero_counts(self):
         assert evidence_score(self.SAMPLE, 0.0, 0.8, "upper") == 2.0
         assert evidence_score(self.SAMPLE, 0.0, 0.9, "upper") == 3.0
+
+    def test_alpha_zero_counts_past_the_float_range(self):
+        # Distances of 2e308 and more overflow to inf, yet exp(-0 * dist) is
+        # 1: at alpha = 0 each score is its count, so the granule spans the
+        # sample, and no NaN score stops the lower side at -1e308.
+        sample = [-1.7e308, -1e308, 1e308, 1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evidence_score(sample, 0.0, -1.7e308, "lower") == 5.0
+            assert evidence_score(sample, 0.0, -1e308, "lower") == 4.0
+            assert evidence_score(sample, 1.0, -1e308, "lower") == 0.0
+            g = construct_granule(sample, 0.0)
+            assert (g.lower, g.upper) == (-1.7e308, 1e308)
+            assert (construct_granule(sample, 1.0).lower) == 1e308
 
     def test_lower_side(self):
         got = evidence_score(self.SAMPLE, 1.0, 0.1, "lower")
@@ -256,7 +276,8 @@ class TestBatch:
             prepared = prepare_samples(samples)
             for alpha in ALPHAS:
                 expected = reference_granules_batch(samples, alpha)
-                assert np.array_equal(pick_bounds(prepared, alpha), expected), k
+                [picked] = next(pick_bounds_blocks(prepared, (alpha,)))
+                assert np.array_equal(picked, expected), k
                 assert np.array_equal(construct_granules_batch(samples, alpha), expected)
 
     @pytest.mark.parametrize("per_block", [None, 1, 12])
@@ -295,18 +316,23 @@ class TestBatch:
         if per_block is not None:
             monkeypatch.setattr(granule, "GRANULE_BLOCK_CELLS", per_block * 90 * 6)
         for h in combiners.H_KINDS:
-            swept = list(combiners.granular_ncm_sweep(profiles, GRID, h))
+            swept = [
+                values
+                for bounds in combiners.granular_bounds_sweep(profiles, GRID)
+                for values in combiners.memberships_from_bounds(bounds, h)
+            ]
             assert len(swept) == len(GRID)
             for values, alpha in zip(swept, GRID):
+                bounds = combiners.granular_bounds_batch(profiles, alpha)
                 assert np.array_equal(
-                    values, combiners.granular_ncm_batch(profiles, alpha, h)
+                    values, combiners.memberships_from_bounds(bounds, h)
                 )
 
     def test_pick_rejects_bad_alpha(self):
         prepared = prepare_samples(np.array([[0.1, 0.5, 0.9]]))
         for alpha in (-0.1, float("nan"), float("inf")):
             with pytest.raises(GranuleError):
-                pick_bounds(prepared, alpha)
+                construct_granules_batch(np.array([[0.1, 0.5, 0.9]]), alpha)
             with pytest.raises(GranuleError):
                 list(pick_bounds_blocks(prepared, (0.5, alpha)))
 

@@ -8,12 +8,12 @@ import granulex.training as training
 from granulex import combiners, granule, learners
 from granulex.combiners import Granule
 from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
-from granulex.evaluation import alpha_error_curves
 from granulex.learners import Dataset, LearnerSpec, default_roster, extended_roster
 from granulex.metadata import ClassCatalog, MetaMatrix
 from granulex.training import (
     AlphaGrid,
     TrainingError,
+    cross_validated_meta,
     default_alpha_grid,
     derive_seed,
     error_curves,
@@ -249,7 +249,7 @@ class TestAlphaSelection:
             window = len(SPECS) // 2 + 1
             monkeypatch.setattr(granule, "GRANULE_BLOCK_CELLS", per_block * columns * window)
         grid = default_alpha_grid()
-        curves = error_curves(meta, data.labels, grid, combiners.H_KINDS)
+        curves = error_curves(meta, data.labels, grid.values, combiners.H_KINDS)
         for h in combiners.H_KINDS:
             _, curve = select_alpha(meta, data.labels, grid, h)
             assert curves[h] == curve
@@ -259,14 +259,18 @@ class TestAlphaSelection:
 
     @pytest.mark.parametrize("name", BUNDLED_DATASETS)
     def test_sweep_equals_one_alpha_at_a_time(self, name):
-        # The meta-CV alpha_error_curves builds, rebuilt here so that its
-        # curves can be checked against one kernel call per alpha.
+        # The meta-CV cross_validated_meta builds, rebuilt here so that the
+        # curves error_curves finds on it can be checked against one kernel
+        # call per alpha.
         data = load_bundled(name)
         specs = extended_roster()
         plan = make_fold_plan(data.labels, 5, derive_seed(3, 0xF01D))
         meta = generate_meta_cv(data, specs, plan, 3)
         grid = default_alpha_grid()
-        curves = alpha_error_curves(data, specs, grid, combiners.H_KINDS, 5, 3)
+        curves = error_curves(
+            cross_validated_meta(data, specs, 5, 3), data.labels, grid.values,
+            combiners.H_KINDS,
+        )
         for h in combiners.H_KINDS:
             one_shot = [
                 float(np.mean(
@@ -285,7 +289,8 @@ class TestAlphaSelection:
         data = load_bundled("rings")
         specs = default_roster()
         grid = default_alpha_grid()
-        curves = alpha_error_curves(data, specs, grid, ["h3"], 10, seed)
+        meta = cross_validated_meta(data, specs, 10, seed)
+        curves = error_curves(meta, data.labels, grid.values, ["h3"])
         model = train(data, specs, seed, grid=grid, h="h3", n_folds=10)
         assert curves["h3"] == list(model.alpha_error_curve)
 
@@ -387,7 +392,7 @@ class TestPredict:
             bounds = combiners.construct_granules_batch(cols, alpha).reshape(n, m, 2)
             for h in combiners.H_KINDS:
                 e = dataclasses.replace(base, alpha=alpha, h=h)
-                values = combiners.granular_ncm_batch(profiles, alpha, h)
+                values = combiners.memberships_from_bounds(bounds, h)
                 decisions = combiners.granular_decide_batch(profiles, alpha, h)
                 details = predict_batch(e, q)
                 assert len(details) == n
