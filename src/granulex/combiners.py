@@ -158,11 +158,15 @@ def granular_bounds_batch(profiles: np.ndarray, alpha: float) -> np.ndarray:
 
 def memberships_from_bounds(bounds: np.ndarray, h: str) -> np.ndarray:
     """De-granulate intervals given as [lower, upper] pairs on the last axis
-    to numerical class memberships: midpoint x h(length)."""
+    to numerical class memberships: midpoint x h(length).  Bounds more than
+    the float range apart have length inf and get h's limit there: h1 the
+    midpoint, h2 and h3 zero."""
     if h not in _H_TABLE:
         raise ValueError(f"unknown h function {h!r}")
     lower, upper = bounds[..., 0], bounds[..., 1]
-    return _midpoints(lower, upper) * _H_TABLE[h](upper - lower)
+    with np.errstate(over="ignore"):
+        length = upper - lower
+    return _midpoints(lower, upper) * _H_TABLE[h](length)
 
 
 def granular_intervals(profile: np.ndarray, alpha: float) -> list[Granule]:

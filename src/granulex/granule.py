@@ -62,6 +62,7 @@ class Granule:
 
     @property
     def length(self) -> float:
+        """upper - lower: inf for bounds more than the float range apart."""
         return self.upper - self.lower
 
     @property

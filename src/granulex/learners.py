@@ -12,7 +12,8 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
   lda                  shared-covariance Gaussian discriminants, scaled to sum 1
   fisher               logistic squashing of one-vs-rest Fisher scores
   logistic-linear      multinomial softmax regression
-  decision-tree/stump  leaf class proportions of a CART tree (Gini)
+  decision-tree/stump  leaf class proportions of a CART tree (Gini): a node
+                       table that all query rows descend a level at a time
   nearest-mean         softmin of distances to class means
   perceptron           logistic squashing of one-vs-rest perceptron scores;
                        an epoch after one with at most n/4 updates scores
@@ -24,7 +25,8 @@ Classes absent from the fitted data always receive posterior 0.
 
 Each kind is one entry of `_KINDS`: fitter, predictor, the layout (dtype
 and shape of each value) of the state the predictor reads, the defaults of
-every parameter the fitter reads, and any shared predictor.
+every parameter the fitter reads, and any shared predictor.  A state is
+arrays and integers; a tree's is one table with a row per node.
 `LearnerSpec` rejects other parameters and types each by its default: an
 int >= 1, or a finite real > 0.  `FittedClassifier.from_state` reads the
 record `to_state` writes, checks its keys and its state against the layout,
@@ -696,12 +698,14 @@ def _tree_shape(spec) -> tuple[int, int]:
 
 def _grow_trees(x, y, p, rests, max_depth, min_leaf):
     """Yield the CART tree of the rows of x in each rest (an index array),
-    as nested split and leaf dicts.  A node is a leaf at max_depth, when it
-    holds one class or fewer than 2 min_leaf rows, or when no split lowers
-    its Gini impurity.  Otherwise it splits at the midpoint of the cut that
-    minimises the size-weighted child impurity, over cuts between distinct
-    values that leave at least min_leaf rows on each side; ties go to the
-    first feature, then the first cut.  Rows below the threshold go left.
+    as a table of its nodes level by level from the root at 0; a leaf has
+    feature -1, threshold 0 and itself as both children.  A node is a leaf
+    at max_depth, when it holds one class or fewer than 2 min_leaf rows, or
+    when no split lowers its Gini impurity.  Otherwise it splits at the
+    midpoint of the cut that minimises the size-weighted child impurity,
+    over cuts between distinct values that leave at least min_leaf rows on
+    each side; ties go to the first feature, then the first cut.  Rows
+    below the threshold go left.
 
     Each feature is sorted once, stably, into ranks.  A stable filter of a
     stable sort is the stable sort of the subset (the presort of CART,
@@ -713,36 +717,34 @@ def _grow_trees(x, y, p, rests, max_depth, min_leaf):
     ranks = np.empty((d, n), dtype=np.int64)
     for j in range(d):
         ranks[j, np.argsort(x[:, j], kind="stable")] = np.arange(n)
-    group, cells, leaves = [], 0, {}
+    group, cells = [], 0
     for rest in rests:
         if group and cells + len(rest) * (d + p) > TREE_BLOCK_CELLS:
-            yield from _grow_level_wise(x, y, p, ranks, group, max_depth,
-                                        min_leaf, leaves)
+            yield from _grow_level_wise(x, y, p, ranks, group, max_depth, min_leaf)
             group, cells = [], 0
         group.append(rest)
         cells += len(rest) * (d + p)
-    yield from _grow_level_wise(x, y, p, ranks, group, max_depth, min_leaf,
-                                leaves)
+    yield from _grow_level_wise(x, y, p, ranks, group, max_depth, min_leaf)
 
 
-def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf, shared_leaves):
+def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf):
     """The trees of _grow_trees for one group of rests.  A cell is one
     (rest, row) pair; node[c] is the node of this level that cell c is in,
     -1 once its node is a leaf.  For each feature, seqs[j] lists the live
     cells by (node, rank), and one cumulative class count over it scores
-    every cut of every node of the level.  Equal leaves are one dict,
-    kept in shared_leaves by their proportions: a deep tree has many pure
-    leaves, and a fitted tree is never written to."""
+    every cut of every node of the level.  A level lists its nodes tree by
+    tree, and a split's children are two consecutive nodes of the next
+    level, so each tree's nodes, level by level, are its table."""
     n, d = x.shape
     row = np.concatenate(rests)
     node = np.repeat(np.arange(len(rests)), [len(r) for r in rests])
     label = y[row]
     seqs = [np.argsort(node * n + ranks[j, row]) for j in range(d)]
-    roots = [None] * len(rests)
-    level = [(roots, t) for t in range(len(rests))]  # where each node goes
+    tree = np.arange(len(rests))  # the tree of each node of the level
+    levels = []  # per level: tree, feature, threshold, proportions, child
     depth = 0
-    while level:
-        m = len(level)
+    while len(tree):
+        m = len(tree)
         live = np.flatnonzero(node >= 0)
         totals = np.bincount(node[live] * p + label[live],
                              minlength=m * p).reshape(m, p)
@@ -787,19 +789,11 @@ def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf, shared_leaves):
             best_feat[nodes] = j
             best_thr[nodes] = (xs[g] + xs[g + 1]) / 2.0
         split = growing & (best_imp < _gini(totals, sizes[:, None]))
-        leaves = np.flatnonzero(~split)
-        for k, leaf in zip(leaves, (totals[leaves] / sizes[leaves, None]).tolist()):
-            owner, key = level[k]
-            owner[key] = shared_leaves.setdefault(tuple(leaf), {"leaf": leaf})
-        child = np.full(m, -1)
+        child = np.full(m, -1)  # a split's left child in the next level
         child[split] = 2 * np.arange(int(split.sum()))
-        nxt = []
-        for k in np.flatnonzero(split):
-            owner, key = level[k]
-            owner[key] = tree = {"feature": int(best_feat[k]),
-                                 "threshold": float(best_thr[k]),
-                                 "left": None, "right": None}
-            nxt += [(tree, "left"), (tree, "right")]
+        levels.append((tree, np.where(split, best_feat, -1),
+                       np.where(split, best_thr, 0.0), totals / sizes[:, None],
+                       child))
         cells = live[split[node[live]]]
         k = node[cells]
         right = ~(x[row[cells], best_feat[k]] < best_thr[k])
@@ -808,25 +802,51 @@ def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf, shared_leaves):
         if depth + 1 < max_depth:  # the next level splits: regroup by node
             seqs = [s[node[s] >= 0] for s in seqs]
             seqs = [s[np.argsort(node[s], kind="stable")] for s in seqs]
-        level, depth = nxt, depth + 1
-    return roots
+        tree, depth = np.repeat(tree[split], 2), depth + 1
+    return _node_tables(levels, len(rests))
+
+
+def _node_tables(levels, trees):
+    """The node table of each of trees from the levels of _grow_level_wise,
+    whose nodes are numbered across all trees: a stable sort by tree puts
+    each tree's nodes level by level, which is its table's order."""
+    tree, feature, threshold, proportions, child = map(np.concatenate, zip(*levels))
+    offsets = np.cumsum([0] + [len(level[0]) for level in levels])
+    at = np.arange(len(tree))
+    # a split's left child, numbered as `at`; a leaf itself
+    split = child >= 0
+    left = np.where(split, child + np.repeat(offsets[1:], np.diff(offsets)), at)
+    order = np.argsort(tree, kind="stable")
+    bounds = np.searchsorted(tree[order], np.arange(trees + 1))
+    local = np.empty(len(tree), dtype=np.int64)
+    local[order] = at - bounds[tree[order]]
+    children = np.stack([local[left], local[left + split]], axis=1)
+    feature, threshold, children, proportions = (
+        a[order] for a in (feature, threshold, children, proportions))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield {"feature": feature[lo:hi], "threshold": threshold[lo:hi],
+               "children": children[lo:hi], "proportions": proportions[lo:hi]}
 
 
 def _fit_tree(spec, x, y, p, rests, seeds):
     """The trees of _grow_trees; the fit draws no random numbers."""
-    trees = _grow_trees(x, y, p, rests, *_tree_shape(spec))
-    return ({"tree": tree, "p": p} for tree in trees)
-
-
-def _tree_row(node, row):
-    while "leaf" not in node:
-        node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
-    return node["leaf"]
+    return _grow_trees(x, y, p, rests, *_tree_shape(spec))
 
 
 def _predict_tree(state, x):
-    leaves = [_tree_row(state["tree"], row) for row in x]
-    return np.array(leaves, dtype=np.float64).reshape(len(x), state["p"])
+    """The proportions of the leaf each row of x reaches.  All rows descend
+    together, a level per step, to the right child where the row's feature
+    value is at least the threshold; a row at a leaf stays there."""
+    feature, threshold = state["feature"], state["threshold"]
+    pairs = state["children"].ravel()  # node k's children at 2k and 2k + 1
+    flat = x.ravel()
+    start = np.arange(0, flat.size, x.shape[1])  # each row's offset in flat
+    node = np.zeros(len(x), dtype=np.int64)
+    at = feature[node]
+    while np.maximum.reduce(at, initial=-1) >= 0:  # some row is at a split
+        node = pairs[node + node + (flat[start + at] >= threshold[node])]
+        at = feature[node]
+    return state["proportions"][node]
 
 
 # --- nearest mean ----------------------------------------------------------
@@ -935,15 +955,19 @@ class _Kind(NamedTuple):
     predict_shared: Callable | None = None
 
 
-# State layouts, in p (present classes), d (features) and n (training rows):
-# (_F, *shape) a finite float64 array, (_POSITIVE, *shape) one of values
-# > 0, (_SPD, d, d) a symmetric positive definite one; (_LABEL, n) an int64
-# array of present class indices 0..p-1; "p" or a parameter name, an
-# integer equal to p or to that parameter; _TREE the nested split and leaf
-# dicts of _grow_trees.
-_F, _POSITIVE, _SPD, _LABEL, _TREE = "float64", "positive", "spd", "label", "tree"
+# State layouts, in p (present classes), d (features), and n (training
+# rows) or nodes (tree nodes) as the first array has them: (_F, *shape) a
+# finite float64 array, (_POSITIVE, *shape) one of values > 0, (_SPD, d, d)
+# a symmetric positive definite one; int64 arrays of (_LABEL, n) present
+# class indices 0..p-1, (_FEATURE, nodes) feature indices, -1 at a leaf,
+# and (_CHILDREN, nodes, 2) child pairs as _check_children wants them; "p"
+# or a parameter name, an integer equal to p or to that parameter.
+_F, _POSITIVE, _SPD, _LABEL, _FEATURE, _CHILDREN = (
+    "float64", "positive", "spd", "label", "feature", "children")
 _OVR = {"w": (_F, "p", "d"), "b": (_F, "p")}
-_TREE_STATE = {"tree": _TREE, "p": "p"}
+_TREE_STATE = {"feature": (_FEATURE, "nodes"), "threshold": (_F, "nodes"),
+               "children": (_CHILDREN, "nodes", "2"),
+               "proportions": (_F, "nodes", "p")}
 
 _KINDS = {
     "knn": _Kind(_each_part(_fit_knn), _predict_knn,
@@ -984,16 +1008,6 @@ def _require_keys(obj, keys, what: str, error: type = LearnerError) -> None:
         raise error(f"{what} lacks key(s) {', '.join(missing)}")
 
 
-def _finite_real(v) -> bool:
-    """A JSON number (not a bool) that is a finite float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _decode_array(value, dtype: str, what: str) -> np.ndarray:
     """The array _jsonable wrote as {"__nd__": values, "dtype": dtype}."""
     if not (isinstance(value, dict) and set(value) == {"__nd__", "dtype"}):
@@ -1013,38 +1027,15 @@ def _decode_array(value, dtype: str, what: str) -> np.ndarray:
     return arr
 
 
-def _check_tree(root, p: int, d: int) -> None:
-    """Every node of a _grow_trees tree: a split on a feature below d at a
-    finite threshold, or a leaf of p finite class proportions."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        keys = set(node) if isinstance(node, dict) else None
-        if keys == {"leaf"}:
-            leaf = node["leaf"]
-            if not (isinstance(leaf, list) and len(leaf) == p
-                    and all(map(_finite_real, leaf))):
-                raise LearnerError(
-                    f"state 'tree' leaf must list {p} finite numbers"
-                )
-        elif keys == {"feature", "threshold", "left", "right"}:
-            f = node["feature"]
-            if type(f) is not int or not 0 <= f < d:
-                raise LearnerError(
-                    f"state 'tree' split feature must be an integer in "
-                    f"[0, {d}), got {f!r}"
-                )
-            if not _finite_real(node["threshold"]):
-                raise LearnerError(
-                    f"state 'tree' split threshold must be a finite number, "
-                    f"got {node['threshold']!r}"
-                )
-            stack += [node["left"], node["right"]]
-        else:
-            raise LearnerError(
-                "state 'tree' node must be a leaf {leaf} or a split "
-                "{feature, threshold, left, right}"
-            )
+def _check_children(children: np.ndarray, feature: np.ndarray, what: str) -> None:
+    """Each split's children lie after it and inside the table, and each
+    leaf's are itself: every descent step from a split moves to a later
+    node, so a descent ends at a leaf."""
+    node = np.arange(len(children))[:, None]
+    ahead = (children > node) & (children < len(children))
+    if not np.where(feature[:, None] >= 0, ahead, children == node).all():
+        raise LearnerError(f"{what} must hold two later nodes at a split and "
+                           f"the node itself twice at a leaf")
 
 
 def _check_spd(a: np.ndarray, what: str) -> None:
@@ -1077,25 +1068,22 @@ def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
     if type(d) is not int or d < 1:
         raise LearnerError(f"state n_features must be an integer >= 1, got {d!r}")
     p = len(present)
-    sizes = {"p": p, "d": d, "d+1": d + 1}
+    sizes = {"p": p, "d": d, "d+1": d + 1, "2": 2}
     out: dict[str, Any] = {"present": present, "n_features": d}
     for key, layout in layouts.items():
         value = state[key]
-        if layout == _TREE:
-            _check_tree(value, p, d)
-        elif isinstance(layout, str):
+        if isinstance(layout, str):
             want = p if layout == "p" else spec.params[layout]
             if type(value) is not int or value != want:
                 raise LearnerError(f"state {key!r} must be {want}, got {value!r}")
         else:
             dtype, *dims = layout
             what = f"state {key!r}"
-            stored = {_POSITIVE: "float64", _SPD: "float64",
-                      _LABEL: "int64"}.get(dtype, dtype)
+            stored = "int64" if dtype in (_LABEL, _FEATURE, _CHILDREN) else "float64"
             value = _decode_array(value, stored, what)
             if value.ndim == len(dims):
                 for dim, size in zip(dims, value.shape):
-                    sizes.setdefault(dim, size)  # n, from the first array
+                    sizes.setdefault(dim, size)  # n or nodes: the first array's
             if (value.ndim != len(dims) or value.size == 0
                     or value.shape != tuple(sizes[dim] for dim in dims)):
                 raise LearnerError(
@@ -1104,6 +1092,12 @@ def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
                 )
             if dtype == _LABEL and ((value < 0) | (value >= p)).any():
                 raise LearnerError(f"{what} must hold class indices below {p}")
+            if dtype == _FEATURE and ((value < -1) | (value >= d)).any():
+                raise LearnerError(
+                    f"{what} must hold feature indices in [-1, {d}), -1 at a leaf"
+                )
+            if dtype == _CHILDREN:
+                _check_children(value, out["feature"], what)
             if dtype == _POSITIVE and not (value > 0).all():
                 raise LearnerError(f"{what} must hold values > 0")
             if dtype == _SPD:

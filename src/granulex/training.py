@@ -28,6 +28,7 @@ biased as a generalization estimate.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -42,7 +43,6 @@ from .learners import (
     FittedClassifier,
     LearnerError,
     LearnerSpec,
-    _finite_real,
     _require_keys,
     fit,
     fit_folds,
@@ -76,11 +76,21 @@ __all__ = [
     "load_ensemble",
 ]
 
-ENSEMBLE_FORMAT_VERSION = 1
+ENSEMBLE_FORMAT_VERSION = 2  # 2: a tree is a node table, not nested dicts
 
 
 class TrainingError(ValueError):
     pass
+
+
+def _finite_real(v) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def derive_seed(master: int, *parts: int) -> int:

@@ -674,7 +674,6 @@ def _set(obj, path, value):
 
 
 _DROP = object()
-_STUMP = ("state", "tree")
 
 # (classifier, path into it, new value, message after "state "); the
 # classifiers are 0 lda, 1 knn5, 2 logistic-linear, 3 decision-stump and
@@ -714,15 +713,26 @@ BAD_STATES = {
                       "class indices below 3"),
     "logistic-inf": (2, ("state", "w", "__nd__", 0, 0), float("inf"),
                      "'w' holds a non-finite value"),
-    "tree-5": (3, _STUMP, 5, "'tree' node must be a leaf"),
-    "no-threshold": (3, _STUMP + ("threshold",), _DROP,
-                     "'tree' node must be a leaf"),
-    "feature-9": (3, _STUMP + ("feature",), 9,
-                  "'tree' split feature must be an integer in [0, 3), got 9"),
-    "threshold-a": (3, _STUMP + ("threshold",), "a",
-                    "'tree' split threshold must be a finite number, got 'a'"),
-    "short-leaf": (3, _STUMP + ("left", "leaf"), [1.0],
-                   "'tree' leaf must list 3 finite numbers"),
+    "tree-5": (3, ("state", "children"), 5,
+               "'children' must be an object with keys __nd__ and dtype"),
+    "no-threshold": (3, ("state", "threshold"), _DROP,
+                     "lacks key(s) threshold"),
+    "feature-9": (3, ("state", "feature", "__nd__", 0), 9,
+                  "'feature' must hold feature indices in [-1, 3), -1 at a leaf"),
+    "threshold-a": (3, ("state", "threshold", "__nd__", 0), "a",
+                    "'threshold' must be a rectangular array of float64 values"),
+    "threshold-inf": (3, ("state", "threshold", "__nd__", 0), float("inf"),
+                      "'threshold' holds a non-finite value"),
+    "short-leaf": (3, ("state", "proportions", "__nd__"), [[0.5, 0.5]] * 3,
+                   "'proportions' must have shape (nodes, p) with p = 3 and "
+                   "d = 3, got (3, 2)"),
+    # the root's left child is the root itself: a descent would never end
+    "child-cycle": (3, ("state", "children", "__nd__", 0), [0, 2],
+                    "'children' must hold two later nodes at a split and the "
+                    "node itself twice at a leaf"),
+    "child-past": (3, ("state", "children", "__nd__", 0), [1, 3],
+                   "'children' must hold two later nodes at a split and the "
+                   "node itself twice at a leaf"),
     "zero-variance": (4, ("state", "var", "__nd__", 0, 0), 0.0,
                       "'var' must hold values > 0"),
     "inv-cov-skew": (0, ("state", "inv_cov", "__nd__", 0, 1), 1234.5,
@@ -754,6 +764,29 @@ def test_bad_model_state_exits_1(tmp_path, capsys, rings_model, case):
     err = capsys.readouterr().err
     assert f"error: model classifier {j}: state {message}" in err
     assert "Traceback" not in err
+
+
+def test_version_1_model_with_nested_trees_exits_1(tmp_path, capsys, rings_model):
+    """A model file of format version 1, whose trees were nested split and
+    leaf dicts, is refused by its version before any classifier is read."""
+    text, query = rings_model
+    payload = json.loads(text)
+    payload["format_version"] = 1
+    state = payload["classifiers"][3]["state"]
+    for key in ("feature", "threshold", "children", "proportions"):
+        del state[key]
+    state.update(p=3, tree={"feature": 0, "threshold": 0.5,
+                            "left": {"leaf": [1.0, 0.0, 0.0]},
+                            "right": {"leaf": [0.0, 0.5, 0.5]}})
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(payload))
+    code = main(["predict", "--model", str(model), "--data", str(query),
+                 "--output", str(tmp_path / "p.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: unsupported ensemble format version 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 # --- predict output --------------------------------------------------------

@@ -41,6 +41,9 @@ RETIRED = {
     "granular_ncm_sweep",
     "alpha_error_curves",
     "_alpha_errors",
+    "_check_tree",
+    "_tree_row",
+    "_TREE",
 }
 
 # Module attributes the bench tracer replaces by name.

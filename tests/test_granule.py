@@ -97,6 +97,18 @@ class TestMedian:
             values = combiners.memberships_from_bounds(np.array([[1e308, 1.5e308]]), "h1")
         assert values.tolist() == [1.25e308]
 
+    def test_overflowing_length(self):
+        # upper - lower is inf: h gives its limit, without a warning.
+        bounds = np.array([[-1e308, 1e308], [-1e308, 1.7e308]])
+        want = {"h1": [0.0, (-1e308 + 1.7e308) / 2], "h2": [0.0, 0.0],
+                "h3": [0.0, 0.0]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in combiners.H_KINDS:
+                got = combiners.memberships_from_bounds(bounds, h)
+                assert got.tolist() == want[h]
+            assert Granule(-1e308, 1e308, 1.0).length == math.inf
+
     def test_finite_sum_is_unchanged(self):
         for a, b in ((0.1, 0.2), (5e-324, 1e-323), (0.0, 5e-324), (-3.0, 7.5)):
             assert median_of([b, a]) == (a + b) / 2.0

@@ -356,6 +356,30 @@ def _reference_grow_tree(x, y, p, depth, max_depth, min_leaf):
     }
 
 
+def _nested_tree(table, node=0):
+    """A node table as the nested split and leaf dicts of
+    _reference_grow_tree."""
+    if table["feature"][node] < 0:
+        return {"leaf": table["proportions"][node].tolist()}
+    left, right = table["children"][node]
+    return {"feature": int(table["feature"][node]),
+            "threshold": float(table["threshold"][node]),
+            "left": _nested_tree(table, left), "right": _nested_tree(table, right)}
+
+
+def _reference_predict_tree(tree, p, x):
+    """The (len(x), p) proportions of the leaf each row of x reaches, each
+    row walked alone through the nested dicts of a tree."""
+    leaves = []
+    for row in x:
+        node = tree
+        while "leaf" not in node:
+            below = row[node["feature"]] < node["threshold"]
+            node = node["left"] if below else node["right"]
+        leaves.append(node["leaf"])
+    return np.array(leaves, dtype=np.float64).reshape(len(x), p)
+
+
 def _random_split_case(rng, p=None, n_max=300, d_max=4):
     n = int(rng.integers(2, n_max + 1))
     d = int(rng.integers(1, d_max + 1))
@@ -389,8 +413,9 @@ def test_best_split_matches_scalar_reference():
         x, y, p = _random_split_case(rng)
         for min_leaf in (1, 2, 5):
             expected = _reference_best_split(x, y, p, min_leaf)
-            (root,) = learners._grow_trees(x, y, p, [np.arange(len(y))], 1,
-                                           min_leaf)
+            (table,) = learners._grow_trees(x, y, p, [np.arange(len(y))], 1,
+                                            min_leaf)
+            root = _nested_tree(table)
             got = None if "leaf" in root else (root["feature"], root["threshold"])
             assert got == expected
             splits += expected is not None
@@ -407,7 +432,7 @@ def test_tree_matches_scalar_reference(name, spec):
     max_depth, min_leaf = learners._tree_shape(spec)
     expected = _reference_grow_tree(data.features, data.labels,
                                     data.catalog.size, 0, max_depth, min_leaf)
-    assert fit(spec, data, 0).state["tree"] == expected
+    assert _nested_tree(fit(spec, data, 0).state) == expected
 
 
 def _spy_tree_calls(monkeypatch):
@@ -456,7 +481,7 @@ def test_fit_folds_trees_match_reference(parts, monkeypatch):
             assert calls == [parts]
             shape = learners._tree_shape(spec)
             for rest, model in zip(rests, models):
-                assert model.state["tree"] == _reference_grow_tree(
+                assert _nested_tree(model.state) == _reference_grow_tree(
                     data.features[rest], data.labels[rest], p, 0, *shape)
 
 
@@ -480,7 +505,8 @@ def test_tree_groups_stay_within_the_cell_budget(monkeypatch):
     monkeypatch.setattr(learners, "TREE_BLOCK_CELLS", 3 * 120 * (6 + 2))
     grouped = list(fit_folds(spec, data, rests, range(9)))
     assert groups == [3, 3, 3]
-    assert [m.state["tree"] for m in grouped] == [m.state["tree"] for m in whole]
+    assert ([_nested_tree(m.state) for m in grouped]
+            == [_nested_tree(m.state) for m in whole])
 
 
 @pytest.mark.parametrize("fault", ["absent-class", "not-increasing"])
@@ -501,8 +527,60 @@ def test_tree_parts_outside_the_guard_fit_one_by_one(fault, monkeypatch):
         part = data.subset(rest)
         present = np.unique(part.labels)
         y = np.searchsorted(present, part.labels)
-        assert model.state["tree"] == _reference_grow_tree(
+        assert _nested_tree(model.state) == _reference_grow_tree(
             part.features, y, len(present), 0, 12, 2)
+
+
+def _rows_on_thresholds(tree, x):
+    """For each split of tree, the first row of x that reaches it, with the
+    split's feature set to its threshold.  The threshold lies between two
+    values of rows that reach the split, so the row still reaches it."""
+    if "leaf" in tree:
+        return []
+    row = x[0].copy()
+    row[tree["feature"]] = tree["threshold"]
+    left = x[:, tree["feature"]] < tree["threshold"]
+    return ([row] + _rows_on_thresholds(tree["left"], x[left])
+            + _rows_on_thresholds(tree["right"], x[~left]))
+
+
+@pytest.mark.parametrize("name", BUNDLED_DATASETS)
+@pytest.mark.parametrize("spec", [
+    LearnerSpec("decision-stump"),
+    LearnerSpec("decision-tree"),
+    LearnerSpec("decision-tree", {"max_depth": 20, "min_leaf": 1}),
+], ids=["depth-1", "depth-12", "depth-20"])
+def test_tree_posteriors_are_the_nested_walks(name, spec):
+    """The level-wise descent over the node table gives bitwise the
+    proportions of the row-by-row nested walk: for no rows, one row and
+    many rows, rows exactly on a split's threshold among them."""
+    data = load_bundled(name)
+    state = fit(spec, data, 0).state
+    tree, p = _nested_tree(state), state["proportions"].shape[1]
+    on = np.array(_rows_on_thresholds(tree, data.features))
+    assert len(on) == (state["feature"] >= 0).sum()
+    rng = np.random.default_rng(len(on))
+    far = rng.normal(size=(200, data.n_features)) * 3 * data.features.std(axis=0)
+    x = np.vstack([on, data.features, far])
+    for rows in (x[:0], x[:1], x[-1:], on, x):
+        want = _reference_predict_tree(tree, p, rows)
+        assert np.array_equal(learners._predict_tree(state, rows), want)
+
+
+def test_tree_of_a_rest_with_repeated_rows_is_the_oracle_on_its_rows():
+    """A sorted rest that repeats rows, as a bootstrap draw does, grows the
+    oracle's tree on its rows taken with their repeats: repeated cells have
+    equal values and labels, and no cut falls between equal values."""
+    rng = np.random.default_rng(31)
+    for i in range(30):
+        x, y, p = _random_split_case(rng, n_max=120)
+        rests = [np.sort(rng.integers(0, len(y), size=len(y))) for _ in range(3)]
+        rests[0] = np.repeat(np.arange(len(y)), 2)  # every row twice
+        shape = [(1, 1), (2, 2), (12, 2), (20, 1), (20, 5)][i % 5]
+        for rest, table in zip(rests, learners._grow_trees(x, y, p, rests, *shape)):
+            assert (np.diff(rest) == 0).any()
+            assert _nested_tree(table) == _reference_grow_tree(x[rest], y[rest], p,
+                                                               0, *shape)
 
 
 # --- batched logistic fits oracle -------------------------------------------
