@@ -13,7 +13,6 @@ import contextlib
 import csv
 import dataclasses
 import io
-import json
 import math
 import re
 import sys
@@ -23,6 +22,7 @@ import numpy as np
 from . import combiners, evaluation, report, training
 from .datasets import GeneratorSpec, generate, load_csv, load_features
 from .learners import Dataset, LearnerSpec, default_roster, spec_from_name
+from .metadata import _read_json
 from .training import AlphaGrid
 
 
@@ -143,11 +143,7 @@ def _load_dataset_entry(entry: dict) -> Dataset:
 def _resolve_config(path: str | None, args) -> dict:
     cfg: dict = {}
     if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except RecursionError:
-                raise CliError(f"config {path} nests JSON too deeply") from None
+        raw = _read_json(path, "config", CliError)
         if isinstance(raw, dict) and "config" in raw and "results" in raw:
             raw = raw["config"]  # accept a previously emitted report echo
         _check_object(raw, CONFIG_TYPES, "config")

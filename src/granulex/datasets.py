@@ -1,9 +1,11 @@
-"""Dataset ingestion and synthetic generators for the experiment CLI."""
+"""Dataset ingestion and synthetic generators for the experiment CLI.
+
+`load_csv` and `load_features` read a file through the row reader and
+number parser of `metadata`, which find and name every bad row; they add
+only the label column and the class catalog."""
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from importlib import resources
 from numbers import Integral, Real
@@ -11,7 +13,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .learners import Dataset
-from .metadata import ClassCatalog
+from .metadata import ClassCatalog, _number_rows, _read_rows
 
 __all__ = [
     "BUNDLED_DATASETS",
@@ -30,8 +32,6 @@ BUNDLED_DATASETS = ("clusters", "twonorm", "rings")
 
 # Largest n * d a generator may draw (800 MB of float64), checked before allocating.
 MAX_GENERATED_VALUES = 10**8
-# Most bad line numbers a CSV error names; past these it states the count.
-_NAMED_ROWS = 10
 
 
 class DatasetError(ValueError):
@@ -55,56 +55,6 @@ def load_bundled(name: str) -> Dataset:
     return load_csv(bundled_path(f"{name}.csv"), name=name)
 
 
-def _read_rows(
-    path, header: bool
-) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
-    """The header (None without one) and the non-blank data rows of a CSV,
-    each with its 1-based line number in the file."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise DatasetError(f"{path} is empty")
-    columns = rows.pop(0)[1] if header else None
-    if not rows:
-        raise DatasetError(f"{path} has no data rows")
-    return columns, rows
-
-
-def _feature_rows(
-    path, rows: list[tuple[int, list[str]]], label_idx: int | None = None
-) -> list[list[float]]:
-    """The float cells of every row but column label_idx.  Every row whose
-    width differs from the first's, or with a non-numeric or non-finite
-    feature cell, aborts naming the first _NAMED_ROWS such line numbers and,
-    past those, how many there are."""
-    width = len(rows[0][1])
-    features = []
-    bad: list[int] = []
-    for lineno, row in rows:
-        try:
-            feats = [float(cell) for i, cell in enumerate(row) if i != label_idx]
-            ok = len(row) == width and all(map(math.isfinite, feats))
-        except ValueError:
-            ok = False
-        if ok:
-            features.append(feats)
-        else:
-            bad.append(lineno)
-    if bad:
-        named = f"{bad}" if len(bad) <= _NAMED_ROWS else (
-            f"{bad[:_NAMED_ROWS]} and {len(bad) - _NAMED_ROWS} more, "
-            f"{len(bad)} in all")
-        raise DatasetError(
-            f"{path}: non-numeric or malformed feature cells in rows {named}"
-        )
-    return features
-
-
 def load_csv(
     path,
     label_column: int | str = -1,
@@ -113,12 +63,15 @@ def load_csv(
 ) -> Dataset:
     """Read a numeric-feature CSV with one label column.
 
-    Classes are cataloged in first-appearance order.  Any row with a
-    non-numeric or missing feature cell aborts the load, naming the first
-    offending line numbers of the file and their count.
+    Classes are cataloged in first-appearance order.  Any row that
+    `metadata._read_rows` or `metadata._number_rows` rejects (a line the
+    csv module cannot read, a width other than the header's, a non-numeric
+    or non-finite feature cell) aborts the load, naming the first offending
+    line numbers of the file and their count.
     """
-    columns, rows = _read_rows(path, header)
-    width = len(rows[0][1])
+    columns, width, rows = _read_rows(path, header, DatasetError)
+    if width < 2:
+        raise DatasetError(f"{path}: one column, the label; no feature column")
     if isinstance(label_column, str):
         if columns is None or label_column not in columns:
             raise DatasetError(f"label column {label_column!r} not found")
@@ -131,8 +84,9 @@ def load_csv(
             f"{width} columns (use -{width} to {width - 1})"
         )
 
-    features = _feature_rows(path, rows, label_idx)
-    raw_labels = [row[label_idx] for _, row in rows]
+    features, _, raw_labels = _number_rows(
+        path, rows, [i for i in range(width) if i != label_idx], label_idx,
+        DatasetError)
     seen: dict[str, int] = {}
     for lab in raw_labels:
         if lab not in seen:
@@ -141,14 +95,14 @@ def load_csv(
         raise DatasetError(f"{path}: needs at least two classes")
     catalog = ClassCatalog(tuple(seen))
     labels = np.asarray([seen[lab] for lab in raw_labels], dtype=np.int64)
-    return Dataset(np.asarray(features), labels, catalog, name or str(path))
+    return Dataset(features, labels, catalog, name or str(path))
 
 
 def load_features(path, header: bool = True) -> np.ndarray:
     """Read an all-numeric feature CSV, such as the query rows of `granulex
     predict`, with the row checks of `load_csv`."""
-    _, rows = _read_rows(path, header)
-    return np.asarray(_feature_rows(path, rows))
+    _, width, rows = _read_rows(path, header, DatasetError)
+    return _number_rows(path, rows, range(width), None, DatasetError)[0]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,22 @@
 """Soft-label meta-data: the (N, K, M) stack of posterior profiles, one
 K x M matrix (K classifiers, M classes) per observation, with its
 validation and CSV import/export.  A single profile is a (K, M) array; it
-is checked as the one-row stack."""
+is checked as the one-row stack.
+
+This lowest module also holds the package's one CSV row reader and number
+parser (`_read_rows`, `_number_rows`), shared by `read_meta_csv`,
+`datasets.load_csv` and `datasets.load_features`, each passing its own
+error type, and the one JSON loader (`_read_json`) of config and model
+files.  Every fault of a CSV row is found and named there."""
 
 from __future__ import annotations
 
 import csv
+import itertools
+import json
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -145,47 +155,153 @@ def write_meta_csv(path, matrix: MetaMatrix, labels: Sequence[int]) -> None:
             writer.writerow(row)
 
 
+# Most bad line numbers a CSV error names; past these it states the count.
+_NAMED_ROWS = 10
+
+
+def _rows_fault(path, fault: str, bad: list[int]) -> str:
+    """The message naming the lines of the bad rows, or past _NAMED_ROWS
+    of them, the first _NAMED_ROWS and the count."""
+    named = f"{bad}" if len(bad) <= _NAMED_ROWS else (
+        f"{bad[:_NAMED_ROWS]} and {len(bad) - _NAMED_ROWS} more, "
+        f"{len(bad)} in all")
+    return f"{path}: {fault} in rows {named}"
+
+
+def _utf8_fault(path) -> str:
+    """The message naming the line of the first byte of the file at path
+    that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return (f"{path}, line {line}: not UTF-8 text (byte "
+                f"{data[exc.start]:#04x}: {exc.reason})")
+    return f"{path}: not UTF-8 text"  # the file changed since it failed
+
+
+def _csv_lines(path, error: type[Exception]):
+    """Yield the (line number, cells) of every non-blank line of a CSV file
+    as it reads it; cells is None where the csv module rejects the line (a
+    field over its size limit, say).  An unreadable or non-UTF-8 file
+    raises error."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            while True:  # the reader goes on past a line it rejects
+                try:
+                    for row in reader:
+                        if row:
+                            yield reader.line_num, row
+                    return
+                except csv.Error:
+                    yield reader.line_num, None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise error(_utf8_fault(path)) from None
+
+
+def _read_rows(path, header: bool, error: type[Exception]):
+    """The header (None without one), the width and an iterator over the
+    data rows of a CSV file, each row with its line number in the file.
+    The width is the header's, or the first row's without a header; a
+    row's cells are None where _csv_lines rejects the line or the row's
+    width differs, and _number_rows names such lines.  A file with no data
+    row or an unreadable first line raises error."""
+    lines = _csv_lines(path, error)
+    first = next(lines, None)
+    if first is None:
+        raise error(f"{path} is empty")
+    lineno, columns = first
+    if columns is None:
+        raise error(f"{path}, line {lineno}: the csv module cannot read it")
+    width = len(columns)
+    if header and (first := next(lines, None)) is None:
+        raise error(f"{path} has no data rows")
+    return columns if header else None, width, (
+        (n, row if row and len(row) == width else None)
+        for n, row in itertools.chain([first], lines))
+
+
+def _number_rows(path, rows, columns: Sequence[int], label: int | None,
+                 error: type[Exception], what: str = "feature"):
+    """The float64 table of the given columns (at least one) of _read_rows'
+    rows, each cell read by float(), the rows' line numbers and their label
+    cells in column label (none when label is None).  The rows that
+    _read_rows rejected and those with a non-numeric or non-finite cell in
+    these columns raise error, naming all their lines in file order."""
+    columns = list(columns)
+    lo, hi = columns[0], columns[-1] + 1
+    # A slice where the columns are contiguous: itemgetter of one index
+    # would return the bare cell, and float() would map over its digits.
+    gather = (itemgetter(slice(lo, hi)) if columns == list(range(lo, hi))
+              else itemgetter(*columns))
+    blank = [math.nan] * len(columns)  # a rejected row reads as non-finite
+    values: list[float] = []
+    lines: list[int] = []
+    labels: list[str] = []
+    for lineno, cells in rows:
+        lines.append(lineno)
+        end = len(values)
+        if cells is not None:
+            try:
+                values += map(float, gather(cells))
+                if label is not None:
+                    labels.append(cells[label])
+                continue
+            except ValueError:
+                del values[end:]
+        values += blank
+    table = np.array(values, dtype=np.float64).reshape(len(lines), len(columns))
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise error(_rows_fault(path, f"non-numeric or malformed {what} cells",
+                                [lines[i] for i in np.flatnonzero(bad)]))
+    return table, lines, labels
+
+
+def _read_json(path, what: str, error: type[Exception]):
+    """The JSON value in the file at path.  Text that is not JSON or not
+    UTF-8, or nests too deeply for the parser, raises error naming what
+    the file is and its path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error(f"{what} {path} nests JSON too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise error(f"{what} {path} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise error(f"{what} {_utf8_fault(path)}") from None
+
+
 def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
     """Parse a file written by write_meta_csv. Returns (matrix, labels).
 
-    A missing header, a header with fewer than two classifier rows, a row of
-    the wrong length, a non-numeric posterior or a label outside the catalog
-    raises MetadataError naming the line; a header with no data row after it
-    raises one naming the file."""
+    A missing header or one with fewer than two classifier rows raises
+    MetadataError naming line 1.  The rows get _read_rows' and _number_rows'
+    checks, as a data CSV does, and then every label outside the catalog
+    is named by its line in one MetadataError."""
+    _, width, rows = _read_rows(path, True, MetadataError)
+    ncols = width - 2
+    m = catalog.size
+    if ncols > 0 and ncols % m != 0:
+        raise MetadataError(f"{path}, line 1: {ncols} posterior columns, "
+                            f"not a multiple of the {m} classes")
+    if ncols < 2 * m:
+        raise MetadataError(
+            f"{path}, line 1: {max(ncols, 0)} posterior columns; a profile "
+            f"needs at least two classifier rows of {m} columns each"
+        )
+    scores, lines, cells = _number_rows(
+        path, rows, range(1, ncols + 1), -1, MetadataError, "posterior")
     label_index = {label: i for i, label in enumerate(catalog.labels)}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MetadataError(f"{path}, line 1: empty file, expected a header")
-        ncols = len(header) - 2
-        m = catalog.size
-        if ncols > 0 and ncols % m != 0:
-            raise MetadataError(f"{path}, line 1: {ncols} posterior columns, "
-                                f"not a multiple of the {m} classes")
-        if ncols < 2 * m:
-            raise MetadataError(
-                f"{path}, line 1: {max(ncols, 0)} posterior columns; a profile "
-                f"needs at least two classifier rows of {m} columns each"
-            )
-        k = ncols // m
-        rows = []
-        labels = []
-
-        def fault(message: str) -> MetadataError:
-            return MetadataError(f"{path}, line {reader.line_num}: {message}")
-
-        for rec in reader:
-            if len(rec) != len(header):
-                raise fault(f"{len(rec)} cells, the header has {len(header)}")
-            try:
-                rows.append([float(v) for v in rec[1:-1]])
-            except ValueError:
-                raise fault("non-numeric posterior cell") from None
-            if rec[-1] not in label_index:
-                raise fault(f"label {rec[-1]!r} is not in the catalog")
-            labels.append(label_index[rec[-1]])
-    if not rows:
-        raise MetadataError(f"{path}: no data rows after the header")
-    scores = np.asarray(rows, dtype=np.float64).reshape(len(rows), k, m)
-    return MetaMatrix(scores, catalog), np.asarray(labels, dtype=np.int64)
+    labels = [label_index.get(cell, -1) for cell in cells]
+    if -1 in labels:
+        raise MetadataError(_rows_fault(path, "labels not in the catalog", [
+            n for n, lab in zip(lines, labels) if lab == -1]))
+    return (MetaMatrix(scores.reshape(len(lines), ncols // m, m), catalog),
+            np.asarray(labels, dtype=np.int64))

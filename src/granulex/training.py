@@ -48,7 +48,7 @@ from .learners import (
     fit_folds,
     predict_proba_models,
 )
-from .metadata import ClassCatalog, MetaMatrix
+from .metadata import ClassCatalog, MetaMatrix, _read_json
 
 __all__ = [
     "AlphaGrid",
@@ -155,9 +155,8 @@ def make_fold_plan(labels: np.ndarray, n_folds: int, seed: int) -> FoldPlan:
     for c in np.unique(labels):
         idx = np.nonzero(labels == c)[0]
         rng.shuffle(idx)
-        for i in idx:
-            assignments[i] = cursor % n_folds
-            cursor += 1
+        assignments[idx] = (cursor + np.arange(len(idx))) % n_folds
+        cursor += len(idx)
     return FoldPlan(assignments, n_folds)
 
 
@@ -467,11 +466,7 @@ def _check_ensemble(payload) -> None:
 
 
 def load_ensemble(path) -> TrainedEnsemble:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except RecursionError:
-            raise TrainingError(f"model file {path} nests JSON too deeply") from None
+    payload = _read_json(path, "model file", TrainingError)
     _check_ensemble(payload)
     classifiers: list[FittedClassifier] = []
     for j, c in enumerate(payload["classifiers"]):

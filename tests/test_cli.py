@@ -581,6 +581,27 @@ class TestErrorPaths:
         assert "error:" in err and "nests JSON too deeply" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"datasets": [', " is not valid JSON: Expecting value: line 1 "
+                            "column 15 (char 14)"),
+        (b'\xff\xfe{\x00}\x00', ", line 1: not UTF-8 text"),
+    ], ids=["truncated", "utf-16"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_bad_json_names_the_file(self, tmp_path, capsys, command, content,
+                                     message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        data_csv = tmp_path / "d.csv"
+        write_dataset_csv(data_csv, n=40, seed=4)
+        flag = "--model" if command == "predict" else "--config"
+        what = "model file" if command == "predict" else "config"
+        code = main([command, flag, str(bad), "--data", str(data_csv),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} {bad}{message}")
+        assert "Traceback" not in err
+
     def test_evaluate_without_datasets(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"folds": 2}))

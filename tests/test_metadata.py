@@ -120,13 +120,20 @@ def test_meta_matrix_accepts_sub_tolerance_drift():
 
 
 def test_read_meta_csv_rejects_invalid_row(tmp_path):
+    """A non-finite cell is the row reader's fault, named by its line; a
+    finite posterior outside [0, 1] is MetaMatrix's, named by its
+    observation."""
     path = tmp_path / "meta.csv"
     path.write_text(
         "obs_id,k1_y1,k1_y2,k2_y1,k2_y2,label\n"
         "0,0.5,0.5,0.5,0.5,a\n"
         "1,nan,-3,5,0.2,b\n"
     )
-    with pytest.raises(MetadataError, match="observation 1"):
+    with pytest.raises(MetadataError, match=r"posterior cells in rows \[3\]"):
+        read_meta_csv(path, ClassCatalog(("a", "b")))
+    path.write_text(path.read_text().replace("nan", "0.5"))
+    with pytest.raises(MetadataError,
+                       match="observation 1: row 0: entry outside"):
         read_meta_csv(path, ClassCatalog(("a", "b")))
 
 
@@ -135,12 +142,13 @@ META_ROW = "0,0.5,0.5,0.5,0.5,a\n"
 
 
 @pytest.mark.parametrize("text, message", [
-    ("", "line 1: empty file"),
-    (META_HEADER + "0,0.5,0.5,0.5,a\n", "line 2: 5 cells, the header has 6"),
-    (META_HEADER + META_ROW + "\n", "line 3: 0 cells"),
+    ("", "meta.csv is empty"),
+    (META_HEADER + "0,0.5,0.5,0.5,a\n",
+     r"meta.csv: non-numeric or malformed posterior cells in rows \[2\]"),
+    (META_HEADER + "\n" + "0,0.5,0.5,0.5,a\n", r"rows \[3\]"),  # blank lines count
     (META_HEADER + META_ROW + "1,0.5,0.5,0.5,0.5,c\n",
-     "line 3: label 'c' is not in the catalog"),
-    (META_HEADER + "0,0.5,half,0.5,0.5,a\n", "line 2: non-numeric posterior"),
+     r"meta.csv: labels not in the catalog in rows \[3\]"),
+    (META_HEADER + "0,0.5,half,0.5,0.5,a\n", r"posterior cells in rows \[2\]"),
     ("obs_id,k1_y1,k1_y2,k2_y1,label\n0,0.5,0.5,0.5,a\n",
      "meta.csv, line 1: 3 posterior columns, not a multiple of the 2 classes"),
     ("obs_id,k1_y1,k1_y2,label\n0,0.5,0.5,a\n",
@@ -160,8 +168,7 @@ def test_read_meta_csv_rejects_a_header_without_rows(tmp_path):
     """A 0-row meta matrix would give select_alpha a curve of NaN."""
     path = tmp_path / "meta.csv"
     path.write_text(META_HEADER)
-    with pytest.raises(MetadataError, match="meta.csv: no data rows after "
-                       "the header"):
+    with pytest.raises(MetadataError, match="meta.csv has no data rows"):
         read_meta_csv(path, ClassCatalog(("a", "b")))
 
 

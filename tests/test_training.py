@@ -83,6 +83,31 @@ class TestFoldPlan:
         b = make_fold_plan(labels, 5, seed=2).assignments
         assert not np.array_equal(a, b)
 
+    @staticmethod
+    def _reference_assignments(labels, n_folds, seed):
+        """The per-row round-robin loop that make_fold_plan vectorizes."""
+        rng = np.random.default_rng(seed)
+        assignments = np.empty(len(labels), dtype=np.int64)
+        cursor = 0
+        for c in np.unique(labels):
+            idx = np.nonzero(labels == c)[0]
+            rng.shuffle(idx)
+            for i in idx:
+                assignments[i] = cursor % n_folds
+                cursor += 1
+        return assignments
+
+    def test_assignments_are_the_row_loops(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            n = int(rng.integers(0, 120))
+            labels = rng.integers(0, int(rng.integers(1, 6)), size=n)
+            folds = int(rng.integers(2, 12))
+            seed = int(rng.integers(1 << 62))
+            got = make_fold_plan(labels, folds, seed).assignments
+            want = self._reference_assignments(labels, folds, seed)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestGenerateMetaCV:
     def test_shape_contract(self):
