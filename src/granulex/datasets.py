@@ -69,12 +69,12 @@ def load_csv(
     or non-finite feature cell) aborts the load, naming the first offending
     line numbers of the file and their count.
     """
-    columns, width, rows = _read_rows(path, header, DatasetError)
+    columns, _, width, rows = _read_rows(path, header, DatasetError)
     if width < 2:
         raise DatasetError(f"{path}: one column, the label; no feature column")
     if isinstance(label_column, str):
         if columns is None or label_column not in columns:
-            raise DatasetError(f"label column {label_column!r} not found")
+            raise DatasetError(f"{path}: label column {label_column!r} not found")
         label_idx = columns.index(label_column)
     elif -width <= label_column < width:
         label_idx = label_column % width
@@ -101,7 +101,7 @@ def load_csv(
 def load_features(path, header: bool = True) -> np.ndarray:
     """Read an all-numeric feature CSV, such as the query rows of `granulex
     predict`, with the row checks of `load_csv`."""
-    _, width, rows = _read_rows(path, header, DatasetError)
+    _, _, width, rows = _read_rows(path, header, DatasetError)
     return _number_rows(path, rows, range(width), None, DatasetError)[0]
 
 

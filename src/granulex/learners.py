@@ -867,77 +867,93 @@ _EPS = np.finfo(np.float64).eps
 _NORMAL = np.finfo(np.float64).smallest_normal
 
 
-def _unsure_rows(tx, scales, top, wa):
-    """Mask over the rows (t x_i, t) of tx of those whose perceptron step
-    `t * (x_i @ w + b) <= 0` one product with wa = (w, b) cannot settle.
-    scales[i] is 4 (d+1) eps |(x_i, 1)| and top the largest |(x_i, 1)|.
-
-    The step and tx @ wa both sum the d+1 products t x_ij w_j and t b.  In
-    any order, such a sum is within gamma_{d+1} S_i of the exact value,
-    where S_i, the sum of the products' magnitudes, is <= |(x_i, 1)| |wa|,
-    plus half the least subnormal per product that underflows (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2.1 and 3.1).  The two
-    sums thus differ by less than a quarter of the tolerance
-    4 (d+1) eps |(x_i, 1)| |wa| + |(x_i, 1)| * least normal, so a margin
-    above it means a step margin above 0: that step makes no update.
-    While top |wa| <= 2^1000 no term or partial sum overflows and every
-    margin is finite; beyond that every row is unsure."""
+def _scores(txo, wa, top):
+    """The perceptron scan's margins txo @ wa of the rows (t x_i, t) of txo,
+    and the threshold thr that a margin must clear to decide the step
+    without it; None when top |wa| > 2^1000, where a margin could overflow.
+    _fit_perceptron says why thr is sound."""
     norm = math.hypot(*wa.tolist())  # inf, not a warning, on overflow
     if not top * norm <= 2.0 ** 1000:
-        return np.ones(len(tx), dtype=bool)
-    c = 4 * tx.shape[1] * _EPS
-    return ~(tx @ wa > scales * (norm + _NORMAL / c))
+        return None
+    return txo.dot(wa), 4 * len(wa) * _EPS * top * norm + top * _NORMAL
 
 
 def _fit_perceptron(spec, x, y, p, seed):
-    """One-vs-rest perceptrons, one row step at a time in a fresh random
-    order each epoch.  An epoch after one with at most n/4 updates scans as
-    arrays: it scores the remaining rows at once, takes the step only for
-    the rows _unsure_rows leaves, and rescores after each update.  Every
-    update is the row loop's, so the weights are bitwise the same."""
+    """One-vs-rest perceptrons, one row step `t * (x_i @ w + b) <= 0` at a
+    time in a fresh random order each epoch.  An epoch after one with at
+    most n/4 updates begins with a scan: _scores gives the margins of the
+    remaining rows at once, a row whose margin clears the threshold is
+    decided by it, and the scan rescores only after an update.  The rest of
+    the epoch, all of any other epoch, steps row by row.  Every update is
+    the row loop's, so the weights are bitwise the same.
+
+    The bound.  With wa = (w, b), a margin (t x_i, t) @ wa and the step
+    both sum the d+1 products t x_ij w_j and t b (multiplying by t = +-1 is
+    exact).  In any order, such a sum is within gamma_{d+1} S_i of the
+    exact value, where S_i, the sum of the products' magnitudes, is
+    <= |(x_i, 1)| |wa| <= top |wa| with top the largest |(x_i, 1)|, plus
+    half the least subnormal per product that underflows (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2.1 and 3.1).  The two sums thus
+    differ by less than half of the one threshold
+    thr = 4 (d+1) eps top |wa| + top * least normal, which is never below a
+    row's own bound; the other half covers the rounding of thr itself.  So
+    a margin above thr means a step value above 0, no update, and a margin
+    below -thr a step value below 0, an update made without the step; a
+    margin within +-thr takes the step.  While top |wa| <= 2^1000 no term
+    or partial sum overflows, so every margin is finite; beyond that the
+    rest of the epoch goes to the row loop.
+
+    An update adds step[i] = rate * (t_i (x_i, 1)) to wa.  Rounding is
+    symmetric in sign, so rate (t_i x_ij) is bitwise the loop's
+    (rate t_i) x_ij, and the last entry is its rate t_i for b."""
     iterations = int(spec.params["iterations"])
     rate = float(spec.params["rate"])
     rng = np.random.default_rng(seed)
     n, d = x.shape
     xa = np.hstack([x, np.ones((n, 1))])
     with np.errstate(over="ignore"):
-        norms = np.hypot.reduce(xa, axis=1)  # |(x_i, 1)| >= 1; inf on overflow
-    scales, top = 4 * (d + 1) * _EPS * norms, float(norms.max())
+        top = float(np.hypot.reduce(xa, axis=1).max())  # >= 1; inf on overflow
+    rows = list(x)  # rows[i].dot(w) is x[i] @ w's BLAS dot, called sooner
     ws = np.zeros((p, d))
     bs = np.zeros(p)
     for c in range(p):
-        t = np.where(y == c, 1.0, -1.0)
-        tx = t[:, None] * xa
-        wa = np.zeros(d + 1)  # (w, b) for _unsure_rows
-        w = wa[:d]
-        b = 0.0
+        sign = np.where(y == c, 1.0, -1.0)
+        tx = sign[:, None] * xa
+        with np.errstate(over="ignore"):  # an inf step, as the loop's
+            step = rate * tx
+        t = sign.tolist()
+        wa = np.zeros(d + 1)
+        w, b = wa[:d], 0.0  # b is wa[d]
         updates = n  # the first epoch goes row by row
         for _ in range(iterations):
             order = rng.permutation(n)
-            if 4 * updates > n:
-                updates = 0
-                for i in order:
-                    if t[i] * (x[i] @ w + b) <= 0:
-                        w += rate * t[i] * x[i]
-                        b += rate * t[i]
-                        updates += 1
-                continue
-            txo, so = tx[order], scales[order]
-            wa[d] = b
-            unsure = _unsure_rows(txo, so, top, wa)
+            scan = 4 * updates <= n
             updates, j = 0, 0
-            while j < n:
-                j += int(unsure[j:].argmax())
-                if not unsure[j]:
-                    break
-                i = order[j]
-                j += 1
-                if t[i] * (x[i] @ w + b) <= 0:
-                    w += rate * t[i] * x[i]
-                    b += rate * t[i]
+            if scan:
+                txo = tx[order]
+            while scan and j < n:
+                scored = _scores(txo[j:], wa, top)
+                if scored is None:
+                    break  # the rest of the epoch goes to the row loop
+                margins, thr = scored
+                unsure = margins <= thr
+                start, j = j, n  # the scan ends unless a row updates
+                k = unsure.argmax()
+                while unsure[k]:
+                    i = order[start + k]
+                    if margins[k] < -thr or t[i] * (rows[i].dot(w) + b) <= 0:
+                        wa += step[i]
+                        b = wa[d]
+                        updates += 1
+                        j = start + k + 1
+                        break
+                    unsure[k] = False
+                    k = unsure.argmax()
+            for i in order[j:].tolist():
+                if t[i] * (rows[i].dot(w) + b) <= 0:
+                    wa += step[i]
+                    b = wa[d]
                     updates += 1
-                    wa[d] = b
-                    unsure[j:] = _unsure_rows(txo[j:], so[j:], top, wa)
         ws[c], bs[c] = w, b
     return {"w": ws, "b": bs}
 

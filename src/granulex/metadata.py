@@ -205,12 +205,13 @@ def _csv_lines(path, error: type[Exception]):
 
 
 def _read_rows(path, header: bool, error: type[Exception]):
-    """The header (None without one), the width and an iterator over the
-    data rows of a CSV file, each row with its line number in the file.
-    The width is the header's, or the first row's without a header; a
-    row's cells are None where _csv_lines rejects the line or the row's
-    width differs, and _number_rows names such lines.  A file with no data
-    row or an unreadable first line raises error."""
+    """The header (None without one), the line number of the first
+    non-blank line, which holds the header if there is one, the width and
+    an iterator over the data rows of a CSV file, each row with its line
+    number in the file.  The width is the header's, or the first row's
+    without a header; a row's cells are None where _csv_lines rejects the
+    line or the row's width differs, and _number_rows names such lines.  A
+    file with no data row or an unreadable first line raises error."""
     lines = _csv_lines(path, error)
     first = next(lines, None)
     if first is None:
@@ -221,7 +222,7 @@ def _read_rows(path, header: bool, error: type[Exception]):
     width = len(columns)
     if header and (first := next(lines, None)) is None:
         raise error(f"{path} has no data rows")
-    return columns if header else None, width, (
+    return columns if header else None, lineno, width, (
         (n, row if row and len(row) == width else None)
         for n, row in itertools.chain([first], lines))
 
@@ -282,18 +283,18 @@ def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:
     """Parse a file written by write_meta_csv. Returns (matrix, labels).
 
     A missing header or one with fewer than two classifier rows raises
-    MetadataError naming line 1.  The rows get _read_rows' and _number_rows'
-    checks, as a data CSV does, and then every label outside the catalog
-    is named by its line in one MetadataError."""
-    _, width, rows = _read_rows(path, True, MetadataError)
+    MetadataError naming the header's line.  The rows get _read_rows' and
+    _number_rows' checks, as a data CSV does, and then every label outside
+    the catalog is named by its line in one MetadataError."""
+    _, line, width, rows = _read_rows(path, True, MetadataError)
     ncols = width - 2
     m = catalog.size
     if ncols > 0 and ncols % m != 0:
-        raise MetadataError(f"{path}, line 1: {ncols} posterior columns, "
+        raise MetadataError(f"{path}, line {line}: {ncols} posterior columns, "
                             f"not a multiple of the {m} classes")
     if ncols < 2 * m:
         raise MetadataError(
-            f"{path}, line 1: {max(ncols, 0)} posterior columns; a profile "
+            f"{path}, line {line}: {max(ncols, 0)} posterior columns; a profile "
             f"needs at least two classifier rows of {m} columns each"
         )
     scores, lines, cells = _number_rows(

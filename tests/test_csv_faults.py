@@ -215,3 +215,30 @@ def test_label_only_csv_exits_1(tmp_path, capsys, command):
                  "--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: one column") and "Traceback" not in err
+
+
+def test_missing_label_column_names_the_file(tmp_path, capsys):
+    path = _write(tmp_path, "data")
+    with pytest.raises(DatasetError, match="label column 'y' not found") as info:
+        load_csv(path, label_column="y")
+    assert str(info.value).startswith(f"{path}: ")
+    assert main(["train", "--data", str(path), "--label-column", "y",
+                 "--output", str(tmp_path / "model.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: label column 'y' not found\n"
+
+
+@pytest.mark.parametrize("header, expect", [
+    ("obs_id,k1_y1,k1_y2,k2_y1,label",
+     "3 posterior columns, not a multiple of the 2 classes"),
+    ("obs_id,k1_y1,k1_y2,label",
+     "2 posterior columns; a profile needs at least two classifier rows"),
+])
+def test_meta_header_fault_names_the_header_line(tmp_path, header, expect):
+    """Blank lines before the header are skipped, and the header-shape
+    faults name the line the header is on."""
+    path = tmp_path / "meta.csv"
+    row = ",".join(["0.5"] * header.count(",") + ["a"])
+    path.write_text(f"\n{header}\n{row}\n")
+    with pytest.raises(MetadataError, match=f"meta.csv, line 2: {expect}"):
+        read_meta_csv(path, CATALOG)

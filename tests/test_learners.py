@@ -688,16 +688,18 @@ def _reference_fit_perceptron(spec, x, y, p, seed):
 
 
 def _spy_scans(monkeypatch):
-    """The mask of every call of the perceptron's array scan."""
-    masks = []
-    real = learners._unsure_rows
+    """What each call of the perceptron scan's _scores returned: the
+    margins and threshold of one rescoring, or None where the epoch fell
+    to the row loop."""
+    scores = []
+    real = learners._scores
 
     def spy(*args):
-        masks.append(real(*args))
-        return masks[-1]
+        scores.append(real(*args))
+        return scores[-1]
 
-    monkeypatch.setattr(learners, "_unsure_rows", spy)
-    return masks
+    monkeypatch.setattr(learners, "_scores", spy)
+    return scores
 
 
 def _check_perceptron(x, y, p, seed=0, **params):
@@ -708,78 +710,127 @@ def _check_perceptron(x, y, p, seed=0, **params):
     assert np.array_equal(got["b"], want["b"]), (x.shape, params)
 
 
-def _skipped_rows(masks):
-    return sum(int((~m).sum()) for m in masks)
+def _skipped_rows(scores):
+    """Rows a rescoring settled as no update, summed over the rescorings."""
+    return sum(int((m > thr).sum()) for m, thr in scores)
+
+
+def _fell_to_the_row_loop(scores, epochs):
+    """Every scan epoch went to the row loop at its first call, so nothing
+    was rescored: at most one call per epoch, each None."""
+    return 0 < len(scores) <= epochs and all(s is None for s in scores)
 
 
 def test_perceptron_scan_matches_row_loop_bitwise(monkeypatch):
     """twonorm-like data makes few mistakes per epoch, so most epochs scan
-    and most rows are settled by the array product."""
-    masks = _spy_scans(monkeypatch)
+    and most rows are settled by the array product; a clear mistake, a
+    margin below -thr, updates without the step."""
+    scores = _spy_scans(monkeypatch)
     for d in range(1, 17):
         data = generate(GeneratorSpec("twonorm-like", n=160, d=d, seed=d))
         _check_perceptron(data.features, data.labels, 2, seed=d)
-    assert _skipped_rows(masks) > 0.9 * sum(m.size for m in masks)
+    assert _skipped_rows(scores) > 0.9 * sum(m.size for m, _ in scores)
+    assert sum(int((m < -thr).any()) for m, thr in scores) > 0
+
+
+@pytest.mark.parametrize("noise", [0.4, 1.0, 2.0])
+def test_perceptron_matches_row_loop_as_classes_overlap(noise, monkeypatch):
+    """n = 300, d = 20: past the first epoch nearly every epoch scans, with
+    a few updates per scan at noise 0.4 and about sixty at 2.0."""
+    scores = _spy_scans(monkeypatch)
+    data = generate(GeneratorSpec("twonorm-like", n=300, d=20, noise=noise,
+                                  seed=23))
+    _check_perceptron(data.features, data.labels, 2, seed=5, iterations=100)
+    assert _skipped_rows(scores) > 0
+
+
+def test_fit_folds_perceptron_matches_row_loop_on_ten_parts():
+    """Ten cross-validation complements through fit_folds, each bitwise the
+    row loop's fit of its rows with its seed."""
+    data = generate(GeneratorSpec("twonorm-like", n=200, d=8, noise=1.0, seed=9))
+    rests = [np.flatnonzero(np.arange(200) % 10 != f) for f in range(10)]
+    spec = LearnerSpec("perceptron")
+    models = list(fit_folds(spec, data, rests, range(30, 40)))
+    for rest, seed, model in zip(rests, range(30, 40), models):
+        want = _reference_fit_perceptron(spec, data.features[rest],
+                                         data.labels[rest], 2, seed)
+        assert model.state["w"].tobytes() == want["w"].tobytes()
+        assert model.state["b"].tobytes() == want["b"].tobytes()
 
 
 def test_perceptron_on_rings_keeps_the_row_loop(monkeypatch):
     """Concentric rings are far from separable: every epoch of every class
     makes more than n/4 mistakes, so no epoch scans."""
-    masks = _spy_scans(monkeypatch)
+    scores = _spy_scans(monkeypatch)
     data = generate(GeneratorSpec("concentric-rings", n=150, d=3, seed=1))
     _check_perceptron(data.features, data.labels, 3)
-    assert masks == []
+    assert scores == []
 
 
 def test_perceptron_scan_decides_zero_margins_as_the_loop(monkeypatch):
-    """Integer features with rate 1 keep w and b integers, so many margins
-    are exactly 0, where the step's `<= 0` makes an update."""
-    masks = _spy_scans(monkeypatch)
-    rng = np.random.default_rng(8)
+    """Margins at and near 0, where the step decides.  Integer features
+    with rate 1 keep w and b integers, so many margins are exactly 0, where
+    the step's `<= 0` makes an update.  Features off the integers by
+    multiples of 2^-48 leave tiny margins within +-thr, positive ones
+    making no update.  Features of size 2^53 beside small ones round
+    differently in the scan's product and in the step, so a margin the
+    product puts above 0 can be <= 0 in the step."""
+    scores = _spy_scans(monkeypatch)
+    rng, off = np.random.default_rng(8), np.random.default_rng(13)
     for d in (1, 2, 3, 5, 8):
         x = rng.integers(-3, 4, size=(120, d)).astype(float)
         y = (x @ rng.integers(-2, 3, size=d) + rng.integers(-1, 2, size=120)
              > 0).astype(np.int64)
         _check_perceptron(x, y, 2, rate=1.0)
-    assert _skipped_rows(masks) > 0
+        x_off = x + 2.0 ** -48 * off.integers(-4, 5, size=x.shape)
+        _check_perceptron(x_off, y, 2, rate=1.0)
+    assert _skipped_rows(scores) > 0
+    assert sum(int(((0 < m) & (m <= thr)).sum()) for m, thr in scores) > 0
+    for seed in range(12):
+        d = int(off.integers(3, 12))
+        x = off.integers(-3, 4, size=(60, d)).astype(float)
+        x[:, :2] *= 2.0 ** 53
+        y = (x[:, 2:] @ off.integers(-2, 3, size=d - 2) > 0).astype(np.int64)
+        _check_perceptron(x, y, 2, seed=seed, iterations=30, rate=1.0)
 
 
 @pytest.mark.parametrize("scale, path", [
     (1e-200, "loop"),  # x @ w underflows and b alone decides: many mistakes
     (1e150, "scan"),
-    (1e151, "step"),   # |(x_i, 1)| |(w, b)| above 2^1000: no row is settled
+    (1e151, "step"),   # top |(w, b)| above 2^1000: each row takes the step
 ])
 def test_perceptron_scan_at_extreme_scales(scale, path, monkeypatch):
-    masks = _spy_scans(monkeypatch)
+    scores = _spy_scans(monkeypatch)
     data = generate(GeneratorSpec("twonorm-like", n=160, d=8, seed=3))
     _check_perceptron(data.features * scale, data.labels, 2)
-    assert {"loop": masks == [], "scan": _skipped_rows(masks) > 0,
-            "step": masks and all(m.all() for m in masks)}[path]
+    assert {"loop": scores == [],
+            "scan": None not in scores and _skipped_rows(scores) > 0,
+            "step": _fell_to_the_row_loop(scores, 40 * 2)}[path]
 
 
 def test_perceptron_rows_whose_norm_overflows_go_to_the_step(monkeypatch):
     """Row norms above the float range are inf, without a warning, and no
-    row is then settled by the product: each goes to the exact step.  The
-    least rate keeps w and the step's products finite."""
-    masks = _spy_scans(monkeypatch)
+    row is then settled by the product: each scan epoch goes to the row
+    loop.  The least rate keeps w and the step's products finite."""
+    scores = _spy_scans(monkeypatch)
     data = generate(GeneratorSpec("twonorm-like", n=160, d=16, seed=4))
     x = np.sign(data.features) * (0.5e308 + 0.5e308 * np.abs(np.tanh(data.features)))
     with np.errstate(over="ignore"):
         assert np.isinf(np.hypot.reduce(x, axis=1)).all()
     _check_perceptron(x, data.labels, 2, rate=5e-324)
-    assert masks and all(m.all() for m in masks)
+    assert _fell_to_the_row_loop(scores, 40 * 2)
 
 
 def test_perceptron_scan_on_tiny_data(monkeypatch):
     """Two rows, and p = 2..5 classes of one row each among a few more."""
-    masks = _spy_scans(monkeypatch)
+    scores = _spy_scans(monkeypatch)
     rng = np.random.default_rng(12)
     _check_perceptron(np.array([[1.0, 2.0], [-1.0, 0.5]]), np.array([0, 1]), 2)
     for p in range(2, 6):
         x = rng.normal(size=(p + 6, 3))
         y = np.concatenate([np.arange(p), np.zeros(6, dtype=np.int64)])
         _check_perceptron(x, y, p, seed=p)
-    assert _skipped_rows(masks) > 0
+    assert _skipped_rows(scores) > 0
 
 
 def test_class_sum_follows_numpy_row_sum():
