@@ -4,12 +4,15 @@ comparisons, average rankings, and a 0-1-loss bias/variance diagnostic.
 
 F1 is macro-averaged one-vs-rest.  Every method is evaluated on identical
 fold splits per (dataset, repeat), so paired significance tests are valid.
-A repeat's outer folds and each fold's inner cross-validation are listed by
-`training.fold_parts` and fitted in one `training.part_profiles` call.
+A (dataset, repeat) is one generator, `_repeat_runs`: it lists the
+repeat's outer folds and each fold's inner cross-validation by
+`training.fold_parts`, fits them in one `training.part_profiles` call, and
+yields each outer fold's runs of every method.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -298,23 +301,21 @@ def run_protocol(
 ) -> ExperimentReport:
     """Repeated stratified k-fold evaluation of every configured method.
 
-    Each (dataset, repeat) fits all its models in one
-    `training.part_profiles` call, one `fit_folds` call per learner, over
-    the parts `_repeat_parts` lists: the outer complements and, with
-    granular-cv, every inner training part, each listed and seeded by
-    `training.fold_parts`.  With s = derive_seed(config.seed, ds_idx, rep),
-    learner j on outer fold t gets derive_seed(s, t, j), and the inner
-    parts of fold t are the ones `generate_meta_cv` fits for the fold's
-    training part with seed derive_seed(s, t, 0x2B), so each inner meta
-    matrix is the one it assembles.  The roster, the methods and every
-    dataset are checked before the first fit.
+    The roster, the methods and every dataset are checked before the first
+    fit.  Each (dataset, repeat) is one `_repeat_runs` call with seed
+    derive_seed(config.seed, ds_idx, rep); its runs, fold by fold, are the
+    runs of every method's MethodResult in that order.  The Wilcoxon
+    comparisons and the average ranks are computed from these results.
     """
     specs = tuple(config.learners)
     if len(specs) < 2:
         raise EvaluationError("need at least two base learners")
-    roster = {s.name for s in specs}
+    learner_names = tuple(s.name for s in specs)
+    for i, name in enumerate(learner_names):
+        if name in learner_names[:i]:
+            raise EvaluationError(f"learner {name!r} appears twice in the roster")
     for method in config.methods:
-        if method.startswith("learner:") and method[8:] not in roster:
+        if method.startswith("learner:") and method[8:] not in learner_names:
             raise EvaluationError(f"method {method!r} not in the roster")
     names = tuple(d.name or f"dataset{i}" for i, d in enumerate(datasets))
     for i, (name, data) in enumerate(zip(names, datasets)):
@@ -334,41 +335,15 @@ def run_protocol(
                 f"training part, too few for granular-cv's inner folds"
             )
 
-    learner_names = tuple(s.name for s in specs)
     results: dict[str, dict[str, MethodResult]] = {}
     for ds_idx, (name, data) in enumerate(zip(names, datasets)):
-        # method -> one record per run, in MethodResult's field order
-        runs: dict[str, list[tuple[float, ...]]] = {m: [] for m in config.methods}
-        for rep in range(config.repeats):
-            rep_seed = derive_seed(config.seed, ds_idx, rep)
-            plan = training.make_fold_plan(data.labels, config.folds, rep_seed)
-            rests, seeds, queries, inner_plans = _repeat_parts(
-                data, plan, config, rep_seed)
-            profiles = training.part_profiles(data, specs, rests, seeds, queries)
-            inner_at = config.folds
-            for fold in range(config.folds):
-                test_idx = plan.fold_indices(fold)
-                train_part = data.subset(rests[fold])
-                truth = data.labels[test_idx]
-                test_profiles, *train_profiles = profiles[fold]
-                base_preds = np.argmax(test_profiles, axis=2).T  # (K, n_test)
-                inner = None
-                if inner_plans:
-                    inner_plan = inner_plans[fold]
-                    held = profiles[inner_at:inner_at + inner_plan.n_folds]
-                    inner = (inner_plan, [h[0] for h in held])
-                    inner_at += inner_plan.n_folds
-                for method in config.methods:
-                    preds = _method_predictions(
-                        method, learner_names, train_part, test_profiles, config,
-                        train_profiles, inner,
-                    )
-                    runs[method].append((
-                        error_rate(preds, truth),
-                        macro_f1(preds, truth, data.catalog.size),
-                        bias_variance(preds, base_preds, truth).variance,
-                    ))
-        results[name] = {m: MethodResult(*zip(*r)) for m, r in runs.items()}
+        # one entry per (repeat, outer fold): each method's run, in
+        # config.methods order
+        runs = [run for rep in range(config.repeats)
+                for run in _repeat_runs(data, specs, config,
+                                        derive_seed(config.seed, ds_idx, rep))]
+        results[name] = {m: MethodResult(*zip(*r))
+                         for m, r in zip(config.methods, zip(*runs))}
 
     losses = {n: {m: _losses(r) for m, r in results[n].items()} for n in names}
     comparisons = []
@@ -413,16 +388,20 @@ def _as_win(outcome: str) -> str:
     return {"a-better": "win", "b-better": "loss", "equal": "equal"}[outcome]
 
 
-def _repeat_parts(data, plan, config, rep_seed):
-    """The training parts of one repeat, for one `part_profiles` call:
-    (rests, seed prefixes, queries, inner plans).  The first config.folds
-    parts are the outer folds, `training.fold_parts(plan, rep_seed, all
-    rows)`, each also queried on its own rows for decision-template.  With
-    granular-cv, fold f's inner plan over its complement is seeded
-    derive_seed(run_seed, 0x1A), run_seed the seed of outer part f, and its
-    inner parts follow: `fold_parts(inner plan, derive_seed(run_seed, 0x2B),
-    complement)`, as generate_meta_cv lists them for the fold's training
-    part with that seed."""
+def _repeat_runs(data, specs, config, rep_seed):
+    """The runs of one (dataset, repeat): for each outer fold in order, the
+    (error, macro-F1, variance) of each method of config.methods.
+
+    One `training.part_profiles` call fits the repeat's parts, each listed
+    and seeded by `training.fold_parts`: first the outer folds, learner j
+    of fold t with seed derive_seed(rep_seed, t, j), each also queried on
+    its own training rows for decision-template; then, for granular-cv,
+    the inner parts of each fold in turn, with the inner plan seeded
+    derive_seed(run_seed, 0x1A) and the parts seeded derive_seed(run_seed,
+    0x2B), run_seed that of outer part t, as `generate_meta_cv` fits that
+    training part.  The profiles are read back in the same order."""
+    names = tuple(s.name for s in specs)
+    plan = training.make_fold_plan(data.labels, config.folds, rep_seed)
     rests, seeds, queries = training.fold_parts(
         plan, rep_seed, np.arange(data.n_observations))
     if "decision-template" in config.methods:
@@ -430,8 +409,8 @@ def _repeat_parts(data, plan, config, rep_seed):
             qs.append(rest)
     inner_plans = []
     if "granular-cv" in config.methods:
-        for complement, run_seed in list(zip(rests, seeds)):  # outer parts only
-            labels = data.labels[complement]
+        for rest, run_seed in list(zip(rests, seeds)):  # the outer parts only
+            labels = data.labels[rest]
             inner_folds = min(
                 config.inner_folds,
                 int(np.bincount(labels, minlength=data.catalog.size).min()),
@@ -439,39 +418,54 @@ def _repeat_parts(data, plan, config, rep_seed):
             inner = training.make_fold_plan(
                 labels, inner_folds, derive_seed(run_seed, 0x1A))
             inner_plans.append(inner)
-            parts = training.fold_parts(
-                inner, derive_seed(run_seed, 0x2B), complement)
+            parts = training.fold_parts(inner, derive_seed(run_seed, 0x2B), rest)
             for whole, part in zip((rests, seeds, queries), parts):
                 whole += part
-    return rests, seeds, queries, inner_plans
+
+    profiles = iter(training.part_profiles(data, specs, rests, seeds, queries))
+    outer = list(itertools.islice(profiles, config.folds))
+    for fold, (test, *own_rows) in enumerate(outer):
+        own = inner = None
+        if own_rows:  # decision-template runs
+            own = MetaMatrix(own_rows[0], data.catalog, names)
+        if inner_plans:  # granular-cv runs
+            inner_plan = inner_plans[fold]
+            held = [h[0] for h in itertools.islice(profiles, inner_plan.n_folds)]
+            inner = training.meta_from_folds(data.catalog, inner_plan, held, names)
+        labels = data.labels[rests[fold]]
+        truth = data.labels[queries[fold][0]]
+        base = np.argmax(test, axis=2).T  # (K, n_test)
+        runs = []
+        for method in config.methods:
+            preds = _method_predictions(method, test, labels, own, inner, config)
+            runs.append((
+                error_rate(preds, truth),
+                macro_f1(preds, truth, data.catalog.size),
+                bias_variance(preds, base, truth).variance,
+            ))
+        yield runs
 
 
-def _method_predictions(method, names, train_part, test_profiles, config,
-                        train_profiles, inner):
+def _method_predictions(method, profiles, labels, own, inner, config):
     """Decisions of method on the (n, K, M) test profiles of one outer
-    fold, whose K learners are names.  train_profiles is [the profiles of
-    the training part's own rows] when decision-template runs, else [];
-    inner is (inner plan, profiles of each inner fold) when granular-cv
-    runs, else None."""
+    fold.  labels are the labels of the fold's training part, own the
+    meta-data of its own rows when decision-template runs and inner its
+    inner-CV meta-data when granular-cv runs; each is None otherwise."""
     if method.startswith("learner:"):
-        column = {name: j for j, name in enumerate(names)}[method[8:]]
-        return np.argmax(test_profiles[:, column, :], axis=1)
+        column = [s.name for s in config.learners].index(method[8:])
+        return np.argmax(profiles[:, column, :], axis=1)
     if method.startswith("rule:"):
-        scores = combiners.fixed_rule_scores_batch(test_profiles, method[5:])
+        scores = combiners.fixed_rule_scores_batch(profiles, method[5:])
         return np.argmax(scores, axis=1)
     if method == "decision-template":
-        meta = MetaMatrix(train_profiles[0], train_part.catalog, names)
-        model = combiners.dt_fit(meta, train_part.labels)
-        return combiners.dt_decide_batch(model, test_profiles)
+        model = combiners.dt_fit(own, labels)
+        return combiners.dt_decide_batch(model, profiles)
     if method == "granular-fixed":
-        alpha = config.fixed_alpha
-    else:  # granular-cv
-        plan, held = inner
-        meta = training.meta_from_folds(train_part, plan, held, names)
-        alpha, _ = training.select_alpha(
-            meta, train_part.labels, config.alpha_grid, config.h
-        )
-    return combiners.granular_decide_batch(test_profiles, alpha, config.h)
+        return combiners.granular_decide_batch(profiles, config.fixed_alpha, config.h)
+    if method == "granular-cv":
+        alpha, _ = training.select_alpha(inner, labels, config.alpha_grid, config.h)
+        return combiners.granular_decide_batch(profiles, alpha, config.h)
+    raise EvaluationError(f"unknown method {method!r}")
 
 
 def config_echo(config: ProtocolConfig) -> dict:

@@ -13,8 +13,8 @@ classifier record.
 Every fold fit of the package goes through `part_profiles`, one
 `fit_folds` call per learner, over parts that `fold_parts` lists: the
 meta-CV of `train` and `alpha-curve` through `generate_meta_cv`, and each
-repeat of `evaluation.run_protocol`, whose outer and inner training parts
-go in one call.  `fold_parts` is the one place a part's seed is derived,
+protocol repeat, `evaluation._repeat_runs`, whose outer and inner training
+parts go in one call.  `fold_parts` is the one place a part's seed is derived,
 and `meta_from_folds` assembles the meta-data of both.  Seeds come from
 `derive_seed`, which chains:
 derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
@@ -201,18 +201,18 @@ def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndar
 
 
 def meta_from_folds(
-    data: Dataset,
+    catalog: ClassCatalog,
     plan: FoldPlan,
     held_profiles: Sequence[np.ndarray],
     names: Sequence[str],
 ) -> MetaMatrix:
-    """Meta-data of data, one column per name: the rows of fold t take
-    held_profiles[t], their profiles from the models fitted on all other
-    folds."""
-    scores = np.empty((data.n_observations, len(names), data.catalog.size))
+    """Meta-data over catalog of the len(plan.assignments) rows that plan
+    splits, one column per name: the rows of fold t take held_profiles[t],
+    their profiles from the models fitted on all other folds."""
+    scores = np.empty((len(plan.assignments), len(names), catalog.size))
     for t, profiles in enumerate(held_profiles):
         scores[plan.fold_indices(t)] = profiles
-    return MetaMatrix(scores, data.catalog, tuple(names))
+    return MetaMatrix(scores, catalog, tuple(names))
 
 
 def generate_meta_cv(
@@ -230,8 +230,8 @@ def generate_meta_cv(
             raise TrainingError(
                 f"class {label!r} absent from the training complement of fold {t}"
             )
-    held = part_profiles(data, specs, rests, seeds, queries)
-    return meta_from_folds(data, plan, [h[0] for h in held], [s.name for s in specs])
+    held = [h[0] for h in part_profiles(data, specs, rests, seeds, queries)]
+    return meta_from_folds(data.catalog, plan, held, [s.name for s in specs])
 
 
 def cross_validated_meta(

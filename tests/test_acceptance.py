@@ -355,10 +355,11 @@ def _reference_fold_profiles(datasets, config):
     return out
 
 
-def test_headline_repeat_builds_one_dataset_per_outer_fold(monkeypatch):
-    """The 110 training parts of a headline (dataset, repeat) are fitted
-    from the data set's rows: the only Datasets it builds are
-    run_protocol's ten outer training parts, not one per (learner, part)."""
+def test_headline_repeat_builds_no_dataset(monkeypatch):
+    """The 110 training parts of a headline (dataset, repeat) are fitted,
+    and each outer fold decided, from the data set's rows and labels: the
+    repeat builds no Dataset, neither per outer fold nor per (learner,
+    part)."""
     data = load_bundled(BUNDLED_DATASETS[0])
     built = []
     original = Dataset.__post_init__
@@ -370,8 +371,9 @@ def test_headline_repeat_builds_one_dataset_per_outer_fold(monkeypatch):
     monkeypatch.setattr(Dataset, "__post_init__", counting)
     run_protocol([data], ProtocolConfig(folds=10, repeats=1, seed=7,
                                         learners=HEADLINE_ROSTER))
-    assert len(built) == 10
-    assert sum(built) == 9 * data.n_observations  # each leaves one fold out
+    assert built == []
+    data.subset(np.arange(3))  # the spy sees a Dataset built
+    assert built == [3]
 
 
 @pytest.mark.parametrize("roster", ["headline", "extended"])
@@ -383,9 +385,9 @@ def test_14_protocol_folds_equal_per_fold_fits(roster, monkeypatch):
     seen = []
     original = evaluation._method_predictions
 
-    def recording(method, models, train_part, test_profiles, *rest):
+    def recording(method, test_profiles, *rest):
         seen.append(test_profiles)
-        return original(method, models, train_part, test_profiles, *rest)
+        return original(method, test_profiles, *rest)
 
     monkeypatch.setattr(evaluation, "_method_predictions", recording)
     datasets = [load_bundled(name) for name in BUNDLED_DATASETS]
@@ -481,3 +483,31 @@ def test_15_one_fit_per_repeat_equals_meta_cv_per_fold(case, monkeypatch):
             assert np.array_equal(metas[at * 10 + fold].scores, meta.scores)
             assert alphas[at * 10 + fold] == (alpha, curve)
     assert len(metas) == len(alphas) == 10 * len(runs)
+
+
+@pytest.fixture(scope="module")
+def runs_beside_every_method():
+    datasets = [load_bundled("rings"), load_bundled("twonorm")]
+
+    def results(methods):
+        config = ProtocolConfig(folds=5, repeats=1, seed=7, methods=methods,
+                                learners=tuple(extended_roster()))
+        return run_protocol(datasets, config).results
+
+    return results, results(evaluation.default_methods() + ("learner:perceptron",))
+
+
+@pytest.mark.parametrize(
+    "method", evaluation.default_methods() + ("learner:perceptron",))
+def test_method_runs_do_not_depend_on_the_other_methods(
+    runs_beside_every_method, method
+):
+    """A repeat lists decision-template's own-row queries and granular-cv's
+    inner parts beside the outer folds in one set of fit_folds calls; they
+    must never move another method's fits.  Each method's runs alone are
+    its runs beside every default method, also for the seed-dependent
+    perceptron's own column."""
+    results, together = runs_beside_every_method
+    alone = results((method,))
+    for name in ("rings", "twonorm"):
+        assert alone[name][method] == together[name][method]

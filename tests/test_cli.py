@@ -346,6 +346,21 @@ class TestErrorPaths:
         assert "error: need at least two base learners" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_repeated_learner_exits_1_before_fitting(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """learner:perceptron would read one of two perceptron columns."""
+        fits = []
+        monkeypatch.setattr(training, "fit_folds", lambda *a: fits.append(a))
+        code = main(["evaluate", "--data", str(bundled_path("rings.csv")),
+                     "--learners", "perceptron,perceptron,lda",
+                     "--methods", "learner:perceptron", "--folds", "3",
+                     "--repeats", "1", "--output", str(tmp_path / "r")])
+        assert code == 1
+        assert ("error: learner 'perceptron' appears twice in the roster"
+                in capsys.readouterr().err)
+        assert fits == []
+        assert not (tmp_path / "r").exists()
+
     def test_label_column_out_of_range_exits_1(self, tmp_path, capsys):
         code = main(["train", "--data", str(bundled_path("rings.csv")),
                      "--label-column", "5", "--alpha", "1.0",

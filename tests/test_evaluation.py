@@ -268,8 +268,12 @@ class TestProtocol:
         (dict(methods=("rule:sum", "rule:sum", "granular-fixed")), ("a", "b"),
          "method 'rule:sum' appears twice"),
         (dict(methods=()), ("a", "b"), "need at least one method"),
+        (dict(learners=(LearnerSpec("perceptron"), LearnerSpec("perceptron"),
+                        LearnerSpec("lda")),
+              methods=("learner:perceptron",)), ("a", "b"),
+         "learner 'perceptron' appears twice in the roster"),
     ], ids=["one-learner", "learner-not-in-roster", "short-class", "dup-name",
-            "dup-method", "no-methods"])
+            "dup-method", "no-methods", "dup-learner"])
     def test_protocol_checked_before_the_first_fit(
         self, monkeypatch, change, names, message
     ):

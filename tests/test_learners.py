@@ -808,6 +808,27 @@ def test_perceptron_scan_at_extreme_scales(scale, path, monkeypatch):
             "step": _fell_to_the_row_loop(scores, 40 * 2)}[path]
 
 
+def test_perceptron_scan_margins_of_underflowing_products(monkeypatch):
+    """A rate of one or three least subnormals keeps (w, b) subnormal, so
+    every product in a margin underflows.  Half-integer features make
+    products half-way between subnormals, which the scan's product and the
+    step's dot round differently, so the two can differ in sign.  The
+    relative part of the threshold underflows too; only its floor, top *
+    least normal, covers them: every margin lies within it, and each row
+    takes the step."""
+    scores = _spy_scans(monkeypatch)
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 3, 5, 8):
+        x = (rng.integers(-6, 7, size=(80, d))
+             + 0.5 * rng.integers(0, 2, size=(80, d)))
+        y = (x @ rng.integers(-2, 3, size=d) + 0.5 > 0).astype(np.int64)
+        for rate in (5e-324, 1.5e-323):
+            _check_perceptron(x, y, 2, seed=d, iterations=30, rate=rate)
+    assert scores and None not in scores
+    assert any((m != 0).any() for m, _ in scores)
+    assert all((np.abs(m) <= thr).all() for m, thr in scores)
+
+
 def test_perceptron_rows_whose_norm_overflows_go_to_the_step(monkeypatch):
     """Row norms above the float range are inf, without a warning, and no
     row is then settled by the product: each scan epoch goes to the row
