@@ -21,7 +21,8 @@ import numpy as np
 
 from . import combiners, evaluation, report, training
 from .datasets import GeneratorSpec, generate, load_csv, load_features
-from .learners import Dataset, LearnerSpec, default_roster, spec_from_name
+from .learners import (Dataset, LearnerSpec, check_roster, default_roster,
+                       spec_from_name)
 from .metadata import _read_json
 from .training import AlphaGrid
 
@@ -174,7 +175,7 @@ def _resolve_config(path: str | None, args) -> dict:
 # _SCALAR_TYPES: a resolved config value -> the field's value.
 _READERS = {
     "methods": tuple,
-    "learners": lambda names: tuple(map(spec_from_name, names)),
+    "learners": lambda names: check_roster(map(spec_from_name, names)),
     "alpha_grid": lambda v: (parse_grid(v) if isinstance(v, str)
                              else AlphaGrid(tuple(float(x) for x in v))),
 }

@@ -23,7 +23,7 @@ from . import combiners, training
 from .combiners import DEFAULT_H, FIXED_RULES
 # fit is not called here but stays a name of this module: bench/tracer.py
 # wraps it by this name.
-from .learners import Dataset, LearnerSpec, fit  # noqa: F401
+from .learners import Dataset, LearnerSpec, check_roster, fit  # noqa: F401
 from .metadata import MetaMatrix
 from .training import AlphaGrid, default_alpha_grid, derive_seed
 
@@ -307,13 +307,8 @@ def run_protocol(
     runs of every method's MethodResult in that order.  The Wilcoxon
     comparisons and the average ranks are computed from these results.
     """
-    specs = tuple(config.learners)
-    if len(specs) < 2:
-        raise EvaluationError("need at least two base learners")
+    specs = check_roster(config.learners, EvaluationError)
     learner_names = tuple(s.name for s in specs)
-    for i, name in enumerate(learner_names):
-        if name in learner_names[:i]:
-            raise EvaluationError(f"learner {name!r} appears twice in the roster")
     for method in config.methods:
         if method.startswith("learner:") and method[8:] not in learner_names:
             raise EvaluationError(f"method {method!r} not in the roster")

@@ -50,13 +50,17 @@ class GranuleError(ValueError):
 
 @dataclass(frozen=True)
 class Granule:
-    """Closed interval [lower, upper] with the alpha that generated it."""
+    """Closed interval [lower, upper] with the alpha that generated it.
+    The three fields are stored as Python floats, whatever number type
+    they are given as, so `length` is plain float arithmetic."""
 
     lower: float
     upper: float
     alpha: float
 
     def __post_init__(self) -> None:
+        for name in ("lower", "upper", "alpha"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.lower > self.upper:
             raise GranuleError(f"lower {self.lower} exceeds upper {self.upper}")
 

@@ -7,7 +7,9 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
                        squared distance, ties to the lower training index
                        (exact-distance matches take the whole vote); query
                        rows go in blocks of bounded size, and knn models
-                       on equal training rows share one neighbour search
+                       on equal training rows share one neighbour search:
+                       one value partition at the largest k and one
+                       stable sort of the candidates it leaves
   gaussian-naive-bayes Gaussian likelihoods x smoothed priors, scaled to sum 1
   lda                  shared-covariance Gaussian discriminants, scaled to sum 1
   fisher               logistic squashing of one-vs-rest Fisher scores
@@ -57,7 +59,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +73,7 @@ __all__ = [
     "fit",
     "fit_folds",
     "predict_proba_models",
+    "check_roster",
     "default_roster",
     "extended_roster",
     "spec_from_name",
@@ -78,7 +81,7 @@ __all__ = [
 
 RIDGE_FACTOR = 1e-6     # scatter-matrix regularization, scaled by trace/d
 VARIANCE_FLOOR = 1e-9   # per-feature variance floor in naive Bayes
-KNN_BLOCK_CELLS = 1 << 20  # query rows x training rows x features per knn block
+KNN_BLOCK_CELLS = 1 << 18  # query rows x training rows x features per knn block
 TREE_BLOCK_CELLS = 1 << 14  # rest rows x (features + classes) per tree group
 SYMMETRY_TOLERANCE = 1e-9  # of a loaded LDA inv_cov, relative to its largest entry
 
@@ -177,6 +180,23 @@ def spec_from_name(name: str) -> LearnerSpec:
             )
         return LearnerSpec("knn", {"k": int(name[3:])})
     return LearnerSpec(name)
+
+
+def check_roster(specs: Iterable[LearnerSpec],
+                 error: type[Exception] = LearnerError
+                 ) -> tuple[LearnerSpec, ...]:
+    """The roster as a tuple, if it holds at least two learners, each named
+    once; otherwise raise error, the caller's type.  A learner's name
+    labels its posterior column, so two learners of one name would make two
+    columns that cannot be told apart."""
+    specs = tuple(specs)
+    names = [s.name for s in specs]
+    if len(names) < 2:
+        raise error("need at least two base learners")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise error(f"learner {name!r} appears twice in the roster")
+    return specs
 
 
 def default_roster() -> list[LearnerSpec]:
@@ -435,10 +455,13 @@ def _predict_knn(state, x):
 
 def _predict_knn_shared(states, x):
     """Vote fractions of each state's k nearest training rows, for states
-    that differ only in k.  Query rows go in blocks of at most
-    KNN_BLOCK_CELLS distance terms, so memory is flat in the number of rows.
-    Each row's votes depend on that row alone, so the block size never
-    changes a bit of the output."""
+    that differ only in k: one neighbour search per block of query rows
+    (_knn_votes) serves every k.  A block holds at most KNN_BLOCK_CELLS
+    distance terms, so memory is flat in the number of rows; the budget is
+    kept small so that a block's arrays stay near cache size rather than
+    being mapped and faulted in afresh on every call.  Each row's votes
+    depend on that row alone, so the block size never changes a bit of
+    the output."""
     xt, yt, p = states[0]["x"], states[0]["y"], int(states[0]["p"])
     ks = [min(int(s["k"]), xt.shape[0]) for s in states]
     rows = max(1, KNN_BLOCK_CELLS // max(1, xt.size))
@@ -477,27 +500,31 @@ def _sq_distances(q, xt):
 def _knn_votes(xt, yt, ks, q, counts):
     """Set counts[i] to the (len(q), p) votes of the ks[i] training rows
     nearest each query row, by squared distance, ties to the lower
-    training index: the first k of a stable argsort.  One partition at
-    k_max = max(ks) finds the candidates and one sort orders them by
-    (distance, index), so every k takes a prefix of them.  A row with more
-    than k_max training rows within its k_max-th distance may have lost a
-    lower-index tie to the partition; it is stable-sorted whole."""
+    training index: the first k of a stable argsort.  One value partition
+    gives each row's k_max-th distance, k_max = max(ks), and the training
+    rows within it are the row's candidates.  A row with more than k_max
+    of them (a tie across its k_max-th distance) keeps the first k_max of
+    its whole-row stable argsort instead.  One stable sort of the
+    candidates' distances, listed in index order, orders them by
+    (distance, index), so every k takes a prefix of them."""
     n, p = counts.shape[1:]
-    kmax = max(ks)
+    m, kmax = xt.shape[0], max(ks)
     rows = np.arange(n)[:, None]
     d2 = _sq_distances(q, xt)
-    near = np.argpartition(d2, kmax - 1, axis=1)[:, :kmax]
-    near = near[rows, np.lexsort((near, d2[rows, near]), axis=1)]
-    dist = d2[rows, near]
-    within = d2 <= dist[:, -1:]
-    if np.count_nonzero(within) > n * kmax:  # some row is crowded
-        crowded = within.sum(axis=1) > kmax
-        near[crowded] = np.argsort(d2[crowded], axis=1, kind="stable")[:, :kmax]
+    cand = d2 <= np.partition(d2, kmax - 1, axis=1)[:, kmax - 1:kmax]
+    if np.count_nonzero(cand) > n * kmax:  # some row is crowded
+        crowded = np.flatnonzero(cand.sum(axis=1) > kmax)
+        top = np.argsort(d2[crowded], axis=1, kind="stable")[:, :kmax]
+        cand[crowded] = False
+        cand[crowded[:, None], top] = True
+    flat = np.flatnonzero(cand).reshape(n, kmax)
+    dist = d2.ravel()[flat]
+    near = flat[rows, np.argsort(dist, axis=1, kind="stable")] - rows * m
     labels = yt[near]
     for out, k in zip(counts, ks):
         out[:] = _vote_counts(rows, labels[:, :k], n, p)
-    if not dist[:, 0].all():  # exact matches take the whole vote
-        hit = dist[:, 0] == 0.0
+    if not dist.all():  # exact matches take the whole vote
+        hit = (dist == 0.0).any(axis=1)
         i, j = np.nonzero(d2[hit] == 0.0)
         counts[:, hit] = _vote_counts(i, yt[j], int(hit.sum()), p)
 

@@ -44,6 +44,7 @@ from .learners import (
     LearnerError,
     LearnerSpec,
     _require_keys,
+    check_roster,
     fit,
     fit_folds,
     predict_proba_models,
@@ -320,8 +321,7 @@ def train(
     """
     if (grid is None) == (fixed_alpha is None):
         raise TrainingError("provide exactly one of grid or fixed_alpha")
-    if len(specs) < 2:
-        raise TrainingError("need at least two base learners")
+    specs = check_roster(specs, TrainingError)
     if h not in combiners.H_KINDS:
         raise TrainingError(f"unknown h function {h!r}")
 

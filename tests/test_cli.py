@@ -361,6 +361,24 @@ class TestErrorPaths:
         assert fits == []
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["train", "alpha-curve"])
+    def test_repeated_learner_exits_1_in_train_and_alpha_curve(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """Two LDA learners would make two equal, indistinguishable
+        posterior columns."""
+        fits = []
+        monkeypatch.setattr(training, "fit_folds", lambda *a: fits.append(a))
+        monkeypatch.setattr(training, "fit", lambda *a: fits.append(a))
+        out = tmp_path / "out"
+        code = main([command, "--data", str(bundled_path("rings.csv")),
+                     "--learners", "lda,lda", "--output", str(out)])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: learner 'lda' appears twice in the roster\n")
+        assert fits == []
+        assert not out.exists()
+
     def test_label_column_out_of_range_exits_1(self, tmp_path, capsys):
         code = main(["train", "--data", str(bundled_path("rings.csv")),
                      "--label-column", "5", "--alpha", "1.0",

@@ -109,6 +109,17 @@ class TestMedian:
                 assert got.tolist() == want[h]
             assert Granule(-1e308, 1e308, 1.0).length == math.inf
 
+    def test_numpy_bounds_are_stored_as_floats(self):
+        """numpy scalars would make length a numpy subtraction, which warns
+        on overflow."""
+        g = Granule(np.float64(-1e308), np.float64(1e308), np.float32(1.0))
+        assert [type(v) for v in (g.lower, g.upper, g.alpha)] == [float] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.length == math.inf
+            assert g.midpoint == 0.0
+        assert g == Granule(-1e308, 1e308, 1.0)
+
     def test_finite_sum_is_unchanged(self):
         for a, b in ((0.1, 0.2), (5e-324, 1e-323), (0.0, 5e-324), (-3.0, 7.5)):
             assert median_of([b, a]) == (a + b) / 2.0

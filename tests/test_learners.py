@@ -936,13 +936,14 @@ def test_predict_knn_matches_reference_bitwise(monkeypatch):
 
 def test_predict_knn_blocks_rows_above_the_cell_budget():
     """At the default budget, 1000 queries against 600 x 4 training rows
-    take three blocks, the last one partial."""
+    take ten blocks of 109 rows, the last one partial."""
     rng = np.random.default_rng(301)
     xt = np.round(rng.normal(size=(600, 4)) * 2.0)
     state = {"x": xt, "y": rng.integers(0, 3, size=600), "k": 25, "p": 3}
     q = np.vstack([np.round(rng.normal(size=(990, 4)) * 2.0), xt[:10]])
     q = q[rng.permutation(len(q))]
     assert 2 * learners.KNN_BLOCK_CELLS < q.shape[0] * xt.size
+    assert -(-q.shape[0] // (learners.KNN_BLOCK_CELLS // xt.size)) == 10
     assert np.array_equal(learners._predict_knn(state, q),
                           _reference_predict_knn(state, q))
 
@@ -1018,6 +1019,62 @@ def test_shared_knn_search_matches_reference_bitwise(roster, monkeypatch):
     assert exact_rows > 400 and mixed_edges > 40
     if max(ks) < 120:  # k_max = n for every training size otherwise
         assert crowded_rows > 20
+
+
+def _crowded(xt, q, kmax):
+    """The query rows with more than kmax training rows within their
+    kmax-th distance and no exact match."""
+    d2 = ((q[:, None] - xt[None]) ** 2).sum(axis=2)
+    kth = np.sort(d2, axis=1)[:, kmax - 1:kmax]
+    return ((d2 <= kth).sum(axis=1) > kmax) & (d2 != 0.0).all(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 4, 8, 13, 20])
+def test_shared_knn_crowded_rows_meet_at_default_block_edges(d):
+    """At the default budget, 600 training rows on an integer grid and
+    queries halfway between grid points: every row has a tie across its
+    k_max-th distance, so crowded rows sit on both sides of the first
+    two block edges and before the third, where exact-match rows begin."""
+    rng = np.random.default_rng(320 + d)
+    xt = rng.integers(-2, 3, size=(600, d)).astype(float)
+    y = rng.integers(0, 3, size=600)
+    states = [{"x": xt, "y": y, "k": k, "p": 3} for k in (5, 25, 50)]
+    rows = learners.KNN_BLOCK_CELLS // xt.size
+    q = np.vstack([rng.integers(-2, 2, size=(3 * rows, d)) + 0.5, xt[:7]])
+    got = learners._predict_knn_shared(states, q)
+    for state, posteriors in zip(states, got):
+        assert np.array_equal(posteriors, _reference_predict_knn(state, q))
+    crowded = _crowded(xt, q, 50)
+    edges = np.arange(rows, len(q), rows)
+    assert len(edges) == 3
+    assert crowded[edges - 1].all() and crowded[edges[:-1]].all()
+    assert not crowded[edges[-1]:].any()
+
+
+def test_one_row_knn_queries_match_reference_through_predict_proba_models():
+    """Each row alone, as a single-row predict sends it: tied rows, exact
+    matches and plain rows, with the knn models' search shared and a
+    model of another kind in the list."""
+    rng = np.random.default_rng(330)
+    x = rng.integers(-2, 3, size=(300, 3)).astype(float)
+    x[:150] += np.round(rng.normal(size=(150, 3)), 1)
+    data = Dataset(x, rng.integers(0, 3, size=300), ClassCatalog(("a", "b", "c")))
+    models = [fit(LearnerSpec("knn", {"k": k}), data, 0) for k in (1, 5, 25, 50)]
+    models.insert(2, fit(LearnerSpec("lda"), data, 0))
+    q = np.vstack([rng.integers(-2, 2, size=(20, 3)) + 0.5, x[:10],
+                   rng.normal(size=(10, 3))])
+    crowded = 0
+    for i in range(len(q)):
+        row = q[i:i + 1]
+        got = learners.predict_proba_models(models, row)
+        for model, posteriors in zip(models, got):
+            if model.spec.kind == "knn":
+                assert np.array_equal(posteriors,
+                                      _reference_predict_knn(model.state, row))
+            else:
+                assert np.array_equal(posteriors, model.predict_proba_batch(row))
+        crowded += int(_crowded(x, row, 50)[0])
+    assert crowded >= 5
 
 
 def test_class_sum_never_writes_its_input():

@@ -363,6 +363,27 @@ class TestTrain:
         with pytest.raises(TrainingError, match="fewer observations"):
             train(data, SPECS[:2], seed=0, grid=AlphaGrid((1.0,)), n_folds=3)
 
+    @pytest.mark.parametrize("specs, message", [
+        (SPECS[:1], "need at least two base learners"),
+        ([LearnerSpec("lda"), LearnerSpec("lda")],
+         "learner 'lda' appears twice in the roster"),
+        ([LearnerSpec("logistic-linear"), LearnerSpec("lda"),
+          LearnerSpec("logistic-linear", {"rate": 0.5})],
+         "learner 'logistic-linear' appears twice in the roster"),
+    ], ids=["one-learner", "dup-learner", "dup-name-other-params"])
+    def test_roster_checked_before_the_first_fit(self, monkeypatch, specs,
+                                                 message):
+        """A repeated name would give two posterior columns of one name,
+        even when the two learners' parameters differ."""
+        fits = []
+        monkeypatch.setattr(training, "fit_folds", lambda *a: fits.append(a))
+        monkeypatch.setattr(training, "fit", lambda *a: fits.append(a))
+        for mode in (dict(grid=AlphaGrid((0.0, 1.0)), n_folds=3),
+                     dict(fixed_alpha=1.0)):
+            with pytest.raises(TrainingError, match=message):
+                train(toy_dataset(), specs, seed=0, **mode)
+        assert fits == []
+
     def test_refit_uses_full_data(self):
         # deterministic learners: final classifiers do not depend on the seed
         data = toy_dataset(n=60)
