@@ -32,7 +32,8 @@ arrays and integers; a tree's is one table with a row per node.
 `LearnerSpec` rejects other parameters and types each by its default: an
 int >= 1, or a finite real > 0.  `FittedClassifier.from_state` reads the
 record `to_state` writes, checks its keys and its state against the layout,
-and raises LearnerError on any fault.
+and raises LearnerError on any fault.  Its arrays are nested lists typed
+by the layout alone; a knn's training rows are in the file's training_sets.
 
 A kind has one fitter, over parts: given the features, the compact labels
 of every row and a list of row subsets (rests) with their seeds, it returns
@@ -63,7 +64,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .metadata import ClassCatalog, MetadataError
+from .metadata import ClassCatalog
 
 __all__ = [
     "Dataset",
@@ -244,7 +245,7 @@ def _scatter_ridge(sw: np.ndarray, d: int) -> np.ndarray:
 
 
 class FittedClassifier:
-    """A fitted base classifier. State is a plain-JSON-serializable dict."""
+    """A fitted base classifier: its spec, catalog and state."""
 
     def __init__(self, spec: LearnerSpec, catalog: ClassCatalog,
                  state: dict[str, Any]) -> None:
@@ -307,30 +308,35 @@ class FittedClassifier:
             s = out.sum(axis=1, keepdims=True)
         return out / s
 
-    def to_state(self) -> dict[str, Any]:
-        return {
-            "kind": self.spec.kind,
-            "params": self.spec.params,
-            "catalog": list(self.catalog.labels),
-            "state": _jsonable(self.state),
-        }
+    def to_state(self, training_sets: dict[bytes, dict]) -> dict[str, Any]:
+        """The classifier's JSON record, each state array a nested list.
+        Its training set goes into training_sets once per shared_key, and
+        the record names it by its place there."""
+        state = {"present": self.state["present"].tolist()}
+        for key, layout in _KINDS[self.spec.kind].state.items():
+            if layout is _TRAINING_SET:
+                if self.shared_key not in training_sets:
+                    training_sets[self.shared_key] = {
+                        k: self.state[k].tolist() for k in layout}
+                state[key] = list(training_sets).index(self.shared_key)
+            elif not isinstance(layout, str):
+                state[key] = self.state[key].tolist()
+        return {"kind": self.spec.kind, "params": self.spec.params, "state": state}
 
     @classmethod
-    def from_state(cls, payload: Any) -> "FittedClassifier":
-        """The classifier to_state wrote, from its JSON record.  Raises
-        LearnerError on any record the predictor cannot use: not an object,
-        a key of to_state's or of the kind's state missing, or a value of
-        the wrong type, range or shape."""
-        _require_keys(payload, ("kind", "params", "catalog", "state"), "record")
+    def from_state(cls, payload: Any, catalog: ClassCatalog, n_features: int,
+                   training_sets: list) -> "FittedClassifier":
+        """The classifier to_state wrote, from its JSON record and the
+        model file's catalog, feature count and training_sets; the entry
+        the record names is typed in place, so the models naming one entry
+        share its arrays.  Raises LearnerError on any record the predictor
+        cannot use: not an object, a key of to_state's or of the kind's
+        state missing, or a value of the wrong type, range or shape."""
+        _require_keys(payload, ("kind", "params", "state"), "record")
         _require_keys(payload["params"], (), "params")
         spec = LearnerSpec(payload["kind"], payload["params"])
-        if not isinstance(payload["catalog"], list):
-            raise LearnerError("catalog must be a list")
-        try:
-            catalog = ClassCatalog(tuple(payload["catalog"]))
-        except MetadataError as exc:
-            raise LearnerError(str(exc)) from None
-        return cls(spec, catalog, _decode_state(spec, catalog.size, payload["state"]))
+        return cls(spec, catalog, _decode_state(
+            spec, catalog.size, n_features, payload["state"], training_sets))
 
 
 @np.errstate(all="ignore")
@@ -372,20 +378,6 @@ def predict_proba_models(
         for j, post in zip(group, _posteriors([models[j] for j in group], x)):
             out[j] = post
     return out
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return {"__nd__": obj.tolist(), "dtype": str(obj.dtype)}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def _present(labels: np.ndarray) -> np.ndarray:
@@ -444,7 +436,7 @@ def _each_part(fit_one):
 # --- knn ---------------------------------------------------------------
 
 def _fit_knn(spec, x, y, p, seed):
-    return {"x": x, "y": y, "k": int(spec.params["k"]), "p": p}
+    return {"x": x, "y": y, "k": int(spec.params["k"])}
 
 
 def _predict_knn(state, x):
@@ -462,7 +454,7 @@ def _predict_knn_shared(states, x):
     being mapped and faulted in afresh on every call.  Each row's votes
     depend on that row alone, so the block size never changes a bit of
     the output."""
-    xt, yt, p = states[0]["x"], states[0]["y"], int(states[0]["p"])
+    xt, yt, p = states[0]["x"], states[0]["y"], len(states[0]["present"])
     ks = [min(int(s["k"]), xt.shape[0]) for s in states]
     rows = max(1, KNN_BLOCK_CELLS // max(1, xt.size))
     counts = np.empty((len(ks), x.shape[0], p), dtype=np.int64)
@@ -1003,10 +995,13 @@ class _Kind(NamedTuple):
 # finite float64 array, (_POSITIVE, *shape) one of values > 0, (_SPD, d, d)
 # a symmetric positive definite one; int64 arrays of (_LABEL, n) present
 # class indices 0..p-1, (_FEATURE, nodes) feature indices, -1 at a leaf,
-# and (_CHILDREN, nodes, 2) child pairs as _check_children wants them; "p"
-# or a parameter name, an integer equal to p or to that parameter.
+# and (_CHILDREN, nodes, 2) child pairs as _check_children wants them;
+# _TRAINING_SET, the index of an entry of the model file's training_sets,
+# whose arrays join the state; and a parameter name, that parameter of the
+# spec, which the record holds in its params alone.
 _F, _POSITIVE, _SPD, _LABEL, _FEATURE, _CHILDREN = (
     "float64", "positive", "spd", "label", "feature", "children")
+_TRAINING_SET = {"x": (_F, "n", "d"), "y": (_LABEL, "n")}
 _OVR = {"w": (_F, "p", "d"), "b": (_F, "p")}
 _TREE_STATE = {"feature": (_FEATURE, "nodes"), "threshold": (_F, "nodes"),
                "children": (_CHILDREN, "nodes", "2"),
@@ -1014,7 +1009,7 @@ _TREE_STATE = {"feature": (_FEATURE, "nodes"), "threshold": (_F, "nodes"),
 
 _KINDS = {
     "knn": _Kind(_each_part(_fit_knn), _predict_knn,
-                 {"x": (_F, "n", "d"), "y": (_LABEL, "n"), "k": "k", "p": "p"},
+                 {"training_set": _TRAINING_SET, "k": "k"},
                  {"k": 5}, predict_shared=_predict_knn_shared),
     "gaussian-naive-bayes": _Kind(
         _each_part(_fit_gnb), _predict_gnb,
@@ -1051,20 +1046,18 @@ def _require_keys(obj, keys, what: str, error: type = LearnerError) -> None:
         raise error(f"{what} lacks key(s) {', '.join(missing)}")
 
 
-def _decode_array(value, dtype: str, what: str) -> np.ndarray:
-    """The array _jsonable wrote as {"__nd__": values, "dtype": dtype}."""
-    if not (isinstance(value, dict) and set(value) == {"__nd__", "dtype"}):
-        raise LearnerError(f"{what} must be an object with keys __nd__ and dtype")
-    if value["dtype"] != dtype:
-        raise LearnerError(f"{what} dtype must be {dtype}, got {value['dtype']!r}")
+def _array(value, dtype: str, what: str) -> np.ndarray:
+    """The array a model file writes as the nested list value, for a
+    layout of dtype dtype: int64 for indices, finite float64 otherwise."""
     try:
-        arr = np.asarray(value["__nd__"])
+        arr = np.asarray(value)
     except (ValueError, TypeError, OverflowError):  # ragged nesting
         arr = None
-    kinds = "i" if dtype == "int64" else "if"
+    stored, kinds = (("int64", "i") if dtype in (_LABEL, _FEATURE, _CHILDREN)
+                     else ("float64", "if"))
     if arr is None or arr.dtype.kind not in kinds:
-        raise LearnerError(f"{what} must be a rectangular array of {dtype} values")
-    arr = arr.astype(dtype, copy=False)
+        raise LearnerError(f"{what} must be a rectangular array of {stored} values")
+    arr = arr.astype(stored, copy=False)
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise LearnerError(f"{what} holds a non-finite value")
     return arr
@@ -1095,55 +1088,60 @@ def _check_spd(a: np.ndarray, what: str) -> None:
         raise LearnerError(f"{what} must be positive definite") from None
 
 
-def _decode_state(spec: LearnerSpec, n_classes: int, state) -> dict[str, Any]:
+def _decode_state(spec: LearnerSpec, n_classes: int, d: int, state,
+                  training_sets: list) -> dict[str, Any]:
     """A fitted state from its JSON form, every value checked against the
     kind's layout: the predictor can use it and its shapes agree."""
     layouts = _KINDS[spec.kind].state
-    _require_keys(state, ("present", "n_features", *layouts), "state")
-    present = _decode_array(state["present"], "int64", "state 'present'")
+    written = [key for key, layout in layouts.items() if not isinstance(layout, str)]
+    _require_keys(state, ("present", *written), "state")
+    present = _array(state["present"], _LABEL, "state 'present'")
     if not (present.ndim == 1 and present.size >= 2 and present[0] >= 0
             and present[-1] < n_classes and (np.diff(present) > 0).all()):
         raise LearnerError(
             f"state 'present' must be at least two strictly increasing class "
             f"indices below {n_classes}"
         )
-    d = state["n_features"]
-    if type(d) is not int or d < 1:
-        raise LearnerError(f"state n_features must be an integer >= 1, got {d!r}")
     p = len(present)
     sizes = {"p": p, "d": d, "d+1": d + 1, "2": 2}
     out: dict[str, Any] = {"present": present, "n_features": d}
     for key, layout in layouts.items():
-        value = state[key]
         if isinstance(layout, str):
-            want = p if layout == "p" else spec.params[layout]
-            if type(value) is not int or value != want:
-                raise LearnerError(f"state {key!r} must be {want}, got {value!r}")
+            out[key] = spec.params[layout]
+            continue
+        value, what = state[key], f"state {key!r}"
+        if layout is _TRAINING_SET:
+            if type(value) is not int or not 0 <= value < len(training_sets):
+                raise LearnerError(f"{what} must be an index below "
+                                   f"{len(training_sets)}, got {value!r}")
+            entry, where = training_sets[value], f"training set {value}"
+            _require_keys(entry, layout, where)
+            entry.update({k: _array(entry[k], lay[0], f"{where} {k!r}")
+                          for k, lay in layout.items()})
+            arrays = [(k, lay, entry[k], f"{where} {k!r}") for k, lay in layout.items()]
         else:
-            dtype, *dims = layout
-            what = f"state {key!r}"
-            stored = "int64" if dtype in (_LABEL, _FEATURE, _CHILDREN) else "float64"
-            value = _decode_array(value, stored, what)
-            if value.ndim == len(dims):
-                for dim, size in zip(dims, value.shape):
+            arrays = [(key, layout, _array(value, layout[0], what), what)]
+        for name, (dtype, *dims), arr, what in arrays:
+            if arr.ndim == len(dims):
+                for dim, size in zip(dims, arr.shape):
                     sizes.setdefault(dim, size)  # n or nodes: the first array's
-            if (value.ndim != len(dims) or value.size == 0
-                    or value.shape != tuple(sizes[dim] for dim in dims)):
+            if (arr.ndim != len(dims) or arr.size == 0
+                    or arr.shape != tuple(sizes[dim] for dim in dims)):
                 raise LearnerError(
                     f"{what} must have shape ({', '.join(dims)}) with p = {p} "
-                    f"and d = {d}, got {value.shape}"
+                    f"and d = {d}, got {arr.shape}"
                 )
-            if dtype == _LABEL and ((value < 0) | (value >= p)).any():
+            if dtype == _LABEL and ((arr < 0) | (arr >= p)).any():
                 raise LearnerError(f"{what} must hold class indices below {p}")
-            if dtype == _FEATURE and ((value < -1) | (value >= d)).any():
+            if dtype == _FEATURE and ((arr < -1) | (arr >= d)).any():
                 raise LearnerError(
                     f"{what} must hold feature indices in [-1, {d}), -1 at a leaf"
                 )
             if dtype == _CHILDREN:
-                _check_children(value, out["feature"], what)
-            if dtype == _POSITIVE and not (value > 0).all():
+                _check_children(arr, out["feature"], what)
+            if dtype == _POSITIVE and not (arr > 0).all():
                 raise LearnerError(f"{what} must hold values > 0")
             if dtype == _SPD:
-                _check_spd(value, what)
-        out[key] = value
+                _check_spd(arr, what)
+            out[name] = arr
     return out

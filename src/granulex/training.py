@@ -49,7 +49,7 @@ from .learners import (
     fit_folds,
     predict_proba_models,
 )
-from .metadata import ClassCatalog, MetaMatrix, _read_json
+from .metadata import ClassCatalog, MetadataError, MetaMatrix, _read_json
 
 __all__ = [
     "AlphaGrid",
@@ -77,7 +77,7 @@ __all__ = [
     "load_ensemble",
 ]
 
-ENSEMBLE_FORMAT_VERSION = 2  # 2: a tree is a node table, not nested dicts
+ENSEMBLE_FORMAT_VERSION = 3  # 3: each fact once, knn training rows too
 
 
 class TrainingError(ValueError):
@@ -415,19 +415,20 @@ def predict_batch(ensemble: TrainedEnsemble, x: np.ndarray) -> PredictionBatch:
 
 
 def save_ensemble(path, ensemble: TrainedEnsemble) -> None:
+    training_sets: dict[bytes, dict] = {}
+    classifiers = [c.to_state(training_sets) for c in ensemble.classifiers]
     payload = {
         "format_version": ENSEMBLE_FORMAT_VERSION,
         "alpha": ensemble.alpha,
         "h": ensemble.h,
         "catalog": list(ensemble.catalog.labels),
+        "n_features": ensemble.classifiers[0].n_features,
         "alpha_error_curve": [list(p) for p in ensemble.alpha_error_curve],
-        "classifiers": [c.to_state() for c in ensemble.classifiers],
+        "training_sets": list(training_sets.values()),
+        "classifiers": classifiers,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
-
-
-_ENSEMBLE_KEYS = ("alpha", "h", "catalog", "alpha_error_curve", "classifiers")
 
 
 def _check_ensemble(payload) -> None:
@@ -436,9 +437,11 @@ def _check_ensemble(payload) -> None:
     if not isinstance(payload, dict):
         raise TrainingError("model file must hold a JSON object")
     version = payload.get("format_version")
-    if version != ENSEMBLE_FORMAT_VERSION:
+    if type(version) is not int or version != ENSEMBLE_FORMAT_VERSION:
         raise TrainingError(f"unsupported ensemble format version {version!r}")
-    _require_keys(payload, _ENSEMBLE_KEYS, "model", TrainingError)
+    _require_keys(payload, ("alpha", "h", "catalog", "n_features",
+                            "alpha_error_curve", "training_sets", "classifiers"),
+                  "model", TrainingError)
     alpha = payload["alpha"]
     if not (_finite_real(alpha) and alpha >= 0):
         raise TrainingError(
@@ -446,8 +449,12 @@ def _check_ensemble(payload) -> None:
         )
     if payload["h"] not in combiners.H_KINDS:
         raise TrainingError(f"model h must be one of {combiners.H_KINDS}")
-    if not isinstance(payload["catalog"], list):
-        raise TrainingError("model 'catalog' must be a list")
+    for key in ("catalog", "training_sets", "classifiers"):
+        if not isinstance(payload[key], list):
+            raise TrainingError(f"model {key!r} must be a list")
+    d = payload["n_features"]
+    if type(d) is not int or d < 1:
+        raise TrainingError(f"model n_features must be an integer >= 1, got {d!r}")
     curve = payload["alpha_error_curve"]
     if not isinstance(curve, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(map(_finite_real, e))
@@ -456,36 +463,31 @@ def _check_ensemble(payload) -> None:
         raise TrainingError(
             "model 'alpha_error_curve' must be a list of [alpha, error] pairs"
         )
-    classifiers = payload["classifiers"]
-    if not isinstance(classifiers, list):
-        raise TrainingError("model 'classifiers' must be a list")
-    if not classifiers:
+    if not payload["classifiers"]:
         raise TrainingError("model has no classifiers")
-    if len(classifiers) < 2:
+    if len(payload["classifiers"]) < 2:
         raise TrainingError("model needs at least two classifiers, it has 1")
 
 
 def load_ensemble(path) -> TrainedEnsemble:
     payload = _read_json(path, "model file", TrainingError)
     _check_ensemble(payload)
+    try:
+        catalog = ClassCatalog(tuple(payload["catalog"]))
+    except MetadataError as exc:
+        raise TrainingError(f"model {exc}") from None
     classifiers: list[FittedClassifier] = []
     for j, c in enumerate(payload["classifiers"]):
-        what = f"model classifier {j}"
         try:
-            model = FittedClassifier.from_state(c)
+            classifiers.append(FittedClassifier.from_state(
+                c, catalog, payload["n_features"], payload["training_sets"]))
         except LearnerError as exc:
-            raise TrainingError(f"{what}: {exc}") from None
-        if c["catalog"] != payload["catalog"]:
-            raise TrainingError(f"{what} catalog differs from the model's")
-        if classifiers and model.n_features != classifiers[0].n_features:
-            raise TrainingError(f"{what} takes {model.n_features} features, "
-                                f"classifier 0 takes {classifiers[0].n_features}")
-        classifiers.append(model)
+            raise TrainingError(f"model classifier {j}: {exc}") from None
     return TrainedEnsemble(
         classifiers=tuple(classifiers),
         alpha=float(payload["alpha"]),
         h=payload["h"],
-        catalog=ClassCatalog(tuple(payload["catalog"])),
+        catalog=catalog,
         alpha_error_curve=tuple(
             (float(a), float(e)) for a, e in payload["alpha_error_curve"]
         ),

@@ -436,8 +436,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("damage, message", [
         (lambda m: m.__setitem__("alpha", None), "alpha"),
-        (lambda m: m["classifiers"][1].__setitem__("catalog", ["x", "y"]),
-         "catalog"),
+        (lambda m: m.__setitem__("catalog", ["x"]), "catalog"),
         (lambda m: m["classifiers"][1]["state"].pop("means"), "means"),
         (lambda m: m.__setitem__("classifiers", []), "no classifiers"),
     ])
@@ -728,71 +727,102 @@ def _set(obj, path, value):
 
 
 _DROP = object()
+_LDA, _KNN, _LOGISTIC, _STUMP, _GNB = (("classifiers", j, "state")
+                                       for j in range(5))
+_ROWS = ("training_sets", 0)
 
-# (classifier, path into it, new value, message after "state "); the
+# (path into the model file, new value, message after "error: model "); the
 # classifiers are 0 lda, 1 knn5, 2 logistic-linear, 3 decision-stump and
-# 4 gaussian-naive-bayes.
+# 4 gaussian-naive-bayes, and the knn5 names training set 0.  An array is a
+# nested list of the type its layout declares: strings, a bool, an object
+# (as the tagged arrays of format version 2) or a ragged list are faults.
 BAD_STATES = {
-    "dtype-bogus": (0, ("state", "means", "dtype"), "bogus",
-                    "'means' dtype must be float64, got 'bogus'"),
-    "dtype-U5": (0, ("state", "means", "dtype"), "U5",
-                 "'means' dtype must be float64, got 'U5'"),
-    "no-dtype": (0, ("state", "means", "dtype"), _DROP,
-                 "'means' must be an object with keys __nd__ and dtype"),
-    "present-bool": (0, ("state", "present", "dtype"), "bool",
-                     "'present' dtype must be int64, got 'bool'"),
-    "means-shape": (0, ("state", "means", "__nd__"), [[0.0] * 5] * 3,
-                    "'means' must have shape (p, d) with p = 3 and d = 3, "
-                    "got (3, 5)"),
-    "means-nan": (0, ("state", "means", "__nd__", 1, 2), float("nan"),
-                  "'means' holds a non-finite value"),
-    "means-ragged": (0, ("state", "means", "__nd__", 1), [0.0],
-                     "'means' must be a rectangular array of float64 values"),
-    "means-text": (0, ("state", "means", "__nd__", 1, 0), "a",
-                   "'means' must be a rectangular array of float64 values"),
-    "knn-x-1d": (1, ("state", "x", "__nd__"), [0.0, 1.0, 2.0],
-                 "'x' must have shape (n, d) with p = 3 and d = 3, got (3,)"),
-    "knn-y-float": (1, ("state", "y", "__nd__", 0), 0.5,
-                    "'y' must be a rectangular array of int64 values"),
-    "knn-y-range": (1, ("state", "y", "__nd__", 0), 3,
-                    "'y' must hold class indices below 3"),
-    # the spec names knn50, while the state votes with k = 5
-    "knn-k": (1, ("params", "k"), 50, "'k' must be 50, got 5"),
-    "knn-p": (1, ("state", "p"), 2, "'p' must be 3, got 2"),
-    "present-order": (2, ("state", "present", "__nd__"), [1, 0, 2],
-                      "'present' must be at least two strictly increasing "
-                      "class indices below 3"),
-    "present-range": (2, ("state", "present", "__nd__"), [0, 1, 5],
-                      "'present' must be at least two strictly increasing "
-                      "class indices below 3"),
-    "logistic-inf": (2, ("state", "w", "__nd__", 0, 0), float("inf"),
-                     "'w' holds a non-finite value"),
-    "tree-5": (3, ("state", "children"), 5,
-               "'children' must be an object with keys __nd__ and dtype"),
-    "no-threshold": (3, ("state", "threshold"), _DROP,
-                     "lacks key(s) threshold"),
-    "feature-9": (3, ("state", "feature", "__nd__", 0), 9,
-                  "'feature' must hold feature indices in [-1, 3), -1 at a leaf"),
-    "threshold-a": (3, ("state", "threshold", "__nd__", 0), "a",
-                    "'threshold' must be a rectangular array of float64 values"),
-    "threshold-inf": (3, ("state", "threshold", "__nd__", 0), float("inf"),
-                      "'threshold' holds a non-finite value"),
-    "short-leaf": (3, ("state", "proportions", "__nd__"), [[0.5, 0.5]] * 3,
-                   "'proportions' must have shape (nodes, p) with p = 3 and "
-                   "d = 3, got (3, 2)"),
+    "dtype-bogus": ((*_LDA, "means"), "bogus",
+                    "classifier 0: state 'means' must be a rectangular array "
+                    "of float64 values"),
+    "dtype-U5": ((*_LDA, "means"), [["bogus"] * 3] * 3,
+                 "classifier 0: state 'means' must be a rectangular array of "
+                 "float64 values"),
+    "no-dtype": ((*_LDA, "means"), {"__nd__": [[0.0] * 3] * 3},
+                 "classifier 0: state 'means' must be a rectangular array of "
+                 "float64 values"),
+    "present-bool": ((*_LDA, "present"), True,
+                     "classifier 0: state 'present' must be a rectangular "
+                     "array of int64 values"),
+    "present-half": ((*_LDA, "present"), [0, 0.5, 2],
+                     "classifier 0: state 'present' must be a rectangular "
+                     "array of int64 values"),
+    "means-shape": ((*_LDA, "means"), [[0.0] * 5] * 3,
+                    "classifier 0: state 'means' must have shape (p, d) with "
+                    "p = 3 and d = 3, got (3, 5)"),
+    "means-nan": ((*_LDA, "means", 1, 2), float("nan"),
+                  "classifier 0: state 'means' holds a non-finite value"),
+    "means-ragged": ((*_LDA, "means", 1), [0.0],
+                     "classifier 0: state 'means' must be a rectangular array "
+                     "of float64 values"),
+    "means-text": ((*_LDA, "means", 1, 0), "a",
+                   "classifier 0: state 'means' must be a rectangular array "
+                   "of float64 values"),
+    "knn-x-1d": ((*_ROWS, "x"), [0.0, 1.0, 2.0],
+                 "classifier 1: training set 0 'x' must have shape (n, d) "
+                 "with p = 3 and d = 3, got (3,)"),
+    "knn-y-float": ((*_ROWS, "y", 0), 0.5,
+                    "classifier 1: training set 0 'y' must be a rectangular "
+                    "array of int64 values"),
+    "knn-y-range": ((*_ROWS, "y", 0), 3,
+                    "classifier 1: training set 0 'y' must hold class indices "
+                    "below 3"),
+    "knn-k": (("classifiers", 1, "params", "k"), 0,
+              "classifier 1: knn parameter 'k' must be an integer >= 1, got 0"),
+    # two classes present, while the training rows hold labels of three
+    "knn-p": ((*_KNN, "present"), [0, 1],
+              "classifier 1: training set 0 'y' must hold class indices "
+              "below 2"),
+    **{f"knn-set-{name}": ((*_KNN, "training_set"), value,
+                           f"classifier 1: state 'training_set' must be an "
+                           f"index below 1, got {value!r}")
+       for name, value in [("negative", -1), ("true", True), ("float", 0.0),
+                           ("past", 1), ("text", "0")]},
+    "knn-set-missing": ((*_KNN, "training_set"), _DROP,
+                        "classifier 1: state lacks key(s) training_set"),
+    "present-order": ((*_LOGISTIC, "present"), [1, 0, 2],
+                      "classifier 2: state 'present' must be at least two "
+                      "strictly increasing class indices below 3"),
+    "present-range": ((*_LOGISTIC, "present"), [0, 1, 5],
+                      "classifier 2: state 'present' must be at least two "
+                      "strictly increasing class indices below 3"),
+    "logistic-inf": ((*_LOGISTIC, "w", 0, 0), float("inf"),
+                     "classifier 2: state 'w' holds a non-finite value"),
+    "tree-5": ((*_STUMP, "children"), 5,
+               "classifier 3: state 'children' must have shape (nodes, 2) "
+               "with p = 3 and d = 3, got ()"),
+    "no-threshold": ((*_STUMP, "threshold"), _DROP,
+                     "classifier 3: state lacks key(s) threshold"),
+    "feature-9": ((*_STUMP, "feature", 0), 9,
+                  "classifier 3: state 'feature' must hold feature indices in "
+                  "[-1, 3), -1 at a leaf"),
+    "threshold-a": ((*_STUMP, "threshold", 0), "a",
+                    "classifier 3: state 'threshold' must be a rectangular "
+                    "array of float64 values"),
+    "threshold-inf": ((*_STUMP, "threshold", 0), float("inf"),
+                      "classifier 3: state 'threshold' holds a non-finite value"),
+    "short-leaf": ((*_STUMP, "proportions"), [[0.5, 0.5]] * 3,
+                   "classifier 3: state 'proportions' must have shape "
+                   "(nodes, p) with p = 3 and d = 3, got (3, 2)"),
     # the root's left child is the root itself: a descent would never end
-    "child-cycle": (3, ("state", "children", "__nd__", 0), [0, 2],
-                    "'children' must hold two later nodes at a split and the "
-                    "node itself twice at a leaf"),
-    "child-past": (3, ("state", "children", "__nd__", 0), [1, 3],
-                   "'children' must hold two later nodes at a split and the "
-                   "node itself twice at a leaf"),
-    "zero-variance": (4, ("state", "var", "__nd__", 0, 0), 0.0,
-                      "'var' must hold values > 0"),
-    "inv-cov-skew": (0, ("state", "inv_cov", "__nd__", 0, 1), 1234.5,
-                     "'inv_cov' must be a symmetric matrix"),
-    "inv-cov-indefinite": (0, ("state", "inv_cov", "__nd__", 0, 0), -1.0,
-                           "'inv_cov' must be positive definite"),
+    "child-cycle": ((*_STUMP, "children", 0), [0, 2],
+                    "classifier 3: state 'children' must hold two later nodes "
+                    "at a split and the node itself twice at a leaf"),
+    "child-past": ((*_STUMP, "children", 0), [1, 3],
+                   "classifier 3: state 'children' must hold two later nodes "
+                   "at a split and the node itself twice at a leaf"),
+    "zero-variance": ((*_GNB, "var", 0, 0), 0.0,
+                      "classifier 4: state 'var' must hold values > 0"),
+    "inv-cov-skew": ((*_LDA, "inv_cov", 0, 1), 1234.5,
+                     "classifier 0: state 'inv_cov' must be a symmetric matrix"),
+    "inv-cov-indefinite": ((*_LDA, "inv_cov", 0, 0), -1.0,
+                           "classifier 0: state 'inv_cov' must be positive "
+                           "definite"),
 }
 
 
@@ -804,20 +834,27 @@ def test_undamaged_rings_model_predicts(tmp_path, rings_model):
     assert len(read_csv_rows(tmp_path / "p.csv")) == 151
 
 
-@pytest.mark.parametrize("case", list(BAD_STATES))
-def test_bad_model_state_exits_1(tmp_path, capsys, rings_model, case):
-    j, path, value, message = BAD_STATES[case]
-    text, query = rings_model
-    payload = json.loads(text)
-    _set(payload["classifiers"][j], path, value)
+def _predict_fails(tmp_path, capsys, payload, query, message):
+    """predict on the model file payload exits 1 with message as its error
+    line, without a traceback or an output file."""
     model = tmp_path / "m.json"
     model.write_text(json.dumps(payload))
     code = main(["predict", "--model", str(model), "--data", str(query),
                  "--output", str(tmp_path / "p.csv")])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"error: model classifier {j}: state {message}" in err
+    assert f"error: {message}\n" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("case", list(BAD_STATES))
+def test_bad_model_state_exits_1(tmp_path, capsys, rings_model, case):
+    path, value, message = BAD_STATES[case]
+    text, query = rings_model
+    payload = json.loads(text)
+    _set(payload, path, value)
+    _predict_fails(tmp_path, capsys, payload, query, f"model {message}")
 
 
 def test_version_1_model_with_nested_trees_exits_1(tmp_path, capsys, rings_model):
@@ -832,15 +869,34 @@ def test_version_1_model_with_nested_trees_exits_1(tmp_path, capsys, rings_model
     state.update(p=3, tree={"feature": 0, "threshold": 0.5,
                             "left": {"leaf": [1.0, 0.0, 0.0]},
                             "right": {"leaf": [0.0, 0.5, 0.5]}})
-    model = tmp_path / "m.json"
-    model.write_text(json.dumps(payload))
-    code = main(["predict", "--model", str(model), "--data", str(query),
-                 "--output", str(tmp_path / "p.csv")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error: unsupported ensemble format version 1" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "p.csv").exists()
+    _predict_fails(tmp_path, capsys, payload, query,
+                   "unsupported ensemble format version 1")
+
+
+def test_version_2_model_exits_1(tmp_path, capsys, rings_model):
+    """A model file of format version 2, whose records each hold the
+    catalog, the feature count and their knn training rows, every array
+    tagged with its dtype, is refused by its version: such a file must be
+    retrained."""
+    text, query = rings_model
+    payload = json.loads(text)
+    payload["format_version"] = 2
+    rows = payload.pop("training_sets")[0]
+    d = payload.pop("n_features")
+    for record in payload["classifiers"]:
+        state = record["state"]
+        if "training_set" in state:
+            del state["training_set"]
+            state.update(rows, k=record["params"]["k"], p=len(state["present"]))
+        for key, value in state.items():
+            if isinstance(value, list):
+                indices = key in ("present", "y", "feature", "children")
+                state[key] = {"__nd__": value,
+                              "dtype": "int64" if indices else "float64"}
+        state["n_features"] = d
+        record["catalog"] = payload["catalog"]
+    _predict_fails(tmp_path, capsys, payload, query,
+                   "unsupported ensemble format version 2")
 
 
 # --- predict output --------------------------------------------------------
@@ -924,8 +980,8 @@ def test_overflowing_model_state_exits_1(tmp_path, capsys):
                  "--output", str(model)]) == 0
     payload = json.loads(model.read_text())
     state = payload["classifiers"][0]["state"]
-    state["inv_cov"]["__nd__"][0][0] = 1e308
-    state["means"]["__nd__"][0][0] = 1e200
+    state["inv_cov"][0][0] = 1e308
+    state["means"][0][0] = 1e200
     model.write_text(json.dumps(payload))
     rows = read_csv_rows(bundled_path("rings.csv"))
     with open(tmp_path / "q.csv", "w", newline="") as fh:

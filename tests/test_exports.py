@@ -14,7 +14,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 # The K x M profile class and the one-profile combiner views that the
 # (n, K, M) batch kernels replaced, the per-kind declarations that the
 # one `learners._KINDS` table replaced, the model-record key lists that
-# `FittedClassifier.from_state` replaced, and the batched fold fitters that
+# `FittedClassifier.from_state` replaced, the dtype-tagged array writer and
+# reader of model format 2, and the batched fold fitters that
 # became the logistic and tree kinds' one fitter; and the one-alpha pick,
 # membership and alpha-curve wrappers over the granular combiner's
 # bounds, de-granulation and error-curve entries.
@@ -29,6 +30,8 @@ RETIRED = {
     "ClassMembershipVector",
     "_decide",
     "STATE_KEYS",
+    "_jsonable",
+    "_decode_array",
     "_CLASSIFIER_KEYS",
     "fixed_rule_classify",
     "dt_classify",

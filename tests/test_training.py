@@ -559,7 +559,10 @@ def test_hand_edited_knn_training_rows_get_their_own_search(tmp_path, monkeypatc
     path = tmp_path / "m.json"
     save_ensemble(path, e)
     model = json.loads(path.read_text())
-    model["classifiers"][3]["state"]["x"]["__nd__"][0][0] += 0.5
+    edited = json.loads(json.dumps(model["training_sets"][0]))
+    edited["x"][0][0] += 0.5
+    model["training_sets"].append(edited)
+    model["classifiers"][3]["state"]["training_set"] = 1
     path.write_text(json.dumps(model))
     edited = load_ensemble(path)
     q = generate(GeneratorSpec("concentric-rings", n=60, d=3, seed=11)).features
@@ -574,11 +577,24 @@ def test_hand_edited_knn_training_rows_get_their_own_search(tmp_path, monkeypatc
         assert np.array_equal(profiles[:, j], c.predict_proba_batch(q)), j
 
 
-def _record_on_3_features():
-    """The record of SPECS[1] fitted on 3 features, same catalog as the
-    2-feature toy_dataset."""
-    data = generate(GeneratorSpec("twonorm-like", n=30, d=3, seed=1))
-    return learners.fit(SPECS[1], data, seed=1).to_state()
+@pytest.mark.parametrize("name, roster", [("rings", default_roster),
+                                          ("twonorm", extended_roster)])
+def test_model_file_holds_one_training_set(tmp_path, name, roster):
+    """Every knn learner fits the one training set, which the model file
+    holds once; after load the knn models share its arrays."""
+    e = train(load_bundled(name), roster(), seed=1, fixed_alpha=1.0)
+    path = tmp_path / "m.json"
+    save_ensemble(path, e)
+    payload = json.loads(path.read_text())
+    assert len(payload["training_sets"]) == 1
+    assert all(set(c) == {"kind", "params", "state"} for c in payload["classifiers"])
+    knn = [c for c in payload["classifiers"] if c["kind"] == "knn"]
+    assert len(knn) >= 3 and all(c["state"] == {
+        "present": list(range(e.catalog.size)), "training_set": 0} for c in knn)
+    assert "__nd__" not in path.read_text()
+    loaded = [c for c in load_ensemble(path).classifiers if c.spec.kind == "knn"]
+    assert all(c.state["x"] is loaded[0].state["x"]
+               and c.state["y"] is loaded[0].state["y"] for c in loaded)
 
 
 class TestSerialization:
@@ -598,6 +614,10 @@ class TestSerialization:
         assert np.array_equal(
             training.ensemble_profiles(e, q), training.ensemble_profiles(back, q)
         )
+        # Every kind's posteriors, bitwise.
+        for c, c_back in zip(e.classifiers, back.classifiers):
+            assert (c.predict_proba_batch(data.features).tobytes()
+                    == c_back.predict_proba_batch(data.features).tobytes()), c.spec.name
         # Save -> load -> predict decides bitwise as the saved model does.
         for got, want in zip(predict_batch(back, data.features),
                              predict_batch(e, data.features)):
@@ -633,14 +653,42 @@ class TestSerialization:
         (lambda m: m["alpha_error_curve"].append([0.5]), "pairs"),
         (lambda m: m["alpha_error_curve"].append([0.5, None]), "pairs"),
         (lambda m: m.__setitem__("alpha_error_curve", {}), "pairs"),
-        (lambda m: m["classifiers"][2].__setitem__("catalog", ["a", "b", "c"]),
-         "classifier 2 catalog differs"),
-        (lambda m: m["classifiers"][1]["state"].__setitem__("n_features", 3),
-         r"classifier 1: state 'x' must have shape \(n, d\) with p = 2 and d = 3"),
-        (lambda m: m["classifiers"].__setitem__(1, _record_on_3_features()),
-         "classifier 1 takes 3 features, classifier 0 takes 2"),
-        (lambda m: m["classifiers"][0]["state"].__setitem__("n_features", "2"),
+        (lambda m: m.__setitem__("catalog", ["a"]),
+         "model catalog needs at least two classes"),
+        (lambda m: m.__setitem__("catalog", ["a", "a"]),
+         "model duplicate class labels"),
+        (lambda m: m["training_sets"][0]["x"][0].append(0.0),
+         r"classifier 1: training set 0 'x' must be a rectangular array of "
+         r"float64"),
+        (lambda m: [row.append(0.0) for row in m["training_sets"][0]["x"]],
+         r"classifier 1: training set 0 'x' must have shape \(n, d\) with "
+         r"p = 2 and d = 2, got \(30, 3\)"),
+        (lambda m: m.__setitem__("n_features", 3),
+         r"classifier 0: state 'means' must have shape \(p, d\) with p = 2 "
+         r"and d = 3"),
+        (lambda m: m.__setitem__("n_features", "2"),
          "n_features must be an integer"),
+        (lambda m: m.pop("n_features"), "lacks key.*n_features"),
+        (lambda m: m.pop("training_sets"), "lacks key.*training_sets"),
+        (lambda m: m.__setitem__("training_sets", {}),
+         "'training_sets' must be a list"),
+        (lambda m: m["training_sets"].__setitem__(0, [1]),
+         "classifier 1: training set 0 must be a JSON object"),
+        (lambda m: m["training_sets"][0].pop("y"),
+         "classifier 1: training set 0 lacks key.*y"),
+        (lambda m: m["training_sets"][0]["y"].__setitem__(0, 0.5),
+         "classifier 1: training set 0 'y' must be a rectangular array of "
+         "int64"),
+        (lambda m: m["training_sets"][0]["y"].__setitem__(0, 2),
+         "classifier 1: training set 0 'y' must hold class indices below 2"),
+        (lambda m: m.__setitem__("format_version", 2),
+         "unsupported ensemble format version 2$"),
+        (lambda m: m.__setitem__("format_version", 3.0),
+         "unsupported ensemble format version 3.0"),
+        (lambda m: m.__setitem__("format_version", True),
+         "unsupported ensemble format version True"),
+        (lambda m: m.pop("format_version"),
+         "unsupported ensemble format version None"),
         (lambda m: m["classifiers"][0]["state"].pop("means"),
          "classifier 0: state lacks key.*means"),
         (lambda m: m["classifiers"][2]["state"].pop("present"),
