@@ -23,52 +23,39 @@ from . import combiners, evaluation, report, training
 from .datasets import GeneratorSpec, generate, load_csv, load_features
 from .learners import (Dataset, LearnerSpec, check_roster, default_roster,
                        spec_from_name)
-from .metadata import _read_json
+from .metadata import _check_object, _is_int, _is_number, _read_json
 from .training import AlphaGrid
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(map(_is_str, value))
-
-
+_STR = ("a string", lambda v: isinstance(v, str))
+_NAMES = ("a list of names",
+          lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v))
 # A ProtocolConfig field with a scalar default takes a value of its type:
 # (what the value must be, check); _protocol_config casts it to that type.
 _SCALAR_TYPES = {
     int: ("an integer", _is_int),
     float: ("a number", _is_number),
-    str: ("a string", _is_str),
+    str: _STR,
 }
 # Every key a config object may hold: (what its value must be, check).
 CONFIG_TYPES = {
     "datasets": ("a non-empty list", lambda v: isinstance(v, list) and v != []),
-    "learners": ("a list of names", _is_names),
-    "methods": ("a list of names", _is_names),
+    "learners": _NAMES,
+    "methods": _NAMES,
     "alpha_grid": ('a "lo:step:hi" string or a list of numbers',
-                   lambda v: _is_str(v)
+                   lambda v: isinstance(v, str)
                    or (isinstance(v, list) and all(map(_is_number, v)))),
     **{f.name: _SCALAR_TYPES[type(f.default)]
        for f in dataclasses.fields(evaluation.ProtocolConfig)
        if type(f.default) in _SCALAR_TYPES},
 }
 DATASET_TYPES = {
-    "path": ("a string", _is_str),
+    "path": _STR,
     "label_column": ("a column index or name",
-                     lambda v: _is_int(v) or _is_str(v)),
-    "header": ("true or false", lambda v: isinstance(v, bool)),
-    "generator": ("an object", lambda v: isinstance(v, dict)),
-    "name": ("a string", _is_str),
+                     lambda v: _is_int(v) or isinstance(v, str)),
+    "header": ("true or false", lambda v: v is True or v is False),
+    "generator": None,  # a generator object, checked on its own
+    "name": _STR,
 }
 GENERATOR_KEYS = {f.name for f in dataclasses.fields(GeneratorSpec)}
 # Largest alpha grid a "lo:step:hi" string may expand to; the default grid
@@ -78,20 +65,6 @@ MAX_GRID_POINTS = 10_000
 
 class CliError(Exception):
     pass
-
-
-def _check_object(value, types: dict, what: str) -> None:
-    """Reject a config value that is not a JSON object, or has a key
-    outside types, or a key whose value fails its check."""
-    if not isinstance(value, dict):
-        raise CliError(f"{what} must be a JSON object, got {value!r}")
-    unknown = set(value) - set(types)
-    if unknown:
-        raise CliError(f"unknown {what} keys: {sorted(unknown)}")
-    for key, item in value.items():
-        expected, ok = types[key]
-        if not ok(item):
-            raise CliError(f"{what} key {key!r} must be {expected}, got {item!r}")
 
 
 def parse_grid(text: str) -> AlphaGrid:
@@ -124,7 +97,7 @@ def _split_names(flag: str, text: str) -> list[str]:
 def _load_dataset_entry(entry: dict) -> Dataset:
     """The data set of a dataset entry: a generator object alone, or
     load_csv's keyword arguments."""
-    _check_object(entry, DATASET_TYPES, "dataset config")
+    _check_object(entry, DATASET_TYPES, "dataset config", CliError)
     if "generator" not in entry:
         if "path" not in entry:
             raise CliError("dataset entry needs 'path' or 'generator'")
@@ -133,11 +106,9 @@ def _load_dataset_entry(entry: dict) -> Dataset:
     stray = set(entry) - {"generator"}
     if stray:
         raise CliError(f"a generator dataset entry takes no {sorted(stray)}")
-    bad = set(gen) - GENERATOR_KEYS
-    if bad:
-        raise CliError(f"unknown generator keys: {sorted(bad)}")
-    if "kind" not in gen:
-        raise CliError("generator needs a 'kind'")
+    # GeneratorSpec types the values.
+    _check_object(gen, dict.fromkeys(GENERATOR_KEYS), "generator", CliError,
+                  required=("kind",))
     return generate(GeneratorSpec(**gen))
 
 
@@ -147,7 +118,7 @@ def _resolve_config(path: str | None, args) -> dict:
         raw = _read_json(path, "config", CliError)
         if isinstance(raw, dict) and "config" in raw and "results" in raw:
             raw = raw["config"]  # accept a previously emitted report echo
-        _check_object(raw, CONFIG_TYPES, "config")
+        _check_object(raw, CONFIG_TYPES, "config", CliError)
         cfg.update(raw)
 
     # Flag overrides (CLI > config > defaults): each flag's dest is its key.
@@ -157,10 +128,10 @@ def _resolve_config(path: str | None, args) -> dict:
     elif args.label_column != -1 or args.no_header:
         raise CliError("--label-column and --no-header describe the --data "
                        "file: give --data, or set them in a datasets entry")
-    for key, (_, ok) in CONFIG_TYPES.items():
+    for key, types in CONFIG_TYPES.items():
         val = getattr(args, key, None)
         if val is not None:
-            cfg[key] = _split_names(f"--{key}", val) if ok is _is_names else val
+            cfg[key] = _split_names(f"--{key}", val) if types is _NAMES else val
 
     # Defaults: the default roster, and ProtocolConfig's for the rest.
     cfg.setdefault("learners", [s.name for s in default_roster()])

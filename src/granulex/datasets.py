@@ -8,12 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from numbers import Integral, Real
 
 import numpy as np
 
 from .learners import Dataset
-from .metadata import ClassCatalog, _number_rows, _read_rows
+from .metadata import ClassCatalog, _is_int, _is_number, _number_rows, _read_rows
 
 __all__ = [
     "BUNDLED_DATASETS",
@@ -116,12 +115,12 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise DatasetError(f"unknown generator kind {self.kind!r}")
-        for key, kind, expected in (("n", Integral, "an integer"),
-                                    ("d", Integral, "an integer"),
-                                    ("noise", Real, "a number"),
-                                    ("seed", Integral, "an integer")):
+        for key, ok, expected in (("n", _is_int, "an integer"),
+                                  ("d", _is_int, "an integer"),
+                                  ("noise", _is_number, "a finite number"),
+                                  ("seed", _is_int, "an integer")):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if not ok(value):
                 raise DatasetError(f"generator {key} must be {expected}, got {value!r}")
         if self.n < 4 or self.d < 1 or self.noise <= 0:
             raise DatasetError("generator needs n >= 4, d >= 1, noise > 0")

@@ -55,16 +55,16 @@ kind's own predictor is the one-state call of that kernel.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .metadata import ClassCatalog
+from .metadata import ClassCatalog, _check_object, _is_int, _is_number
 
 __all__ = [
     "Dataset",
@@ -89,9 +89,8 @@ SYMMETRY_TOLERANCE = 1e-9  # of a loaded LDA inv_cov, relative to its largest en
 
 # What a parameter must be, by the type of its default: (wording, check).
 _PARAM_TYPES = {
-    int: ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    float: ("a finite number > 0",
-            lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max),
+    int: ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    float: ("a finite number > 0", lambda v: _is_number(v) and v > 0),
 }
 
 
@@ -331,9 +330,8 @@ class FittedClassifier:
         the record names is typed in place, so the models naming one entry
         share its arrays.  Raises LearnerError on any record the predictor
         cannot use: not an object, a key of to_state's or of the kind's
-        state missing, or a value of the wrong type, range or shape."""
-        _require_keys(payload, ("kind", "params", "state"), "record")
-        _require_keys(payload["params"], (), "params")
+        state missing or unknown, or a value of the wrong type, range or shape."""
+        _check_object(payload, _RECORD, "record", LearnerError, required=_RECORD)
         spec = LearnerSpec(payload["kind"], payload["params"])
         return cls(spec, catalog, _decode_state(
             spec, catalog.size, n_features, payload["state"], training_sets))
@@ -410,7 +408,9 @@ def fit_folds(
     increasing index arrays with the same classes present, as
     cross-validation complements are, the labels are compacted once and the
     kind's fitter reads the rests' rows of data itself; other rests are
-    fitted each on its own subset."""
+    fitted each on its own subset.  Fits run with floating-point warnings
+    off, as predictions do: a state that overflows fails as non-finite
+    posteriors when it predicts."""
     presents = [_present(data.labels[r]) for r in rests]
     if presents and all(np.array_equal(q, presents[0]) and (np.diff(r) > 0).all()
                         for q, r in zip(presents, rests)):
@@ -419,9 +419,11 @@ def fit_folds(
         # back.  Rows outside every rest may hold an absent class; no fit
         # reads their compact label.
         compact = np.searchsorted(present, data.labels)
-        states = _KINDS[spec.kind].fit(spec, data.features, compact, len(present),
-                                       rests, seeds)
-        return (_fitted(spec, data, present, state) for state in states)
+        # A fitter may fit in its call or as its states are read.
+        quiet = np.errstate(all="ignore")
+        states = iter(quiet(_KINDS[spec.kind].fit)(
+            spec, data.features, compact, len(present), rests, seeds))
+        return (_fitted(spec, data, present, quiet(next)(states)) for _ in rests)
     return (fit(spec, data.subset(r), s) for r, s in zip(rests, seeds))
 
 
@@ -992,20 +994,21 @@ class _Kind(NamedTuple):
 
 # State layouts, in p (present classes), d (features), and n (training
 # rows) or nodes (tree nodes) as the first array has them: (_F, *shape) a
-# finite float64 array, (_POSITIVE, *shape) one of values > 0, (_SPD, d, d)
-# a symmetric positive definite one; int64 arrays of (_LABEL, n) present
+# finite float64 array, (_POSITIVE, *shape) one of values > 0,
+# (_NONNEGATIVE, *shape) one of values >= 0, (_SPD, d, d) a symmetric
+# positive definite one; int64 arrays of (_LABEL, n) present
 # class indices 0..p-1, (_FEATURE, nodes) feature indices, -1 at a leaf,
 # and (_CHILDREN, nodes, 2) child pairs as _check_children wants them;
 # _TRAINING_SET, the index of an entry of the model file's training_sets,
 # whose arrays join the state; and a parameter name, that parameter of the
 # spec, which the record holds in its params alone.
-_F, _POSITIVE, _SPD, _LABEL, _FEATURE, _CHILDREN = (
-    "float64", "positive", "spd", "label", "feature", "children")
+_F, _POSITIVE, _NONNEGATIVE, _SPD, _LABEL, _FEATURE, _CHILDREN = (
+    "float64", "positive", "nonnegative", "spd", "label", "feature", "children")
 _TRAINING_SET = {"x": (_F, "n", "d"), "y": (_LABEL, "n")}
 _OVR = {"w": (_F, "p", "d"), "b": (_F, "p")}
 _TREE_STATE = {"feature": (_FEATURE, "nodes"), "threshold": (_F, "nodes"),
                "children": (_CHILDREN, "nodes", "2"),
-               "proportions": (_F, "nodes", "p")}
+               "proportions": (_NONNEGATIVE, "nodes", "p")}
 
 _KINDS = {
     "knn": _Kind(_each_part(_fit_knn), _predict_knn,
@@ -1037,24 +1040,28 @@ _KINDS = {
 }
 
 
-def _require_keys(obj, keys, what: str, error: type = LearnerError) -> None:
-    """Raise error unless obj is a JSON object holding every key of keys."""
-    if not isinstance(obj, dict):
-        raise error(f"{what} must be a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise error(f"{what} lacks key(s) {', '.join(missing)}")
+# A record's keys: LearnerSpec checks kind and params, _decode_state the state.
+_RECORD = {"kind": None, "params": ("a JSON object", lambda v: isinstance(v, dict)),
+           "state": None}
 
 
 def _array(value, dtype: str, what: str) -> np.ndarray:
     """The array a model file writes as the nested list value, for a
-    layout of dtype dtype: int64 for indices, finite float64 otherwise."""
+    layout of dtype dtype: int64 for indices, finite float64 otherwise.
+    numpy reads a bool in a list of numbers as 0 or 1, so the types of the
+    list's leaves are read too, each once."""
     try:
         arr = np.asarray(value)
     except (ValueError, TypeError, OverflowError):  # ragged nesting
         arr = None
     stored, kinds = (("int64", "i") if dtype in (_LABEL, _FEATURE, _CHILDREN)
                      else ("float64", "if"))
+    if arr is not None and arr.dtype.kind in kinds:
+        leaves = [value] if arr.ndim == 0 else value
+        for _ in range(arr.ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if bool in set(map(type, leaves)):
+            arr = None
     if arr is None or arr.dtype.kind not in kinds:
         raise LearnerError(f"{what} must be a rectangular array of {stored} values")
     arr = arr.astype(stored, copy=False)
@@ -1093,8 +1100,10 @@ def _decode_state(spec: LearnerSpec, n_classes: int, d: int, state,
     """A fitted state from its JSON form, every value checked against the
     kind's layout: the predictor can use it and its shapes agree."""
     layouts = _KINDS[spec.kind].state
-    written = [key for key, layout in layouts.items() if not isinstance(layout, str)]
-    _require_keys(state, ("present", *written), "state")
+    written = ["present", *(key for key, layout in layouts.items()
+                            if not isinstance(layout, str))]
+    _check_object(state, dict.fromkeys(written), "state", LearnerError,
+                  required=written)
     present = _array(state["present"], _LABEL, "state 'present'")
     if not (present.ndim == 1 and present.size >= 2 and present[0] >= 0
             and present[-1] < n_classes and (np.diff(present) > 0).all()):
@@ -1111,13 +1120,16 @@ def _decode_state(spec: LearnerSpec, n_classes: int, d: int, state,
             continue
         value, what = state[key], f"state {key!r}"
         if layout is _TRAINING_SET:
-            if type(value) is not int or not 0 <= value < len(training_sets):
+            if not (_is_int(value) and 0 <= value < len(training_sets)):
                 raise LearnerError(f"{what} must be an index below "
                                    f"{len(training_sets)}, got {value!r}")
             entry, where = training_sets[value], f"training set {value}"
-            _require_keys(entry, layout, where)
+            _check_object(entry, dict.fromkeys(layout), where, LearnerError,
+                          required=layout)
+            # The first record that names the entry types it in place.
             entry.update({k: _array(entry[k], lay[0], f"{where} {k!r}")
-                          for k, lay in layout.items()})
+                          for k, lay in layout.items()
+                          if not isinstance(entry[k], np.ndarray)})
             arrays = [(k, lay, entry[k], f"{where} {k!r}") for k, lay in layout.items()]
         else:
             arrays = [(key, layout, _array(value, layout[0], what), what)]
@@ -1141,6 +1153,8 @@ def _decode_state(spec: LearnerSpec, n_classes: int, d: int, state,
                 _check_children(arr, out["feature"], what)
             if dtype == _POSITIVE and not (arr > 0).all():
                 raise LearnerError(f"{what} must hold values > 0")
+            if dtype == _NONNEGATIVE and not (arr >= 0).all():
+                raise LearnerError(f"{what} must hold values >= 0")
             if dtype == _SPD:
                 _check_spd(arr, what)
             out[name] = arr

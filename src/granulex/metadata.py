@@ -6,8 +6,10 @@ is checked as the one-row stack.
 This lowest module also holds the package's one CSV row reader and number
 parser (`_read_rows`, `_number_rows`), shared by `read_meta_csv`,
 `datasets.load_csv` and `datasets.load_features`, each passing its own
-error type, and the one JSON loader (`_read_json`) of config and model
-files.  Every fault of a CSV row is found and named there."""
+error type, the one JSON loader (`_read_json`) of config and model
+files, and the one typing of what it loads: a JSON integer (`_is_int`),
+a finite JSON number (`_is_number`) and a JSON object's keys and values
+(`_check_object`).  Every fault of a CSV row is found and named there."""
 
 from __future__ import annotations
 
@@ -15,9 +17,11 @@ import csv
 import itertools
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -277,6 +281,38 @@ def _read_json(path, what: str, error: type[Exception]):
             raise error(f"{what} {path} is not valid JSON: {exc}") from None
         except UnicodeDecodeError:
             raise error(f"{what} {_utf8_fault(path)}") from None
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: an int or a float, never a bool, inside the
+    float range."""
+    return ((_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def _check_object(value, types: dict, what: str, error: type[Exception],
+                  required: Iterable[str] = ()) -> None:
+    """Raise error unless value is a JSON object whose keys all lie in
+    types and include every key of required, and whose values pass their
+    checks.  types maps a key to (what its value must be, check), or to
+    None where the value's reader checks it."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {reprlib.repr(value)}")
+    unknown = set(value) - set(types)
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise error(f"{what} lacks key(s) {', '.join(missing)}")
+    for key, item in value.items():
+        if types[key] is not None and not types[key][1](item):
+            raise error(f"{what} key {key!r} must be {types[key][0]}, "
+                        f"got {reprlib.repr(item)}")
 
 
 def read_meta_csv(path, catalog: ClassCatalog) -> tuple[MetaMatrix, np.ndarray]:

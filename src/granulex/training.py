@@ -4,11 +4,11 @@ Training: generate meta-data of the training set by stratified T-fold
 cross-validation, grid-search the specificity weight alpha against the
 training-set error of the granular combiner, then refit all base
 classifiers on the full training set.  Prediction stacks the (n, K, M)
-posterior profiles of the refitted classifiers, checks them all in one
-MetaMatrix pass, builds per-class intervals, and decides by maximum
-numerical class membership.  `load_ensemble` reads a model file in one
-pass: the top-level checks, then `FittedClassifier.from_state` on each
-classifier record.
+posterior profiles of the refitted classifiers, builds per-class
+intervals, and decides by maximum numerical class membership.
+`load_ensemble` reads a model file in one pass: the format version, then
+every top-level key against `MODEL_TYPES`, then
+`FittedClassifier.from_state` on each classifier record.
 
 Every fold fit of the package goes through `part_profiles`, one
 `fit_folds` call per learner, over parts that `fold_parts` lists: the
@@ -28,7 +28,6 @@ biased as a generalization estimate.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -43,13 +42,13 @@ from .learners import (
     FittedClassifier,
     LearnerError,
     LearnerSpec,
-    _require_keys,
     check_roster,
     fit,
     fit_folds,
     predict_proba_models,
 )
-from .metadata import ClassCatalog, MetadataError, MetaMatrix, _read_json
+from .metadata import (ClassCatalog, MetadataError, MetaMatrix, _check_object,
+                       _is_int, _is_number, _read_json)
 
 __all__ = [
     "AlphaGrid",
@@ -82,16 +81,6 @@ ENSEMBLE_FORMAT_VERSION = 3  # 3: each fact once, knn training rows too
 
 class TrainingError(ValueError):
     pass
-
-
-def _finite_real(v) -> bool:
-    """A JSON number (not a bool) that is a finite float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -405,9 +394,9 @@ def predict_batch(ensemble: TrainedEnsemble, x: np.ndarray) -> PredictionBatch:
     granule kernel together; each row's decision is the argmax of its
     memberships, so a row decides as `evaluate` decides on the same
     profile."""
-    profiles = MetaMatrix(
-        ensemble_profiles(ensemble, x), ensemble.catalog, ensemble.classifier_ids
-    ).scores
+    # Rows that from_state and _to_catalog let through are posteriors.
+    profiles = ensemble_profiles(ensemble, x)
+    profiles.setflags(write=False)
     bounds = combiners.granular_bounds_batch(profiles, ensemble.alpha)
     values = combiners.memberships_from_bounds(bounds, ensemble.h)
     return PredictionBatch(profiles, bounds, values, np.argmax(values, axis=1),
@@ -431,47 +420,37 @@ def save_ensemble(path, ensemble: TrainedEnsemble) -> None:
         json.dump(payload, fh, indent=1)
 
 
-def _check_ensemble(payload) -> None:
-    """Raise TrainingError unless payload has every top-level key the
-    loader reads, each of the type it needs, and at least two classifiers."""
-    if not isinstance(payload, dict):
-        raise TrainingError("model file must hold a JSON object")
-    version = payload.get("format_version")
-    if type(version) is not int or version != ENSEMBLE_FORMAT_VERSION:
-        raise TrainingError(f"unsupported ensemble format version {version!r}")
-    _require_keys(payload, ("alpha", "h", "catalog", "n_features",
-                            "alpha_error_curve", "training_sets", "classifiers"),
-                  "model", TrainingError)
-    alpha = payload["alpha"]
-    if not (_finite_real(alpha) and alpha >= 0):
-        raise TrainingError(
-            f"model alpha must be a finite number >= 0, got {alpha!r}"
-        )
-    if payload["h"] not in combiners.H_KINDS:
-        raise TrainingError(f"model h must be one of {combiners.H_KINDS}")
-    for key in ("catalog", "training_sets", "classifiers"):
-        if not isinstance(payload[key], list):
-            raise TrainingError(f"model {key!r} must be a list")
-    d = payload["n_features"]
-    if type(d) is not int or d < 1:
-        raise TrainingError(f"model n_features must be an integer >= 1, got {d!r}")
-    curve = payload["alpha_error_curve"]
-    if not isinstance(curve, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(map(_finite_real, e))
-        for e in curve
-    ):
-        raise TrainingError(
-            "model 'alpha_error_curve' must be a list of [alpha, error] pairs"
-        )
-    if not payload["classifiers"]:
-        raise TrainingError("model has no classifiers")
-    if len(payload["classifiers"]) < 2:
-        raise TrainingError("model needs at least two classifiers, it has 1")
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+# Every top-level key of a model file: (what its value must be, check).
+# load_ensemble checks the format version before the others.
+MODEL_TYPES = {
+    "format_version": None,
+    "alpha": ("a finite number >= 0", lambda v: _is_number(v) and v >= 0),
+    "h": (f"one of {combiners.H_KINDS}", lambda v: v in combiners.H_KINDS),
+    "catalog": ("a list of class names",
+                lambda v: _is_list(v) and all(isinstance(c, str) for c in v)),
+    "n_features": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "alpha_error_curve": (
+        "a list of [alpha, error] pairs",
+        lambda v: _is_list(v) and all(
+            _is_list(e) and len(e) == 2 and all(map(_is_number, e)) for e in v)),
+    "training_sets": ("a list", _is_list),
+    "classifiers": ("a list of at least two classifiers",
+                    lambda v: _is_list(v) and len(v) >= 2),
+}
 
 
 def load_ensemble(path) -> TrainedEnsemble:
     payload = _read_json(path, "model file", TrainingError)
-    _check_ensemble(payload)
+    if isinstance(payload, dict):  # a file of another version fails on that alone
+        version = payload.get("format_version")
+        if not (_is_int(version) and version == ENSEMBLE_FORMAT_VERSION):
+            raise TrainingError(f"unsupported ensemble format version {version!r}")
+    _check_object(payload, MODEL_TYPES, "model", TrainingError,
+                  required=MODEL_TYPES)
     try:
         catalog = ClassCatalog(tuple(payload["catalog"]))
     except MetadataError as exc:

@@ -22,7 +22,7 @@ from granulex.cli import (
     parse_grid,
 )
 from granulex.datasets import GeneratorSpec, bundled_path, generate, load_features
-from granulex.learners import spec_from_name
+from granulex.learners import extended_roster, spec_from_name
 
 
 def write_dataset_csv(path, n=60, seed=0, kind="twonorm-like", d=2, noise=1.0):
@@ -438,7 +438,8 @@ class TestErrorPaths:
         (lambda m: m.__setitem__("alpha", None), "alpha"),
         (lambda m: m.__setitem__("catalog", ["x"]), "catalog"),
         (lambda m: m["classifiers"][1]["state"].pop("means"), "means"),
-        (lambda m: m.__setitem__("classifiers", []), "no classifiers"),
+        (lambda m: m.__setitem__("classifiers", []),
+         "list of at least two classifiers, got []"),
     ])
     def test_damaged_model_exits_1(self, tmp_path, capsys, damage, message):
         data_csv = tmp_path / "train.csv"
@@ -574,7 +575,7 @@ class TestErrorPaths:
         (dict(EVAL_CONFIG, datasets=[{"path": ["d.csv"]}]),
          "dataset config key 'path' must be a string"),
         (dict(EVAL_CONFIG, datasets=[{"generator": {"n": 40}}]),
-         "generator needs a 'kind'"),
+         "generator lacks key(s) kind"),
         (dict(EVAL_CONFIG, datasets=[
             {"generator": {"kind": "twonorm-like", "n": "x"}}]),
          "generator n must be an integer"),
@@ -752,6 +753,16 @@ BAD_STATES = {
     "present-half": ((*_LDA, "present"), [0, 0.5, 2],
                      "classifier 0: state 'present' must be a rectangular "
                      "array of int64 values"),
+    # numpy reads a bool among numbers as 0 or 1
+    "present-true": ((*_LDA, "present", 1), True,
+                     "classifier 0: state 'present' must be a rectangular "
+                     "array of int64 values"),
+    "means-true": ((*_LDA, "means", 1, 2), True,
+                   "classifier 0: state 'means' must be a rectangular array "
+                   "of float64 values"),
+    "knn-x-false": ((*_ROWS, "x", 0, 0), False,
+                    "classifier 1: training set 0 'x' must be a rectangular "
+                    "array of float64 values"),
     "means-shape": ((*_LDA, "means"), [[0.0] * 5] * 3,
                     "classifier 0: state 'means' must have shape (p, d) with "
                     "p = 3 and d = 3, got (3, 5)"),
@@ -806,6 +817,10 @@ BAD_STATES = {
                     "array of float64 values"),
     "threshold-inf": ((*_STUMP, "threshold", 0), float("inf"),
                       "classifier 3: state 'threshold' holds a non-finite value"),
+    # predict_proba_batch would return -1 for it
+    "negative-proportion": ((*_STUMP, "proportions", 0), [-1, 2, 0],
+                            "classifier 3: state 'proportions' must hold "
+                            "values >= 0"),
     "short-leaf": ((*_STUMP, "proportions"), [[0.5, 0.5]] * 3,
                    "classifier 3: state 'proportions' must have shape "
                    "(nodes, p) with p = 3 and d = 3, got (3, 2)"),
@@ -995,6 +1010,29 @@ def test_overflowing_model_state_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: classifier lda gives non-finite posteriors" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("learners", [
+    None, ",".join(s.name for s in extended_roster())], ids=["default", "extended"])
+@pytest.mark.parametrize("scale", [1e154, 1e160])
+def test_overflowing_fit_exits_1(tmp_path, capsys, scale, learners):
+    """Finite features whose squares overflow: the fits run with warnings
+    off, as predictions do, so train prints one error line, naming the
+    first classifier whose posteriors are non-finite, and no warning (the
+    suite turns a warning into a failure)."""
+    data = generate(GeneratorSpec("twonorm-like", n=60, d=3, seed=1))
+    path = tmp_path / "big.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "f2", "label"])
+        for row, lab in zip(data.features, data.labels):
+            writer.writerow([f"{v:.17g}" for v in row * [scale, 1, 1]]
+                            + [data.catalog.labels[lab]])
+    argv = ["train", "--data", str(path), "--output", str(tmp_path / "m.json")]
+    capsys.readouterr()
+    assert main(argv + (["--learners", learners] if learners else [])) == 1
+    assert capsys.readouterr().err == (
+        "error: classifier lda gives non-finite posteriors\n")
 
 
 # --- one reader of the settings ----------------------------------------------

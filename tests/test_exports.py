@@ -18,7 +18,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 # reader of model format 2, and the batched fold fitters that
 # became the logistic and tree kinds' one fitter; and the one-alpha pick,
 # membership and alpha-curve wrappers over the granular combiner's
-# bounds, de-granulation and error-curve entries.
+# bounds, de-granulation and error-curve entries; and the JSON object and
+# number checks that metadata's `_check_object`, `_is_int` and `_is_number`
+# replaced.
 RETIRED = {
     "_FITTERS",
     "_PREDICTORS",
@@ -47,6 +49,11 @@ RETIRED = {
     "_check_tree",
     "_tree_row",
     "_TREE",
+    "_require_keys",
+    "_finite_real",
+    "_is_str",
+    "_is_names",
+    "_check_ensemble",
 }
 
 # Module attributes the bench tracer replaces by name.

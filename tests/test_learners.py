@@ -277,7 +277,7 @@ def test_state_n_features_checked(tmp_path, n_features):
     payload["n_features"] = n_features
     path.write_text(json.dumps(payload))
     with pytest.raises(training.TrainingError,
-                       match="model n_features must be an integer >= 1"):
+                       match="model key 'n_features' must be an integer >= 1"):
         training.load_ensemble(path)
 
 
@@ -295,7 +295,7 @@ def _record(kind):
     *[(lambda r, key=key: {k: v for k, v in r.items() if k != key},
        f"record lacks key(s) {key}")
       for key in ("kind", "params", "state")],
-    (lambda r: dict(r, params=5), "params must be a JSON object"),
+    (lambda r: dict(r, params=5), "record key 'params' must be a JSON object"),
     (lambda r: dict(r, state=[1]), "state must be a JSON object"),
 ], ids=["list", "no-kind", "no-params", "no-state", "params-5", "state-list"])
 def test_from_state_rejects_a_damaged_record(damage, message):

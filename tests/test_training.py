@@ -639,17 +639,21 @@ class TestSerialization:
         (lambda m: m["classifiers"].__setitem__(0, [1, 2]),
          "classifier 0: record must be a JSON object"),
         (lambda m: m.__setitem__("classifiers", {}), "must be a list"),
-        (lambda m: m.__setitem__("classifiers", []), "no classifiers"),
+        (lambda m: m.__setitem__("classifiers", []),
+         r"'classifiers' must be a list of at least two classifiers, got \[\]"),
         (lambda m: m.__setitem__("classifiers", m["classifiers"][:1]),
          "at least two classifiers"),
-        (lambda m: m.__setitem__("alpha", None), "alpha must be"),
-        (lambda m: m.__setitem__("alpha", "1.0"), "alpha must be"),
-        (lambda m: m.__setitem__("alpha", True), "alpha must be"),
-        (lambda m: m.__setitem__("alpha", -0.5), "alpha must be"),
-        (lambda m: m.__setitem__("alpha", float("inf")), "alpha must be"),
-        (lambda m: m.__setitem__("alpha", 10 ** 400), "alpha must be"),
-        (lambda m: m.__setitem__("h", "h9"), "h must be"),
+        (lambda m: m.__setitem__("alpha", None), "model key 'alpha' must be"),
+        (lambda m: m.__setitem__("alpha", "1.0"), "model key 'alpha' must be"),
+        (lambda m: m.__setitem__("alpha", True), "model key 'alpha' must be"),
+        (lambda m: m.__setitem__("alpha", -0.5), "model key 'alpha' must be"),
+        (lambda m: m.__setitem__("alpha", float("inf")),
+         "model key 'alpha' must be"),
+        (lambda m: m.__setitem__("alpha", 10 ** 400), "model key 'alpha' must be"),
+        (lambda m: m.__setitem__("h", "h9"), "model key 'h' must be one of"),
         (lambda m: m.__setitem__("catalog", "ab"), "catalog' must be a list"),
+        (lambda m: m.__setitem__("catalog", [1, True]),
+         r"model key 'catalog' must be a list of class names, got \[1, True\]"),
         (lambda m: m["alpha_error_curve"].append([0.5]), "pairs"),
         (lambda m: m["alpha_error_curve"].append([0.5, None]), "pairs"),
         (lambda m: m.__setitem__("alpha_error_curve", {}), "pairs"),
@@ -667,7 +671,7 @@ class TestSerialization:
          r"classifier 0: state 'means' must have shape \(p, d\) with p = 2 "
          r"and d = 3"),
         (lambda m: m.__setitem__("n_features", "2"),
-         "n_features must be an integer"),
+         "model key 'n_features' must be an integer"),
         (lambda m: m.pop("n_features"), "lacks key.*n_features"),
         (lambda m: m.pop("training_sets"), "lacks key.*training_sets"),
         (lambda m: m.__setitem__("training_sets", {}),
@@ -698,7 +702,17 @@ class TestSerialization:
         (lambda m: m["classifiers"][1].__setitem__("kind", ["svm"]),
          r"classifier 1: unknown kind \['svm'\]"),
         (lambda m: m["classifiers"][1].__setitem__("params", 5),
-         "classifier 1: params must be a JSON object"),
+         "classifier 1: record key 'params' must be a JSON object"),
+        # Every object of the file refuses a key that save_ensemble does
+        # not write, as a config object does.
+        (lambda m: m.__setitem__("comment", "x"),
+         r"^unknown model keys: \['comment'\]$"),
+        (lambda m: m["classifiers"][0].__setitem__("name", "lda"),
+         r"^model classifier 0: unknown record keys: \['name'\]$"),
+        (lambda m: m["classifiers"][0]["state"].__setitem__("k", 5),
+         r"^model classifier 0: unknown state keys: \['k'\]$"),
+        (lambda m: m["training_sets"][0].__setitem__("w", []),
+         r"^model classifier 1: unknown training set 0 keys: \['w'\]$"),
     ])
     def test_schema_check(self, tmp_path, damage, message):
         e = train(toy_dataset(n=30), SPECS, seed=1, fixed_alpha=1.0, n_folds=3)
@@ -763,6 +777,19 @@ def test_freezing_leaves_the_callers_array_alone(name):
     assert not held(obj).flags.writeable
     array.flat[0] += 1  # the caller's array stays writable ...
     assert np.array_equal(held(obj), before)  # ... and is not the object's
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160])
+def test_overflowing_fit_raises_learner_error(scale):
+    """A fit that overflows runs with warnings off; the non-finite
+    posteriors of its model raise LearnerError, not a RuntimeWarning."""
+    data = generate(GeneratorSpec("twonorm-like", n=60, d=3, seed=1))
+    x = data.features.copy()
+    x[:, 0] *= scale
+    with pytest.raises(learners.LearnerError,
+                       match="^classifier lda gives non-finite posteriors$"):
+        train(Dataset(x, data.labels, data.catalog), default_roster(), 0,
+              grid=training.default_alpha_grid())
 
 
 def test_derive_seed_spreads():
