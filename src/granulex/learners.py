@@ -43,8 +43,11 @@ each state, and `fit` is its one-rest call.  Two kinds fit the rests
 together, bitwise equal to separate fits: logistic-linear steps the weights
 of all rests in one kernel call, and decision-tree and decision-stump grow
 the trees of all rests level by level from one stable sort per feature, in
-groups of at most TREE_BLOCK_CELLS.  The other kinds fit each rest on its
-own rows (`_each_part`).
+groups of at most TREE_BLOCK_CELLS.  A level scores every cut of a feature
+on class-major cumulative counts, one contiguous slab per class, and adds
+the squared class fractions slab by slab in numpy's pairwise order, so
+each Gini impurity is bitwise the sum over its own row.  The other kinds
+fit each rest on its own rows (`_each_part`).
 
 `predict_proba_models` is the prediction counterpart: models of a kind with
 a shared predictor (knn) whose states differ only in their parameters go to
@@ -83,7 +86,10 @@ __all__ = [
 RIDGE_FACTOR = 1e-6     # scatter-matrix regularization, scaled by trace/d
 VARIANCE_FLOOR = 1e-9   # per-feature variance floor in naive Bayes
 KNN_BLOCK_CELLS = 1 << 18  # query rows x training rows x features per knn block
-TREE_BLOCK_CELLS = 1 << 14  # rest rows x (features + classes) per tree group
+# Rest rows x (features + classes) per tree group, the memory bound of one
+# level-wise growth: the 110 rests of a protocol repeat on 150 rows take one
+# or two groups.
+TREE_BLOCK_CELLS = 1 << 16
 SYMMETRY_TOLERANCE = 1e-9  # of a loaded LDA inv_cov, relative to its largest entry
 
 
@@ -378,13 +384,6 @@ def predict_proba_models(
     return out
 
 
-def _present(labels: np.ndarray) -> np.ndarray:
-    present = np.unique(labels)
-    if len(present) < 2:
-        raise LearnerError("need at least two classes present to fit")
-    return present
-
-
 def _fitted(spec, data, present, state) -> FittedClassifier:
     state["present"] = present
     state["n_features"] = data.n_features
@@ -404,17 +403,29 @@ def fit_folds(
 ) -> Iterator[FittedClassifier]:
     """The models `fit(spec, data.subset(r), s)` for r, s in zip(rests,
     seeds), bitwise and in order, each fitted when it is read, so a caller
-    that reads them one at a time holds one at a time.  When the rests are
-    increasing index arrays with the same classes present, as
+    that reads them one at a time holds one at a time.  A rest with fewer
+    than two classes raises LearnerError before any fit.  When the rests
+    are increasing index arrays with the same classes present, as
     cross-validation complements are, the labels are compacted once and the
     kind's fitter reads the rests' rows of data itself; other rests are
     fitted each on its own subset.  Fits run with floating-point warnings
     off, as predictions do: a state that overflows fails as non-finite
     posteriors when it predicts."""
-    presents = [_present(data.labels[r]) for r in rests]
-    if presents and all(np.array_equal(q, presents[0]) and (np.diff(r) > 0).all()
-                        for q, r in zip(presents, rests)):
-        present = presents[0]
+    if not len(rests):
+        return iter(())
+    # One pass over all rests: the classes each holds, and whether each
+    # step within a rest rises (the steps between two rests do not count).
+    sizes = [len(r) for r in rests]
+    flat = np.concatenate(rests)
+    c = data.catalog.size
+    cells = np.repeat(np.arange(len(rests)) * c, sizes) + data.labels[flat]
+    held = np.bincount(cells, minlength=len(rests) * c).reshape(-1, c) > 0
+    if (held.sum(axis=1) < 2).any():
+        raise LearnerError("need at least two classes present to fit")
+    rising = flat[1:] > flat[:-1]
+    rising[np.cumsum(sizes[:-1], dtype=np.intp) - 1] = True
+    if (held == held[0]).all() and rising.all():
+        present = np.flatnonzero(held[0])
         # Compact labels to 0..P-1 over present classes; predict maps them
         # back.  Rows outside every rest may hold an absent class; no fit
         # reads their compact label.
@@ -704,10 +715,14 @@ def _predict_logistic(state, x):
 
 # --- decision tree / stump -------------------------------------------------
 
-def _gini(counts: np.ndarray, total) -> np.ndarray:
-    """Gini impurity of the class counts on the last axis; total > 0."""
+def _gini(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Gini impurity of class-major counts: counts[c] holds class c's count
+    in each of the sets whose sizes total (> 0) holds.  The squared class
+    fractions are added slab by slab (_class_sum), so each impurity is
+    bitwise `1 - (f * f).sum(axis=-1)` of the set's row of fractions."""
     f = counts / total
-    return 1.0 - (f * f).sum(axis=-1)
+    f *= f
+    return 1.0 - _class_sum(f)
 
 
 def _tree_shape(spec) -> tuple[int, int]:
@@ -752,10 +767,12 @@ def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf):
     """The trees of _grow_trees for one group of rests.  A cell is one
     (rest, row) pair; node[c] is the node of this level that cell c is in,
     -1 once its node is a leaf.  For each feature, seqs[j] lists the live
-    cells by (node, rank), and one cumulative class count over it scores
-    every cut of every node of the level.  A level lists its nodes tree by
-    tree, and a split's children are two consecutive nodes of the next
-    level, so each tree's nodes, level by level, are its table."""
+    cells by (node, rank), and one cumulative class count over it, held
+    class-major as (p, cells + 1), scores every cut of every node of the
+    level: _gini adds the p slabs of squared fractions.  A level lists its
+    nodes tree by tree, and a split's children are two consecutive nodes
+    of the next level, so each tree's nodes, level by level, are its
+    table."""
     n, d = x.shape
     row = np.concatenate(rests)
     node = np.repeat(np.arange(len(rests)), [len(r) for r in rests])
@@ -767,13 +784,14 @@ def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf):
     while len(tree):
         m = len(tree)
         live = np.flatnonzero(node >= 0)
-        totals = np.bincount(node[live] * p + label[live],
-                             minlength=m * p).reshape(m, p)
-        sizes = totals.sum(axis=1)
+        # class-major: totals[c, k] is node k's number of class c rows
+        totals = np.bincount(label[live] * m + node[live],
+                             minlength=p * m).reshape(p, m)
+        sizes = totals.sum(axis=0)
         best_imp = np.full(m, np.inf)
         best_feat = np.full(m, -1)
         best_thr = np.zeros(m)
-        growing = ((sizes >= 2 * min_leaf) & ((totals > 0).sum(axis=1) > 1)
+        growing = ((sizes >= 2 * min_leaf) & ((totals > 0).sum(axis=0) > 1)
                    & (depth < max_depth))
         # growing nodes' first positions in a sequence restricted to them
         start = np.cumsum(sizes * growing) - sizes * growing
@@ -788,19 +806,18 @@ def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf):
             if cut.size == 0:
                 continue
             kc = k[cut]
-            # class counts of the sequence's first i rows, cum[i]
-            cum = np.zeros((len(s) + 1, p))
-            cum[np.arange(1, len(s) + 1), label[s]] = 1.0
-            np.cumsum(cum, axis=0, out=cum)
-            left = cum[cut + 1] - cum[start[kc]]
+            # cum[c, i]: the class c rows among the sequence's first i
+            cum = np.zeros((p, len(s) + 1))
+            cum[label[s], np.arange(1, len(s) + 1)] = 1.0
+            np.cumsum(cum, axis=1, out=cum)
+            left = cum[:, cut + 1] - cum[:, start[kc]]
             nl = pos[cut] + 1.0
             nn = sizes[kc]
             nr = nn - nl
-            imp = (nl * _gini(left, nl[:, None])
-                   + nr * _gini(totals[kc] - left, nr[:, None])) / nn
-            first = np.flatnonzero(np.r_[True, kc[1:] != kc[:-1]])
+            imp = (nl * _gini(left, nl) + nr * _gini(totals[:, kc] - left, nr)) / nn
+            first = np.flatnonzero(np.concatenate(([True], kc[1:] != kc[:-1])))
             low = np.minimum.reduceat(imp, first)
-            ties = imp == np.repeat(low, np.diff(np.r_[first, len(kc)]))
+            ties = imp == np.repeat(low, np.diff(first, append=len(kc)))
             at = np.minimum.reduceat(np.where(ties, np.arange(len(kc)), len(kc)),
                                      first)
             nodes = kc[first]
@@ -809,11 +826,11 @@ def _grow_level_wise(x, y, p, ranks, rests, max_depth, min_leaf):
             best_imp[nodes] = low[better]
             best_feat[nodes] = j
             best_thr[nodes] = (xs[g] + xs[g + 1]) / 2.0
-        split = growing & (best_imp < _gini(totals, sizes[:, None]))
+        split = growing & (best_imp < _gini(totals, sizes))
         child = np.full(m, -1)  # a split's left child in the next level
         child[split] = 2 * np.arange(int(split.sum()))
         levels.append((tree, np.where(split, best_feat, -1),
-                       np.where(split, best_thr, 0.0), totals / sizes[:, None],
+                       np.where(split, best_thr, 0.0), (totals / sizes).T,
                        child))
         cells = live[split[node[live]]]
         k = node[cells]
@@ -1068,6 +1085,15 @@ def _array(value, dtype: str, what: str) -> np.ndarray:
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise LearnerError(f"{what} holds a non-finite value")
     return arr
+
+
+def _unnamed_training_sets(training_sets: list) -> list[int]:
+    """The places in a model file's training_sets of the entries that no
+    record read by from_state names.  A record's entry is typed in place,
+    so these are the entries whose arrays are not yet numpy arrays."""
+    return [i for i, entry in enumerate(training_sets)
+            if not (isinstance(entry, dict) and all(
+                isinstance(entry.get(k), np.ndarray) for k in _TRAINING_SET))]
 
 
 def _check_children(children: np.ndarray, feature: np.ndarray, what: str) -> None:

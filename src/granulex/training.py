@@ -8,7 +8,9 @@ posterior profiles of the refitted classifiers, builds per-class
 intervals, and decides by maximum numerical class membership.
 `load_ensemble` reads a model file in one pass: the format version, then
 every top-level key against `MODEL_TYPES`, then
-`FittedClassifier.from_state` on each classifier record.
+`FittedClassifier.from_state` on each classifier record; the learners must
+make a roster `train` accepts (`check_roster`), and every training set must
+be named by a record.
 
 Every fold fit of the package goes through `part_profiles`, one
 `fit_folds` call per learner, over parts that `fold_parts` lists: the
@@ -42,6 +44,7 @@ from .learners import (
     FittedClassifier,
     LearnerError,
     LearnerSpec,
+    _unnamed_training_sets,
     check_roster,
     fit,
     fit_folds,
@@ -438,8 +441,7 @@ MODEL_TYPES = {
         lambda v: _is_list(v) and all(
             _is_list(e) and len(e) == 2 and all(map(_is_number, e)) for e in v)),
     "training_sets": ("a list", _is_list),
-    "classifiers": ("a list of at least two classifiers",
-                    lambda v: _is_list(v) and len(v) >= 2),
+    "classifiers": ("a list", _is_list),
 }
 
 
@@ -462,6 +464,11 @@ def load_ensemble(path) -> TrainedEnsemble:
                 c, catalog, payload["n_features"], payload["training_sets"]))
         except LearnerError as exc:
             raise TrainingError(f"model classifier {j}: {exc}") from None
+    check_roster((c.spec for c in classifiers), TrainingError)
+    unnamed = _unnamed_training_sets(payload["training_sets"])
+    if unnamed:
+        raise TrainingError(
+            f"model training set {unnamed[0]} is named by no classifier")
     return TrainedEnsemble(
         classifiers=tuple(classifiers),
         alpha=float(payload["alpha"]),

@@ -439,7 +439,11 @@ class TestErrorPaths:
         (lambda m: m.__setitem__("catalog", ["x"]), "catalog"),
         (lambda m: m["classifiers"][1]["state"].pop("means"), "means"),
         (lambda m: m.__setitem__("classifiers", []),
-         "list of at least two classifiers, got []"),
+         "need at least two base learners"),
+        (lambda m: m["classifiers"].__setitem__(1, m["classifiers"][0]),
+         "learner 'nearest-mean' appears twice"),
+        (lambda m: m["training_sets"].append({"x": "junk"}),
+         "model training set 0 is named by no"),
     ])
     def test_damaged_model_exits_1(self, tmp_path, capsys, damage, message):
         data_csv = tmp_path / "train.csv"

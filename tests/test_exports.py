@@ -20,7 +20,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 # membership and alpha-curve wrappers over the granular combiner's
 # bounds, de-granulation and error-curve entries; and the JSON object and
 # number checks that metadata's `_check_object`, `_is_int` and `_is_number`
-# replaced.
+# replaced; and the per-rest class check that fit_folds' one pass over all
+# rests replaced.
 RETIRED = {
     "_FITTERS",
     "_PREDICTORS",
@@ -54,6 +55,7 @@ RETIRED = {
     "_is_str",
     "_is_names",
     "_check_ensemble",
+    "_present",
 }
 
 # Module attributes the bench tracer replaces by name.

@@ -326,6 +326,22 @@ def _reference_gini(counts):
     return 1.0 - float((f * f).sum())
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 8, 9, 16, 17, 130])
+def test_gini_of_class_slabs_is_the_row_sum_bitwise(p):
+    """_gini adds the squared class fractions slab by slab, bitwise as
+    `(f * f).sum(axis=-1)` adds each set's row of them: in sequence below
+    8 classes, in eight partial sums from 8, in halves above 128."""
+    rng = np.random.default_rng(p)
+    counts = rng.integers(0, 50, size=(500, p)).astype(np.float64)
+    counts[:, 0] += 1  # no set is empty
+    total = counts.sum(axis=1)
+    f = counts / total[:, None]
+    want = 1.0 - (f * f).sum(axis=-1)
+    got = learners._gini(np.ascontiguousarray(counts.T), total)
+    assert np.array_equal(got, want)
+    assert [1.0 - float((row * row).sum()) for row in f] == want.tolist()
+
+
 def _reference_best_split(x, y, p, min_leaf):
     """The scalar definition of the split search: one position at a time."""
     n, d = x.shape
@@ -465,6 +481,19 @@ def _spy_tree_calls(monkeypatch):
     return calls
 
 
+def _spy_tree_groups(monkeypatch):
+    """The number of rests of every _grow_level_wise call (tree group)."""
+    groups = []
+    real = learners._grow_level_wise
+
+    def spy(x, y, p, ranks, group, *rest):
+        groups.append(len(group))
+        return real(x, y, p, ranks, group, *rest)
+
+    monkeypatch.setattr(learners, "_grow_level_wise", spy)
+    return groups
+
+
 def _tree_parts_case(rng, p, parts, n_max):
     """A data set of p classes and `parts` increasing rests of about 80%
     of its rows, each holding every class."""
@@ -511,14 +540,7 @@ def test_tree_groups_stay_within_the_cell_budget(monkeypatch):
     rests = [np.sort(rng.choice(150, size=120, replace=False)) for _ in range(9)]
     spec = LearnerSpec("decision-tree", {"max_depth": 20, "min_leaf": 1})
     whole = list(fit_folds(spec, data, rests, range(9)))
-    groups = []
-    real = learners._grow_level_wise
-
-    def spy(x, y, p, ranks, group, *rest):
-        groups.append(len(group))
-        return real(x, y, p, ranks, group, *rest)
-
-    monkeypatch.setattr(learners, "_grow_level_wise", spy)
+    groups = _spy_tree_groups(monkeypatch)
     monkeypatch.setattr(learners, "TREE_BLOCK_CELLS", 3 * 120 * (6 + 2))
     grouped = list(fit_folds(spec, data, rests, range(9)))
     assert groups == [3, 3, 3]
@@ -526,17 +548,24 @@ def test_tree_groups_stay_within_the_cell_budget(monkeypatch):
             == [_nested_tree(m.state) for m in whole])
 
 
-@pytest.mark.parametrize("fault", ["absent-class", "not-increasing"])
+@pytest.mark.parametrize("fault", ["absent-class", "not-increasing",
+                                   "falls-at-first-pair", "repeated-index"])
 def test_tree_parts_outside_the_guard_fit_one_by_one(fault, monkeypatch):
     """A rest missing a class, or not increasing, sends every rest to the
-    one-rest fit, and each tree is still the oracle's."""
+    one-rest fit, and each tree is still the oracle's.  The one pass over
+    all rests skips only the step from one rest to the next, so a rest
+    that falls only at its first pair, right after that step, is caught."""
     data = load_bundled("rings")
     rng = np.random.default_rng(9)
     rests = [np.sort(rng.choice(150, size=100, replace=False)) for _ in range(3)]
     if fault == "absent-class":
         rests.append(np.flatnonzero(data.labels != 0))
-    else:
+    elif fault == "not-increasing":
         rests.append(rests[0][::-1])
+    elif fault == "falls-at-first-pair":
+        rests.append(rests[0][[1, 0, *range(2, 100)]])
+    else:
+        rests.append(np.sort(np.r_[rests[0], rests[0][5]]))
     calls = _spy_tree_calls(monkeypatch)
     models = list(fit_folds(LearnerSpec("decision-tree"), data, rests, range(4)))
     assert calls == [1, 1, 1, 1]
@@ -546,6 +575,78 @@ def test_tree_parts_outside_the_guard_fit_one_by_one(fault, monkeypatch):
         y = np.searchsorted(present, part.labels)
         assert _nested_tree(model.state) == _reference_grow_tree(
             part.features, y, len(present), 0, 12, 2)
+
+
+@pytest.mark.parametrize("p", [8, 9, 17])
+def test_trees_of_eight_classes_or_more_match_reference(p, monkeypatch):
+    """From 8 classes on, _gini adds the squared fractions in eight
+    partial sums, as numpy's pairwise sum does; each tree is still the
+    oracle's, whether its rests are grown in one group or in several."""
+    rng = np.random.default_rng(8000 + p)
+    data, rests = _tree_parts_case(rng, p, 6, 150)
+    groups = _spy_tree_groups(monkeypatch)
+    cells = sum(len(r) for r in rests) * (data.n_features + p)
+    for spec in (LearnerSpec("decision-tree", {"max_depth": 20, "min_leaf": 1}),
+                 LearnerSpec("decision-tree"), LearnerSpec("decision-stump")):
+        shape = learners._tree_shape(spec)
+        expected = [_reference_grow_tree(data.features[r], data.labels[r], p, 0,
+                                         *shape) for r in rests]
+        for budget in (cells, cells // 3):
+            monkeypatch.setattr(learners, "TREE_BLOCK_CELLS", budget)
+            del groups[:]
+            models = list(fit_folds(spec, data, rests, range(len(rests))))
+            assert sum(groups) == len(rests)
+            assert (len(groups) == 1) == (budget == cells)
+            assert [_nested_tree(m.state) for m in models] == expected
+
+
+# (left class counts, right class counts, two classes of equal totals):
+# swapping the two classes' left and right counts leaves the weighted Gini
+# of the cut equal as a real number, but not as rounded; the sequential
+# and the pairwise sum of the squared fractions order the two differently.
+ROUNDING_TIES = {
+    8: ([4, 5, 3, 1, 4, 3, 2, 5], [2, 2, 4, 1, 5, 3, 4, 1], (7, 0)),
+    9: ([2, 0, 2, 1, 0, 0, 5, 4, 4], [5, 4, 5, 3, 2, 5, 5, 0, 5], (1, 7)),
+    17: ([1, 3, 3, 3, 0, 4, 4, 5, 4, 4, 3, 2, 2, 1, 1, 1, 4],
+         [3, 0, 5, 0, 4, 0, 4, 1, 0, 4, 3, 4, 5, 5, 2, 2, 0], (0, 5)),
+}
+
+
+@pytest.mark.parametrize("p", ROUNDING_TIES)
+def test_trees_settle_rounding_ties_as_the_oracle(p):
+    """Two binary features, one cut each: feature 0 puts the left counts
+    below its cut, feature 1 the same counts with two classes swapped.
+    Which cut is lower rests on the last bit of the impurities, so the tree
+    is the oracle's only if its class sum adds in numpy's pairwise order."""
+    left, right, (a, b) = (np.array(v) for v in ROUNDING_TIES[p])
+    swap = np.arange(p)
+    swap[[a, b]] = b, a
+    y = np.repeat(np.arange(p), left + right)
+    x = np.ones((len(y), 2))
+    for c in range(p):
+        rows = np.flatnonzero(y == c)
+        x[rows[:left[c]], 0] = 0.0
+        x[rows[:left[swap[c]]], 1] = 0.0
+    data = Dataset(x, y, ClassCatalog(tuple(f"c{c}" for c in range(p))))
+    for spec in (LearnerSpec("decision-stump"), LearnerSpec("decision-tree")):
+        shape = learners._tree_shape(spec)
+        (model,) = fit_folds(spec, data, [np.arange(len(y))], [0])
+        assert _nested_tree(model.state) == _reference_grow_tree(x, y, p, 0, *shape)
+
+
+@pytest.mark.parametrize("fault", ["empty", "one-class"])
+@pytest.mark.parametrize("at", [0, 2])
+def test_a_rest_of_fewer_than_two_classes_fails_before_any_fit(fault, at,
+                                                              monkeypatch):
+    data = load_bundled("rings")
+    rests = [np.arange(0, 150, 2), np.arange(1, 150, 2), np.arange(150)]
+    rests[at] = (np.array([], dtype=np.int64) if fault == "empty"
+                 else np.flatnonzero(data.labels == 1))
+    calls = _spy_tree_calls(monkeypatch)
+    with pytest.raises(LearnerError,
+                       match="^need at least two classes present to fit$"):
+        fit_folds(LearnerSpec("decision-tree"), data, rests, range(3))
+    assert calls == []
 
 
 def _rows_on_thresholds(tree, x):

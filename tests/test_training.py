@@ -640,9 +640,16 @@ class TestSerialization:
          "classifier 0: record must be a JSON object"),
         (lambda m: m.__setitem__("classifiers", {}), "must be a list"),
         (lambda m: m.__setitem__("classifiers", []),
-         r"'classifiers' must be a list of at least two classifiers, got \[\]"),
+         "^need at least two base learners$"),
         (lambda m: m.__setitem__("classifiers", m["classifiers"][:1]),
-         "at least two classifiers"),
+         "need at least two base learners"),
+        # The roster check of train, and every training set named.
+        (lambda m: m["classifiers"].__setitem__(2, m["classifiers"][0]),
+         r"^learner 'nearest-mean' appears twice in the roster$"),
+        (lambda m: m["training_sets"].append({"x": "junk"}),
+         r"^model training set 1 is named by no classifier$"),
+        (lambda m: m["training_sets"].insert(0, m["training_sets"][0]),
+         "training set 1 is named by no classifier"),
         (lambda m: m.__setitem__("alpha", None), "model key 'alpha' must be"),
         (lambda m: m.__setitem__("alpha", "1.0"), "model key 'alpha' must be"),
         (lambda m: m.__setitem__("alpha", True), "model key 'alpha' must be"),
