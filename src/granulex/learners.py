@@ -26,9 +26,11 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
 Classes absent from the fitted data always receive posterior 0.
 
 Each kind is one entry of `_KINDS`: fitter, predictor, the layout (dtype
-and shape of each value) of the state the predictor reads, the defaults of
-every parameter the fitter reads, and any shared predictor.  A state is
-arrays and integers; a tree's is one table with a row per node.
+and shape of each array) of the state the predictor reads, and the
+defaults of every parameter the fitter or the predictor reads.  A state is
+exactly its layout's arrays: a tree's is one table with a row per node, a
+knn's its training set; a knn's k is in the spec's params.  The present
+classes and the feature count are the model's own attributes.
 `LearnerSpec` rejects other parameters and types each by its default: an
 int >= 1, or a finite real > 0.  `FittedClassifier.from_state` reads the
 record `to_state` writes, checks its keys and its state against the layout,
@@ -49,10 +51,11 @@ the squared class fractions slab by slab in numpy's pairwise order, so
 each Gini impurity is bitwise the sum over its own row.  The other kinds
 fit each rest on its own rows (`_each_part`).
 
-`predict_proba_models` is the prediction counterpart: models of a kind with
-a shared predictor (knn) whose states differ only in their parameters go to
-one call of it, bitwise equal to separate `predict_proba_batch` calls; the
-kind's own predictor is the one-state call of that kernel.
+A kind has one predictor, over models: it returns one raw posterior array
+per model.  knn predicts its models from one neighbour search, the other
+kinds each model on its own (`_each_model`).  `predict_proba_models`
+sends the models of one `shared_key` (knn models on one training set) to
+one predictor call, bitwise equal to separate `predict_proba_batch` calls.
 """
 
 from __future__ import annotations
@@ -250,29 +253,31 @@ def _scatter_ridge(sw: np.ndarray, d: int) -> np.ndarray:
 
 
 class FittedClassifier:
-    """A fitted base classifier: its spec, catalog and state."""
+    """A fitted base classifier: its spec, catalog, present classes
+    (catalog indices), feature count and state, its kind's layout arrays."""
 
     def __init__(self, spec: LearnerSpec, catalog: ClassCatalog,
-                 state: dict[str, Any]) -> None:
+                 present: np.ndarray, n_features: int,
+                 state: dict[str, np.ndarray]) -> None:
         self.spec = spec
         self.catalog = catalog
+        self.present = present
+        self.n_features = n_features
         self.state = state
-
-    @property
-    def n_features(self) -> int:
-        return int(self.state["n_features"])
 
     @cached_property
     def shared_key(self) -> bytes | None:
-        """For a kind with a shared predictor, a digest of the kind and of
-        every state value but the spec's parameters: models with equal keys
-        (knn models on the same training rows, any k) share one predictor
-        call.  None for other kinds.  Taken once per model, never saved."""
-        if _KINDS[self.spec.kind].predict_shared is None:
+        """For a kind whose layout holds a training set, a digest of the
+        kind, the present classes and the training set's arrays: models
+        with equal keys (knn models on the same training rows, any k) share
+        one predictor call.  None for other kinds.  Taken once per model,
+        never saved."""
+        if _TRAINING_SET not in _KINDS[self.spec.kind].state.values():
             return None
         h = hashlib.sha256(self.spec.kind.encode())
-        for key in sorted(set(self.state) - set(self.spec.params)):
-            value = np.ascontiguousarray(self.state[key])
+        for key, value in [("present", self.present),
+                           *((k, self.state[k]) for k in _TRAINING_SET)]:
+            value = np.ascontiguousarray(value)
             h.update(f";{key}:{value.dtype.str}:{value.shape}:".encode())
             h.update(value)
         return h.digest()
@@ -291,7 +296,7 @@ class FittedClassifier:
         catalog.  Raises LearnerError naming the classifier when a score is
         not finite, as an extreme model state can make it: a row sum is
         finite only if each of its terms is."""
-        present = np.asarray(self.state["present"], dtype=np.int64)
+        present = self.present
         if len(present) == self.catalog.size:
             out = raw  # every class present: raw is in catalog order
         else:
@@ -317,14 +322,14 @@ class FittedClassifier:
         """The classifier's JSON record, each state array a nested list.
         Its training set goes into training_sets once per shared_key, and
         the record names it by its place there."""
-        state = {"present": self.state["present"].tolist()}
+        state = {"present": self.present.tolist()}
         for key, layout in _KINDS[self.spec.kind].state.items():
             if layout is _TRAINING_SET:
                 if self.shared_key not in training_sets:
                     training_sets[self.shared_key] = {
                         k: self.state[k].tolist() for k in layout}
                 state[key] = list(training_sets).index(self.shared_key)
-            elif not isinstance(layout, str):
+            else:
                 state[key] = self.state[key].tolist()
         return {"kind": self.spec.kind, "params": self.spec.params, "state": state}
 
@@ -339,16 +344,17 @@ class FittedClassifier:
         state missing or unknown, or a value of the wrong type, range or shape."""
         _check_object(payload, _RECORD, "record", LearnerError, required=_RECORD)
         spec = LearnerSpec(payload["kind"], payload["params"])
-        return cls(spec, catalog, _decode_state(
-            spec, catalog.size, n_features, payload["state"], training_sets))
+        present, state = _decode_state(
+            spec, catalog.size, n_features, payload["state"], training_sets)
+        return cls(spec, catalog, present, n_features, state)
 
 
 @np.errstate(all="ignore")
 def _posteriors(models: Sequence[FittedClassifier], x) -> list[np.ndarray]:
     """Catalog posteriors of each of models on the rows of x, from one
-    predictor call: models is one model, or models of one shared_key.
-    Scores are computed with floating-point warnings off; a non-finite
-    result raises instead."""
+    call of their kind's predictor: models is one model, or models of one
+    shared_key.  Scores are computed with floating-point warnings off; a
+    non-finite result raises instead."""
     first = models[0]
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != first.n_features:
@@ -357,10 +363,7 @@ def _posteriors(models: Sequence[FittedClassifier], x) -> list[np.ndarray]:
         )
     if not np.isfinite(x).all():
         raise LearnerError("non-finite query features")
-    kind = _KINDS[first.spec.kind]
-    if len(models) == 1:
-        return [first._to_catalog(kind.predict(first.state, x))]
-    raws = kind.predict_shared([m.state for m in models], x)
+    raws = _KINDS[first.spec.kind].predict(models, x)
     return [m._to_catalog(raw) for m, raw in zip(models, raws)]
 
 
@@ -368,9 +371,8 @@ def predict_proba_models(
     models: Sequence[FittedClassifier], x: np.ndarray
 ) -> list[np.ndarray]:
     """`[m.predict_proba_batch(x) for m in models]`, bitwise.  The models
-    that share a `shared_key` go to one call of their kind's shared
-    predictor: the knn models on one training set share one neighbour
-    search."""
+    that share a `shared_key` go to one call of their kind's predictor: the
+    knn models on one training set share one neighbour search."""
     out: list = [None] * len(models)
     groups: dict[bytes, list[int]] = {}
     for j, model in enumerate(models):
@@ -382,12 +384,6 @@ def predict_proba_models(
         for j, post in zip(group, _posteriors([models[j] for j in group], x)):
             out[j] = post
     return out
-
-
-def _fitted(spec, data, present, state) -> FittedClassifier:
-    state["present"] = present
-    state["n_features"] = data.n_features
-    return FittedClassifier(spec, data.catalog, state)
 
 
 def fit(spec: LearnerSpec, data: Dataset, seed: int) -> FittedClassifier:
@@ -403,8 +399,9 @@ def fit_folds(
 ) -> Iterator[FittedClassifier]:
     """The models `fit(spec, data.subset(r), s)` for r, s in zip(rests,
     seeds), bitwise and in order, each fitted when it is read, so a caller
-    that reads them one at a time holds one at a time.  A rest with fewer
-    than two classes raises LearnerError before any fit.  When the rests
+    that reads them one at a time holds one at a time.  A rest that is not
+    an integer array of rows of data, or that holds fewer than two classes,
+    raises LearnerError before any fit.  When the rests
     are increasing index arrays with the same classes present, as
     cross-validation complements are, the labels are compacted once and the
     kind's fitter reads the rests' rows of data itself; other rests are
@@ -413,10 +410,15 @@ def fit_folds(
     posteriors when it predicts."""
     if not len(rests):
         return iter(())
-    # One pass over all rests: the classes each holds, and whether each
-    # step within a rest rises (the steps between two rests do not count).
+    # One pass over all rests: their rows in range, the classes each holds,
+    # and whether each step within a rest rises (the steps between two
+    # rests do not count).
     sizes = [len(r) for r in rests]
     flat = np.concatenate(rests)
+    n = data.n_observations
+    if flat.dtype.kind not in "iu" or not (
+            flat.min(initial=0) >= 0 and flat.max(initial=-1) < n):
+        raise LearnerError(f"rests must be integer arrays of rows in [0, {n})")
     c = data.catalog.size
     cells = np.repeat(np.arange(len(rests)) * c, sizes) + data.labels[flat]
     held = np.bincount(cells, minlength=len(rests) * c).reshape(-1, c) > 0
@@ -434,7 +436,8 @@ def fit_folds(
         quiet = np.errstate(all="ignore")
         states = iter(quiet(_KINDS[spec.kind].fit)(
             spec, data.features, compact, len(present), rests, seeds))
-        return (_fitted(spec, data, present, quiet(next)(states)) for _ in rests)
+        return (FittedClassifier(spec, data.catalog, present, data.n_features,
+                                 quiet(next)(states)) for _ in rests)
     return (fit(spec, data.subset(r), s) for r, s in zip(rests, seeds))
 
 
@@ -446,29 +449,31 @@ def _each_part(fit_one):
     return fit_parts
 
 
+def _each_model(predict_one):
+    """A kind's predictor from its one-state predictor (state, x) -> raw
+    posteriors: each model predicted on its own."""
+    def predict_models(models, x):
+        return [predict_one(m.state, x) for m in models]
+    return predict_models
+
+
 # --- knn ---------------------------------------------------------------
 
 def _fit_knn(spec, x, y, p, seed):
-    return {"x": x, "y": y, "k": int(spec.params["k"])}
+    return {"x": x, "y": y}
 
 
-def _predict_knn(state, x):
-    """Vote fractions over the query rows: the one-state call of
-    _predict_knn_shared."""
-    return _predict_knn_shared([state], x)[0]
-
-
-def _predict_knn_shared(states, x):
-    """Vote fractions of each state's k nearest training rows, for states
-    that differ only in k: one neighbour search per block of query rows
+def _predict_knn(models, x):
+    """Vote fractions of each model's k nearest training rows, for models
+    of one shared_key: one neighbour search per block of query rows
     (_knn_votes) serves every k.  A block holds at most KNN_BLOCK_CELLS
     distance terms, so memory is flat in the number of rows; the budget is
     kept small so that a block's arrays stay near cache size rather than
     being mapped and faulted in afresh on every call.  Each row's votes
     depend on that row alone, so the block size never changes a bit of
     the output."""
-    xt, yt, p = states[0]["x"], states[0]["y"], len(states[0]["present"])
-    ks = [min(int(s["k"]), xt.shape[0]) for s in states]
+    xt, yt, p = models[0].state["x"], models[0].state["y"], len(models[0].present)
+    ks = [min(int(m.spec.params["k"]), xt.shape[0]) for m in models]
     rows = max(1, KNN_BLOCK_CELLS // max(1, xt.size))
     counts = np.empty((len(ks), x.shape[0], p), dtype=np.int64)
     for lo in range(0, x.shape[0], rows):
@@ -1001,12 +1006,11 @@ def _fit_perceptron(spec, x, y, p, seed):
 class _Kind(NamedTuple):
     # (spec, x, compact labels, n present, rests, seeds) -> one state per rest
     fit: Callable
-    predict: Callable    # (state, x) -> (n, n present) posteriors
+    # (models, x) -> one (n, n present) posterior array per model, for one
+    # model or the models of one shared_key
+    predict: Callable
     state: dict[str, Any]  # key -> layout, as _decode_state reads it
-    defaults: dict[str, int | float]
-    # (states, x) -> one posterior array per state, for states that differ
-    # only in the spec's parameters; predict is its one-state call
-    predict_shared: Callable | None = None
+    defaults: dict[str, int | float]  # every parameter fit or predict reads
 
 
 # State layouts, in p (present classes), d (features), and n (training
@@ -1016,9 +1020,8 @@ class _Kind(NamedTuple):
 # positive definite one; int64 arrays of (_LABEL, n) present
 # class indices 0..p-1, (_FEATURE, nodes) feature indices, -1 at a leaf,
 # and (_CHILDREN, nodes, 2) child pairs as _check_children wants them;
-# _TRAINING_SET, the index of an entry of the model file's training_sets,
-# whose arrays join the state; and a parameter name, that parameter of the
-# spec, which the record holds in its params alone.
+# and _TRAINING_SET, the index of an entry of the model file's
+# training_sets, whose arrays join the state.
 _F, _POSITIVE, _NONNEGATIVE, _SPD, _LABEL, _FEATURE, _CHILDREN = (
     "float64", "positive", "nonnegative", "spd", "label", "feature", "children")
 _TRAINING_SET = {"x": (_F, "n", "d"), "y": (_LABEL, "n")}
@@ -1029,30 +1032,31 @@ _TREE_STATE = {"feature": (_FEATURE, "nodes"), "threshold": (_F, "nodes"),
 
 _KINDS = {
     "knn": _Kind(_each_part(_fit_knn), _predict_knn,
-                 {"training_set": _TRAINING_SET, "k": "k"},
-                 {"k": 5}, predict_shared=_predict_knn_shared),
+                 {"training_set": _TRAINING_SET}, {"k": 5}),
     "gaussian-naive-bayes": _Kind(
-        _each_part(_fit_gnb), _predict_gnb,
+        _each_part(_fit_gnb), _each_model(_predict_gnb),
         {"theta": (_F, "p", "d"), "var": (_POSITIVE, "p", "d"),
          "log_priors": (_F, "p")},
         {}),
     "lda": _Kind(
-        _each_part(_fit_lda), _predict_lda,
+        _each_part(_fit_lda), _each_model(_predict_lda),
         {"means": (_F, "p", "d"), "inv_cov": (_SPD, "d", "d"),
          "log_priors": (_F, "p")},
         {}),
-    "fisher": _Kind(_each_part(_fit_fisher), _predict_ovr_logistic, _OVR, {}),
+    "fisher": _Kind(_each_part(_fit_fisher), _each_model(_predict_ovr_logistic),
+                    _OVR, {}),
     "logistic-linear": _Kind(
-        _fit_logistic, _predict_logistic, {"w": (_F, "d+1", "p")},
+        _fit_logistic, _each_model(_predict_logistic), {"w": (_F, "d+1", "p")},
         {"iterations": 500, "rate": 0.1}),
     "decision-tree": _Kind(
-        _fit_tree, _predict_tree, _TREE_STATE, {"max_depth": 12, "min_leaf": 2}),
-    "decision-stump": _Kind(_fit_tree, _predict_tree, _TREE_STATE, {}),
+        _fit_tree, _each_model(_predict_tree), _TREE_STATE,
+        {"max_depth": 12, "min_leaf": 2}),
+    "decision-stump": _Kind(_fit_tree, _each_model(_predict_tree), _TREE_STATE, {}),
     "nearest-mean": _Kind(
-        _each_part(_fit_nearest_mean), _predict_nearest_mean,
+        _each_part(_fit_nearest_mean), _each_model(_predict_nearest_mean),
         {"means": (_F, "p", "d")}, {}),
     "perceptron": _Kind(
-        _each_part(_fit_perceptron), _predict_ovr_logistic, _OVR,
+        _each_part(_fit_perceptron), _each_model(_predict_ovr_logistic), _OVR,
         {"iterations": 100, "rate": 0.1}),
 }
 
@@ -1122,12 +1126,12 @@ def _check_spd(a: np.ndarray, what: str) -> None:
 
 
 def _decode_state(spec: LearnerSpec, n_classes: int, d: int, state,
-                  training_sets: list) -> dict[str, Any]:
-    """A fitted state from its JSON form, every value checked against the
-    kind's layout: the predictor can use it and its shapes agree."""
+                  training_sets: list) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The present classes and the fitted state from their JSON form,
+    every value checked against the kind's layout: the predictor can use
+    them and their shapes agree."""
     layouts = _KINDS[spec.kind].state
-    written = ["present", *(key for key, layout in layouts.items()
-                            if not isinstance(layout, str))]
+    written = ["present", *layouts]
     _check_object(state, dict.fromkeys(written), "state", LearnerError,
                   required=written)
     present = _array(state["present"], _LABEL, "state 'present'")
@@ -1139,11 +1143,8 @@ def _decode_state(spec: LearnerSpec, n_classes: int, d: int, state,
         )
     p = len(present)
     sizes = {"p": p, "d": d, "d+1": d + 1, "2": 2}
-    out: dict[str, Any] = {"present": present, "n_features": d}
+    out: dict[str, np.ndarray] = {}
     for key, layout in layouts.items():
-        if isinstance(layout, str):
-            out[key] = spec.params[layout]
-            continue
         value, what = state[key], f"state {key!r}"
         if layout is _TRAINING_SET:
             if not (_is_int(value) and 0 <= value < len(training_sets)):
@@ -1184,4 +1185,4 @@ def _decode_state(spec: LearnerSpec, n_classes: int, d: int, state,
             if dtype == _SPD:
                 _check_spd(arr, what)
             out[name] = arr
-    return out
+    return present, out

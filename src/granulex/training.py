@@ -6,11 +6,12 @@ training-set error of the granular combiner, then refit all base
 classifiers on the full training set.  Prediction stacks the (n, K, M)
 posterior profiles of the refitted classifiers, builds per-class
 intervals, and decides by maximum numerical class membership.
-`load_ensemble` reads a model file in one pass: the format version, then
-every top-level key against `MODEL_TYPES`, then
+`load_ensemble` reads a model file and checks its payload in one pass: the
+format version, then every top-level key against `MODEL_TYPES`, then
 `FittedClassifier.from_state` on each classifier record; the learners must
 make a roster `train` accepts (`check_roster`), and every training set must
-be named by a record.
+be named by a record.  `save_ensemble` runs the same check on the payload
+it writes before it opens the file, so it writes only what load accepts.
 
 Every fold fit of the package goes through `part_profiles`, one
 `fit_folds` call per learner, over parts that `fold_parts` lists: the
@@ -125,7 +126,14 @@ class FoldPlan:
     n_folds: int
 
     def __post_init__(self) -> None:
-        a = np.array(self.assignments, dtype=np.int64)
+        if self.n_folds < 2:
+            raise TrainingError(f"need at least 2 folds, got {self.n_folds}")
+        a = np.array(self.assignments)
+        if (a.dtype.kind not in "iu" or a.ndim != 1
+                or ((a < 0) | (a >= self.n_folds)).any()):
+            raise TrainingError(f"fold assignments must be a list of integer "
+                                f"folds in [0, {self.n_folds})")
+        a = a.astype(np.int64, copy=False)
         a.setflags(write=False)
         object.__setattr__(self, "assignments", a)
 
@@ -214,7 +222,11 @@ def generate_meta_cv(
     """Meta-data of the training set: each fold's profiles come from the
     models `part_profiles` fits on the parts `fold_parts` lists, learner j
     of fold t with seed derive_seed(seed, t, j).  Raises TrainingError when
-    a class is absent from a complement."""
+    a class is absent from a complement or the plan does not split the
+    data's rows."""
+    if len(plan.assignments) != data.n_observations:
+        raise TrainingError(f"the fold plan splits {len(plan.assignments)} "
+                            f"rows, the data has {data.n_observations}")
     rests, seeds, queries = fold_parts(plan, seed, np.arange(data.n_observations))
     for t, rest in enumerate(rests):
         absent = np.bincount(data.labels[rest], minlength=data.catalog.size) == 0
@@ -407,6 +419,11 @@ def predict_batch(ensemble: TrainedEnsemble, x: np.ndarray) -> PredictionBatch:
 
 
 def save_ensemble(path, ensemble: TrainedEnsemble) -> None:
+    """Write ensemble to the model file at path.  The payload, as
+    load_ensemble reads it back, gets load_ensemble's check first: a model
+    it would refuse, such as one whose fit overflowed to a non-finite
+    state, raises TrainingError naming the classifier, and no file is
+    written."""
     training_sets: dict[bytes, dict] = {}
     classifiers = [c.to_state(training_sets) for c in ensemble.classifiers]
     payload = {
@@ -419,8 +436,13 @@ def save_ensemble(path, ensemble: TrainedEnsemble) -> None:
         "training_sets": list(training_sets.values()),
         "classifiers": classifiers,
     }
+    text = json.dumps(payload, indent=1)
+    try:
+        _checked_ensemble(json.loads(text))
+    except TrainingError as exc:
+        raise TrainingError(f"{path} not written: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(text)
 
 
 def _is_list(value) -> bool:
@@ -446,7 +468,12 @@ MODEL_TYPES = {
 
 
 def load_ensemble(path) -> TrainedEnsemble:
-    payload = _read_json(path, "model file", TrainingError)
+    return _checked_ensemble(_read_json(path, "model file", TrainingError))
+
+
+def _checked_ensemble(payload) -> TrainedEnsemble:
+    """The ensemble of a model file's JSON payload; raises TrainingError on
+    any payload that load_ensemble must refuse."""
     if isinstance(payload, dict):  # a file of another version fails on that alone
         version = payload.get("format_version")
         if not (_is_int(version) and version == ENSEMBLE_FORMAT_VERSION):

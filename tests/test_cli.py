@@ -1023,7 +1023,9 @@ def test_overflowing_fit_exits_1(tmp_path, capsys, scale, learners):
     """Finite features whose squares overflow: the fits run with warnings
     off, as predictions do, so train prints one error line, naming the
     first classifier whose posteriors are non-finite, and no warning (the
-    suite turns a warning into a failure)."""
+    suite turns a warning into a failure).  With --alpha nothing predicts
+    before the save, which names the first classifier whose state a load
+    would refuse.  Neither writes a model file."""
     data = generate(GeneratorSpec("twonorm-like", n=60, d=3, seed=1))
     path = tmp_path / "big.csv"
     with open(path, "w", newline="") as fh:
@@ -1032,11 +1034,18 @@ def test_overflowing_fit_exits_1(tmp_path, capsys, scale, learners):
         for row, lab in zip(data.features, data.labels):
             writer.writerow([f"{v:.17g}" for v in row * [scale, 1, 1]]
                             + [data.catalog.labels[lab]])
-    argv = ["train", "--data", str(path), "--output", str(tmp_path / "m.json")]
+    model = tmp_path / "m.json"
+    argv = ["train", "--data", str(path), "--output", str(model)]
+    argv += ["--learners", learners] if learners else []
     capsys.readouterr()
-    assert main(argv + (["--learners", learners] if learners else [])) == 1
+    assert main(argv) == 1
     assert capsys.readouterr().err == (
         "error: classifier lda gives non-finite posteriors\n")
+    assert main(argv + ["--alpha", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model} not written: model classifier 0: state 'inv_cov' "
+        f"holds a non-finite value\n")
+    assert not model.exists()
 
 
 # --- one reader of the settings ----------------------------------------------

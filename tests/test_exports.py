@@ -21,7 +21,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 # bounds, de-granulation and error-curve entries; and the JSON object and
 # number checks that metadata's `_check_object`, `_is_int` and `_is_number`
 # replaced; and the per-rest class check that fit_folds' one pass over all
-# rests replaced.
+# rests replaced; and knn's shared predictor and the state wrapper that
+# each kind's one predictor over models and the model's own `present` and
+# `n_features` replaced.
 RETIRED = {
     "_FITTERS",
     "_PREDICTORS",
@@ -56,6 +58,8 @@ RETIRED = {
     "_is_names",
     "_check_ensemble",
     "_present",
+    "_predict_knn_shared",
+    "_fitted",
 }
 
 # Module attributes the bench tracer replaces by name.

@@ -100,12 +100,13 @@ class _ReadKeys(dict):
 
 @pytest.mark.parametrize("kind", list(learners._KINDS))
 def test_fitter_reads_every_default(kind):
-    """The defaults name every parameter the fitter reads, and only those."""
+    """A fit and one predict read every default, and only the defaults:
+    a knn reads its k when it predicts."""
     spec = LearnerSpec(kind)
     recorder = _ReadKeys(spec.params)
     object.__setattr__(spec, "params", recorder)
     data = toy([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
-    fit(spec, data, 0)
+    fit(spec, data, 0).predict_proba_batch(data.features)
     assert recorder.read == set(learners._KINDS[kind].defaults)
 
 
@@ -262,6 +263,26 @@ def test_state_round_trip(spec):
     assert np.array_equal(
         model.predict_proba_batch(q), clone.predict_proba_batch(q)
     )
+
+
+@pytest.mark.parametrize("spec", extended_roster(), ids=lambda s: s.name)
+def test_state_is_exactly_the_layout_arrays(spec):
+    """A fitted model's state and its save/load copy's hold the arrays of
+    the kind's layout and nothing else: a knn's training set, not its k.
+    The present classes and the feature count are attributes."""
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 3, size=30)
+    y[:3] = [0, 1, 2]
+    cat4 = ClassCatalog(("a", "b", "c", "d"))
+    model = fit(spec, Dataset(rng.normal(size=(30, 2)), y, cat4), 7)
+    record, shared = _saved(model)
+    clone = FittedClassifier.from_state(record, *shared)
+    arrays = {k for key, layout in learners._KINDS[spec.kind].state.items()
+              for k in (layout if layout is learners._TRAINING_SET else [key])}
+    for m in (model, clone):
+        assert set(m.state) == arrays
+        assert all(isinstance(v, np.ndarray) for v in m.state.values())
+        assert m.present.tolist() == [0, 1, 2] and m.n_features == 2
 
 
 @pytest.mark.parametrize("n_features", [0, -1, "2", True])
@@ -649,6 +670,20 @@ def test_a_rest_of_fewer_than_two_classes_fails_before_any_fit(fault, at,
     assert calls == []
 
 
+@pytest.mark.parametrize("rest", [
+    np.arange(151),               # holds 150, one past the last row
+    np.arange(-1, 150),           # holds -1
+    np.arange(150, dtype=float),  # row numbers as floats
+], ids=["row-150", "row-minus-1", "float"])
+def test_a_rest_outside_the_rows_fails_before_any_fit(rest, monkeypatch):
+    data = load_bundled("rings")
+    calls = _spy_tree_calls(monkeypatch)
+    with pytest.raises(LearnerError,
+                       match=r"^rests must be integer arrays of rows in \[0, 150\)$"):
+        fit_folds(LearnerSpec("decision-tree"), data, [np.arange(100), rest], [0, 1])
+    assert calls == []
+
+
 def _rows_on_thresholds(tree, x):
     """For each split of tree, the first row of x that reaches it, with the
     split's feature set to its threshold.  The threshold lies between two
@@ -1003,10 +1038,18 @@ def test_fit_folds_of_no_rests_yields_nothing(kind):
 
 # --- knn prediction oracle --------------------------------------------------
 
-def _reference_predict_knn(state, x):
+def _knn_models(xt, y, p, ks):
+    """A knn model of each k on the training rows xt, labels y, of p
+    present classes: the models of one shared_key."""
+    catalog = ClassCatalog(tuple(f"c{c}" for c in range(p)))
+    return [FittedClassifier(LearnerSpec("knn", {"k": k}), catalog, np.arange(p),
+                             xt.shape[1], {"x": xt, "y": y}) for k in ks]
+
+
+def _reference_predict_knn(model, x):
     """The per-query definition of the KNN vote."""
-    xt, yt, p = state["x"], state["y"], len(state["present"])
-    k = min(int(state["k"]), xt.shape[0])
+    xt, yt, p = model.state["x"], model.state["y"], len(model.present)
+    k = min(int(model.spec.params["k"]), xt.shape[0])
     out = np.empty((x.shape[0], p))
     d2 = ((x[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
     for i in range(x.shape[0]):
@@ -1035,14 +1078,13 @@ def test_predict_knn_matches_reference_bitwise(monkeypatch):
         xt = np.round(rng.normal(size=(n, d)) * rng.choice([1.0, 2.0]))
         if rng.integers(0, 2):  # duplicated training rows
             xt[: n // 2] = xt[n - n // 2:][: n // 2]
-        state = {"x": xt, "y": rng.integers(0, p, size=n), "k": k,
-                 "present": np.arange(p)}
+        (model,) = _knn_models(xt, rng.integers(0, p, size=n), p, [k])
         q = np.vstack([np.round(rng.normal(size=(20, d))), xt[:10]])
         q = q[rng.permutation(len(q))]
         block = int(rng.integers(1, 8)) if case % 3 else len(q)
         monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", block * xt.size)
-        expected = _reference_predict_knn(state, q)
-        assert np.array_equal(learners._predict_knn(state, q), expected)
+        expected = _reference_predict_knn(model, q)
+        assert np.array_equal(learners._predict_knn([model], q)[0], expected)
         d2 = ((q[:, None] - xt[None]) ** 2).sum(axis=2)
         exact = (d2 == 0.0).any(axis=1)
         exact_rows += int(exact.sum())
@@ -1060,28 +1102,27 @@ def test_predict_knn_blocks_rows_above_the_cell_budget():
     take ten blocks of 109 rows, the last one partial."""
     rng = np.random.default_rng(301)
     xt = np.round(rng.normal(size=(600, 4)) * 2.0)
-    state = {"x": xt, "y": rng.integers(0, 3, size=600), "k": 25,
-             "present": np.arange(3)}
+    (model,) = _knn_models(xt, rng.integers(0, 3, size=600), 3, [25])
     q = np.vstack([np.round(rng.normal(size=(990, 4)) * 2.0), xt[:10]])
     q = q[rng.permutation(len(q))]
     assert 2 * learners.KNN_BLOCK_CELLS < q.shape[0] * xt.size
     assert -(-q.shape[0] // (learners.KNN_BLOCK_CELLS // xt.size)) == 10
-    assert np.array_equal(learners._predict_knn(state, q),
-                          _reference_predict_knn(state, q))
+    assert np.array_equal(learners._predict_knn([model], q)[0],
+                          _reference_predict_knn(model, q))
 
 
 def test_predict_knn_memory_is_flat_in_the_rows():
     """Beyond one block, the rows add only the (n, p) counts and output."""
     rng = np.random.default_rng(302)
-    state = {"x": rng.normal(size=(600, 4)), "y": rng.integers(0, 3, size=600),
-             "k": 25, "present": np.arange(3)}
-    one_block = learners.KNN_BLOCK_CELLS // state["x"].size
+    (model,) = _knn_models(rng.normal(size=(600, 4)),
+                           rng.integers(0, 3, size=600), 3, [25])
+    one_block = learners.KNN_BLOCK_CELLS // model.state["x"].size
 
     def peak(rows):
         q = rng.normal(size=(rows, 4))
         tracemalloc.start()
         try:
-            out = learners._predict_knn(state, q)
+            (out,) = learners._predict_knn([model], q)
             return tracemalloc.get_traced_memory()[1], out.nbytes
         finally:
             tracemalloc.stop()
@@ -1121,15 +1162,15 @@ def test_shared_knn_search_matches_reference_bitwise(roster, monkeypatch):
         if rng.integers(0, 2):  # duplicated training rows
             xt[: n // 2] = xt[n - n // 2:][: n // 2]
         y = rng.integers(0, p, size=n)
-        states = [{"x": xt, "y": y, "k": k, "present": np.arange(p)} for k in ks]
+        models = _knn_models(xt, y, p, ks)
         q = np.vstack([np.round(rng.normal(size=(20, d))), xt[:10]])
         q = q[rng.permutation(len(q))]
         block = int(rng.integers(1, 8)) if case % 3 else len(q)
         monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", block * xt.size)
-        got = learners._predict_knn_shared(states, q)
-        assert len(got) == len(states)
-        for state, posteriors in zip(states, got):
-            assert np.array_equal(posteriors, _reference_predict_knn(state, q))
+        got = learners._predict_knn(models, q)
+        assert len(got) == len(models)
+        for model, posteriors in zip(models, got):
+            assert np.array_equal(posteriors, _reference_predict_knn(model, q))
         d2 = ((q[:, None] - xt[None]) ** 2).sum(axis=2)
         exact = (d2 == 0.0).any(axis=1)
         exact_rows += int(exact.sum())
@@ -1160,12 +1201,12 @@ def test_shared_knn_crowded_rows_meet_at_default_block_edges(d):
     rng = np.random.default_rng(320 + d)
     xt = rng.integers(-2, 3, size=(600, d)).astype(float)
     y = rng.integers(0, 3, size=600)
-    states = [{"x": xt, "y": y, "k": k, "present": np.arange(3)} for k in (5, 25, 50)]
+    models = _knn_models(xt, y, 3, (5, 25, 50))
     rows = learners.KNN_BLOCK_CELLS // xt.size
     q = np.vstack([rng.integers(-2, 2, size=(3 * rows, d)) + 0.5, xt[:7]])
-    got = learners._predict_knn_shared(states, q)
-    for state, posteriors in zip(states, got):
-        assert np.array_equal(posteriors, _reference_predict_knn(state, q))
+    got = learners._predict_knn(models, q)
+    for model, posteriors in zip(models, got):
+        assert np.array_equal(posteriors, _reference_predict_knn(model, q))
     crowded = _crowded(xt, q, 50)
     edges = np.arange(rows, len(q), rows)
     assert len(edges) == 3
@@ -1192,7 +1233,7 @@ def test_one_row_knn_queries_match_reference_through_predict_proba_models():
         for model, posteriors in zip(models, got):
             if model.spec.kind == "knn":
                 assert np.array_equal(posteriors,
-                                      _reference_predict_knn(model.state, row))
+                                      _reference_predict_knn(model, row))
             else:
                 assert np.array_equal(posteriors, model.predict_proba_batch(row))
         crowded += int(_crowded(x, row, 50)[0])
@@ -1290,14 +1331,14 @@ def test_shared_knn_memory_is_flat_in_the_rows():
     and the posteriors of each model."""
     rng = np.random.default_rng(312)
     xt, y = rng.normal(size=(600, 4)), rng.integers(0, 3, size=600)
-    states = [{"x": xt, "y": y, "k": k, "present": np.arange(3)} for k in (5, 25, 50)]
+    models = _knn_models(xt, y, 3, (5, 25, 50))
     one_block = learners.KNN_BLOCK_CELLS // xt.size
 
     def peak(rows):
         q = rng.normal(size=(rows, 4))
         tracemalloc.start()
         try:
-            out = learners._predict_knn_shared(states, q)
+            out = learners._predict_knn(models, q)
             return tracemalloc.get_traced_memory()[1], sum(o.nbytes for o in out)
         finally:
             tracemalloc.stop()

@@ -108,6 +108,22 @@ class TestFoldPlan:
             want = self._reference_assignments(labels, folds, seed)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("assignments, n_folds, message", [
+        (np.arange(150) % 7, 5, r"fold assignments must be .* in \[0, 5\)"),
+        (np.arange(150) % 5 - 1, 5, r"fold assignments must be .* in \[0, 5\)"),
+        (np.zeros((150, 1), dtype=int), 5, "fold assignments must be a list"),
+        (np.arange(150) % 5 + 0.5, 5, "fold assignments must be a list of integer"),
+        (np.zeros(150, dtype=int), 1, "need at least 2 folds, got 1"),
+        (np.zeros(150, dtype=int), 0, "need at least 2 folds, got 0"),
+    ], ids=["fold-7-of-5", "fold-minus-1", "column", "float", "one-fold",
+            "no-fold"])
+    def test_a_plan_outside_its_folds_is_refused(self, assignments, n_folds,
+                                                 message):
+        """Rows of a fold past n_folds would take no profiles from
+        meta_from_folds, whose meta-data would keep uninitialized memory."""
+        with pytest.raises(TrainingError, match=message):
+            training.FoldPlan(assignments, n_folds)
+
 
 class TestGenerateMetaCV:
     def test_shape_contract(self):
@@ -152,6 +168,16 @@ class TestGenerateMetaCV:
         # fold holding the only "b" observation leaves its complement without b
         plan = make_fold_plan(data.labels, 2, seed=0)
         with pytest.raises(TrainingError, match="'b'.*fold"):
+            generate_meta_cv(data, SPECS[:2], plan, 0)
+
+    @pytest.mark.parametrize("rows", [100, 300])
+    def test_a_plan_of_other_rows_is_refused(self, rows):
+        """A plan shorter than the data would drop rows from the meta-data;
+        a longer one would index past the data."""
+        data = load_bundled("rings")
+        plan = make_fold_plan(np.arange(rows) % 3, 5, seed=0)
+        with pytest.raises(TrainingError,
+                           match=f"^the fold plan splits {rows} rows, the data has 150$"):
             generate_meta_cv(data, SPECS[:2], plan, 0)
 
 
@@ -787,16 +813,25 @@ def test_freezing_leaves_the_callers_array_alone(name):
 
 
 @pytest.mark.parametrize("scale", [1e154, 1e160])
-def test_overflowing_fit_raises_learner_error(scale):
+def test_overflowing_fit_raises_learner_error(scale, tmp_path):
     """A fit that overflows runs with warnings off; the non-finite
-    posteriors of its model raise LearnerError, not a RuntimeWarning."""
+    posteriors of its model raise LearnerError, not a RuntimeWarning.  A
+    fixed alpha predicts nothing before the save, which refuses the
+    non-finite state that load would refuse, and writes no file."""
     data = generate(GeneratorSpec("twonorm-like", n=60, d=3, seed=1))
     x = data.features.copy()
     x[:, 0] *= scale
+    big = Dataset(x, data.labels, data.catalog)
     with pytest.raises(learners.LearnerError,
                        match="^classifier lda gives non-finite posteriors$"):
-        train(Dataset(x, data.labels, data.catalog), default_roster(), 0,
-              grid=training.default_alpha_grid())
+        train(big, default_roster(), 0, grid=training.default_alpha_grid())
+    ensemble = train(big, default_roster(), 0, fixed_alpha=1.0)
+    path = tmp_path / "m.json"
+    with pytest.raises(TrainingError, match=(
+            "not written: model classifier 0: state 'inv_cov' holds a "
+            "non-finite value$")):
+        save_ensemble(path, ensemble)
+    assert not path.exists()
 
 
 def test_derive_seed_spreads():
