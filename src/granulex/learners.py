@@ -43,13 +43,17 @@ one state per rest.  `fit_folds` fits one learner on several rests of a
 data set, as cross-validation does; it compacts the labels once and wraps
 each state, and `fit` is its one-rest call.  Two kinds fit the rests
 together, bitwise equal to separate fits: logistic-linear steps the weights
-of all rests in one kernel call, and decision-tree and decision-stump grow
-the trees of all rests level by level from one stable sort per feature, in
-groups of at most TREE_BLOCK_CELLS.  A level scores every cut of a feature
-on class-major cumulative counts, one contiguous slab per class, and adds
-the squared class fractions slab by slab in numpy's pairwise order, so
-each Gini impurity is bitwise the sum over its own row.  The other kinds
-fit each rest on its own rows (`_each_part`).
+of all rests in one kernel call, made when the first state is read, and
+decision-tree and decision-stump grow the trees of all rests level by
+level from one stable sort per feature, in groups of at most
+TREE_BLOCK_CELLS.  A level scores every cut of a feature on class-major
+cumulative counts, one contiguous slab per class, and adds the squared
+class fractions slab by slab in numpy's pairwise order, so each Gini
+impurity is bitwise the sum over its own row.  The other kinds fit each
+rest on its own rows (`_each_part`).  A kind whose fitter steps every rest
+in one kernel call is marked `one_kernel` in `_KINDS`, today
+logistic-linear alone: `training.part_profiles` fits and predicts it in a
+forked child while the other learners run in the caller's process.
 
 A kind has one predictor, over models: it returns one raw posterior array
 per model.  knn predicts its models from one neighbour search, the other
@@ -706,11 +710,13 @@ def _logistic_weights(spec, x, y, p, masks):
 
 
 def _fit_logistic(spec, x, y, p, rests, seeds):
-    """Every rest in one kernel call; the fit draws no random numbers."""
+    """Every rest in one kernel call, made when the first state is read;
+    the fit draws no random numbers."""
     masks = np.zeros((len(rests), len(y)), dtype=bool)
     for t, r in enumerate(rests):
         masks[t, r] = True
-    return [{"w": w} for w in _logistic_weights(spec, x, y, p, masks)]
+    for w in _logistic_weights(spec, x, y, p, masks):
+        yield {"w": w}
 
 
 def _predict_logistic(state, x):
@@ -1011,6 +1017,9 @@ class _Kind(NamedTuple):
     predict: Callable
     state: dict[str, Any]  # key -> layout, as _decode_state reads it
     defaults: dict[str, int | float]  # every parameter fit or predict reads
+    # The fitter steps every rest in one kernel call, which depends on no
+    # other learner: training.part_profiles runs the kind in a child process.
+    one_kernel: bool = False
 
 
 # State layouts, in p (present classes), d (features), and n (training
@@ -1047,7 +1056,7 @@ _KINDS = {
                     _OVR, {}),
     "logistic-linear": _Kind(
         _fit_logistic, _each_model(_predict_logistic), {"w": (_F, "d+1", "p")},
-        {"iterations": 500, "rate": 0.1}),
+        {"iterations": 500, "rate": 0.1}, one_kernel=True),
     "decision-tree": _Kind(
         _fit_tree, _each_model(_predict_tree), _TREE_STATE,
         {"max_depth": 12, "min_leaf": 2}),

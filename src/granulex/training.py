@@ -12,6 +12,8 @@ format version, then every top-level key against `MODEL_TYPES`, then
 make a roster `train` accepts (`check_roster`), and every training set must
 be named by a record.  `save_ensemble` runs the same check on the payload
 it writes before it opens the file, so it writes only what load accepts.
+A refused classifier record is named by its place and, where its kind and
+params are valid, by its learner: "model classifier 0 (lda): ...".
 
 Every fold fit of the package goes through `part_profiles`, one
 `fit_folds` call per learner, over parts that `fold_parts` lists: the
@@ -23,6 +25,16 @@ and `meta_from_folds` assembles the meta-data of both.  Seeds come from
 derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
 seed depends on its coordinates, not on the call that made it.
 
+`part_profiles` runs the learners of a `one_kernel` kind (logistic-linear,
+whose one kernel call steps every part) in one forked child process, while
+the calling process streams the other learners part by part; the child
+pickles its columns back through a pipe.  It does so only on Linux, with
+`os.fork` and at least two CPUs in the process's affinity, and from Python
+3.12 only in a process without other threads (os.fork warns in one).
+Everywhere else the same column code runs in one process.  Both paths give
+bitwise the same profiles, there is no option to choose between them, and
+no child outlives the call.
+
 Caveat: alpha is selected on the same meta-data its error is measured on
 (no nested validation), so the reported alpha-error curve is optimistically
 biased as a generalization estimate.
@@ -31,6 +43,10 @@ biased as a generalization estimate.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -41,6 +57,7 @@ from . import combiners
 # bench/tracer.py wraps it by this name.
 from .combiners import DEFAULT_H, Granule, granular_intervals  # noqa: F401
 from .learners import (
+    _KINDS,
     Dataset,
     FittedClassifier,
     LearnerError,
@@ -188,11 +205,89 @@ def part_profiles(
     logistic-linear, and batched groups for the trees, when the parts are
     increasing index arrays with the same classes present.  The models are
     read part by part, so a part's models are dropped once its profiles are
-    stacked, and its knn models share one neighbour search."""
-    fitted = [fit_folds(spec, data, rests, [derive_seed(s, j) for s in seeds])
-              for j, spec in enumerate(specs)]
-    return [[stack_profiles(models, data.features[q]) for q in qs]
-            for models, qs in zip(zip(*fitted), queries)]
+    stacked, and its knn models share one neighbour search.
+
+    The learners of a `one_kernel` kind (logistic-linear) are fitted and
+    predicted in one forked child while this process predicts the others,
+    where the roster holds both kinds of learner and `_can_fork` allows it.
+    Each column is the one the serial path computes, so the output is
+    bitwise the same.  When either side raises an Exception or the child
+    leaves without its columns, every column is computed again serially,
+    so the error raised is the serial path's."""
+    def fit_all():
+        return [fit_folds(spec, data, rests, [derive_seed(s, j) for s in seeds])
+                for j, spec in enumerate(specs)]
+
+    away = [j for j, spec in enumerate(specs) if _KINDS[spec.kind].one_kernel]
+    if away and len(away) < len(specs) and _can_fork():
+        try:
+            return _forked_profiles(data, fit_all(), away, queries)
+        except Exception:
+            pass  # the serial path below raises the serial error, if any
+    return [[np.stack(columns, axis=1) for columns in part]
+            for part in _columns(data, fit_all(), queries)]
+
+
+def _columns(data, fitted, queries):
+    """For each part, for each of its queries q, the posterior columns on
+    the rows q of data of the learners fitted (one model iterator each), in
+    their order.  A part's models are read together, and dropped once its
+    columns are made."""
+    for models, qs in zip(zip(*fitted), queries):
+        yield [predict_proba_models(models, data.features[q]) for q in qs]
+
+
+def _can_fork() -> bool:
+    """Whether part_profiles may fork its child: on Linux, with at least
+    two CPUs to run on and, from Python 3.12, where os.fork warns in a
+    process with other threads, no thread besides this one."""
+    if not (sys.platform == "linux" and hasattr(os, "fork")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return False
+    if sys.version_info < (3, 12):
+        return True
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _forked_profiles(data, fitted, away, queries):
+    """part_profiles' output from the model iterators fitted: a forked
+    child predicts the columns of the learners away and sends them through
+    a pipe, while this process predicts the others.  Raises
+    ChildProcessError when the child leaves without its columns.  The child
+    is reaped before this returns or raises, and killed first unless it has
+    sent them."""
+    home = [j for j in range(len(fitted)) if j not in away]
+    read, write = os.pipe()
+    with open(read, "rb") as source, open(write, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:  # the child: it leaves here and nowhere else
+            code = 1
+            try:
+                pickle.dump(list(_columns(data, [fitted[j] for j in away], queries)),
+                            sink, pickle.HIGHEST_PROTOCOL)
+                sink.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        sink.close()
+        sent = None
+        try:
+            near = list(_columns(data, [fitted[j] for j in home], queries))
+            sent = source.read()
+        finally:
+            if sent is None:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise ChildProcessError(f"the child left with wait status {status}")
+    order = home + away
+    where = sorted(range(len(order)), key=order.__getitem__)
+    return [[np.stack([(mine + theirs)[k] for k in where], axis=1)
+             for mine, theirs in zip(near_part, far_part)]
+            for near_part, far_part in zip(near, pickle.loads(sent))]
 
 
 def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndarray:
@@ -471,6 +566,17 @@ def load_ensemble(path) -> TrainedEnsemble:
     return _checked_ensemble(_read_json(path, "model file", TrainingError))
 
 
+def _learner_label(record) -> str:
+    """The learner's name in parentheses, after a space, for a classifier
+    record whose kind and params are valid; else the empty string."""
+    if isinstance(record, dict) and isinstance(record.get("params"), dict):
+        try:
+            return f" ({LearnerSpec(record.get('kind'), record['params']).name})"
+        except LearnerError:
+            pass
+    return ""
+
+
 def _checked_ensemble(payload) -> TrainedEnsemble:
     """The ensemble of a model file's JSON payload; raises TrainingError on
     any payload that load_ensemble must refuse."""
@@ -490,7 +596,8 @@ def _checked_ensemble(payload) -> TrainedEnsemble:
             classifiers.append(FittedClassifier.from_state(
                 c, catalog, payload["n_features"], payload["training_sets"]))
         except LearnerError as exc:
-            raise TrainingError(f"model classifier {j}: {exc}") from None
+            raise TrainingError(
+                f"model classifier {j}{_learner_label(c)}: {exc}") from None
     check_roster((c.spec for c in classifiers), TrainingError)
     unnamed = _unnamed_training_sets(payload["training_sets"])
     if unnamed:

@@ -300,6 +300,9 @@ def test_12_no_leakage_in_meta_cv(monkeypatch):
         ]
 
     monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
+    # The audit sees the predictions of this process only: keep the
+    # logistic-linear learner out of part_profiles' child process.
+    monkeypatch.setattr(training, "_can_fork", lambda: False)
     rng = np.random.default_rng(112)
     specs = [LearnerSpec("nearest-mean"),
              LearnerSpec("logistic-linear", {"iterations": 20})]
@@ -445,6 +448,9 @@ def test_15_one_fit_per_repeat_equals_meta_cv_per_fold(case, monkeypatch):
         return spy
 
     monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
+    # The audit sees the predictions of this process only: keep the
+    # logistic-linear learner out of part_profiles' child process.
+    monkeypatch.setattr(training, "_can_fork", lambda: False)
     monkeypatch.setattr(training, "meta_from_folds",
                         recorded(metas, training.meta_from_folds))
     monkeypatch.setattr(training, "select_alpha",

@@ -743,104 +743,108 @@ _ROWS = ("training_sets", 0)
 # (as the tagged arrays of format version 2) or a ragged list are faults.
 BAD_STATES = {
     "dtype-bogus": ((*_LDA, "means"), "bogus",
-                    "classifier 0: state 'means' must be a rectangular array "
+                    "classifier 0 (lda): state 'means' must be a rectangular array "
                     "of float64 values"),
     "dtype-U5": ((*_LDA, "means"), [["bogus"] * 3] * 3,
-                 "classifier 0: state 'means' must be a rectangular array of "
+                 "classifier 0 (lda): state 'means' must be a rectangular array of "
                  "float64 values"),
     "no-dtype": ((*_LDA, "means"), {"__nd__": [[0.0] * 3] * 3},
-                 "classifier 0: state 'means' must be a rectangular array of "
+                 "classifier 0 (lda): state 'means' must be a rectangular array of "
                  "float64 values"),
     "present-bool": ((*_LDA, "present"), True,
-                     "classifier 0: state 'present' must be a rectangular "
+                     "classifier 0 (lda): state 'present' must be a rectangular "
                      "array of int64 values"),
     "present-half": ((*_LDA, "present"), [0, 0.5, 2],
-                     "classifier 0: state 'present' must be a rectangular "
+                     "classifier 0 (lda): state 'present' must be a rectangular "
                      "array of int64 values"),
     # numpy reads a bool among numbers as 0 or 1
     "present-true": ((*_LDA, "present", 1), True,
-                     "classifier 0: state 'present' must be a rectangular "
+                     "classifier 0 (lda): state 'present' must be a rectangular "
                      "array of int64 values"),
     "means-true": ((*_LDA, "means", 1, 2), True,
-                   "classifier 0: state 'means' must be a rectangular array "
+                   "classifier 0 (lda): state 'means' must be a rectangular array "
                    "of float64 values"),
     "knn-x-false": ((*_ROWS, "x", 0, 0), False,
-                    "classifier 1: training set 0 'x' must be a rectangular "
+                    "classifier 1 (knn5): training set 0 'x' must be a rectangular "
                     "array of float64 values"),
     "means-shape": ((*_LDA, "means"), [[0.0] * 5] * 3,
-                    "classifier 0: state 'means' must have shape (p, d) with "
+                    "classifier 0 (lda): state 'means' must have shape (p, d) with "
                     "p = 3 and d = 3, got (3, 5)"),
     "means-nan": ((*_LDA, "means", 1, 2), float("nan"),
-                  "classifier 0: state 'means' holds a non-finite value"),
+                  "classifier 0 (lda): state 'means' holds a non-finite value"),
     "means-ragged": ((*_LDA, "means", 1), [0.0],
-                     "classifier 0: state 'means' must be a rectangular array "
+                     "classifier 0 (lda): state 'means' must be a rectangular array "
                      "of float64 values"),
     "means-text": ((*_LDA, "means", 1, 0), "a",
-                   "classifier 0: state 'means' must be a rectangular array "
+                   "classifier 0 (lda): state 'means' must be a rectangular array "
                    "of float64 values"),
     "knn-x-1d": ((*_ROWS, "x"), [0.0, 1.0, 2.0],
-                 "classifier 1: training set 0 'x' must have shape (n, d) "
+                 "classifier 1 (knn5): training set 0 'x' must have shape (n, d) "
                  "with p = 3 and d = 3, got (3,)"),
     "knn-y-float": ((*_ROWS, "y", 0), 0.5,
-                    "classifier 1: training set 0 'y' must be a rectangular "
+                    "classifier 1 (knn5): training set 0 'y' must be a rectangular "
                     "array of int64 values"),
     "knn-y-range": ((*_ROWS, "y", 0), 3,
-                    "classifier 1: training set 0 'y' must hold class indices "
+                    "classifier 1 (knn5): training set 0 'y' must hold class indices "
                     "below 3"),
     "knn-k": (("classifiers", 1, "params", "k"), 0,
               "classifier 1: knn parameter 'k' must be an integer >= 1, got 0"),
     # two classes present, while the training rows hold labels of three
     "knn-p": ((*_KNN, "present"), [0, 1],
-              "classifier 1: training set 0 'y' must hold class indices "
+              "classifier 1 (knn5): training set 0 'y' must hold class indices "
               "below 2"),
     **{f"knn-set-{name}": ((*_KNN, "training_set"), value,
-                           f"classifier 1: state 'training_set' must be an "
+                           f"classifier 1 (knn5): state 'training_set' must be an "
                            f"index below 1, got {value!r}")
        for name, value in [("negative", -1), ("true", True), ("float", 0.0),
                            ("past", 1), ("text", "0")]},
     "knn-set-missing": ((*_KNN, "training_set"), _DROP,
-                        "classifier 1: state lacks key(s) training_set"),
+                        "classifier 1 (knn5): state lacks key(s) training_set"),
     "present-order": ((*_LOGISTIC, "present"), [1, 0, 2],
-                      "classifier 2: state 'present' must be at least two "
-                      "strictly increasing class indices below 3"),
+                      "classifier 2 (logistic-linear): state 'present' must be at "
+                      "least two strictly increasing class indices below 3"),
     "present-range": ((*_LOGISTIC, "present"), [0, 1, 5],
-                      "classifier 2: state 'present' must be at least two "
-                      "strictly increasing class indices below 3"),
+                      "classifier 2 (logistic-linear): state 'present' must be at "
+                      "least two strictly increasing class indices below 3"),
     "logistic-inf": ((*_LOGISTIC, "w", 0, 0), float("inf"),
-                     "classifier 2: state 'w' holds a non-finite value"),
+                     "classifier 2 (logistic-linear): state 'w' holds a non-finite "
+                     "value"),
     "tree-5": ((*_STUMP, "children"), 5,
-               "classifier 3: state 'children' must have shape (nodes, 2) "
-               "with p = 3 and d = 3, got ()"),
+               "classifier 3 (decision-stump): state 'children' must have shape "
+               "(nodes, 2) with p = 3 and d = 3, got ()"),
     "no-threshold": ((*_STUMP, "threshold"), _DROP,
-                     "classifier 3: state lacks key(s) threshold"),
+                     "classifier 3 (decision-stump): state lacks key(s) threshold"),
     "feature-9": ((*_STUMP, "feature", 0), 9,
-                  "classifier 3: state 'feature' must hold feature indices in "
-                  "[-1, 3), -1 at a leaf"),
+                  "classifier 3 (decision-stump): state 'feature' must hold feature "
+                  "indices in [-1, 3), -1 at a leaf"),
     "threshold-a": ((*_STUMP, "threshold", 0), "a",
-                    "classifier 3: state 'threshold' must be a rectangular "
-                    "array of float64 values"),
+                    "classifier 3 (decision-stump): state 'threshold' must be a "
+                    "rectangular array of float64 values"),
     "threshold-inf": ((*_STUMP, "threshold", 0), float("inf"),
-                      "classifier 3: state 'threshold' holds a non-finite value"),
+                      "classifier 3 (decision-stump): state 'threshold' holds a "
+                      "non-finite value"),
     # predict_proba_batch would return -1 for it
     "negative-proportion": ((*_STUMP, "proportions", 0), [-1, 2, 0],
-                            "classifier 3: state 'proportions' must hold "
-                            "values >= 0"),
+                            "classifier 3 (decision-stump): state 'proportions' must "
+                            "hold values >= 0"),
     "short-leaf": ((*_STUMP, "proportions"), [[0.5, 0.5]] * 3,
-                   "classifier 3: state 'proportions' must have shape "
-                   "(nodes, p) with p = 3 and d = 3, got (3, 2)"),
+                   "classifier 3 (decision-stump): state 'proportions' must have "
+                   "shape (nodes, p) with p = 3 and d = 3, got (3, 2)"),
     # the root's left child is the root itself: a descent would never end
     "child-cycle": ((*_STUMP, "children", 0), [0, 2],
-                    "classifier 3: state 'children' must hold two later nodes "
-                    "at a split and the node itself twice at a leaf"),
+                    "classifier 3 (decision-stump): state 'children' must hold two "
+                    "later nodes at a split and the node itself twice at a leaf"),
     "child-past": ((*_STUMP, "children", 0), [1, 3],
-                   "classifier 3: state 'children' must hold two later nodes "
-                   "at a split and the node itself twice at a leaf"),
+                   "classifier 3 (decision-stump): state 'children' must hold two "
+                   "later nodes at a split and the node itself twice at a leaf"),
     "zero-variance": ((*_GNB, "var", 0, 0), 0.0,
-                      "classifier 4: state 'var' must hold values > 0"),
+                      "classifier 4 (gaussian-naive-bayes): state 'var' must hold "
+                      "values > 0"),
     "inv-cov-skew": ((*_LDA, "inv_cov", 0, 1), 1234.5,
-                     "classifier 0: state 'inv_cov' must be a symmetric matrix"),
+                     "classifier 0 (lda): state 'inv_cov' must be a symmetric "
+                     "matrix"),
     "inv-cov-indefinite": ((*_LDA, "inv_cov", 0, 0), -1.0,
-                           "classifier 0: state 'inv_cov' must be positive "
+                           "classifier 0 (lda): state 'inv_cov' must be positive "
                            "definite"),
 }
 
@@ -1043,8 +1047,8 @@ def test_overflowing_fit_exits_1(tmp_path, capsys, scale, learners):
         "error: classifier lda gives non-finite posteriors\n")
     assert main(argv + ["--alpha", "1"]) == 1
     assert capsys.readouterr().err == (
-        f"error: {model} not written: model classifier 0: state 'inv_cov' "
-        f"holds a non-finite value\n")
+        f"error: {model} not written: model classifier 0 (lda): state "
+        f"'inv_cov' holds a non-finite value\n")
     assert not model.exists()
 
 

@@ -793,7 +793,8 @@ def test_fit_folds_logistic_matches_reference_bitwise(monkeypatch):
         return kernel(spec, x, y, p, masks)
 
     monkeypatch.setattr(learners, "_logistic_weights", spy)
-    batched = [fit_folds(spec, data, rests, range(len(rests)))
+    # The kernel runs when a call's first model is read: read them all.
+    batched = [list(fit_folds(spec, data, rests, range(len(rests))))
                for data, rests in cases]
     assert batch_sizes == [len(rests) for _, rests in cases]  # one call each
     _patch_fitter(monkeypatch, "logistic-linear", _reference_fit_logistic)

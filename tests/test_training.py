@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ from granulex.training import (
 
 SPECS = [LearnerSpec("nearest-mean"), LearnerSpec("knn", {"k": 3}),
          LearnerSpec("gaussian-naive-bayes")]
+
+
+def _named(damage, message, name):
+    """A schema case on a classifier record whose kind and params are
+    valid, so that its error names the learner after the record's place:
+    "classifier 1 (knn3): ...".  Its id is its message without the name,
+    as every other case's id is its message."""
+    named = re.sub(r"classifier \d+",
+                   lambda m: m.group() + re.escape(f" ({name})"), message, count=1)
+    return pytest.param(damage, named, id=f"<lambda>-{message}")
 
 
 def toy_dataset(n=40, seed=0):
@@ -660,8 +671,8 @@ class TestSerialization:
     @pytest.mark.parametrize("damage, message", [
         (lambda m: m.pop("classifiers"), "lacks key.*classifiers"),
         (lambda m: m.pop("alpha_error_curve"), "lacks key.*alpha_error_curve"),
-        (lambda m: m["classifiers"][1].pop("state"),
-         "classifier 1: record lacks key.*state"),
+        _named(lambda m: m["classifiers"][1].pop("state"),
+               "classifier 1: record lacks key.*state", "knn3"),
         (lambda m: m["classifiers"].__setitem__(0, [1, 2]),
          "classifier 0: record must be a JSON object"),
         (lambda m: m.__setitem__("classifiers", {}), "must be a list"),
@@ -694,30 +705,30 @@ class TestSerialization:
          "model catalog needs at least two classes"),
         (lambda m: m.__setitem__("catalog", ["a", "a"]),
          "model duplicate class labels"),
-        (lambda m: m["training_sets"][0]["x"][0].append(0.0),
-         r"classifier 1: training set 0 'x' must be a rectangular array of "
-         r"float64"),
-        (lambda m: [row.append(0.0) for row in m["training_sets"][0]["x"]],
-         r"classifier 1: training set 0 'x' must have shape \(n, d\) with "
-         r"p = 2 and d = 2, got \(30, 3\)"),
-        (lambda m: m.__setitem__("n_features", 3),
-         r"classifier 0: state 'means' must have shape \(p, d\) with p = 2 "
-         r"and d = 3"),
+        _named(lambda m: m["training_sets"][0]["x"][0].append(0.0),
+               r"classifier 1: training set 0 'x' must be a rectangular array of "
+               r"float64", "knn3"),
+        _named(lambda m: [row.append(0.0) for row in m["training_sets"][0]["x"]],
+               r"classifier 1: training set 0 'x' must have shape \(n, d\) with "
+               r"p = 2 and d = 2, got \(30, 3\)", "knn3"),
+        _named(lambda m: m.__setitem__("n_features", 3),
+               r"classifier 0: state 'means' must have shape \(p, d\) with p = 2 "
+               r"and d = 3", "nearest-mean"),
         (lambda m: m.__setitem__("n_features", "2"),
          "model key 'n_features' must be an integer"),
         (lambda m: m.pop("n_features"), "lacks key.*n_features"),
         (lambda m: m.pop("training_sets"), "lacks key.*training_sets"),
         (lambda m: m.__setitem__("training_sets", {}),
          "'training_sets' must be a list"),
-        (lambda m: m["training_sets"].__setitem__(0, [1]),
-         "classifier 1: training set 0 must be a JSON object"),
-        (lambda m: m["training_sets"][0].pop("y"),
-         "classifier 1: training set 0 lacks key.*y"),
-        (lambda m: m["training_sets"][0]["y"].__setitem__(0, 0.5),
-         "classifier 1: training set 0 'y' must be a rectangular array of "
-         "int64"),
-        (lambda m: m["training_sets"][0]["y"].__setitem__(0, 2),
-         "classifier 1: training set 0 'y' must hold class indices below 2"),
+        _named(lambda m: m["training_sets"].__setitem__(0, [1]),
+               "classifier 1: training set 0 must be a JSON object", "knn3"),
+        _named(lambda m: m["training_sets"][0].pop("y"),
+               "classifier 1: training set 0 lacks key.*y", "knn3"),
+        _named(lambda m: m["training_sets"][0]["y"].__setitem__(0, 0.5),
+               "classifier 1: training set 0 'y' must be a rectangular array of "
+               "int64", "knn3"),
+        _named(lambda m: m["training_sets"][0]["y"].__setitem__(0, 2),
+               "classifier 1: training set 0 'y' must hold class indices below 2", "knn3"),
         (lambda m: m.__setitem__("format_version", 2),
          "unsupported ensemble format version 2$"),
         (lambda m: m.__setitem__("format_version", 3.0),
@@ -726,10 +737,10 @@ class TestSerialization:
          "unsupported ensemble format version True"),
         (lambda m: m.pop("format_version"),
          "unsupported ensemble format version None"),
-        (lambda m: m["classifiers"][0]["state"].pop("means"),
-         "classifier 0: state lacks key.*means"),
-        (lambda m: m["classifiers"][2]["state"].pop("present"),
-         "classifier 2: state lacks key.*present"),
+        _named(lambda m: m["classifiers"][0]["state"].pop("means"),
+               "classifier 0: state lacks key.*means", "nearest-mean"),
+        _named(lambda m: m["classifiers"][2]["state"].pop("present"),
+               "classifier 2: state lacks key.*present", "gaussian-naive-bayes"),
         (lambda m: m["classifiers"][1].__setitem__("kind", "svm"),
          "unknown kind 'svm'"),
         (lambda m: m["classifiers"][1].__setitem__("kind", ["svm"]),
@@ -740,12 +751,12 @@ class TestSerialization:
         # not write, as a config object does.
         (lambda m: m.__setitem__("comment", "x"),
          r"^unknown model keys: \['comment'\]$"),
-        (lambda m: m["classifiers"][0].__setitem__("name", "lda"),
-         r"^model classifier 0: unknown record keys: \['name'\]$"),
-        (lambda m: m["classifiers"][0]["state"].__setitem__("k", 5),
-         r"^model classifier 0: unknown state keys: \['k'\]$"),
-        (lambda m: m["training_sets"][0].__setitem__("w", []),
-         r"^model classifier 1: unknown training set 0 keys: \['w'\]$"),
+        _named(lambda m: m["classifiers"][0].__setitem__("name", "lda"),
+               r"^model classifier 0: unknown record keys: \['name'\]$", "nearest-mean"),
+        _named(lambda m: m["classifiers"][0]["state"].__setitem__("k", 5),
+               r"^model classifier 0: unknown state keys: \['k'\]$", "nearest-mean"),
+        _named(lambda m: m["training_sets"][0].__setitem__("w", []),
+               r"^model classifier 1: unknown training set 0 keys: \['w'\]$", "knn3"),
     ])
     def test_schema_check(self, tmp_path, damage, message):
         e = train(toy_dataset(n=30), SPECS, seed=1, fixed_alpha=1.0, n_folds=3)
@@ -828,8 +839,8 @@ def test_overflowing_fit_raises_learner_error(scale, tmp_path):
     ensemble = train(big, default_roster(), 0, fixed_alpha=1.0)
     path = tmp_path / "m.json"
     with pytest.raises(TrainingError, match=(
-            "not written: model classifier 0: state 'inv_cov' holds a "
-            "non-finite value$")):
+            r"not written: model classifier 0 \(lda\): state 'inv_cov' holds "
+            r"a non-finite value$")):
         save_ensemble(path, ensemble)
     assert not path.exists()
 
