@@ -1,7 +1,7 @@
 """granulex: heterogeneous classifier ensembles combined through interval
 information granules built from per-class posterior samples."""
 
-from .granule import Granule, construct_granule, evidence_score, median_of
+from .granule import Granule, construct_granule
 from .metadata import ClassCatalog, MetaMatrix
 from .learners import Dataset, LearnerSpec, default_roster, extended_roster, fit
 from .combiners import dt_fit, granular_intervals

@@ -17,8 +17,6 @@ its sorted row.  The pick then scores a block of alphas at once, as
 GRANULE_BLOCK_CELLS cells per side: `pick_bounds_blocks` walks any number
 of alphas block by block.  `construct_granules_batch` is preparation and a
 one-alpha pick in a row, and `construct_granule` its one-sample case.
-`evidence_score` and `median_of` state the definitions the kernel
-implements.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ import numpy as np
 __all__ = [
     "Granule",
     "GranuleError",
-    "median_of",
-    "evidence_score",
     "PreparedSamples",
     "prepare_samples",
     "pick_bounds_blocks",
@@ -45,7 +41,7 @@ GRANULE_BLOCK_CELLS = 1 << 17  # alphas x samples x candidates per side, per pic
 
 
 class GranuleError(ValueError):
-    """Raised for invalid samples, parameters, or bound/side mismatches."""
+    """Raised for invalid samples or parameters."""
 
 
 @dataclass(frozen=True)
@@ -74,61 +70,11 @@ class Granule:
         return float(_midpoints(self.lower, self.upper))
 
 
-def _check_sample(values: Sequence[float]) -> list[float]:
-    vals = [float(v) for v in values]
-    if not vals:
-        raise GranuleError("empty sample")
-    for v in vals:
-        if not math.isfinite(v):
-            raise GranuleError(f"non-finite sample value {v!r}")
-    return vals
-
-
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0.0:
         raise GranuleError(f"alpha must be finite and >= 0, got {alpha!r}")
     return alpha
-
-
-def median_of(values: Sequence[float]) -> float:
-    """Sample median: middle order statistic, or the mean of the two middle
-    order statistics for even-sized samples."""
-    vals = sorted(_check_sample(values))
-    n = len(vals)
-    mid = n // 2
-    if n % 2 == 1:
-        return vals[mid]
-    return float(_midpoints(vals[mid - 1], vals[mid]))
-
-
-def evidence_score(
-    values: Sequence[float], alpha: float, bound: float, side: str
-) -> float:
-    """Coverage x specificity score of a candidate bound on one side of the
-    median.
-
-    For side="upper" the score is
-        #{x in sample : med <= x <= bound} * exp(-alpha * |med - bound|),
-    mirrored for side="lower".  Counting is inclusive and respects
-    multiplicity.
-    """
-    vals = _check_sample(values)
-    alpha = _check_alpha(alpha)
-    bound = float(bound)
-    med = median_of(vals)
-    if side == "upper":
-        if bound < med:
-            raise GranuleError(f"bound/side mismatch: {bound} < median {med}")
-        count = sum(1 for v in vals if med <= v <= bound)
-    elif side == "lower":
-        if bound > med:
-            raise GranuleError(f"bound/side mismatch: {bound} > median {med}")
-        count = sum(1 for v in vals if bound <= v <= med)
-    else:
-        raise GranuleError(f"side must be 'lower' or 'upper', got {side!r}")
-    # exp(-0 * dist) is 1, also where the dist overflows to inf.
-    return count * (math.exp(-alpha * abs(med - bound)) if alpha else 1.0)
 
 
 @dataclass(frozen=True)
@@ -244,17 +190,19 @@ def construct_granules_batch(samples: np.ndarray, alpha: float) -> np.ndarray:
     """Granules of many same-length samples at one alpha.
 
     samples: (n, k) array, one sample per row.  Returns an (n, 2) array of
-    [lower, upper] bounds; each row maximizes evidence_score on both sides,
-    ties going to the candidate nearest the median.
+    [lower, upper] bounds.  On each side of its row's median, a bound is
+    the sample element maximizing count x exp(-alpha * |median - bound|),
+    count being the values between the median and the bound, both
+    included; ties go to the candidate nearest the median.
     """
     return _pick(prepare_samples(samples), np.array([_check_alpha(alpha)]))[0]
 
 
 def construct_granule(values: Sequence[float], alpha: float) -> Granule:
-    """Build the optimal granule for a sample: each bound is the sample
-    element maximizing evidence_score on its side of the median.  The
-    one-row case of construct_granules_batch."""
-    vals = _check_sample(values)
-    alpha = _check_alpha(alpha)
-    lower, upper = construct_granules_batch(np.asarray([vals]), alpha)[0]
-    return Granule(lower=float(lower), upper=float(upper), alpha=alpha)
+    """The granule of one sample: on each side of its median, the sample
+    element maximizing count x exp(-alpha * |median - bound|).  The
+    one-row view of construct_granules_batch."""
+    lower, upper = construct_granules_batch(
+        np.asarray([values], dtype=np.float64), alpha
+    )[0]
+    return Granule(lower=lower, upper=upper, alpha=alpha)

@@ -5,9 +5,12 @@ test (09) runs the full 10x10 protocol on the three bundled datasets and
 dominates the suite's runtime.
 """
 
-import itertools
+import hashlib
+import json
 import math
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,14 +34,15 @@ from granulex.datasets import (
 from granulex.evaluation import (
     ProtocolConfig,
     bias_variance,
-    midranks,
     run_protocol,
     wilcoxon_signed_rank,
 )
-from granulex.granule import construct_granule, median_of
+from granulex.granule import construct_granule
 from granulex.learners import Dataset, LearnerSpec, extended_roster, fit
 from granulex.metadata import ClassCatalog
+from granulex.report import report_json_bytes
 from granulex.training import default_alpha_grid, generate_meta_cv, make_fold_plan
+from oracles import median_of, oracle_granule, oracle_wilcoxon_p
 
 # Ten-learner roster used for the headline comparison: heavy on learners
 # with sharp, diverse posteriors, which is where interval fusion differs
@@ -57,40 +61,6 @@ HEADLINE_ROSTER = (
 )
 
 RULE_METHODS = tuple(f"rule:{r}" for r in FIXED_RULES)
-
-
-def oracle_granule(values, alpha):
-    """Exhaustive search over every candidate bound, scored directly from
-    the coverage x specificity product; ties resolved toward the median."""
-    vals = sorted(values)
-    med = median_of(vals)
-
-    def score(lo, hi, bound):
-        return sum(1 for v in vals if lo <= v <= hi) * math.exp(
-            -alpha * abs(med - bound)
-        )
-
-    upper = max(sorted((v for v in vals if v >= med), key=lambda v: v - med),
-                key=lambda v: score(med, v, v))
-    lower = max(sorted((v for v in vals if v <= med), key=lambda v: med - v),
-                key=lambda v: score(v, med, v))
-    return lower, upper
-
-
-def oracle_wilcoxon_p(diffs):
-    """Two-sided exact p via complete enumeration of sign assignments."""
-    diffs = np.asarray(diffs, dtype=float)
-    ranks = midranks(np.abs(diffs))
-    w_plus = ranks[diffs > 0].sum()
-    w_minus = ranks[diffs < 0].sum()
-    w_small = min(w_plus, w_minus)
-    total = ranks.sum()
-    hits = 0
-    for signs in itertools.product((0, 1), repeat=len(diffs)):
-        w = sum(r for r, s in zip(ranks, signs) if s)
-        if w <= w_small + 1e-12 or w >= total - w_small - 1e-12:
-            hits += 1
-    return hits / 2 ** len(diffs)
 
 
 def random_profile(rng, k, m):
@@ -212,13 +182,21 @@ def test_08_bias_variance_match_indicator_sums():
         assert report.variance == pytest.approx(variance)
 
 
-def test_09_headline_effect_on_bundled_datasets():
+@pytest.fixture(scope="module")
+def headline():
+    """The headline protocol, run once for every test that reads it:
+    (datasets, report, wall seconds)."""
     datasets = [load_bundled(name) for name in BUNDLED_DATASETS]
     cfg = ProtocolConfig(folds=10, repeats=10, seed=7,
                          learners=HEADLINE_ROSTER)
     start = time.perf_counter()
     report = run_protocol(datasets, cfg)
-    assert time.perf_counter() - start < 600.0
+    return datasets, report, time.perf_counter() - start
+
+
+def test_09_headline_effect_on_bundled_datasets(headline):
+    datasets, report, seconds = headline
+    assert seconds < 600.0
 
     # (a) granular-cv's mean error is at or below the best fixed rule on
     # at least 2 of the 3 datasets. Per-fold errors are multiples of
@@ -236,6 +214,47 @@ def test_09_headline_effect_on_bundled_datasets():
         if (c.method == "granular-cv" and c.baseline == "rule:sum"
                 and c.metric == "error"):
             assert c.outcome != "loss", c.dataset
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """What the headline report held when tests/golden.json was written:
+    per (dataset, method), the misclassified test rows of each of the 100
+    runs, and the sha256 of the report's JSON bytes with the numpy version
+    and machine it was made on.  A change that moves them edits the file."""
+    return json.loads(Path(__file__).with_name("golden.json").read_text())
+
+
+def misclassified_rows(report):
+    """dataset -> method -> the misclassified test rows of each run: its
+    error rate times the 15 test rows of each outer fold of a bundled
+    dataset's 150."""
+    table = {}
+    for name, methods in report.results.items():
+        table[name] = {}
+        for method, result in methods.items():
+            rows = [error * 15 for error in result.errors]
+            assert all(r.is_integer() for r in rows), (name, method)
+            table[name][method] = [int(r) for r in rows]
+    return table
+
+
+def test_09_headline_misclassified_rows_are_golden(headline, golden):
+    got, want = misclassified_rows(headline[1]), golden["misclassified"]
+    pairs = {(name, method) for table in (got, want)
+             for name, methods in table.items() for method in methods}
+    moved = sorted((name, method) for name, method in pairs
+                   if got.get(name, {}).get(method) != want.get(name, {}).get(method))
+    assert moved == [], f"misclassified rows moved on (dataset, method) {moved}"
+
+
+def test_09_headline_report_hash_is_golden(headline, golden):
+    here = {"numpy": np.__version__, "machine": platform.machine()}
+    made_on = {key: golden[key] for key in here}
+    if here != made_on:
+        pytest.skip(f"golden report hash made on {made_on}, not {here}")
+    digest = hashlib.sha256(report_json_bytes(headline[1])).hexdigest()
+    assert digest == golden["report_sha256"]
 
 
 def test_10_h_function_study():

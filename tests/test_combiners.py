@@ -18,6 +18,7 @@ from granulex.combiners import (
 )
 from granulex.granule import construct_granule, construct_granules_batch
 from granulex.metadata import ClassCatalog, MetaMatrix, MetadataError
+from oracles import reference_s1
 
 WORKED = np.array([[0.6, 0.4], [0.7, 0.3], [0.35, 0.65]])
 
@@ -204,16 +205,6 @@ class TestDecisionTemplate:
                 assert tuple(sims) == tuple(s1_similarity(p, t) for t in templates)
                 assert dt_decide_batch(model, profiles[i:i + 1])[0] == decisions[i]
 
-    @staticmethod
-    def reference_s1(profile, template):
-        """The standalone pair formula s1_similarity had before it became
-        the one-pair call of s1_similarity_batch."""
-        inter = np.minimum(profile, template).sum()
-        union = np.maximum(profile, template).sum()
-        if union == 0.0:
-            return 1.0
-        return float(inter / union)
-
     def test_s1_similarity_is_the_one_pair_batch(self):
         """Bitwise the pair formula on random and 1-decimal pairs with
         K * M up to 200, and on the all-zero union."""
@@ -225,9 +216,9 @@ class TestDecisionTemplate:
                 a, b = np.round(a, 1), np.round(b, 1)
             got = s1_similarity(a, b)
             assert type(got) is float
-            assert got == self.reference_s1(a, b), (k, m)
+            assert got == reference_s1(a, b), (k, m)
         zero = np.zeros((3, 4))
-        assert s1_similarity(zero, zero) == self.reference_s1(zero, zero) == 1.0
+        assert s1_similarity(zero, zero) == reference_s1(zero, zero) == 1.0
         with pytest.raises(MetadataError, match="shape mismatch"):
             s1_similarity(np.zeros((2, 3)), np.zeros((3, 2)))
 

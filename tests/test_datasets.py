@@ -14,6 +14,7 @@ from granulex.datasets import (
 from granulex.evaluation import error_rate
 from granulex.learners import LearnerSpec, default_roster, fit
 from granulex.training import generate_meta_cv, make_fold_plan
+from oracles import reference_two_class
 
 
 class TestLoadCsv:
@@ -130,39 +131,13 @@ class TestGenerators:
         with pytest.raises(DatasetError, match=r"got 1000000000000 \* 2"):
             GeneratorSpec("twonorm-like", n=10**12, d=2)
 
-    @staticmethod
-    def reference_two_class(spec):
-        """The two-gaussians and twonorm-like draws as two separate
-        branches, before they shared one."""
-        rng = np.random.default_rng(spec.seed)
-        half = spec.n // 2
-        sizes = [half, spec.n - half]
-        if spec.kind == "two-gaussians":
-            offset = np.zeros(spec.d)
-            offset[0] = 2.0 * spec.noise
-            x = np.vstack([
-                rng.normal(size=(sizes[0], spec.d)) * spec.noise + offset,
-                rng.normal(size=(sizes[1], spec.d)) * spec.noise - offset,
-            ])
-            labels = ("pos", "neg")
-        else:
-            a = 2.0 / np.sqrt(spec.d)
-            x = np.vstack([
-                rng.normal(size=(sizes[0], spec.d)) * spec.noise + a,
-                rng.normal(size=(sizes[1], spec.d)) * spec.noise - a,
-            ])
-            labels = ("norm1", "norm2")
-        y = np.concatenate([np.zeros(sizes[0]), np.ones(sizes[1])])
-        order = rng.permutation(spec.n)
-        return x[order], y[order].astype(np.int64), labels
-
     @pytest.mark.parametrize("kind", ["two-gaussians", "twonorm-like"])
     def test_two_class_generators_share_one_branch(self, kind):
         for n, d, noise, seed in [(4, 1, 1.0, 0), (7, 3, 0.5, 1),
                                   (50, 2, 2.5, 9), (101, 5, 1.0, 42),
                                   (33, 1, 0.1, 7)]:
             data = generate(GeneratorSpec(kind, n=n, d=d, noise=noise, seed=seed))
-            x, y, labels = self.reference_two_class(
+            x, y, labels = reference_two_class(
                 GeneratorSpec(kind, n=n, d=d, noise=noise, seed=seed))
             assert data.features.tobytes() == x.tobytes()
             assert data.labels.tobytes() == y.tobytes()

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -21,6 +20,7 @@ from granulex.evaluation import (
 )
 from granulex.learners import Dataset, LearnerSpec
 from granulex.metadata import ClassCatalog
+from oracles import midranks as counted_midranks, oracle_wilcoxon_p
 
 
 class TestErrorRate:
@@ -99,24 +99,6 @@ class TestBiasVariance:
             assert report.variance == pytest.approx(var)
 
 
-def wilcoxon_oracle_p(diffs):
-    """Two-sided exact p by enumerating all 2^n sign assignments."""
-    diffs = np.asarray(diffs, dtype=float)
-    ranks = midranks(np.abs(diffs))
-    w_plus = ranks[diffs > 0].sum()
-    w_minus = ranks[diffs < 0].sum()
-    w_small = min(w_plus, w_minus)
-    total = ranks.sum()
-    hits = 0
-    count = 0
-    for signs in itertools.product((0, 1), repeat=len(diffs)):
-        w = sum(r for r, s in zip(ranks, signs) if s)
-        count += 1
-        if w <= w_small + 1e-12 or w >= total - w_small - 1e-12:
-            hits += 1
-    return hits / count
-
-
 class TestWilcoxon:
     def test_n5_all_positive_is_equal(self):
         a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -147,7 +129,7 @@ class TestWilcoxon:
                 b[0] = a[0] - (a[1] - b[1])
             res = wilcoxon_signed_rank(a, b)
             assert res.exact
-            assert res.p_value == pytest.approx(wilcoxon_oracle_p(a - b))
+            assert res.p_value == pytest.approx(oracle_wilcoxon_p(a - b))
 
     def test_normal_approximation_branch(self):
         rng = np.random.default_rng(3)
@@ -186,6 +168,12 @@ class TestRanks:
             table = rng.random((p, 5))
             ranks = average_ranks(table)
             assert ranks.sum() == pytest.approx(p * (p + 1) / 2)
+
+    def test_midranks_are_the_counted_ranks(self):
+        rng = np.random.default_rng(12)
+        for n in range(13):
+            values = rng.integers(0, 4, size=n) / 4
+            assert np.array_equal(midranks(values), counted_midranks(values))
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(EvaluationError):

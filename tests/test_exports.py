@@ -1,9 +1,12 @@
 """The package's public names: every exported name resolves, the retired
 one-profile API and per-kind tables stay gone, and the names bench/tracer.py
-wraps exist."""
+wraps exist.  The tests' oracles import nothing of the package."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 # replaced; and the per-rest class check that fit_folds' one pass over all
 # rests replaced; and knn's shared predictor and the state wrapper that
 # each kind's one predictor over models and the model's own `present` and
-# `n_features` replaced.
+# `n_features` replaced; and the Python-loop median and score that
+# restated what prepare_samples computes, now in tests/oracles.py, with the
+# sample check of construct_granule, which the batch kernel's replaced.
 RETIRED = {
     "_FITTERS",
     "_PREDICTORS",
@@ -60,6 +65,9 @@ RETIRED = {
     "_present",
     "_predict_knn_shared",
     "_fitted",
+    "median_of",
+    "evidence_score",
+    "_check_sample",
 }
 
 # Module attributes the bench tracer replaces by name.
@@ -90,3 +98,14 @@ def test_package_names_resolve():
 @pytest.mark.parametrize("module, attr", TRACED)
 def test_traced_attributes_exist(module, attr):
     assert callable(getattr(importlib.import_module(f"granulex.{module}"), attr))
+
+
+def test_oracles_import_only_numpy_and_the_standard_library():
+    """An oracle that calls the package would agree with it by construction."""
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "." for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    allowed = sys.stdlib_module_names | {"numpy"}
+    assert imported and [m for m in imported if m.split(".")[0] not in allowed] == []

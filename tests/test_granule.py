@@ -10,85 +10,68 @@ from granulex.granule import (
     GranuleError,
     construct_granule,
     construct_granules_batch,
-    evidence_score,
-    median_of,
     pick_bounds_blocks,
     prepare_samples,
 )
+from oracles import evidence_score, median_of, oracle_granule, reference_granules_batch
 
 GRID = tuple(round(0.1 * i, 1) for i in range(41))
 ALPHAS = GRID + (0.0, 25.0, 1e6)
+SIDES = ("lower", "upper")
 
 
-def midpoint(a, b):
-    """Mean of two floats; halves first where their sum overflows."""
-    total = a + b
-    return total / 2.0 if math.isfinite(total) else a / 2.0 + b / 2.0
+def kernel_cell(values, bound, side):
+    """(count, dist) of candidate `bound` on `side` of one sample, as
+    prepare_samples lays it out."""
+    prepared = prepare_samples(np.array([values], dtype=np.float64))
+    s = SIDES.index(side)
+    j = np.flatnonzero(prepared.values[s, 0] == bound)[0]
+    return float(prepared.count[s, 0, j]), float(prepared.dist[s, 0, j])
 
 
-def reference_granules_batch(samples, alpha):
-    """The one-shot batch kernel: sort, count and score at a single alpha,
-    all in one pass, over every column of the sorted rows."""
-    v = np.sort(np.asarray(samples, dtype=np.float64), axis=1)
-    n, k = v.shape
-    mid = k // 2
-    if k % 2 == 1:
-        med = v[:, mid]
-    else:
-        med = np.array([midpoint(a, b) for a, b in v[:, mid - 1:mid + 1].tolist()])
-    medc = med[:, None]
-    le = (v[:, None, :] <= v[:, :, None]).sum(axis=2)
-    lt = (v[:, None, :] < v[:, :, None]).sum(axis=2)
-    below_med = (v < medc).sum(axis=1)[:, None]
-    le_med = (v <= medc).sum(axis=1)[:, None]
-    with np.errstate(over="ignore"):
-        decay = np.exp(-alpha * np.abs(medc - v))
-    upper_scores = np.where(v >= medc, (le - below_med) * decay, -1.0)
-    upper = v[np.arange(n), np.argmax(upper_scores, axis=1)]
-    lower_scores = np.where(v <= medc, (le_med - lt) * decay, -1.0)
-    lower = v[np.arange(n), k - 1 - np.argmax(lower_scores[:, ::-1], axis=1)]
-    return np.stack([lower, upper], axis=1)
+def assert_cell(values, bound, side):
+    """The kernel's count and dist of a candidate are the oracle's: its
+    evidence_score at alpha = 0, and its distance to median_of.  Returns
+    the count."""
+    count, dist = kernel_cell(values, bound, side)
+    assert count == evidence_score(values, 0.0, bound, side)
+    assert dist == abs(median_of(values) - bound)
+    return count
 
 
-def brute_force_granule(values, alpha):
-    """Independent exhaustive search: score every (side, candidate) pair
-    straight from the coverage x specificity definition."""
-    vals = sorted(values)
-    n = len(vals)
-    med = vals[n // 2] if n % 2 else midpoint(vals[n // 2 - 1], vals[n // 2])
-
-    def score(bound, lo, hi):
-        count = sum(1 for v in vals if lo <= v <= hi)
-        return count * math.exp(-alpha * abs(med - bound))
-
-    upper_cands = [v for v in vals if v >= med]
-    lower_cands = [v for v in vals if v <= med]
-    # tie-break toward the median: sort candidates by distance first
-    upper = max(sorted(upper_cands, key=lambda v: v - med),
-                key=lambda v: score(v, med, v))
-    lower = max(sorted(lower_cands, key=lambda v: med - v),
-                key=lambda v: score(v, v, med))
-    return lower, upper
+def assert_kernel_median(values, med):
+    """Every on-side candidate of prepare_samples lies at its distance
+    from med, the oracle's median."""
+    assert median_of(values) == med
+    prepared = prepare_samples(np.array([values], dtype=np.float64))
+    on_side = prepared.count >= 0
+    assert on_side.any()
+    assert np.array_equal(prepared.dist[on_side],
+                          np.abs(med - prepared.values[on_side]))
 
 
 class TestMedian:
     def test_odd(self):
-        assert median_of([1, 2, 3]) == 2
+        assert_kernel_median([1, 2, 3], 2)
 
     def test_even(self):
-        assert median_of([0.1, 0.2, 0.5, 0.8]) == pytest.approx(0.35)
+        med = median_of([0.1, 0.2, 0.5, 0.8])
+        assert med == pytest.approx(0.35)
+        assert_kernel_median([0.1, 0.2, 0.5, 0.8], med)
 
     def test_singleton(self):
-        assert median_of([0.7]) == 0.7
+        assert_kernel_median([0.7], 0.7)
 
     def test_empty(self):
-        with pytest.raises(GranuleError, match="empty sample"):
-            median_of([])
+        with pytest.raises(GranuleError, match="non-empty"):
+            construct_granule([], 1.0)
 
     def test_overflowing_sum(self):
         # (1e308 + 1.5e308) / 2 would be inf, outside the two middle values.
-        assert median_of([1e308, 1.5e308]) == 1.25e308
-        assert median_of([-1.5e308, -1e308]) == -1.25e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_kernel_median([1e308, 1.5e308], 1.25e308)
+            assert_kernel_median([-1.5e308, -1e308], -1.25e308)
         g = construct_granule([1e308, 1.5e308], 1.0)
         assert (g.lower, g.upper) == (1e308, 1.5e308)
         with warnings.catch_warnings():
@@ -122,7 +105,7 @@ class TestMedian:
 
     def test_finite_sum_is_unchanged(self):
         for a, b in ((0.1, 0.2), (5e-324, 1e-323), (0.0, 5e-324), (-3.0, 7.5)):
-            assert median_of([b, a]) == (a + b) / 2.0
+            assert_kernel_median([b, a], (a + b) / 2.0)
             assert Granule(a, b, 1.0).midpoint == (a + b) / 2.0
 
 
@@ -130,15 +113,16 @@ class TestEvidenceScore:
     SAMPLE = [0.1, 0.2, 0.5, 0.8, 0.9]
 
     def test_upper_far(self):
-        got = evidence_score(self.SAMPLE, 1.0, 0.9, "upper")
-        assert got == pytest.approx(3 * math.exp(-0.4))
+        assert assert_cell(self.SAMPLE, 0.9, "upper") == 3
+        assert kernel_cell(self.SAMPLE, 0.9, "upper")[1] == pytest.approx(0.4)
 
     def test_upper_at_median(self):
-        assert evidence_score(self.SAMPLE, 1.0, 0.5, "upper") == 1.0
+        assert kernel_cell(self.SAMPLE, 0.5, "upper") == (1.0, 0.0)
+        assert assert_cell(self.SAMPLE, 0.5, "upper") == 1
 
     def test_alpha_zero_counts(self):
-        assert evidence_score(self.SAMPLE, 0.0, 0.8, "upper") == 2.0
-        assert evidence_score(self.SAMPLE, 0.0, 0.9, "upper") == 3.0
+        assert assert_cell(self.SAMPLE, 0.8, "upper") == 2
+        assert assert_cell(self.SAMPLE, 0.9, "upper") == 3
 
     def test_alpha_zero_counts_past_the_float_range(self):
         # Distances of 2e308 and more overflow to inf, yet exp(-0 * dist) is
@@ -147,25 +131,35 @@ class TestEvidenceScore:
         sample = [-1.7e308, -1e308, 1e308, 1e308, 1e308]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert evidence_score(sample, 0.0, -1.7e308, "lower") == 5.0
-            assert evidence_score(sample, 0.0, -1e308, "lower") == 4.0
+            assert assert_cell(sample, -1.7e308, "lower") == 5
+            assert assert_cell(sample, -1e308, "lower") == 4
+            assert kernel_cell(sample, -1e308, "lower")[1] == math.inf
             assert evidence_score(sample, 1.0, -1e308, "lower") == 0.0
             g = construct_granule(sample, 0.0)
             assert (g.lower, g.upper) == (-1.7e308, 1e308)
             assert (construct_granule(sample, 1.0).lower) == 1e308
 
     def test_lower_side(self):
-        got = evidence_score(self.SAMPLE, 1.0, 0.1, "lower")
-        assert got == pytest.approx(3 * math.exp(-0.4))
+        assert assert_cell(self.SAMPLE, 0.1, "lower") == 3
+        assert kernel_cell(self.SAMPLE, 0.1, "lower")[1] == pytest.approx(0.4)
 
     def test_side_mismatch(self):
-        with pytest.raises(GranuleError, match="bound/side mismatch"):
-            evidence_score(self.SAMPLE, 1.0, 0.2, "upper")
-        with pytest.raises(GranuleError, match="bound/side mismatch"):
-            evidence_score(self.SAMPLE, 1.0, 0.8, "lower")
+        # Of an odd sample, no element across the median is a candidate.
+        prepared = prepare_samples(np.array([self.SAMPLE]))
+        assert 0.2 not in prepared.values[1] and 0.8 not in prepared.values[0]
+        # Of an even one, the window holds the middle value across the
+        # median: its count is -1, below every candidate's score, where
+        # evidence_score refuses the bound.
+        sample = [0.1, 0.2, 0.5, 0.8]
+        assert kernel_cell(sample, 0.2, "upper") == (-1.0, 0.0)
+        assert kernel_cell(sample, 0.5, "lower") == (-1.0, 0.0)
+        with pytest.raises(ValueError, match="not on the upper side"):
+            evidence_score(sample, 1.0, 0.2, "upper")
+        with pytest.raises(ValueError, match="not on the lower side"):
+            evidence_score(sample, 1.0, 0.5, "lower")
 
     def test_multiplicity(self):
-        assert evidence_score([0.5, 0.7, 0.7, 0.7, 0.5], 0.0, 0.7, "upper") == 3.0
+        assert assert_cell([0.5, 0.7, 0.7, 0.7, 0.5], 0.7, "upper") == 3
 
 
 class TestConstructGranule:
@@ -197,6 +191,19 @@ class TestConstructGranule:
         with pytest.raises(GranuleError):
             construct_granule([0.1, 0.2, 0.3], float("nan"))
 
+    def test_bad_sample(self):
+        # The one-row view raises what the batch kernel raises.
+        for values in ([0.1, float("nan")], [float("inf")], [[0.1, 0.2]]):
+            with pytest.raises(GranuleError):
+                construct_granule(values, 1.0)
+        with pytest.raises(ValueError, match="could not convert"):
+            construct_granule(["a"], 1.0)
+
+    def test_fields_are_floats(self):
+        g = construct_granule(np.array([1, 2, 3]), np.float32(0.5))
+        assert [type(v) for v in (g.lower, g.upper, g.alpha)] == [float] * 3
+        assert (g.lower, g.upper, g.alpha) == (1.0, 3.0, 0.5)
+
     def test_invalid_granule_bounds(self):
         with pytest.raises(GranuleError):
             Granule(lower=0.9, upper=0.1, alpha=1.0)
@@ -221,7 +228,7 @@ class TestProperties:
             vals = rng.random(rng.integers(3, 51)).tolist()
             for alpha in self.ALPHAS:
                 g = construct_granule(vals, alpha)
-                lo, hi = brute_force_granule(vals, alpha)
+                lo, hi = oracle_granule(vals, alpha)
                 assert (g.lower, g.upper) == (lo, hi)
 
     def test_monotone_specificity(self):
@@ -290,7 +297,7 @@ class TestBatch:
             for alpha in (0.0, 1.0, 1e6):
                 bounds = construct_granules_batch(samples[:20], alpha)
                 for row, (lo, hi) in zip(samples[:20], bounds):
-                    assert brute_force_granule(row.tolist(), alpha) == (lo, hi), k
+                    assert oracle_granule(row.tolist(), alpha) == (lo, hi), k
 
     def test_one_preparation_serves_every_alpha(self):
         # Prepared once, picked at every alpha in turn (and back at the

@@ -22,6 +22,14 @@ from granulex.learners import (
 )
 from granulex.metadata import ClassCatalog, validate_scores
 from granulex.training import make_fold_plan
+from oracles import (
+    reference_best_split,
+    reference_fit_logistic,
+    reference_fit_perceptron,
+    reference_grow_tree,
+    reference_predict_knn,
+    reference_predict_tree,
+)
 
 CAT2 = ClassCatalog(("A", "B"))
 
@@ -337,15 +345,7 @@ def test_from_state_names_each_missing_state_key(kind):
             FittedClassifier.from_state(record, *shared)
 
 
-# --- split search oracle ----------------------------------------------------
-
-def _reference_gini(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    f = counts / total
-    return 1.0 - float((f * f).sum())
-
+# --- split search -----------------------------------------------------------
 
 @pytest.mark.parametrize("p", [2, 3, 7, 8, 9, 16, 17, 130])
 def test_gini_of_class_slabs_is_the_row_sum_bitwise(p):
@@ -363,75 +363,15 @@ def test_gini_of_class_slabs_is_the_row_sum_bitwise(p):
     assert [1.0 - float((row * row).sum()) for row in f] == want.tolist()
 
 
-def _reference_best_split(x, y, p, min_leaf):
-    """The scalar definition of the split search: one position at a time."""
-    n, d = x.shape
-    parent = _reference_gini(np.bincount(y, minlength=p))
-    best = None  # (impurity, feature, threshold)
-    for j in range(d):
-        order = np.argsort(x[:, j], kind="stable")
-        xs, ys = x[order, j], y[order]
-        left = np.zeros(p)
-        right = np.bincount(ys, minlength=p).astype(float)
-        for i in range(n - 1):
-            left[ys[i]] += 1
-            right[ys[i]] -= 1
-            if xs[i] == xs[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            imp = (nl * _reference_gini(left) + nr * _reference_gini(right)) / n
-            if best is None or imp < best[0]:
-                best = (imp, j, (xs[i] + xs[i + 1]) / 2.0)
-    if best is None or best[0] >= parent:
-        return None
-    return best[1], best[2]
-
-
-def _reference_grow_tree(x, y, p, depth, max_depth, min_leaf):
-    """The recursive definition of a CART tree, on the scalar split."""
-    counts = np.bincount(y, minlength=p).astype(float)
-    if depth >= max_depth or len(np.unique(y)) == 1 or len(y) < 2 * min_leaf:
-        return {"leaf": (counts / counts.sum()).tolist()}
-    split = _reference_best_split(x, y, p, min_leaf)
-    if split is None:
-        return {"leaf": (counts / counts.sum()).tolist()}
-    j, thr = split
-    mask = x[:, j] < thr
-    return {
-        "feature": int(j),
-        "threshold": float(thr),
-        "left": _reference_grow_tree(x[mask], y[mask], p, depth + 1, max_depth,
-                                     min_leaf),
-        "right": _reference_grow_tree(x[~mask], y[~mask], p, depth + 1,
-                                      max_depth, min_leaf),
-    }
-
-
 def _nested_tree(table, node=0):
     """A node table as the nested split and leaf dicts of
-    _reference_grow_tree."""
+    reference_grow_tree."""
     if table["feature"][node] < 0:
         return {"leaf": table["proportions"][node].tolist()}
     left, right = table["children"][node]
     return {"feature": int(table["feature"][node]),
             "threshold": float(table["threshold"][node]),
             "left": _nested_tree(table, left), "right": _nested_tree(table, right)}
-
-
-def _reference_predict_tree(tree, p, x):
-    """The (len(x), p) proportions of the leaf each row of x reaches, each
-    row walked alone through the nested dicts of a tree."""
-    leaves = []
-    for row in x:
-        node = tree
-        while "leaf" not in node:
-            below = row[node["feature"]] < node["threshold"]
-            node = node["left"] if below else node["right"]
-        leaves.append(node["leaf"])
-    return np.array(leaves, dtype=np.float64).reshape(len(x), p)
 
 
 def _random_split_case(rng, p=None, n_max=300, d_max=4):
@@ -466,7 +406,7 @@ def test_best_split_matches_scalar_reference():
     for _ in range(400):
         x, y, p = _random_split_case(rng)
         for min_leaf in (1, 2, 5):
-            expected = _reference_best_split(x, y, p, min_leaf)
+            expected = reference_best_split(x, y, p, min_leaf)
             (table,) = learners._grow_trees(x, y, p, [np.arange(len(y))], 1,
                                             min_leaf)
             root = _nested_tree(table)
@@ -484,8 +424,8 @@ def test_best_split_matches_scalar_reference():
 def test_tree_matches_scalar_reference(name, spec):
     data = load_bundled(name)
     max_depth, min_leaf = learners._tree_shape(spec)
-    expected = _reference_grow_tree(data.features, data.labels,
-                                    data.catalog.size, 0, max_depth, min_leaf)
+    expected = reference_grow_tree(data.features, data.labels,
+                                   data.catalog.size, 0, max_depth, min_leaf)
     assert _nested_tree(fit(spec, data, 0).state) == expected
 
 
@@ -548,7 +488,7 @@ def test_fit_folds_trees_match_reference(parts, monkeypatch):
             assert calls == [parts]
             shape = learners._tree_shape(spec)
             for rest, model in zip(rests, models):
-                assert _nested_tree(model.state) == _reference_grow_tree(
+                assert _nested_tree(model.state) == reference_grow_tree(
                     data.features[rest], data.labels[rest], p, 0, *shape)
 
 
@@ -594,7 +534,7 @@ def test_tree_parts_outside_the_guard_fit_one_by_one(fault, monkeypatch):
         part = data.subset(rest)
         present = np.unique(part.labels)
         y = np.searchsorted(present, part.labels)
-        assert _nested_tree(model.state) == _reference_grow_tree(
+        assert _nested_tree(model.state) == reference_grow_tree(
             part.features, y, len(present), 0, 12, 2)
 
 
@@ -610,8 +550,8 @@ def test_trees_of_eight_classes_or_more_match_reference(p, monkeypatch):
     for spec in (LearnerSpec("decision-tree", {"max_depth": 20, "min_leaf": 1}),
                  LearnerSpec("decision-tree"), LearnerSpec("decision-stump")):
         shape = learners._tree_shape(spec)
-        expected = [_reference_grow_tree(data.features[r], data.labels[r], p, 0,
-                                         *shape) for r in rests]
+        expected = [reference_grow_tree(data.features[r], data.labels[r], p, 0,
+                                        *shape) for r in rests]
         for budget in (cells, cells // 3):
             monkeypatch.setattr(learners, "TREE_BLOCK_CELLS", budget)
             del groups[:]
@@ -652,7 +592,7 @@ def test_trees_settle_rounding_ties_as_the_oracle(p):
     for spec in (LearnerSpec("decision-stump"), LearnerSpec("decision-tree")):
         shape = learners._tree_shape(spec)
         (model,) = fit_folds(spec, data, [np.arange(len(y))], [0])
-        assert _nested_tree(model.state) == _reference_grow_tree(x, y, p, 0, *shape)
+        assert _nested_tree(model.state) == reference_grow_tree(x, y, p, 0, *shape)
 
 
 @pytest.mark.parametrize("fault", ["empty", "one-class"])
@@ -716,7 +656,7 @@ def test_tree_posteriors_are_the_nested_walks(name, spec):
     far = rng.normal(size=(200, data.n_features)) * 3 * data.features.std(axis=0)
     x = np.vstack([on, data.features, far])
     for rows in (x[:0], x[:1], x[-1:], on, x):
-        want = _reference_predict_tree(tree, p, rows)
+        want = reference_predict_tree(tree, p, rows)
         assert np.array_equal(learners._predict_tree(state, rows), want)
 
 
@@ -732,26 +672,11 @@ def test_tree_of_a_rest_with_repeated_rows_is_the_oracle_on_its_rows():
         shape = [(1, 1), (2, 2), (12, 2), (20, 1), (20, 5)][i % 5]
         for rest, table in zip(rests, learners._grow_trees(x, y, p, rests, *shape)):
             assert (np.diff(rest) == 0).any()
-            assert _nested_tree(table) == _reference_grow_tree(x[rest], y[rest], p,
-                                                               0, *shape)
+            assert _nested_tree(table) == reference_grow_tree(x[rest], y[rest], p,
+                                                              0, *shape)
 
 
-# --- batched logistic fits oracle -------------------------------------------
-
-def _reference_fit_logistic(spec, x, y, p, seed):
-    """The one-fit definition of the logistic learner."""
-    iterations = int(spec.params["iterations"])
-    rate = float(spec.params["rate"])
-    n, d = x.shape
-    xa = np.hstack([x, np.ones((n, 1))])
-    w = np.zeros((d + 1, p))
-    onehot = np.zeros((n, p))
-    onehot[np.arange(n), y] = 1.0
-    for _ in range(iterations):
-        probs = learners._softmax(xa @ w)
-        w += rate * (xa.T @ (onehot - probs)) / n
-    return {"w": w}
-
+# --- batched logistic fits --------------------------------------------------
 
 def _random_folds_case(rng):
     m = int(rng.choice([2, 3, 4, 5, 7, 8, 9, 12, 20]))
@@ -797,7 +722,7 @@ def test_fit_folds_logistic_matches_reference_bitwise(monkeypatch):
     batched = [list(fit_folds(spec, data, rests, range(len(rests))))
                for data, rests in cases]
     assert batch_sizes == [len(rests) for _, rests in cases]  # one call each
-    _patch_fitter(monkeypatch, "logistic-linear", _reference_fit_logistic)
+    _patch_fitter(monkeypatch, "logistic-linear", reference_fit_logistic)
     for (data, rests), models in zip(cases, batched):
         for rest, model in zip(rests, models):
             expected = fit(spec, data.subset(rest), 0).state["w"]
@@ -813,33 +738,11 @@ def test_fit_logistic_is_the_one_fold_kernel(monkeypatch):
     data, _ = _random_folds_case(rng)
     spec = LearnerSpec("logistic-linear", {"iterations": 50})
     got = fit(spec, data, 0).state["w"]
-    _patch_fitter(monkeypatch, "logistic-linear", _reference_fit_logistic)
+    _patch_fitter(monkeypatch, "logistic-linear", reference_fit_logistic)
     assert got.tobytes() == fit(spec, data, 0).state["w"].tobytes()
 
 
-# --- perceptron scan oracle -------------------------------------------------
-
-def _reference_fit_perceptron(spec, x, y, p, seed):
-    """The row-loop definition of the perceptron learner."""
-    iterations = int(spec.params["iterations"])
-    rate = float(spec.params["rate"])
-    rng = np.random.default_rng(seed)
-    n, d = x.shape
-    ws = np.zeros((p, d))
-    bs = np.zeros(p)
-    for c in range(p):
-        t = np.where(y == c, 1.0, -1.0)
-        w = np.zeros(d)
-        b = 0.0
-        for _ in range(iterations):
-            order = rng.permutation(n)
-            for i in order:
-                if t[i] * (x[i] @ w + b) <= 0:
-                    w += rate * t[i] * x[i]
-                    b += rate * t[i]
-        ws[c], bs[c] = w, b
-    return {"w": ws, "b": bs}
-
+# --- perceptron scan --------------------------------------------------------
 
 def _spy_scans(monkeypatch):
     """What each call of the perceptron scan's _scores returned: the
@@ -859,7 +762,7 @@ def _spy_scans(monkeypatch):
 def _check_perceptron(x, y, p, seed=0, **params):
     spec = LearnerSpec("perceptron", {"iterations": 40, **params})
     got = learners._fit_perceptron(spec, x, y, p, seed)
-    want = _reference_fit_perceptron(spec, x, y, p, seed)
+    want = reference_fit_perceptron(spec, x, y, p, seed)
     assert np.array_equal(got["w"], want["w"]), (x.shape, params)
     assert np.array_equal(got["b"], want["b"]), (x.shape, params)
 
@@ -906,8 +809,8 @@ def test_fit_folds_perceptron_matches_row_loop_on_ten_parts():
     spec = LearnerSpec("perceptron")
     models = list(fit_folds(spec, data, rests, range(30, 40)))
     for rest, seed, model in zip(rests, range(30, 40), models):
-        want = _reference_fit_perceptron(spec, data.features[rest],
-                                         data.labels[rest], 2, seed)
+        want = reference_fit_perceptron(spec, data.features[rest],
+                                        data.labels[rest], 2, seed)
         assert model.state["w"].tobytes() == want["w"].tobytes()
         assert model.state["b"].tobytes() == want["b"].tobytes()
 
@@ -1037,7 +940,7 @@ def test_fit_folds_of_no_rests_yields_nothing(kind):
     assert list(fit_folds(LearnerSpec(kind), load_bundled("rings"), [], [])) == []
 
 
-# --- knn prediction oracle --------------------------------------------------
+# --- knn prediction ---------------------------------------------------------
 
 def _knn_models(xt, y, p, ks):
     """A knn model of each k on the training rows xt, labels y, of p
@@ -1045,23 +948,6 @@ def _knn_models(xt, y, p, ks):
     catalog = ClassCatalog(tuple(f"c{c}" for c in range(p)))
     return [FittedClassifier(LearnerSpec("knn", {"k": k}), catalog, np.arange(p),
                              xt.shape[1], {"x": xt, "y": y}) for k in ks]
-
-
-def _reference_predict_knn(model, x):
-    """The per-query definition of the KNN vote."""
-    xt, yt, p = model.state["x"], model.state["y"], len(model.present)
-    k = min(int(model.spec.params["k"]), xt.shape[0])
-    out = np.empty((x.shape[0], p))
-    d2 = ((x[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
-    for i in range(x.shape[0]):
-        exact = np.nonzero(d2[i] == 0.0)[0]
-        if exact.size:
-            idx = exact
-        else:
-            idx = np.argsort(d2[i], kind="stable")[:k]
-        counts = np.bincount(yt[idx], minlength=p)
-        out[i] = counts / counts.sum()
-    return out
 
 
 def test_predict_knn_matches_reference_bitwise(monkeypatch):
@@ -1084,7 +970,7 @@ def test_predict_knn_matches_reference_bitwise(monkeypatch):
         q = q[rng.permutation(len(q))]
         block = int(rng.integers(1, 8)) if case % 3 else len(q)
         monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", block * xt.size)
-        expected = _reference_predict_knn(model, q)
+        expected = reference_predict_knn(model, q)
         assert np.array_equal(learners._predict_knn([model], q)[0], expected)
         d2 = ((q[:, None] - xt[None]) ** 2).sum(axis=2)
         exact = (d2 == 0.0).any(axis=1)
@@ -1109,7 +995,7 @@ def test_predict_knn_blocks_rows_above_the_cell_budget():
     assert 2 * learners.KNN_BLOCK_CELLS < q.shape[0] * xt.size
     assert -(-q.shape[0] // (learners.KNN_BLOCK_CELLS // xt.size)) == 10
     assert np.array_equal(learners._predict_knn([model], q)[0],
-                          _reference_predict_knn(model, q))
+                          reference_predict_knn(model, q))
 
 
 def test_predict_knn_memory_is_flat_in_the_rows():
@@ -1171,7 +1057,7 @@ def test_shared_knn_search_matches_reference_bitwise(roster, monkeypatch):
         got = learners._predict_knn(models, q)
         assert len(got) == len(models)
         for model, posteriors in zip(models, got):
-            assert np.array_equal(posteriors, _reference_predict_knn(model, q))
+            assert np.array_equal(posteriors, reference_predict_knn(model, q))
         d2 = ((q[:, None] - xt[None]) ** 2).sum(axis=2)
         exact = (d2 == 0.0).any(axis=1)
         exact_rows += int(exact.sum())
@@ -1207,7 +1093,7 @@ def test_shared_knn_crowded_rows_meet_at_default_block_edges(d):
     q = np.vstack([rng.integers(-2, 2, size=(3 * rows, d)) + 0.5, xt[:7]])
     got = learners._predict_knn(models, q)
     for model, posteriors in zip(models, got):
-        assert np.array_equal(posteriors, _reference_predict_knn(model, q))
+        assert np.array_equal(posteriors, reference_predict_knn(model, q))
     crowded = _crowded(xt, q, 50)
     edges = np.arange(rows, len(q), rows)
     assert len(edges) == 3
@@ -1234,7 +1120,7 @@ def test_one_row_knn_queries_match_reference_through_predict_proba_models():
         for model, posteriors in zip(models, got):
             if model.spec.kind == "knn":
                 assert np.array_equal(posteriors,
-                                      _reference_predict_knn(model, row))
+                                      reference_predict_knn(model, row))
             else:
                 assert np.array_equal(posteriors, model.predict_proba_batch(row))
         crowded += int(_crowded(x, row, 50)[0])

@@ -9,6 +9,7 @@ from granulex.metadata import (
     validate_scores,
     write_meta_csv,
 )
+from oracles import reference_validate_scores
 
 
 def test_catalog_rules():
@@ -29,21 +30,6 @@ def test_crisp_rows_are_legal():
 
 def test_validate_ok():
     assert validate_scores(np.array([[0.5, 0.5], [0.2, 0.8]])) == []
-
-
-def reference_validate_scores(scores, tol=1e-9):
-    """The row-by-row definition of validate_scores."""
-    violations = []
-    for i, row in enumerate(scores):
-        if not np.isfinite(row).all():
-            violations.append(f"row {i}: non-finite entry")
-            continue
-        if (row < -tol).any() or (row > 1.0 + tol).any():
-            violations.append(f"row {i}: entry outside [0, 1]")
-        s = row.sum()
-        if abs(s - 1.0) > tol:
-            violations.append(f"row {i}: sum {s!r} deviates from 1")
-    return violations
 
 
 def test_validate_matches_row_by_row_definition():

@@ -29,6 +29,7 @@ from granulex.training import (
     select_alpha,
     train,
 )
+from oracles import reference_fold_assignments
 
 SPECS = [LearnerSpec("nearest-mean"), LearnerSpec("knn", {"k": 3}),
          LearnerSpec("gaussian-naive-bayes")]
@@ -94,20 +95,6 @@ class TestFoldPlan:
         b = make_fold_plan(labels, 5, seed=2).assignments
         assert not np.array_equal(a, b)
 
-    @staticmethod
-    def _reference_assignments(labels, n_folds, seed):
-        """The per-row round-robin loop that make_fold_plan vectorizes."""
-        rng = np.random.default_rng(seed)
-        assignments = np.empty(len(labels), dtype=np.int64)
-        cursor = 0
-        for c in np.unique(labels):
-            idx = np.nonzero(labels == c)[0]
-            rng.shuffle(idx)
-            for i in idx:
-                assignments[i] = cursor % n_folds
-                cursor += 1
-        return assignments
-
     def test_assignments_are_the_row_loops(self):
         rng = np.random.default_rng(2026)
         for _ in range(300):
@@ -116,7 +103,7 @@ class TestFoldPlan:
             folds = int(rng.integers(2, 12))
             seed = int(rng.integers(1 << 62))
             got = make_fold_plan(labels, folds, seed).assignments
-            want = self._reference_assignments(labels, folds, seed)
+            want = reference_fold_assignments(labels, folds, seed)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("assignments, n_folds, message", [
