@@ -40,20 +40,21 @@ by the layout alone; a knn's training rows are in the file's training_sets.
 A kind has one fitter, over parts: given the features, the compact labels
 of every row and a list of row subsets (rests) with their seeds, it returns
 one state per rest.  `fit_folds` fits one learner on several rests of a
-data set, as cross-validation does; it compacts the labels once and wraps
-each state, and `fit` is its one-rest call.  Two kinds fit the rests
-together, bitwise equal to separate fits: logistic-linear steps the weights
-of all rests in one kernel call, made when the first state is read, and
-decision-tree and decision-stump grow the trees of all rests level by
-level from one stable sort per feature, in groups of at most
-TREE_BLOCK_CELLS.  A level scores every cut of a feature on class-major
-cumulative counts, one contiguous slab per class, and adds the squared
-class fractions slab by slab in numpy's pairwise order, so each Gini
-impurity is bitwise the sum over its own row.  The other kinds fit each
-rest on its own rows (`_each_part`).  A kind whose fitter steps every rest
-in one kernel call is marked `one_kernel` in `_KINDS`, today
-logistic-linear alone: `training.part_profiles` fits and predicts it in a
-forked child while the other learners run in the caller's process.
+data set, as cross-validation does: `check_rests` checks the rests and
+compacts the labels once, and the models it returns fit every rest in one
+fitter call when iterated, or rest i alone when indexed; `fit` is its
+one-rest call.  A rest's state never depends on the other rests of the
+call.  Two kinds fit the rests together, bitwise equal to separate fits:
+logistic-linear steps the weights of all rests in one kernel call, made
+when the first state is read, and decision-tree and decision-stump grow
+the trees of all rests level by level from one stable sort per feature, in
+groups of at most TREE_BLOCK_CELLS.  A level scores every cut of a feature
+on class-major cumulative counts, one contiguous slab per class, and adds
+the squared class fractions slab by slab in numpy's pairwise order, so
+each Gini impurity is bitwise the sum over its own row.  The other kinds
+fit each rest on its own rows (`_each_part`, which `_Kind.each_part`
+tells): `training.part_profiles` fits those part by part and the other
+kinds over every part in one call.
 
 A kind has one predictor, over models: it returns one raw posterior array
 per model.  knn predicts its models from one neighbour search, the other
@@ -83,6 +84,7 @@ __all__ = [
     "LearnerError",
     "fit",
     "fit_folds",
+    "check_rests",
     "predict_proba_models",
     "check_roster",
     "default_roster",
@@ -392,7 +394,7 @@ def predict_proba_models(
 
 def fit(spec: LearnerSpec, data: Dataset, seed: int) -> FittedClassifier:
     """Fit one learner. Deterministic given (spec, data, seed)."""
-    return next(fit_folds(spec, data, [np.arange(data.n_observations)], [seed]))
+    return fit_folds(spec, data, [np.arange(data.n_observations)], [seed])[0]
 
 
 def fit_folds(
@@ -400,20 +402,43 @@ def fit_folds(
     data: Dataset,
     rests: Sequence[np.ndarray],
     seeds: Sequence[int],
-) -> Iterator[FittedClassifier]:
+) -> _Fits:
     """The models `fit(spec, data.subset(r), s)` for r, s in zip(rests,
     seeds), bitwise and in order, each fitted when it is read, so a caller
-    that reads them one at a time holds one at a time.  A rest that is not
-    an integer array of rows of data, or that holds fewer than two classes,
-    raises LearnerError before any fit.  When the rests
-    are increasing index arrays with the same classes present, as
-    cross-validation complements are, the labels are compacted once and the
-    kind's fitter reads the rests' rows of data itself; other rests are
-    fitted each on its own subset.  Fits run with floating-point warnings
-    off, as predictions do: a state that overflows fails as non-finite
-    posteriors when it predicts."""
-    if not len(rests):
-        return iter(())
+    that reads them one at a time holds one at a time: iterating fits every
+    rest in one call of the kind's fitter, and `fits[i]` fits rest i alone.
+    A rest that is not an integer array of rows of data, or that holds
+    fewer than two classes, raises LearnerError before any fit
+    (`check_rests`, which passes rests it has checked as they are).  Fits
+    run with floating-point warnings off, as predictions do: a state that
+    overflows fails as non-finite posteriors when it predicts."""
+    return _Fits(spec, check_rests(data, rests), seeds)
+
+
+class _Rests(tuple):
+    """Rests that `check_rests` passed: a tuple of their index arrays, with
+    the data they index.  When they are increasing index arrays with the
+    same classes present, as cross-validation complements are, those
+    classes are `present` and `compact` holds every row's label compacted
+    to their indices; otherwise both are None."""
+
+    def __new__(cls, rests, data, present=None, compact=None):
+        self = super().__new__(cls, rests)
+        self.data, self.present, self.compact = data, present, compact
+        return self
+
+
+def check_rests(data: Dataset, rests: Sequence[np.ndarray]) -> _Rests:
+    """rests checked as fit_folds fits them, in one pass over all of them:
+    a rest that is not an integer array of rows of data, or that holds
+    fewer than two classes, raises LearnerError.  Rests this returned for
+    data are returned as they are, so a caller that fits several learners
+    on the same rests checks them once."""
+    if isinstance(rests, _Rests) and rests.data is data:
+        return rests
+    rests = tuple(rests)
+    if not rests:
+        return _Rests(rests, data)
     # One pass over all rests: their rows in range, the classes each holds,
     # and whether each step within a rest rises (the steps between two
     # rests do not count).
@@ -430,26 +455,61 @@ def fit_folds(
         raise LearnerError("need at least two classes present to fit")
     rising = flat[1:] > flat[:-1]
     rising[np.cumsum(sizes[:-1], dtype=np.intp) - 1] = True
-    if (held == held[0]).all() and rising.all():
-        present = np.flatnonzero(held[0])
-        # Compact labels to 0..P-1 over present classes; predict maps them
-        # back.  Rows outside every rest may hold an absent class; no fit
-        # reads their compact label.
-        compact = np.searchsorted(present, data.labels)
-        # A fitter may fit in its call or as its states are read.
-        quiet = np.errstate(all="ignore")
-        states = iter(quiet(_KINDS[spec.kind].fit)(
-            spec, data.features, compact, len(present), rests, seeds))
+    if not ((held == held[0]).all() and rising.all()):
+        return _Rests(rests, data)
+    present = np.flatnonzero(held[0])
+    # Rows outside every rest may hold an absent class; no fit reads their
+    # compact label.
+    return _Rests(rests, data, present, np.searchsorted(present, data.labels))
+
+
+class _Fits:
+    """The models fit_folds returns over checked rests, each fitted when it
+    is read.  On compact rests the kind's fitter reads their rows of data
+    itself, with labels compacted to 0..P-1 over the present classes, which
+    predict maps back; other rests are fitted each on its own subset."""
+
+    def __init__(self, spec: LearnerSpec, rests: _Rests, seeds: Sequence[int]):
+        self.spec, self.rests, self.seeds = spec, rests, list(seeds)
+        if rests.present is not None:
+            # Built once per fit_folds call: a fitter may fit in its call or
+            # as its states are read, and each read is quiet on its own, so
+            # no errstate is held while a caller reads a model.
+            quiet = np.errstate(all="ignore")
+            self._states = quiet(_KINDS[spec.kind].fit)
+            self._next = quiet(next)
+
+    def __len__(self) -> int:
+        return len(self.rests)
+
+    def __iter__(self) -> Iterator[FittedClassifier]:
+        return self._fitted(range(len(self)))
+
+    def __getitem__(self, i: int) -> FittedClassifier:
+        """The model of rest i, from a fitter call over that rest alone."""
+        return next(self._fitted([range(len(self))[i]]))
+
+    def _fitted(self, at) -> Iterator[FittedClassifier]:
+        """The models of the rests at (indices), from one fitter call."""
+        spec, rests, seeds = self.spec, self.rests, self.seeds
+        data, present = rests.data, rests.present
+        if present is None:
+            return (fit(spec, data.subset(rests[i]), seeds[i]) for i in at)
+        states = iter(self._states(spec, data.features, rests.compact, len(present),
+                                   [rests[i] for i in at], [seeds[i] for i in at]))
+        step = self._next
         return (FittedClassifier(spec, data.catalog, present, data.n_features,
-                                 quiet(next)(states)) for _ in rests)
-    return (fit(spec, data.subset(r), s) for r, s in zip(rests, seeds))
+                                 step(states)) for _ in at)
 
 
 def _each_part(fit_one):
     """A kind's fitter from its one-part fitter (spec, x, compact labels,
-    n present, seed) -> state: each rest fitted on its own rows."""
+    n present, seed) -> state: each rest fitted on its own rows.  The
+    fitter keeps fit_one as an attribute, by which `_Kind.each_part` knows
+    it."""
     def fit_parts(spec, x, y, p, rests, seeds):
         return (fit_one(spec, x[r], y[r], p, s) for r, s in zip(rests, seeds))
+    fit_parts.fit_one = fit_one
     return fit_parts
 
 
@@ -1017,9 +1077,12 @@ class _Kind(NamedTuple):
     predict: Callable
     state: dict[str, Any]  # key -> layout, as _decode_state reads it
     defaults: dict[str, int | float]  # every parameter fit or predict reads
-    # The fitter steps every rest in one kernel call, which depends on no
-    # other learner: training.part_profiles runs the kind in a child process.
-    one_kernel: bool = False
+
+    @property
+    def each_part(self) -> bool:
+        """Whether the fitter fits each rest on its own (`_each_part`): its
+        rests share no work in one call, so they may be fitted apart."""
+        return hasattr(self.fit, "fit_one")
 
 
 # State layouts, in p (present classes), d (features), and n (training
@@ -1056,7 +1119,7 @@ _KINDS = {
                     _OVR, {}),
     "logistic-linear": _Kind(
         _fit_logistic, _each_model(_predict_logistic), {"w": (_F, "d+1", "p")},
-        {"iterations": 500, "rate": 0.1}, one_kernel=True),
+        {"iterations": 500, "rate": 0.1}),
     "decision-tree": _Kind(
         _fit_tree, _each_model(_predict_tree), _TREE_STATE,
         {"max_depth": 12, "min_leaf": 2}),

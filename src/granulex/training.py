@@ -15,25 +15,27 @@ it writes before it opens the file, so it writes only what load accepts.
 A refused classifier record is named by its place and, where its kind and
 params are valid, by its learner: "model classifier 0 (lda): ...".
 
-Every fold fit of the package goes through `part_profiles`, one
-`fit_folds` call per learner, over parts that `fold_parts` lists: the
-meta-CV of `train` and `alpha-curve` through `generate_meta_cv`, and each
-protocol repeat, `evaluation._repeat_runs`, whose outer and inner training
-parts go in one call.  `fold_parts` is the one place a part's seed is derived,
-and `meta_from_folds` assembles the meta-data of both.  Seeds come from
-`derive_seed`, which chains:
+Every fold fit of the package goes through `part_profiles`, one rest
+check and one `fit_folds` call per learner, over parts that `fold_parts`
+lists: the meta-CV of `train` and `alpha-curve` through
+`generate_meta_cv`, and each protocol repeat, `evaluation._repeat_runs`,
+whose outer and inner training parts go in one call.  `fold_parts` is
+the one place a part's seed is derived, and `meta_from_folds` assembles
+the meta-data of both.  Seeds come from `derive_seed`, which chains:
 derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
 seed depends on its coordinates, not on the call that made it.
 
-`part_profiles` runs the learners of a `one_kernel` kind (logistic-linear,
-whose one kernel call steps every part) in one forked child process, while
-the calling process streams the other learners part by part; the child
-pickles its columns back through a pipe.  It does so only on Linux, with
-`os.fork` and at least two CPUs in the process's affinity, and from Python
-3.12 only in a process without other threads (os.fork warns in one).
-Everywhere else the same column code runs in one process.  Both paths give
-bitwise the same profiles, there is no option to choose between them, and
-no child outlives the call.
+`part_profiles` splits its work into tasks: one per learner whose kind
+fits every part in one call (logistic-linear, the trees), and one per part
+for the learners of the kinds that fit each part on its own.  This process
+and one forked child claim the tasks one at a time from a counter they
+share until none is left; the child pickles its columns back through a
+pipe.  It forks only on Linux, with `os.fork` and at least two CPUs in the
+process's affinity, and from Python 3.12 only in a process without other
+threads (os.fork warns in one).  Everywhere else, and for a call of one
+task, this process runs the tasks in order.  Both paths give bitwise the
+same profiles, there is no option to choose between them, and no child
+outlives the call.
 
 Caveat: alpha is selected on the same meta-data its error is measured on
 (no nested validation), so the reported alpha-error curve is optimistically
@@ -42,6 +44,8 @@ biased as a generalization estimate.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import pickle
@@ -64,6 +68,7 @@ from .learners import (
     LearnerSpec,
     _unnamed_training_sets,
     check_roster,
+    check_rests,
     fit,
     fit_folds,
     predict_proba_models,
@@ -200,41 +205,90 @@ def part_profiles(
 ) -> list[list[np.ndarray]]:
     """out[t][i] is the (len(q), K, M) profile stack of the rows
     q = queries[t][i] of data from the models fitted on its rows rests[t],
-    learner j with seed derive_seed(seeds[t], j).  Each learner fits every
-    part in one `fit_folds` call: one batched kernel call for
-    logistic-linear, and batched groups for the trees, when the parts are
-    increasing index arrays with the same classes present.  The models are
-    read part by part, so a part's models are dropped once its profiles are
-    stacked, and its knn models share one neighbour search.
+    learner j with seed derive_seed(seeds[t], j).  The rests are checked
+    once, and each learner gets one `fit_folds` call over every part.
 
-    The learners of a `one_kernel` kind (logistic-linear) are fitted and
-    predicted in one forked child while this process predicts the others,
-    where the roster holds both kinds of learner and `_can_fork` allows it.
-    Each column is the one the serial path computes, so the output is
-    bitwise the same.  When either side raises an Exception or the child
-    leaves without its columns, every column is computed again serially,
-    so the error raised is the serial path's."""
-    def fit_all():
-        return [fit_folds(spec, data, rests, [derive_seed(s, j) for s in seeds])
-                for j, spec in enumerate(specs)]
+    The work is a list of tasks, each computing some (part, learner)
+    columns (`_task_columns`): first one task per learner whose kind fits
+    the parts together (one batched kernel call for logistic-linear,
+    batched groups for the trees, when the parts are increasing index
+    arrays with the same classes present), which reads its models part by
+    part; then one task per part for the learners whose kind fits each part
+    on its own (`_each_part`), so a part's knn models share one neighbour
+    search.  A model is dropped once its columns are made.
 
-    away = [j for j, spec in enumerate(specs) if _KINDS[spec.kind].one_kernel]
-    if away and len(away) < len(specs) and _can_fork():
+    Where there are two tasks or more and `_can_fork` allows it, this
+    process and one forked child drain the tasks together (`_forked_cells`);
+    otherwise this process runs them in order.  Each column is the one the
+    serial path computes, so the output is bitwise the same.  When either
+    side raises an Exception or the child leaves without its columns, every
+    task is run again serially; where a task raises, the error raised is
+    that of the first part, query and learner, in that order, whose model
+    fails (`_raise_first_error`), whichever task failed first."""
+    rests = check_rests(data, rests)
+    fitted = [fit_folds(spec, data, rests, [derive_seed(s, j) for s in seeds])
+              for j, spec in enumerate(specs)]
+    each = [j for j, spec in enumerate(specs) if _KINDS[spec.kind].each_part]
+    tasks = [([j], None) for j in range(len(specs)) if j not in each]
+    if each:
+        tasks += [(each, t) for t in range(len(rests))]
+
+    def run(learners, part):
+        return _task_columns(data, fitted, queries, learners, part)
+
+    cells = None
+    if len(tasks) > 1 and _can_fork():
         try:
-            return _forked_profiles(data, fit_all(), away, queries)
+            cells = _forked_cells(tasks, run)
         except Exception:
             pass  # the serial path below raises the serial error, if any
-    return [[np.stack(columns, axis=1) for columns in part]
-            for part in _columns(data, fit_all(), queries)]
+    if cells is None:
+        try:
+            cells = _drain(tasks, itertools.count().__next__, run)
+        except Exception:
+            _raise_first_error(data, fitted, queries)
+            raise
+    return [[np.stack([cells[t, j][i] for j in range(len(specs))], axis=1)
+             for i in range(len(qs))] for t, qs in enumerate(queries)]
 
 
-def _columns(data, fitted, queries):
-    """For each part, for each of its queries q, the posterior columns on
-    the rows q of data of the learners fitted (one model iterator each), in
-    their order.  A part's models are read together, and dropped once its
-    columns are made."""
-    for models, qs in zip(zip(*fitted), queries):
-        yield [predict_proba_models(models, data.features[q]) for q in qs]
+def _task_columns(data, fitted, queries, learners, part):
+    """The columns of one task as {(t, j): learner j's posterior columns on
+    the rows of each query of part t}, from the learners' fitted models
+    (one sequence per learner).  A task of part None reads every part's
+    model of its one learner in order, from one fitter call; a task of part
+    t reads its learners' models of part t, predicted together."""
+    if part is None:
+        (j,) = learners
+        models = enumerate([m] for m in fitted[j])
+    else:
+        models = [(part, [fitted[j][part] for j in learners])]
+    cells = {}
+    for t, ms in models:
+        columns = [predict_proba_models(ms, data.features[q]) for q in queries[t]]
+        for k, j in enumerate(learners):
+            cells[t, j] = [c[k] for c in columns]
+    return cells
+
+
+def _raise_first_error(data, fitted, queries):
+    """Raise the error of the first part, query and learner, in that order,
+    whose model fails to fit or predict, each model predicted on its own:
+    the error does not depend on the order the tasks ran in."""
+    for t, qs in enumerate(queries):
+        models = [fits[t] for fits in fitted]
+        for q in qs:
+            for model in models:
+                model.predict_proba_batch(data.features[q])
+
+
+def _drain(tasks, claim, run):
+    """The cells that run makes of the tasks this process claims: claim
+    gives the index of the next task, until it gives one past the last."""
+    cells = {}
+    while (k := claim()) < len(tasks):
+        cells.update(run(*tasks[k]))
+    return cells
 
 
 def _can_fork() -> bool:
@@ -252,42 +306,65 @@ def _can_fork() -> bool:
         return False
 
 
-def _forked_profiles(data, fitted, away, queries):
-    """part_profiles' output from the model iterators fitted: a forked
-    child predicts the columns of the learners away and sends them through
-    a pipe, while this process predicts the others.  Raises
-    ChildProcessError when the child leaves without its columns.  The child
-    is reaped before this returns or raises, and killed first unless it has
-    sent them."""
-    home = [j for j in range(len(fitted)) if j not in away]
-    read, write = os.pipe()
-    with open(read, "rb") as source, open(write, "wb") as sink:
-        pid = os.fork()
-        if pid == 0:  # the child: it leaves here and nowhere else
-            code = 1
-            try:
-                pickle.dump(list(_columns(data, [fitted[j] for j in away], queries)),
-                            sink, pickle.HIGHEST_PROTOCOL)
-                sink.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        sink.close()
-        sent = None
+@contextlib.contextmanager
+def _shared_counter():
+    """A claim function that gives 0, 1, 2, ... to this process and to the
+    children it forks while the counter is open, each number once, to
+    whichever process asks first, with no limit on how many.  The count
+    is kept in an anonymous file and read and advanced under a lockf lock,
+    which the kernel releases if its holder dies."""
+    import fcntl  # POSIX only, as forking is
+
+    fd = os.memfd_create("part_profiles")
+
+    def claim():
+        fcntl.lockf(fd, fcntl.LOCK_EX)
         try:
-            near = list(_columns(data, [fitted[j] for j in home], queries))
-            sent = source.read()
+            k = int.from_bytes(os.pread(fd, 8, 0), "little")
+            os.pwrite(fd, (k + 1).to_bytes(8, "little"), 0)
         finally:
-            if sent is None:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+        return k
+
+    try:
+        yield claim
+    finally:
+        os.close(fd)
+
+
+def _forked_cells(tasks, run):
+    """The cells of every task, drained by this process and one forked
+    child together: each claims the next unclaimed task from a
+    `_shared_counter` made before the fork, and the child pickles its cells
+    back through a pipe.  Raises ChildProcessError when the child leaves
+    without its cells.  The child is reaped before this returns or raises,
+    and killed first unless it has sent them."""
+    with _shared_counter() as claim:
+        read, write = os.pipe()
+        with open(read, "rb") as source, open(write, "wb") as sink:
+            pid = os.fork()
+            if pid == 0:  # the child: it leaves here and nowhere else
+                code = 1
+                try:
+                    pickle.dump(_drain(tasks, claim, run), sink,
+                                pickle.HIGHEST_PROTOCOL)
+                    sink.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            sink.close()
+            sent = None
+            try:
+                cells = _drain(tasks, claim, run)
+                sent = source.read()
+            finally:
+                if sent is None:
+                    os.kill(pid, signal.SIGKILL)
+                status = os.waitpid(pid, 0)[1]
     if status != 0:
         raise ChildProcessError(f"the child left with wait status {status}")
-    order = home + away
-    where = sorted(range(len(order)), key=order.__getitem__)
-    return [[np.stack([(mine + theirs)[k] for k in where], axis=1)
-             for mine, theirs in zip(near_part, far_part)]
-            for near_part, far_part in zip(near, pickle.loads(sent))]
+    cells.update(pickle.loads(sent))
+    return cells
 
 
 def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndarray:

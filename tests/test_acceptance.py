@@ -218,11 +218,52 @@ def test_09_headline_effect_on_bundled_datasets(headline):
 
 @pytest.fixture(scope="module")
 def golden():
-    """What the headline report held when tests/golden.json was written:
-    per (dataset, method), the misclassified test rows of each of the 100
-    runs, and the sha256 of the report's JSON bytes with the numpy version
-    and machine it was made on.  A change that moves them edits the file."""
+    """What the headline report and the CLI's files held when
+    tests/golden.json was written: per (dataset, method), the misclassified
+    test rows of each of the 100 runs; the decision column of
+    `predict_files`' predictions; and, with the numpy version and machine
+    they were made on, the sha256 of the report's JSON bytes and of each
+    file of `predict_files`.  A change that moves them edits the file."""
     return json.loads(Path(__file__).with_name("golden.json").read_text())
+
+
+def made_here(golden):
+    """Skip unless this numpy and machine are those golden's hashes were
+    made on: numpy's reduction order decides the bytes."""
+    here = {"numpy": np.__version__, "machine": platform.machine()}
+    made_on = {key: golden[key] for key in here}
+    if here != made_on:
+        pytest.skip(f"golden hashes made on {made_on}, not {here}")
+
+
+# The extended roster in the order the CI smoke step trains it.
+EXTENDED_LEARNERS = ("lda,gaussian-naive-bayes,knn5,knn25,knn50,decision-tree,"
+                     "decision-stump,fisher,logistic-linear,nearest-mean,"
+                     "perceptron,knn75")
+
+
+@pytest.fixture(scope="module")
+def predict_files(tmp_path_factory):
+    """The files the CI smoke step writes, made in this process: model.json,
+    the default roster trained on the bundled rings with train's defaults;
+    predictions.csv, its predict --emit-intervals on the rings features;
+    and extended.json, the extended roster, whose perceptron's parts may
+    be fitted in either process of part_profiles, on the bundled twonorm."""
+    tmp = tmp_path_factory.mktemp("smoke")
+    rings = bundled_path("rings.csv")
+    assert main(["train", "--data", str(rings), "--output", str(tmp / "model.json")]) == 0
+    with open(rings) as fh:
+        features = "".join(",".join(line.split(",")[:3]) + "\n"
+                           for line in fh.read().splitlines())
+    (tmp / "features.csv").write_text(features)
+    assert main(["predict", "--model", str(tmp / "model.json"),
+                 "--data", str(tmp / "features.csv"), "--emit-intervals",
+                 "--output", str(tmp / "predictions.csv")]) == 0
+    assert main(["train", "--data", str(bundled_path("twonorm.csv")),
+                 "--output", str(tmp / "extended.json"),
+                 "--learners", EXTENDED_LEARNERS]) == 0
+    return {name: (tmp / name).read_bytes()
+            for name in ("model.json", "predictions.csv", "extended.json")}
 
 
 def misclassified_rows(report):
@@ -249,12 +290,24 @@ def test_09_headline_misclassified_rows_are_golden(headline, golden):
 
 
 def test_09_headline_report_hash_is_golden(headline, golden):
-    here = {"numpy": np.__version__, "machine": platform.machine()}
-    made_on = {key: golden[key] for key in here}
-    if here != made_on:
-        pytest.skip(f"golden report hash made on {made_on}, not {here}")
+    made_here(golden)
     digest = hashlib.sha256(report_json_bytes(headline[1])).hexdigest()
     assert digest == golden["report_sha256"]
+
+
+def test_predict_decisions_are_golden(predict_files, golden):
+    rows = predict_files["predictions.csv"].decode().splitlines()
+    assert rows[0].split(",")[-1] == "decision"
+    assert [row.split(",")[-1] for row in rows[1:]] == golden["predict_decisions"]
+
+
+def test_model_and_predict_bytes_are_golden(predict_files, golden):
+    made_here(golden)
+    digests = {name: hashlib.sha256(blob).hexdigest()
+               for name, blob in predict_files.items()}
+    assert digests == {"model.json": golden["model_sha256"],
+                       "predictions.csv": golden["predictions_sha256"],
+                       "extended.json": golden["extended_model_sha256"]}
 
 
 def test_10_h_function_study():
@@ -319,8 +372,8 @@ def test_12_no_leakage_in_meta_cv(monkeypatch):
         ]
 
     monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
-    # The audit sees the predictions of this process only: keep the
-    # logistic-linear learner out of part_profiles' child process.
+    # The audit sees the predictions of this process only: keep every
+    # task of part_profiles out of its forked child.
     monkeypatch.setattr(training, "_can_fork", lambda: False)
     rng = np.random.default_rng(112)
     specs = [LearnerSpec("nearest-mean"),
@@ -467,8 +520,8 @@ def test_15_one_fit_per_repeat_equals_meta_cv_per_fold(case, monkeypatch):
         return spy
 
     monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
-    # The audit sees the predictions of this process only: keep the
-    # logistic-linear learner out of part_profiles' child process.
+    # The audit sees the predictions of this process only: keep every
+    # task of part_profiles out of its forked child.
     monkeypatch.setattr(training, "_can_fork", lambda: False)
     monkeypatch.setattr(training, "meta_from_folds",
                         recorded(metas, training.meta_from_folds))

@@ -935,6 +935,26 @@ def test_fit_folds_equals_fit_loop(spec):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
+@pytest.mark.parametrize("spec", extended_roster(), ids=lambda s: s.name)
+def test_fit_folds_model_i_alone_is_the_model_of_the_call(spec):
+    """Indexing fits one rest in a fitter call of its own; its model is
+    bitwise the one that iterating, a call over every rest, gives, so
+    part_profiles may fit the parts in any grouping and process."""
+    data = load_bundled("rings")
+    rng = np.random.default_rng(4)
+    rests = [np.sort(rng.choice(150, size=110, replace=False)) for _ in range(4)]
+    models = fit_folds(spec, data, rests, [8, 9, 10, 11])
+    assert len(models) == 4
+    for i, model in enumerate(models):
+        for alone in (models[i], models[i - 4]):
+            assert alone.state.keys() == model.state.keys()
+            for key, value in model.state.items():
+                a, b = np.asarray(value), np.asarray(alone.state[key])
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    with pytest.raises(IndexError):
+        models[4]
+
+
 @pytest.mark.parametrize("kind", list(learners._KINDS))
 def test_fit_folds_of_no_rests_yields_nothing(kind):
     assert list(fit_folds(LearnerSpec(kind), load_bundled("rings"), [], [])) == []

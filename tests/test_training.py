@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -203,10 +204,13 @@ class TestFoldParts:
                 assert np.array_equal(q, rows[plan.assignments == t])
 
 
-def test_part_profiles_share_one_search_per_part_across_the_roster(monkeypatch):
+def test_part_profiles_share_one_search_per_part_across_the_roster(
+        monkeypatch, tmp_path):
     """The knn models of a part share one neighbour search per query
     block even when other learners sit between them in the roster, and
-    every profile is bitwise that of the part's own fit."""
+    every profile is bitwise that of the part's own fit.  This holds on the
+    serial path, in part order, and where a forked child claims some of
+    the parts: the searches of both processes are logged to one file."""
     data = generate(GeneratorSpec("concentric-rings", n=120, d=3, seed=21))
     specs = [learners.spec_from_name(name)
              for name in ("knn5", "lda", "knn25", "nearest-mean", "knn50")]
@@ -216,29 +220,41 @@ def test_part_profiles_share_one_search_per_part_across_the_roster(monkeypatch):
     for qs, rest in zip(queries, rests):
         qs.append(rest)
     monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", 40 * len(rests[0]) * 3)
-    calls = []
+    log = tmp_path / "searches"
     real = learners._sq_distances
-    monkeypatch.setattr(learners, "_sq_distances",
-                        lambda q, xt: calls.append((xt.tobytes(), len(q)))
-                        or real(q, xt))
-    out = training.part_profiles(data, specs, rests, seeds, queries)
+
+    def sq_distances(q, xt):
+        with open(log, "a") as fh:
+            fh.write(f"{hashlib.sha256(xt.tobytes()).hexdigest()} {len(q)}\n")
+        return real(q, xt)
+
+    monkeypatch.setattr(learners, "_sq_distances", sq_distances)
     expected_calls = []
     for rest, qs in zip(rests, queries):
         block = learners.KNN_BLOCK_CELLS // data.features[rest].size
+        key = hashlib.sha256(data.features[rest].tobytes()).hexdigest()
         for q in qs:
-            expected_calls += [(data.features[rest].tobytes(), min(block, len(q) - lo))
+            expected_calls += [f"{key} {min(block, len(q) - lo)}"
                                for lo in range(0, len(q), block)]
-    assert calls == expected_calls
+    outs = []
+    for child in (False, True):
+        monkeypatch.setattr(training, "_can_fork", lambda: child)
+        outs.append(training.part_profiles(data, specs, rests, seeds, queries))
+        calls = log.read_text().splitlines()
+        log.unlink()
+        assert (sorted(calls) if child else calls) == (
+            sorted(expected_calls) if child else expected_calls)
     monkeypatch.undo()
-    for rest, seed, qs, got in zip(rests, seeds, queries, out):
-        part = data.subset(rest)
-        models = [learners.fit(spec, part, derive_seed(seed, j))
-                  for j, spec in enumerate(specs)]
-        for q, stack in zip(qs, got):
-            expected = np.stack([m.predict_proba_batch(data.features[q])
-                                 for m in models], axis=1)
-            assert stack.shape == expected.shape
-            assert stack.tobytes() == expected.tobytes()
+    for out in outs:
+        for rest, seed, qs, got in zip(rests, seeds, queries, out):
+            part = data.subset(rest)
+            models = [learners.fit(spec, part, derive_seed(seed, j))
+                      for j, spec in enumerate(specs)]
+            for q, stack in zip(qs, got):
+                expected = np.stack([m.predict_proba_batch(data.features[q])
+                                     for m in models], axis=1)
+                assert stack.shape == expected.shape
+                assert stack.tobytes() == expected.tobytes()
 
 
 class TestAlphaSelection:
