@@ -77,6 +77,12 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _checked_alphas(alphas: Iterable[float]) -> np.ndarray:
+    """The alphas as a float64 array; raises GranuleError on the first one
+    that is not finite and >= 0."""
+    return np.array([_check_alpha(a) for a in alphas], dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class PreparedSamples:
     """The alpha-independent part of granule construction for n samples of
@@ -179,7 +185,7 @@ def pick_bounds_blocks(
     """Bounds at each alpha in turn, as (A, n, 2) arrays over consecutive
     blocks of A alphas, A = GRANULE_BLOCK_CELLS // (n * w): each block
     scores its alphas in one pass."""
-    checked = np.array([_check_alpha(a) for a in alphas], dtype=np.float64)
+    checked = _checked_alphas(alphas)
     _, n, w = prepared.values.shape
     size = max(1, GRANULE_BLOCK_CELLS // max(1, n * w))
     for start in range(0, len(checked), size):

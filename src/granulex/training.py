@@ -25,17 +25,22 @@ the meta-data of both.  Seeds come from `derive_seed`, which chains:
 derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
 seed depends on its coordinates, not on the call that made it.
 
-`part_profiles` splits its work into tasks: one per learner whose kind
-fits every part in one call (logistic-linear, the trees), and one per part
-for the learners of the kinds that fit each part on its own.  This process
-and one forked child claim the tasks one at a time from a counter they
-share until none is left; the child pickles its columns back through a
-pipe.  It forks only on Linux, with `os.fork` and at least two CPUs in the
-process's affinity, and from Python 3.12 only in a process without other
-threads (os.fork warns in one).  Everywhere else, and for a call of one
-task, this process runs the tasks in order.  Both paths give bitwise the
-same profiles, there is no option to choose between them, and no child
-outlives the call.
+Two functions split their work into a list of tasks that `_run_tasks`
+drains.  `part_profiles` has one task per learner whose kind fits every
+part in one call (logistic-linear, the trees), and one per part for the
+learners of the kinds that fit each part on its own.  `error_curves`, the
+alpha sweep behind `select_alpha`, `train` and `alpha-curve`, has one task
+per chunk of meta rows, each giving the counts of its misclassified rows
+per h and alpha; it uses the child only for a sweep of SWEEP_FORK_SCORES
+scores or more, as below that a fork costs more than the half of the sweep
+it takes over.  This process and one forked child claim the tasks one at a
+time from a counter they share until none is left; the child pickles its
+results back through a pipe.  It forks only on Linux, with `os.fork` and
+at least two CPUs in the process's affinity, and from Python 3.12 only in
+a process without other threads (os.fork warns in one).  Everywhere else,
+and for a call of one task, this process runs the tasks in order.  Both
+paths give bitwise the same profiles and curves, there is no option to
+choose between them, and no child outlives the call.
 
 Caveat: alpha is selected on the same meta-data its error is measured on
 (no nested validation), so the reported alpha-error curve is optimistically
@@ -60,6 +65,7 @@ from . import combiners
 # granular_intervals is not called here but stays a name of this module:
 # bench/tracer.py wraps it by this name.
 from .combiners import DEFAULT_H, Granule, granular_intervals  # noqa: F401
+from .granule import GRANULE_BLOCK_CELLS, _checked_alphas
 from .learners import (
     _KINDS,
     Dataset,
@@ -103,6 +109,14 @@ __all__ = [
 ]
 
 ENSEMBLE_FORMAT_VERSION = 3  # 3: each fact once, knn training rows too
+
+# error_curves forks its child for a sweep of this many scores or more,
+# 2 * n * M * w * A.  A fork and the page faults it causes cost ~6-8 ms on
+# a 2-vCPU Xeon VM: select_alpha (default grid, h3) on a K = 12, M = 3 meta
+# took 4.3 ms serial and 10.6 ms forked at 300 rows (0.5M scores), 11.1 and
+# 14.5 ms at 800 rows, about even at 1,200-1,400 rows (2.1-2.4M), and 38.3
+# and 30.7 ms at 2,500 rows (4.3M; medians of 40-80 alternating calls).
+SWEEP_FORK_SCORES = 1 << 21
 
 
 class TrainingError(ValueError):
@@ -236,18 +250,11 @@ def part_profiles(
     def run(learners, part):
         return _task_columns(data, fitted, queries, learners, part)
 
-    cells = None
-    if len(tasks) > 1 and _can_fork():
-        try:
-            cells = _forked_cells(tasks, run)
-        except Exception:
-            pass  # the serial path below raises the serial error, if any
-    if cells is None:
-        try:
-            cells = _drain(tasks, itertools.count().__next__, run)
-        except Exception:
-            _raise_first_error(data, fitted, queries)
-            raise
+    try:
+        cells = _run_tasks(tasks, run, fork=True)
+    except Exception:
+        _raise_first_error(data, fitted, queries)
+        raise
     return [[np.stack([cells[t, j][i] for j in range(len(specs))], axis=1)
              for i in range(len(qs))] for t, qs in enumerate(queries)]
 
@@ -291,8 +298,21 @@ def _drain(tasks, claim, run):
     return cells
 
 
+def _run_tasks(tasks, run, fork):
+    """The cells that run makes of every task.  Where fork is true, there
+    are two tasks or more and `_can_fork` allows it, this process and one
+    forked child drain them together (`_forked_cells`); otherwise, and
+    when that raises an Exception, this process runs them all, in order."""
+    if fork and len(tasks) > 1 and _can_fork():
+        try:
+            return _forked_cells(tasks, run)
+        except Exception:
+            pass  # the serial drain below raises the serial error, if any
+    return _drain(tasks, itertools.count().__next__, run)
+
+
 def _can_fork() -> bool:
-    """Whether part_profiles may fork its child: on Linux, with at least
+    """Whether a task list may fork its child: on Linux, with at least
     two CPUs to run on and, from Python 3.12, where os.fork warns in a
     process with other threads, no thread besides this one."""
     if not (sys.platform == "linux" and hasattr(os, "fork")
@@ -315,7 +335,7 @@ def _shared_counter():
     which the kernel releases if its holder dies."""
     import fcntl  # POSIX only, as forking is
 
-    fd = os.memfd_create("part_profiles")
+    fd = os.memfd_create("granulex-tasks")
 
     def claim():
         fcntl.lockf(fd, fcntl.LOCK_EX)
@@ -431,20 +451,63 @@ def error_curves(
     meta: MetaMatrix, labels: np.ndarray, alphas: Sequence[float], hs: Sequence[str]
 ) -> dict[str, list[tuple[float, float]]]:
     """The (alpha, meta-level error) curve of the granular combiner over
-    the alphas, for each h function in hs.  The class columns are sorted
-    and counted once, the bounds are picked once per alpha for every h,
-    and each picked block of alphas is de-granulated once per h."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != meta.n_observations:
+    the alphas, for each h function in hs.  The labels, the h functions and
+    the alphas are checked before any work: a label that is not an integer
+    class of the meta-data's catalog, or an unknown h, raises
+    TrainingError, an alpha that is not finite and >= 0 GranuleError.
+
+    The work is a list of tasks, one per chunk of CHUNK rows, CHUNK =
+    GRANULE_BLOCK_CELLS // (A * M * w) for A alphas, M classes and w = K //
+    2 + 1 candidates per side, so that a chunk picks its whole grid in one
+    block (`_chunk_errors`): each prepares the class columns of its rows,
+    picks the bounds at every alpha and de-granulates them once per h, and
+    counts the rows it misclassifies.  An error is the count summed over
+    the chunks, over n: bitwise np.mean of the decisions that differ from
+    the labels, as sums of 0s and 1s are exact.  A sweep of at least
+    SWEEP_FORK_SCORES scores, 2 * n * M * w * A, runs its tasks as
+    part_profiles does, on this process and one forked child
+    (`_run_tasks`); a smaller one runs them in order in this process, as
+    there a fork and its page faults cost more than the half of the sweep
+    the child would take over."""
+    labels = np.asarray(labels)
+    n, k, m = meta.scores.shape
+    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+            or ((labels < 0) | (labels >= m)).any()):
+        raise TrainingError(f"labels must be a list of integer classes in [0, {m})")
+    if labels.shape[0] != n:
         raise TrainingError("labels length does not match meta matrix")
-    if meta.n_observations == 0:
+    if n == 0:
         raise TrainingError("meta matrix has no observations to score alpha on")
-    errors: dict[str, list[float]] = {h: [] for h in hs}
-    for bounds in combiners.granular_bounds_sweep(meta.scores, alphas):
-        for h, curve in errors.items():
+    hs = list(dict.fromkeys(hs))
+    for h in hs:
+        if h not in combiners.H_KINDS:
+            raise TrainingError(f"unknown h function {h!r}")
+    checked = _checked_alphas(alphas)
+    per_row = m * (k // 2 + 1) * len(checked)  # scores per side of one row
+    chunk = max(1, GRANULE_BLOCK_CELLS // max(1, per_row))
+    tasks = [(slice(start, start + chunk),) for start in range(0, n, chunk)]
+
+    def run(rows):
+        return _chunk_errors(meta.scores, labels, checked, hs, rows)
+
+    fork = 2 * n * per_row >= SWEEP_FORK_SCORES
+    wrong = sum(_run_tasks(tasks, run, fork).values())
+    return {h: list(zip(alphas, curve.tolist())) for h, curve in zip(hs, wrong / n)}
+
+
+def _chunk_errors(scores, labels, alphas, hs, rows):
+    """{rows.start: W}, W[i, a] the number of the meta rows `rows` (a
+    slice) that the granular combiner misclassifies with h function hs[i]
+    at alphas[a], as int64."""
+    wrong = np.empty((len(hs), len(alphas)), dtype=np.int64)
+    done = 0
+    for bounds in combiners.granular_bounds_sweep(scores[rows], alphas):
+        for i, h in enumerate(hs):
             decisions = np.argmax(combiners.memberships_from_bounds(bounds, h), axis=2)
-            curve.extend(np.mean(decisions != labels, axis=1).tolist())
-    return {h: list(zip(alphas, curve)) for h, curve in errors.items()}
+            wrong[i, done:done + len(bounds)] = np.count_nonzero(
+                decisions != labels[rows], axis=1)
+        done += len(bounds)
+    return {rows.start: wrong}
 
 
 def error_for_alpha(

@@ -1,9 +1,10 @@
 """part_profiles drains one list of tasks in this process and a forked
 child together: one task per learner whose kind fits every part in one
-call, one per part for the learners fitted part by part.  Both paths must
-give bitwise the same profiles and reports, run each task once, give the
-serial path's error on any failure, and leave no child process that
-outlives the call.
+call, one per part for the learners fitted part by part.  error_curves
+drains its chunks of meta rows the same way when its sweep is large.  Both
+paths must give bitwise the same profiles, reports and curves, run each
+task once, give the serial path's error on any failure, and leave no child
+process that outlives the call.
 
 The child path is forced by making `training._can_fork` answer True, and
 the serial path by making it answer False; a child inherits every patch
@@ -22,12 +23,13 @@ import numpy as np
 import pytest
 
 import granulex.training as training
-from granulex import learners, report
+from granulex import combiners, learners, report
 from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
 from granulex.evaluation import ProtocolConfig, run_protocol
 from granulex.learners import (LearnerError, LearnerSpec, extended_roster, fit_folds,
                                spec_from_name)
-from granulex.training import fold_parts, make_fold_plan
+from granulex.metadata import ClassCatalog, MetaMatrix
+from granulex.training import default_alpha_grid, fold_parts, make_fold_plan
 
 pytestmark = pytest.mark.skipif(
     sys.platform != "linux" or not hasattr(os, "fork"),
@@ -347,3 +349,101 @@ def test_can_fork(platform, cpus, version, thread, expected, monkeypatch):
         stop.set()
         if thread:
             other.join()
+
+
+def _tied_meta(n, seed=5):
+    """A meta matrix of n rows, K = 12 and M = 3, and its labels: each
+    column is the vote share of 5 neighbours, knn-like, so many columns
+    hold tied values.  A row's votes lean to its label."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, n)
+    probs = np.full((n, 3), 0.3)
+    probs[np.arange(n), labels] += 0.1
+    draws = rng.random((n, 12, 5))[..., None] > np.cumsum(probs, axis=1)[:, None, None]
+    votes = (draws.sum(axis=3)[..., None] == np.arange(3)).sum(axis=2) / 5
+    return MetaMatrix(votes, ClassCatalog(("a", "b", "c"))), labels
+
+
+def _sweep_scores(meta, alphas):
+    """The scores error_curves counts against SWEEP_FORK_SCORES."""
+    n, k, m = meta.scores.shape
+    return 2 * n * m * (k // 2 + 1) * len(alphas)
+
+
+def _curves(monkeypatch, child, meta, labels, alphas=default_alpha_grid().values):
+    monkeypatch.setattr(training, "_can_fork", lambda: child)
+    return training.error_curves(meta, labels, alphas, combiners.H_KINDS)
+
+
+def test_forked_and_serial_curves_are_bitwise_equal(monkeypatch):
+    """Above the threshold the chunks are drained by two processes; both
+    paths give, for every h and alpha, the error of that alpha's decisions
+    computed alone on every row, to the bit."""
+    meta, labels = _tied_meta(1300)
+    grid = default_alpha_grid().values
+    assert _sweep_scores(meta, grid) >= training.SWEEP_FORK_SCORES
+    forks = _forks(monkeypatch)
+    serial = _curves(monkeypatch, False, meta, labels)
+    assert forks == []
+    forked = _curves(monkeypatch, True, meta, labels)
+    assert len(forks) == 1
+    for h in combiners.H_KINDS:
+        alone = [float(np.mean(combiners.granular_decide_batch(meta.scores, a, h)
+                               != labels)) for a in grid]
+        assert [a for a, _ in forked[h]] == list(grid)
+        assert [e.hex() for _, e in forked[h]] == [e.hex() for _, e in serial[h]]
+        assert [e.hex() for _, e in serial[h]] == [e.hex() for e in alone]
+
+
+def test_each_chunk_runs_once_across_both_processes(monkeypatch, tmp_path):
+    meta, labels = _tied_meta(1300)
+    log, forks = tmp_path / "chunks", _forks(monkeypatch)
+    _logged(monkeypatch, training, "_chunk_errors",
+            lambda scores, labels, alphas, hs, rows: f"{rows.start} {rows.stop}", log)
+    _curves(monkeypatch, True, meta, labels)
+    ran = _lines(log)
+    assert {pid for pid, _ in ran} == {os.getpid(), *forks} and len(forks) == 1
+    chunks = sorted(tuple(map(int, c.split())) for _, c in ran)
+    assert chunks[0][0] == 0 and chunks[-1][1] >= 1300 and len(chunks) > 2
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+
+@pytest.mark.parametrize("above, forks_made", [(0, 1), (1, 0)],
+                         ids=["at-threshold", "one-below"])
+def test_sweep_forks_from_the_threshold_on(above, forks_made, monkeypatch):
+    meta, labels = _tied_meta(400)
+    alphas = (0.0, 0.5, 1.0, 2.0)
+    monkeypatch.setattr(training, "SWEEP_FORK_SCORES",
+                        _sweep_scores(meta, alphas) + above)
+    monkeypatch.setattr(training, "GRANULE_BLOCK_CELLS", 1 << 12)  # 3 chunks or more
+    forks = _forks(monkeypatch)
+    _curves(monkeypatch, True, meta, labels, alphas)
+    assert len(forks) == forks_made
+
+
+def test_small_sweep_runs_in_this_process(monkeypatch):
+    """The probe-sized meta of the benchmark's other workloads, 300 rows of
+    K = 12 and M = 3 on the default grid, is below the threshold: a fork
+    would cost more than the half of the sweep it takes over."""
+    meta, labels = _tied_meta(300)
+    assert _sweep_scores(meta, default_alpha_grid().values) < training.SWEEP_FORK_SCORES
+    forks = _forks(monkeypatch)
+    _curves(monkeypatch, True, meta, labels)
+    assert forks == []
+
+
+def test_child_killed_in_its_first_chunk_gives_the_serial_curve(monkeypatch):
+    meta, labels = _tied_meta(1300)
+    serial = _curves(monkeypatch, False, meta, labels)
+    parent = os.getpid()
+    real = training._chunk_errors
+
+    def chunk_errors(*args):
+        if os.getpid() != parent:  # the child is killed in its first chunk
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(training, "_chunk_errors", chunk_errors)
+    forks = _forks(monkeypatch)
+    assert _curves(monkeypatch, True, meta, labels) == serial
+    assert len(forks) == 1

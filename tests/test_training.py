@@ -289,6 +289,39 @@ class TestAlphaSelection:
         with pytest.raises(TrainingError, match=message):
             error_for_alpha(meta, labels, 1.0)
 
+    @staticmethod
+    def _no_task_runs(monkeypatch):
+        monkeypatch.setattr(training, "_run_tasks",
+                            lambda *args: pytest.fail("a task ran"))
+
+    @pytest.mark.parametrize("labels", [
+        np.full(6, 7), np.full(6, -1), np.array([0, 1, 0, 1, 0, 2]),
+        np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]), np.array([0.5] * 6),
+        np.zeros(6, dtype=bool), np.zeros((6, 1), dtype=int)],
+        ids=["all-7", "negative", "one-past-M", "integral-floats",
+             "fractions", "bools", "column"])
+    def test_labels_not_classes_rejected(self, monkeypatch, labels):
+        """With M = 2, labels of 7 were scored as always wrong: a curve of
+        1.0.  Any label outside [0, M), or not of an integer type, is
+        refused before a task runs."""
+        meta, _ = self.make_meta(np.full((6, 3, 2), 0.5), np.zeros(6, dtype=int))
+        self._no_task_runs(monkeypatch)
+        with pytest.raises(TrainingError, match="labels"):
+            error_curves(meta, labels, (0.0, 1.0), ("h3",))
+
+    def test_unknown_h_rejected_before_the_sweep(self, monkeypatch):
+        meta, labels = self.make_meta(np.full((6, 3, 2), 0.5), np.zeros(6, dtype=int))
+        self._no_task_runs(monkeypatch)
+        with pytest.raises(TrainingError, match="unknown h function 'h4'"):
+            error_curves(meta, labels, (0.0, 1.0), ("h3", "h4"))
+
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_bad_alpha_rejected_before_the_sweep(self, monkeypatch, alpha):
+        meta, labels = self.make_meta(np.full((6, 3, 2), 0.5), np.zeros(6, dtype=int))
+        self._no_task_runs(monkeypatch)
+        with pytest.raises(granule.GranuleError, match="alpha must be finite"):
+            error_curves(meta, labels, (0.0, alpha), ("h3",))
+
     def test_select_alpha_is_linear_scan_argmin(self):
         data = toy_dataset(n=60, seed=3)
         plan = make_fold_plan(data.labels, 5, seed=2)
