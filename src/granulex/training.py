@@ -2,8 +2,9 @@
 
 Training: generate meta-data of the training set by stratified T-fold
 cross-validation, grid-search the specificity weight alpha against the
-training-set error of the granular combiner, then refit all base
-classifiers on the full training set.  Prediction stacks the (n, K, M)
+training-set error of the granular combiner, and refit all base
+classifiers on the full training set; in grid mode the refit is one more
+part of the meta-CV's fit, as below.  Prediction stacks the (n, K, M)
 posterior profiles of the refitted classifiers, builds per-class
 intervals, and decides by maximum numerical class membership.
 `load_ensemble` reads a model file and checks its payload in one pass: the
@@ -17,13 +18,20 @@ params are valid, by its learner: "model classifier 0 (lda): ...".
 
 Every fold fit of the package goes through `part_profiles`, one rest
 check and one `fit_folds` call per learner, over parts that `fold_parts`
-lists: the meta-CV of `train` and `alpha-curve` through
-`generate_meta_cv`, and each protocol repeat, `evaluation._repeat_runs`,
-whose outer and inner training parts go in one call.  `fold_parts` is
-the one place a part's seed is derived, and `meta_from_folds` assembles
-the meta-data of both.  Seeds come from `derive_seed`, which chains:
-derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
-seed depends on its coordinates, not on the call that made it.
+lists: the meta-CV of `alpha-curve` through `generate_meta_cv`, the
+meta-CV of `train` with its full-data refit as one more part, and each
+protocol repeat, `evaluation._repeat_runs`, whose outer and inner training
+parts go in one call.  A part with no query gives its fitted models, not
+profiles: that is how `train` reads its refit.  The meta-CV's checks, a
+class with fewer rows than folds and a class absent from a fold
+complement, run before any fit in `_cv_plan` and `_meta_cv`, which
+`cross_validated_meta`, `generate_meta_cv` and `train` share.
+`fold_parts` is the one place a fold's seed is derived, and
+`meta_from_folds` assembles the meta-data of both.  Seeds come from
+`derive_seed`, which chains: derive_seed(derive_seed(s, *a), *b) ==
+derive_seed(s, *a, *b), so a fit's seed depends on its coordinates, not on
+the call that made it; the refit part's seed derive_seed(seed, 0xF111)
+gives learner j the seed derive_seed(seed, 0xF111, j) of a lone `fit`.
 
 Two functions split their work into a list of tasks that `_run_tasks`
 drains.  `part_profiles` has one task per learner whose kind fits every
@@ -39,8 +47,8 @@ results back through a pipe.  It forks only on Linux, with `os.fork` and
 at least two CPUs in the process's affinity, and from Python 3.12 only in
 a process without other threads (os.fork warns in one).  Everywhere else,
 and for a call of one task, this process runs the tasks in order.  Both
-paths give bitwise the same profiles and curves, there is no option to
-choose between them, and no child outlives the call.
+paths give bitwise the same profiles, models and curves, there is no
+option to choose between them, and no child outlives the call.
 
 Caveat: alpha is selected on the same meta-data its error is measured on
 (no nested validation), so the reported alpha-error curve is optimistically
@@ -215,11 +223,13 @@ def part_profiles(
     specs: Sequence[LearnerSpec],
     rests: Sequence[np.ndarray],
     seeds: Sequence[int],
-    queries: Sequence[Sequence[np.ndarray]],
-) -> list[list[np.ndarray]]:
+    queries: Sequence[Sequence[np.ndarray] | None],
+) -> list[list[np.ndarray] | list[FittedClassifier]]:
     """out[t][i] is the (len(q), K, M) profile stack of the rows
     q = queries[t][i] of data from the models fitted on its rows rests[t],
-    learner j with seed derive_seed(seeds[t], j).  The rests are checked
+    learner j with seed derive_seed(seeds[t], j).  A part whose queries are
+    None has no query: out[t] is its K fitted models themselves, in roster
+    order, as `train` reads its full-data refit.  The rests are checked
     once, and each learner gets one `fit_folds` call over every part.
 
     The work is a list of tasks, each computing some (part, learner)
@@ -229,12 +239,14 @@ def part_profiles(
     arrays with the same classes present), which reads its models part by
     part; then one task per part for the learners whose kind fits each part
     on its own (`_each_part`), so a part's knn models share one neighbour
-    search.  A model is dropped once its columns are made.
+    search.  A model is dropped once its columns are made, except those of
+    a part with no query, which are kept as its cells.
 
     Where there are two tasks or more and `_can_fork` allows it, this
     process and one forked child drain the tasks together (`_forked_cells`);
-    otherwise this process runs them in order.  Each column is the one the
-    serial path computes, so the output is bitwise the same.  When either
+    otherwise this process runs them in order.  Each column, and each model
+    the child pickles back, is the one the serial path computes, so the
+    output is bitwise the same.  When either
     side raises an Exception or the child leaves without its columns, every
     task is run again serially; where a task raises, the error raised is
     that of the first part, query and learner, in that order, whose model
@@ -255,16 +267,20 @@ def part_profiles(
     except Exception:
         _raise_first_error(data, fitted, queries)
         raise
-    return [[np.stack([cells[t, j][i] for j in range(len(specs))], axis=1)
+    roster = range(len(specs))
+    return [[cells[t, j] for j in roster] if qs is None else
+            [np.stack([cells[t, j][i] for j in roster], axis=1)
              for i in range(len(qs))] for t, qs in enumerate(queries)]
 
 
 def _task_columns(data, fitted, queries, learners, part):
     """The columns of one task as {(t, j): learner j's posterior columns on
     the rows of each query of part t}, from the learners' fitted models
-    (one sequence per learner).  A task of part None reads every part's
-    model of its one learner in order, from one fitter call; a task of part
-    t reads its learners' models of part t, predicted together."""
+    (one sequence per learner); for a part t with no query (queries[t] is
+    None), (t, j) holds learner j's model instead.  A task of part None
+    reads every part's model of its one learner in order, from one fitter
+    call; a task of part t reads its learners' models of part t, predicted
+    together."""
     if part is None:
         (j,) = learners
         models = enumerate([m] for m in fitted[j])
@@ -272,6 +288,9 @@ def _task_columns(data, fitted, queries, learners, part):
         models = [(part, [fitted[j][part] for j in learners])]
     cells = {}
     for t, ms in models:
+        if queries[t] is None:
+            cells.update(((t, j), m) for j, m in zip(learners, ms))
+            continue
         columns = [predict_proba_models(ms, data.features[q]) for q in queries[t]]
         for k, j in enumerate(learners):
             cells[t, j] = [c[k] for c in columns]
@@ -281,10 +300,11 @@ def _task_columns(data, fitted, queries, learners, part):
 def _raise_first_error(data, fitted, queries):
     """Raise the error of the first part, query and learner, in that order,
     whose model fails to fit or predict, each model predicted on its own:
-    the error does not depend on the order the tasks ran in."""
+    the error does not depend on the order the tasks ran in.  A part with
+    no query fails only where a model fails to fit."""
     for t, qs in enumerate(queries):
         models = [fits[t] for fits in fitted]
-        for q in qs:
+        for q in qs or ():
             for model in models:
                 model.predict_proba_batch(data.features[q])
 
@@ -416,19 +436,7 @@ def generate_meta_cv(
     of fold t with seed derive_seed(seed, t, j).  Raises TrainingError when
     a class is absent from a complement or the plan does not split the
     data's rows."""
-    if len(plan.assignments) != data.n_observations:
-        raise TrainingError(f"the fold plan splits {len(plan.assignments)} "
-                            f"rows, the data has {data.n_observations}")
-    rests, seeds, queries = fold_parts(plan, seed, np.arange(data.n_observations))
-    for t, rest in enumerate(rests):
-        absent = np.bincount(data.labels[rest], minlength=data.catalog.size) == 0
-        if absent.any():
-            label = data.catalog.labels[int(np.argmax(absent))]
-            raise TrainingError(
-                f"class {label!r} absent from the training complement of fold {t}"
-            )
-    held = [h[0] for h in part_profiles(data, specs, rests, seeds, queries)]
-    return meta_from_folds(data.catalog, plan, held, [s.name for s in specs])
+    return _meta_cv(data, specs, plan, seed)[0]
 
 
 def cross_validated_meta(
@@ -437,14 +445,47 @@ def cross_validated_meta(
     """The meta-data `train` searches alpha over: every class needs at
     least n_folds rows, and the stratified plan is seeded by
     derive_seed(seed, 0xF01D)."""
+    return generate_meta_cv(data, specs, _cv_plan(data, n_folds, seed), seed)
+
+
+def _cv_plan(data: Dataset, n_folds: int, seed: int) -> FoldPlan:
+    """The fold plan of `cross_validated_meta` and `train`; raises
+    TrainingError when a class has fewer than n_folds rows."""
     counts = np.bincount(data.labels, minlength=data.catalog.size)
     short = [lab for lab, n in zip(data.catalog.labels, counts) if n < n_folds]
     if short:
         raise TrainingError(
             f"classes with fewer observations than folds: {short}"
         )
-    plan = make_fold_plan(data.labels, n_folds, derive_seed(seed, 0xF01D))
-    return generate_meta_cv(data, specs, plan, seed)
+    return make_fold_plan(data.labels, n_folds, derive_seed(seed, 0xF01D))
+
+
+def _meta_cv(data, specs, plan, seed, refit=None):
+    """(meta, models): the meta-data of `generate_meta_cv` and, where refit
+    is a seed, the K models of one more part in the same `part_profiles`
+    call, on every row with seed refit and no query, learner j's bitwise
+    fit(specs[j], data, derive_seed(refit, j)); models is None otherwise.
+    Every check of the meta-CV runs here, before any fit."""
+    if len(plan.assignments) != data.n_observations:
+        raise TrainingError(f"the fold plan splits {len(plan.assignments)} "
+                            f"rows, the data has {data.n_observations}")
+    rows = np.arange(data.n_observations)
+    rests, seeds, queries = fold_parts(plan, seed, rows)
+    for t, rest in enumerate(rests):
+        absent = np.bincount(data.labels[rest], minlength=data.catalog.size) == 0
+        if absent.any():
+            label = data.catalog.labels[int(np.argmax(absent))]
+            raise TrainingError(
+                f"class {label!r} absent from the training complement of fold {t}"
+            )
+    if refit is not None:
+        rests.append(rows)
+        seeds.append(refit)
+        queries.append(None)
+    out = part_profiles(data, specs, rests, seeds, queries)
+    held = [h[0] for h in out[:plan.n_folds]]
+    meta = meta_from_folds(data.catalog, plan, held, [s.name for s in specs])
+    return meta, (tuple(out[-1]) if refit is not None else None)
 
 
 def error_curves(
@@ -552,31 +593,45 @@ def train(
     h: str = DEFAULT_H,
     n_folds: int = 10,
 ) -> TrainedEnsemble:
-    """Full training pass.
+    """Full training pass.  Learner j's model is fit(specs[j], data,
+    derive_seed(seed, 0xF111, j)), bitwise, in either mode.
 
     Grid mode (grid given): meta-data by n_folds-fold CV, alpha by grid
-    search. Fixed mode (fixed_alpha given): no CV and no search; the
-    combiner behaves as a fixed combining rule.
+    search.  The full-data refit is one more part of the meta-CV's
+    `part_profiles` call, seeded derive_seed(seed, 0xF111) with no query,
+    so its fits share the folds' batched calls and task queue.  Fixed mode
+    (fixed_alpha given): no CV and no search, and the combiner behaves as
+    a fixed combining rule; its refit is a loop of `fit` calls in this
+    process, as one part alone through the task queue would fork for less
+    than the fork costs.
+
+    The arguments are checked before any fit: the roster, h, a grid that
+    is not an AlphaGrid, a fixed_alpha that is not a finite number >= 0 (a
+    bool is none), an n_folds that is not an integer >= 2, a class with
+    fewer than n_folds rows and a class absent from a fold complement each
+    raise TrainingError.
     """
     if (grid is None) == (fixed_alpha is None):
         raise TrainingError("provide exactly one of grid or fixed_alpha")
     specs = check_roster(specs, TrainingError)
     if h not in combiners.H_KINDS:
         raise TrainingError(f"unknown h function {h!r}")
+    if grid is not None and not isinstance(grid, AlphaGrid):
+        raise TrainingError(f"grid must be an AlphaGrid, got {type(grid).__name__}")
+    if fixed_alpha is not None and not (_is_number(fixed_alpha) and fixed_alpha >= 0):
+        raise TrainingError("fixed alpha must be finite and >= 0")
+    if not (_is_int(n_folds) and n_folds >= 2):
+        raise TrainingError(f"need at least 2 folds, got {n_folds!r}")
 
+    refit = derive_seed(seed, 0xF111)
     if grid is not None:
-        meta = cross_validated_meta(data, specs, n_folds, seed)
+        meta, models = _meta_cv(data, specs, _cv_plan(data, n_folds, seed), seed,
+                                refit)
         alpha, curve = select_alpha(meta, data.labels, grid, h)
     else:
-        alpha = float(fixed_alpha)
-        if alpha < 0 or not np.isfinite(alpha):
-            raise TrainingError("fixed alpha must be finite and >= 0")
-        curve = []
-
-    models = tuple(
-        fit(spec, data, derive_seed(seed, 0xF111, j))
-        for j, spec in enumerate(specs)
-    )
+        models = tuple(fit(spec, data, derive_seed(refit, j))
+                       for j, spec in enumerate(specs))
+        alpha, curve = float(fixed_alpha), []
     return TrainedEnsemble(
         classifiers=models,
         alpha=alpha,

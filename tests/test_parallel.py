@@ -1,10 +1,11 @@
 """part_profiles drains one list of tasks in this process and a forked
 child together: one task per learner whose kind fits every part in one
-call, one per part for the learners fitted part by part.  error_curves
+call, one per part for the learners fitted part by part.  train's
+full-data refit is one more part of its meta-CV's call.  error_curves
 drains its chunks of meta rows the same way when its sweep is large.  Both
-paths must give bitwise the same profiles, reports and curves, run each
-task once, give the serial path's error on any failure, and leave no child
-process that outlives the call.
+paths must give bitwise the same profiles, models, reports and curves, run
+each task once, give the serial path's error on any failure, and leave no
+child process that outlives the call.
 
 The child path is forced by making `training._can_fork` answer True, and
 the serial path by making it answer False; a child inherits every patch
@@ -12,6 +13,7 @@ made before the fork.  What a child does is seen through a file it
 appends lines to.
 """
 
+import contextlib
 import os
 import signal
 import sys
@@ -29,7 +31,8 @@ from granulex.evaluation import ProtocolConfig, run_protocol
 from granulex.learners import (LearnerError, LearnerSpec, extended_roster, fit_folds,
                                spec_from_name)
 from granulex.metadata import ClassCatalog, MetaMatrix
-from granulex.training import default_alpha_grid, fold_parts, make_fold_plan
+from granulex.training import (default_alpha_grid, derive_seed, fold_parts,
+                               make_fold_plan)
 
 pytestmark = pytest.mark.skipif(
     sys.platform != "linux" or not hasattr(os, "fork"),
@@ -308,6 +311,148 @@ def test_interrupt_in_the_parent_kills_and_reaps_the_child(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         _profiles(monkeypatch, True, specs, _parts())
     assert len(forks) == 1
+
+
+def _twonorm():
+    """The benchmark's train data: 500 rows of 8 features, two classes."""
+    return generate(GeneratorSpec("twonorm-like", n=500, d=8, seed=11))
+
+
+def _assert_same_model(got, expected):
+    assert got.spec == expected.spec and got.catalog == expected.catalog
+    assert got.n_features == expected.n_features
+    assert got.present.tobytes() == expected.present.tobytes()
+    assert list(got.state) == list(expected.state)
+    for key, value in expected.state.items():
+        assert got.state[key].dtype == value.dtype
+        assert got.state[key].shape == value.shape
+        assert got.state[key].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("child", [True, False], ids=["forked", "serial"])
+def test_grid_train_refit_is_bitwise_the_full_data_fit(child, monkeypatch):
+    """The refit part, fitted in the meta-CV's call by whichever process
+    claims its tasks, gives learner j the model of fit(spec, data,
+    derive_seed(seed, 0xF111, j)).  The sweep of this meta is below
+    SWEEP_FORK_SCORES, so the one fork is part_profiles'."""
+    data, specs, seed = _twonorm(), extended_roster(), 23
+    monkeypatch.setattr(training, "_can_fork", lambda: child)
+    forks = _forks(monkeypatch)
+    ensemble = training.train(data, specs, seed, grid=default_alpha_grid())
+    assert len(forks) == int(child)
+    assert len(ensemble.classifiers) == len(specs)
+    for j, (spec, model) in enumerate(zip(specs, ensemble.classifiers)):
+        _assert_same_model(model, learners.fit(spec, data,
+                                               derive_seed(seed, 0xF111, j)))
+
+
+def test_grid_train_fits_each_learner_in_one_call(monkeypatch, tmp_path):
+    """One fit_folds call per learner over the folds and the refit, one
+    logistic kernel call over all of them, and no one-part fit, in either
+    process."""
+    data, specs, folds = _twonorm(), extended_roster(), 10
+    log, kernel = tmp_path / "fits", tmp_path / "kernel"
+    _logged(monkeypatch, training, "fit_folds",
+            lambda spec, data, rests, seeds: f"fit_folds {spec.name} {len(rests)}", log)
+    for owner in (training, learners):
+        _logged(monkeypatch, owner, "fit", lambda spec, data, seed: "fit", log)
+    _kernel_calls(monkeypatch, kernel)
+    monkeypatch.setattr(training, "_can_fork", lambda: True)
+    training.train(data, specs, 3, grid=default_alpha_grid(), n_folds=folds)
+    assert _lines(log) == [(os.getpid(), f"fit_folds {s.name} {folds + 1}")
+                           for s in specs]
+    assert [n for _, n in _lines(kernel)] == [str(folds + 1)]
+
+
+def _failing_on(monkeypatch, kind, x_failing, message):
+    """Make kind's predictions on exactly the rows x_failing raise
+    LearnerError(message); its other predictions run as before."""
+    entry = learners._KINDS[kind]
+
+    def predict(models, x):
+        if x.shape == x_failing.shape and (x == x_failing).all():
+            raise LearnerError(message)
+        return entry.predict(models, x)
+
+    monkeypatch.setitem(learners._KINDS, kind, entry._replace(predict=predict))
+
+
+def _steered(monkeypatch, tmp_path, failer_is_child):
+    """Steer part_profiles' two processes: the failer claims the first
+    task, and runs it only once the other process has run the refit part
+    (the part with no query, the last task), so that the other process
+    holds the refit.  Each waits at most a minute for the other."""
+    parent, claimed, refitted = os.getpid(), tmp_path / "claimed", tmp_path / "refitted"
+
+    def failer():
+        return (os.getpid() != parent) == failer_is_child
+
+    def wait_for(path):
+        deadline = time.monotonic() + 60
+        while not path.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+    real_counter, real_columns = training._shared_counter, training._task_columns
+
+    @contextlib.contextmanager
+    def counter():
+        with real_counter() as claim:
+            first = [True]
+
+            def steered():
+                if first:
+                    first.clear()
+                    if failer():
+                        k = claim()
+                        claimed.touch()
+                        return k
+                    wait_for(claimed)
+                return claim()
+
+            yield steered
+
+    def task_columns(data, fitted, queries, learners, part):
+        if failer():
+            wait_for(refitted)
+        cells = real_columns(data, fitted, queries, learners, part)
+        if queries[part] is None:
+            refitted.touch()
+        return cells
+
+    monkeypatch.setattr(training, "_shared_counter", counter)
+    monkeypatch.setattr(training, "_task_columns", task_columns)
+
+
+@pytest.mark.parametrize("holder", ["child", "parent", "serial"])
+def test_failing_meta_cv_learner_raises_the_meta_cv_error(holder, monkeypatch,
+                                                          tmp_path):
+    """lda fails on fold 0's query rows.  Whether the child or this process
+    holds the refit part, or one process runs every task, train raises the
+    error the meta-CV alone raises."""
+    data, seed, folds = load_bundled("rings"), 5, 4
+    specs = [spec_from_name(n) for n in ("lda", "knn5", "nearest-mean")]
+    fold0 = training._cv_plan(data, folds, seed).fold_indices(0)
+    _failing_on(monkeypatch, "lda", data.features[fold0], "lda fails on fold 0")
+    with pytest.raises(LearnerError) as meta_cv:
+        training.cross_validated_meta(data, specs, folds, seed)
+    assert str(meta_cv.value) == "lda fails on fold 0"
+    log = tmp_path / "tasks"
+    if holder != "serial":
+        _steered(monkeypatch, tmp_path, failer_is_child=holder == "parent")
+    _logged(monkeypatch, training, "_task_columns",
+            lambda data, fitted, queries, learners, part: str(part), log)
+    monkeypatch.setattr(training, "_can_fork", lambda: holder != "serial")
+    forks = _forks(monkeypatch)
+    with pytest.raises(LearnerError) as info:
+        training.train(data, specs, seed, grid=default_alpha_grid(), n_folds=folds)
+    assert str(info.value) == str(meta_cv.value)
+    ran = _lines(log)
+    refit = [pid for pid, part in ran if part == str(folds)]
+    if holder == "serial":
+        assert forks == [] and refit == []  # the serial drain stops at fold 0
+    else:
+        (child,) = forks
+        assert refit[0] == (child if holder == "child" else os.getpid())
 
 
 def test_fit_folds_logistic_runs_no_kernel_until_a_model_is_read(

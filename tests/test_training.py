@@ -50,6 +50,15 @@ def toy_dataset(n=40, seed=0):
     return generate(GeneratorSpec("twonorm-like", n=n, d=2, seed=seed))
 
 
+def _no_fits(monkeypatch):
+    """Make every fit that training starts fail the test."""
+    def fails(*args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(training, "fit_folds", fails)
+    monkeypatch.setattr(training, "fit", fails)
+
+
 def test_derive_seed_chains():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
@@ -158,7 +167,7 @@ class TestGenerateMetaCV:
         m2 = generate_meta_cv(data, SPECS, plan, seed=3)
         assert np.array_equal(m1.scores, m2.scores)
 
-    def test_absent_class_named_error(self):
+    def test_absent_class_named_error(self, monkeypatch):
         data = Dataset(
             np.arange(6, dtype=float).reshape(-1, 1),
             np.array([0, 0, 0, 0, 0, 1]),
@@ -166,6 +175,7 @@ class TestGenerateMetaCV:
         )
         # fold holding the only "b" observation leaves its complement without b
         plan = make_fold_plan(data.labels, 2, seed=0)
+        _no_fits(monkeypatch)
         with pytest.raises(TrainingError, match="'b'.*fold"):
             generate_meta_cv(data, SPECS[:2], plan, 0)
 
@@ -427,14 +437,39 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(data, SPECS, seed=0, grid=AlphaGrid((1.0,)), fixed_alpha=1.0)
 
-    def test_class_counts_must_cover_folds(self):
+    def test_class_counts_must_cover_folds(self, monkeypatch):
         data = Dataset(
             np.arange(8, dtype=float).reshape(-1, 1),
             np.array([0, 0, 0, 0, 0, 0, 1, 1]),
             ClassCatalog(("a", "b")),
         )
+        _no_fits(monkeypatch)
         with pytest.raises(TrainingError, match="fewer observations"):
             train(data, SPECS[:2], seed=0, grid=AlphaGrid((1.0,)), n_folds=3)
+        with pytest.raises(TrainingError, match="fewer observations"):
+            cross_validated_meta(data, SPECS[:2], 3, 0)
+
+    @pytest.mark.parametrize("mode, message", [
+        (dict(grid=(0.0, 1.0)), "grid must be an AlphaGrid, got tuple"),
+        (dict(grid=[0.0, 1.0]), "grid must be an AlphaGrid, got list"),
+        (dict(fixed_alpha=True), "fixed alpha must be finite and >= 0"),
+        (dict(fixed_alpha="1"), "fixed alpha must be finite and >= 0"),
+        (dict(fixed_alpha=-0.5), "fixed alpha must be finite and >= 0"),
+        (dict(fixed_alpha=float("nan")), "fixed alpha must be finite and >= 0"),
+        (dict(fixed_alpha=float("inf")), "fixed alpha must be finite and >= 0"),
+        (dict(grid=AlphaGrid((1.0,)), n_folds=2.5), "need at least 2 folds, got 2.5"),
+        (dict(grid=AlphaGrid((1.0,)), n_folds=True), "need at least 2 folds, got True"),
+        (dict(grid=AlphaGrid((1.0,)), n_folds="3"), "need at least 2 folds, got '3'"),
+        (dict(grid=AlphaGrid((1.0,)), n_folds=1), "need at least 2 folds, got 1"),
+        (dict(fixed_alpha=1.0, n_folds=2.5), "need at least 2 folds, got 2.5"),
+    ], ids=["grid-tuple", "grid-list", "alpha-bool", "alpha-str", "alpha-negative",
+            "alpha-nan", "alpha-inf", "folds-float", "folds-bool", "folds-str",
+            "folds-one", "fixed-folds-float"])
+    def test_arguments_checked_before_the_first_fit(self, monkeypatch, mode,
+                                                    message):
+        _no_fits(monkeypatch)
+        with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
+            train(toy_dataset(), SPECS, seed=0, **mode)
 
     @pytest.mark.parametrize("specs, message", [
         (SPECS[:1], "need at least two base learners"),
