@@ -33,22 +33,8 @@ derive_seed(s, *a, *b), so a fit's seed depends on its coordinates, not on
 the call that made it; the refit part's seed derive_seed(seed, 0xF111)
 gives learner j the seed derive_seed(seed, 0xF111, j) of a lone `fit`.
 
-Two functions split their work into a list of tasks that `_run_tasks`
-drains.  `part_profiles` has one task per learner whose kind fits every
-part in one call (logistic-linear, the trees), and one per part for the
-learners of the kinds that fit each part on its own.  `error_curves`, the
-alpha sweep behind `select_alpha`, `train` and `alpha-curve`, has one task
-per chunk of meta rows, each giving the counts of its misclassified rows
-per h and alpha; it uses the child only for a sweep of SWEEP_FORK_SCORES
-scores or more, as below that a fork costs more than the half of the sweep
-it takes over.  This process and one forked child claim the tasks one at a
-time from a counter they share until none is left; the child pickles its
-results back through a pipe.  It forks only on Linux, with `os.fork` and
-at least two CPUs in the process's affinity, and from Python 3.12 only in
-a process without other threads (os.fork warns in one).  Everywhere else,
-and for a call of one task, this process runs the tasks in order.  Both
-paths give bitwise the same profiles, models and curves, there is no
-option to choose between them, and no child outlives the call.
+`part_profiles` and `error_curves`, the alpha sweep, list their work as
+tasks that `tasks.run` drains.
 
 Caveat: alpha is selected on the same meta-data its error is measured on
 (no nested validation), so the reported alpha-error curve is optimistically
@@ -57,19 +43,13 @@ biased as a generalization estimate.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import json
-import os
-import pickle
-import signal
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import combiners
+from . import combiners, tasks
 # granular_intervals is not called here but stays a name of this module:
 # bench/tracer.py wraps it by this name.
 from .combiners import DEFAULT_H, Granule, granular_intervals  # noqa: F401
@@ -102,7 +82,6 @@ __all__ = [
     "make_fold_plan",
     "fold_parts",
     "part_profiles",
-    "stack_profiles",
     "meta_from_folds",
     "generate_meta_cv",
     "cross_validated_meta",
@@ -240,30 +219,23 @@ def part_profiles(
     part; then one task per part for the learners whose kind fits each part
     on its own (`_each_part`), so a part's knn models share one neighbour
     search.  A model is dropped once its columns are made, except those of
-    a part with no query, which are kept as its cells.
-
-    Where there are two tasks or more and `_can_fork` allows it, this
-    process and one forked child drain the tasks together (`_forked_cells`);
-    otherwise this process runs them in order.  Each column, and each model
-    the child pickles back, is the one the serial path computes, so the
-    output is bitwise the same.  When either
-    side raises an Exception or the child leaves without its columns, every
-    task is run again serially; where a task raises, the error raised is
-    that of the first part, query and learner, in that order, whose model
-    fails (`_raise_first_error`), whichever task failed first."""
+    a part with no query, which are kept as its cells.  `tasks.run` drains
+    the tasks; where a task raises, the error raised is that of the first
+    part, query and learner, in that order, whose model fails
+    (`_raise_first_error`), whichever task failed first."""
     rests = check_rests(data, rests)
     fitted = [fit_folds(spec, data, rests, [derive_seed(s, j) for s in seeds])
               for j, spec in enumerate(specs)]
     each = [j for j, spec in enumerate(specs) if _KINDS[spec.kind].each_part]
-    tasks = [([j], None) for j in range(len(specs)) if j not in each]
+    task_list = [([j], None) for j in range(len(specs)) if j not in each]
     if each:
-        tasks += [(each, t) for t in range(len(rests))]
+        task_list += [(each, t) for t in range(len(rests))]
 
     def run(learners, part):
         return _task_columns(data, fitted, queries, learners, part)
 
     try:
-        cells = _run_tasks(tasks, run, fork=True)
+        cells = tasks.run(task_list, run)
     except Exception:
         _raise_first_error(data, fitted, queries)
         raise
@@ -307,110 +279,6 @@ def _raise_first_error(data, fitted, queries):
         for q in qs or ():
             for model in models:
                 model.predict_proba_batch(data.features[q])
-
-
-def _drain(tasks, claim, run):
-    """The cells that run makes of the tasks this process claims: claim
-    gives the index of the next task, until it gives one past the last."""
-    cells = {}
-    while (k := claim()) < len(tasks):
-        cells.update(run(*tasks[k]))
-    return cells
-
-
-def _run_tasks(tasks, run, fork):
-    """The cells that run makes of every task.  Where fork is true, there
-    are two tasks or more and `_can_fork` allows it, this process and one
-    forked child drain them together (`_forked_cells`); otherwise, and
-    when that raises an Exception, this process runs them all, in order."""
-    if fork and len(tasks) > 1 and _can_fork():
-        try:
-            return _forked_cells(tasks, run)
-        except Exception:
-            pass  # the serial drain below raises the serial error, if any
-    return _drain(tasks, itertools.count().__next__, run)
-
-
-def _can_fork() -> bool:
-    """Whether a task list may fork its child: on Linux, with at least
-    two CPUs to run on and, from Python 3.12, where os.fork warns in a
-    process with other threads, no thread besides this one."""
-    if not (sys.platform == "linux" and hasattr(os, "fork")
-            and len(os.sched_getaffinity(0)) >= 2):
-        return False
-    if sys.version_info < (3, 12):
-        return True
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-@contextlib.contextmanager
-def _shared_counter():
-    """A claim function that gives 0, 1, 2, ... to this process and to the
-    children it forks while the counter is open, each number once, to
-    whichever process asks first, with no limit on how many.  The count
-    is kept in an anonymous file and read and advanced under a lockf lock,
-    which the kernel releases if its holder dies."""
-    import fcntl  # POSIX only, as forking is
-
-    fd = os.memfd_create("granulex-tasks")
-
-    def claim():
-        fcntl.lockf(fd, fcntl.LOCK_EX)
-        try:
-            k = int.from_bytes(os.pread(fd, 8, 0), "little")
-            os.pwrite(fd, (k + 1).to_bytes(8, "little"), 0)
-        finally:
-            fcntl.lockf(fd, fcntl.LOCK_UN)
-        return k
-
-    try:
-        yield claim
-    finally:
-        os.close(fd)
-
-
-def _forked_cells(tasks, run):
-    """The cells of every task, drained by this process and one forked
-    child together: each claims the next unclaimed task from a
-    `_shared_counter` made before the fork, and the child pickles its cells
-    back through a pipe.  Raises ChildProcessError when the child leaves
-    without its cells.  The child is reaped before this returns or raises,
-    and killed first unless it has sent them."""
-    with _shared_counter() as claim:
-        read, write = os.pipe()
-        with open(read, "rb") as source, open(write, "wb") as sink:
-            pid = os.fork()
-            if pid == 0:  # the child: it leaves here and nowhere else
-                code = 1
-                try:
-                    pickle.dump(_drain(tasks, claim, run), sink,
-                                pickle.HIGHEST_PROTOCOL)
-                    sink.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            sink.close()
-            sent = None
-            try:
-                cells = _drain(tasks, claim, run)
-                sent = source.read()
-            finally:
-                if sent is None:
-                    os.kill(pid, signal.SIGKILL)
-                status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        raise ChildProcessError(f"the child left with wait status {status}")
-    cells.update(pickle.loads(sent))
-    return cells
-
-
-def stack_profiles(models: Sequence[FittedClassifier], x: np.ndarray) -> np.ndarray:
-    """(n, K, M) posterior profiles of the rows of x, one column per model.
-    The knn models of one training set share one neighbour search."""
-    return np.stack(predict_proba_models(models, x), axis=1)
 
 
 def meta_from_folds(
@@ -504,12 +372,9 @@ def error_curves(
     picks the bounds at every alpha and de-granulates them once per h, and
     counts the rows it misclassifies.  An error is the count summed over
     the chunks, over n: bitwise np.mean of the decisions that differ from
-    the labels, as sums of 0s and 1s are exact.  A sweep of at least
-    SWEEP_FORK_SCORES scores, 2 * n * M * w * A, runs its tasks as
-    part_profiles does, on this process and one forked child
-    (`_run_tasks`); a smaller one runs them in order in this process, as
-    there a fork and its page faults cost more than the half of the sweep
-    the child would take over."""
+    the labels, as sums of 0s and 1s are exact.  `tasks.run` drains the
+    tasks, with its fork only for a sweep of at least SWEEP_FORK_SCORES
+    scores, 2 * n * M * w * A."""
     labels = np.asarray(labels)
     n, k, m = meta.scores.shape
     if (labels.ndim != 1 or labels.dtype.kind not in "iu"
@@ -526,13 +391,13 @@ def error_curves(
     checked = _checked_alphas(alphas)
     per_row = m * (k // 2 + 1) * len(checked)  # scores per side of one row
     chunk = max(1, GRANULE_BLOCK_CELLS // max(1, per_row))
-    tasks = [(slice(start, start + chunk),) for start in range(0, n, chunk)]
+    task_list = [(slice(start, start + chunk),) for start in range(0, n, chunk)]
 
     def run(rows):
         return _chunk_errors(meta.scores, labels, checked, hs, rows)
 
     fork = 2 * n * per_row >= SWEEP_FORK_SCORES
-    wrong = sum(_run_tasks(tasks, run, fork).values())
+    wrong = sum(tasks.run(task_list, run, fork=fork).values())
     return {h: list(zip(alphas, curve.tolist())) for h, curve in zip(hs, wrong / n)}
 
 
@@ -654,8 +519,9 @@ class PredictionDetail:
 
 
 def ensemble_profiles(ensemble: TrainedEnsemble, x: np.ndarray) -> np.ndarray:
-    """(n, K, M) posterior profiles from the refitted base classifiers."""
-    return stack_profiles(ensemble.classifiers, x)
+    """(n, K, M) posterior profiles from the refitted base classifiers; the
+    knn models of one training set share one neighbour search."""
+    return np.stack(predict_proba_models(ensemble.classifiers, x), axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ import pytest
 
 import granulex.evaluation as evaluation
 import granulex.training as training
+from granulex import tasks
 from granulex.cli import main
 from granulex.combiners import (
     FIXED_RULES,
@@ -374,7 +375,7 @@ def test_12_no_leakage_in_meta_cv(monkeypatch):
     monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
     # The audit sees the predictions of this process only: keep every
     # task of part_profiles out of its forked child.
-    monkeypatch.setattr(training, "_can_fork", lambda: False)
+    monkeypatch.setattr(tasks, "_can_fork", lambda: False)
     rng = np.random.default_rng(112)
     specs = [LearnerSpec("nearest-mean"),
              LearnerSpec("logistic-linear", {"iterations": 20})]
@@ -522,7 +523,7 @@ def test_15_one_fit_per_repeat_equals_meta_cv_per_fold(case, monkeypatch):
     monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
     # The audit sees the predictions of this process only: keep every
     # task of part_profiles out of its forked child.
-    monkeypatch.setattr(training, "_can_fork", lambda: False)
+    monkeypatch.setattr(tasks, "_can_fork", lambda: False)
     monkeypatch.setattr(training, "meta_from_folds",
                         recorded(metas, training.meta_from_folds))
     monkeypatch.setattr(training, "select_alpha",

@@ -28,7 +28,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(granulex.__path__))
 # each kind's one predictor over models and the model's own `present` and
 # `n_features` replaced; and the Python-loop median and score that
 # restated what prepare_samples computes, now in tests/oracles.py, with the
-# sample check of construct_granule, which the batch kernel's replaced.
+# sample check of construct_granule, which the batch kernel's replaced;
+# and the profile stack that ensemble_profiles computes itself.
 RETIRED = {
     "_FITTERS",
     "_PREDICTORS",
@@ -68,6 +69,7 @@ RETIRED = {
     "median_of",
     "evidence_score",
     "_check_sample",
+    "stack_profiles",
 }
 
 # Module attributes the bench tracer replaces by name.

@@ -7,7 +7,7 @@ paths must give bitwise the same profiles, models, reports and curves, run
 each task once, give the serial path's error on any failure, and leave no
 child process that outlives the call.
 
-The child path is forced by making `training._can_fork` answer True, and
+The child path is forced by making `tasks._can_fork` answer True, and
 the serial path by making it answer False; a child inherits every patch
 made before the fork.  What a child does is seen through a file it
 appends lines to.
@@ -17,15 +17,13 @@ import contextlib
 import os
 import signal
 import sys
-import threading
 import time
-import types
 
 import numpy as np
 import pytest
 
 import granulex.training as training
-from granulex import combiners, learners, report
+from granulex import combiners, learners, report, tasks
 from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
 from granulex.evaluation import ProtocolConfig, run_protocol
 from granulex.learners import (LearnerError, LearnerSpec, extended_roster, fit_folds,
@@ -85,7 +83,7 @@ def _parts(n=120, folds=4):
 
 
 def _profiles(monkeypatch, child, specs, parts):
-    monkeypatch.setattr(training, "_can_fork", lambda: child)
+    monkeypatch.setattr(tasks, "_can_fork", lambda: child)
     return training.part_profiles(parts[0], specs, *parts[1:])
 
 
@@ -194,43 +192,6 @@ def test_each_task_runs_once_across_both_processes(roster, monkeypatch, tmp_path
     assert _lines(log) == [(os.getpid(), task) for task in _tasks(specs, len(parts[1]))]
 
 
-def test_shared_counter_gives_each_number_once_under_contention(tmp_path):
-    """Four forked children, more processes than this machine has CPUs,
-    claim from one counter with this process: a lost update would give a
-    number twice or skip one.  Each child writes its claims to its own
-    file; a child still running after a minute is killed and fails it."""
-    n, pids = 3000, []
-    with training._shared_counter() as claim:
-        for _ in range(4):
-            pid = os.fork()
-            if pid == 0:  # the child: it leaves here and nowhere else
-                code = 1
-                try:
-                    got = []
-                    while (k := claim()) < n:
-                        got.append(k)
-                    (tmp_path / f"claims-{os.getpid()}").write_text(
-                        " ".join(map(str, got)))
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        mine = []
-        while (k := claim()) < n:
-            mine.append(k)
-    deadline, statuses = time.monotonic() + 60, []
-    for pid in pids:
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-            time.sleep(0.01)
-        statuses.append(done[1])
-    assert statuses == [0] * len(pids)
-    theirs = [int(k) for pid in pids
-              for k in (tmp_path / f"claims-{pid}").read_text().split()]
-    assert sorted(mine + theirs) == list(range(n))
-
-
 def test_rests_are_checked_once_per_call(monkeypatch):
     """fit_folds passes the rests part_profiles checked as they are: one
     check per call, not one per learner."""
@@ -253,7 +214,7 @@ def test_headline_repeat_report_is_equal_on_both_paths(name, monkeypatch):
     config = ProtocolConfig(folds=10, repeats=1, seed=7, learners=HEADLINE_ROSTER)
     blobs = []
     for child in (True, False):
-        monkeypatch.setattr(training, "_can_fork", lambda: child)
+        monkeypatch.setattr(tasks, "_can_fork", lambda: child)
         blobs.append(report.report_json_bytes(run_protocol([data], config)))
     assert blobs[0] == blobs[1]
 
@@ -336,7 +297,7 @@ def test_grid_train_refit_is_bitwise_the_full_data_fit(child, monkeypatch):
     derive_seed(seed, 0xF111, j)).  The sweep of this meta is below
     SWEEP_FORK_SCORES, so the one fork is part_profiles'."""
     data, specs, seed = _twonorm(), extended_roster(), 23
-    monkeypatch.setattr(training, "_can_fork", lambda: child)
+    monkeypatch.setattr(tasks, "_can_fork", lambda: child)
     forks = _forks(monkeypatch)
     ensemble = training.train(data, specs, seed, grid=default_alpha_grid())
     assert len(forks) == int(child)
@@ -357,7 +318,7 @@ def test_grid_train_fits_each_learner_in_one_call(monkeypatch, tmp_path):
     for owner in (training, learners):
         _logged(monkeypatch, owner, "fit", lambda spec, data, seed: "fit", log)
     _kernel_calls(monkeypatch, kernel)
-    monkeypatch.setattr(training, "_can_fork", lambda: True)
+    monkeypatch.setattr(tasks, "_can_fork", lambda: True)
     training.train(data, specs, 3, grid=default_alpha_grid(), n_folds=folds)
     assert _lines(log) == [(os.getpid(), f"fit_folds {s.name} {folds + 1}")
                            for s in specs]
@@ -392,7 +353,7 @@ def _steered(monkeypatch, tmp_path, failer_is_child):
         while not path.exists() and time.monotonic() < deadline:
             time.sleep(0.005)
 
-    real_counter, real_columns = training._shared_counter, training._task_columns
+    real_counter, real_columns = tasks._shared_counter, training._task_columns
 
     @contextlib.contextmanager
     def counter():
@@ -419,7 +380,7 @@ def _steered(monkeypatch, tmp_path, failer_is_child):
             refitted.touch()
         return cells
 
-    monkeypatch.setattr(training, "_shared_counter", counter)
+    monkeypatch.setattr(tasks, "_shared_counter", counter)
     monkeypatch.setattr(training, "_task_columns", task_columns)
 
 
@@ -441,7 +402,7 @@ def test_failing_meta_cv_learner_raises_the_meta_cv_error(holder, monkeypatch,
         _steered(monkeypatch, tmp_path, failer_is_child=holder == "parent")
     _logged(monkeypatch, training, "_task_columns",
             lambda data, fitted, queries, learners, part: str(part), log)
-    monkeypatch.setattr(training, "_can_fork", lambda: holder != "serial")
+    monkeypatch.setattr(tasks, "_can_fork", lambda: holder != "serial")
     forks = _forks(monkeypatch)
     with pytest.raises(LearnerError) as info:
         training.train(data, specs, seed, grid=default_alpha_grid(), n_folds=folds)
@@ -469,33 +430,6 @@ def test_fit_folds_logistic_runs_no_kernel_until_a_model_is_read(
     assert _lines(kernel) == []
 
 
-@pytest.mark.parametrize("platform, cpus, version, thread, expected", [
-    ("linux", {0, 1}, (3, 11), False, True),
-    ("linux", {0, 1}, (3, 11), True, True),
-    ("linux", {3}, (3, 11), False, False),
-    ("darwin", {0, 1}, (3, 11), False, False),
-    ("linux", {0, 1}, (3, 12), True, False),
-], ids=["two-cpus", "threads-before-3.12", "one-cpu", "not-linux",
-        "threads-from-3.12"])
-def test_can_fork(platform, cpus, version, thread, expected, monkeypatch):
-    """The child runs on Linux with two CPUs or more; from Python 3.12,
-    where os.fork warns in a process with other threads, only without
-    them."""
-    monkeypatch.setattr(training, "sys", types.SimpleNamespace(
-        platform=platform, version_info=version))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    if thread:
-        other.start()
-    try:
-        assert training._can_fork() is expected
-    finally:
-        stop.set()
-        if thread:
-            other.join()
-
-
 def _tied_meta(n, seed=5):
     """A meta matrix of n rows, K = 12 and M = 3, and its labels: each
     column is the vote share of 5 neighbours, knn-like, so many columns
@@ -516,7 +450,7 @@ def _sweep_scores(meta, alphas):
 
 
 def _curves(monkeypatch, child, meta, labels, alphas=default_alpha_grid().values):
-    monkeypatch.setattr(training, "_can_fork", lambda: child)
+    monkeypatch.setattr(tasks, "_can_fork", lambda: child)
     return training.error_curves(meta, labels, alphas, combiners.H_KINDS)
 
 

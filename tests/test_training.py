@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import granulex.training as training
-from granulex import combiners, granule, learners
+from granulex import combiners, granule, learners, tasks
 from granulex.combiners import Granule
 from granulex.datasets import BUNDLED_DATASETS, GeneratorSpec, generate, load_bundled
 from granulex.learners import Dataset, LearnerSpec, default_roster, extended_roster
@@ -248,7 +248,7 @@ def test_part_profiles_share_one_search_per_part_across_the_roster(
                                for lo in range(0, len(q), block)]
     outs = []
     for child in (False, True):
-        monkeypatch.setattr(training, "_can_fork", lambda: child)
+        monkeypatch.setattr(tasks, "_can_fork", lambda: child)
         outs.append(training.part_profiles(data, specs, rests, seeds, queries))
         calls = log.read_text().splitlines()
         log.unlink()
@@ -301,8 +301,8 @@ class TestAlphaSelection:
 
     @staticmethod
     def _no_task_runs(monkeypatch):
-        monkeypatch.setattr(training, "_run_tasks",
-                            lambda *args: pytest.fail("a task ran"))
+        monkeypatch.setattr(tasks, "run",
+                            lambda *args, **kwargs: pytest.fail("a task ran"))
 
     @pytest.mark.parametrize("labels", [
         np.full(6, 7), np.full(6, -1), np.array([0, 1, 0, 1, 0, 2]),
