@@ -4,6 +4,8 @@ Configuration is strict JSON (unknown keys and ill-typed values rejected).
 A flag writes the config key of its name (--alpha fixed_alpha, --grid
 alpha_grid) over the config's value; _resolve_config is the one reader of
 flags, config and defaults, for train and alpha-curve as for evaluate.
+`predict` writes its CSV straight from the arrays of
+`training.predict_batch`.
 """
 
 from __future__ import annotations

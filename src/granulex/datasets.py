@@ -118,7 +118,8 @@ class GeneratorSpec:
         for key, ok, expected in (("n", _is_int, "an integer"),
                                   ("d", _is_int, "an integer"),
                                   ("noise", _is_number, "a finite number"),
-                                  ("seed", _is_int, "an integer")):
+                                  ("seed", lambda v: _is_int(v) and v >= 0,
+                                   "an integer >= 0")):
             value = getattr(self, key)
             if not ok(value):
                 raise DatasetError(f"generator {key} must be {expected}, got {value!r}")

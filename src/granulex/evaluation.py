@@ -2,12 +2,36 @@
 combining methods, with error rate, macro-F1, Wilcoxon signed-rank
 comparisons, average rankings, and a 0-1-loss bias/variance diagnostic.
 
-F1 is macro-averaged one-vs-rest.  Every method is evaluated on identical
-fold splits per (dataset, repeat), so paired significance tests are valid.
+F1 is macro-averaged one-vs-rest, and the 0-1-loss bias of the combined
+hypothesis is its error rate, so a `MethodResult` holds it once, among
+its errors.  The Wilcoxon null distribution is
+enumerated exactly up to EXACT_WILCOXON_LIMIT (25) pairs and approximated
+normally, with tie and continuity corrections, beyond.  Every method is
+evaluated on identical fold splits per (dataset, repeat), so paired
+significance tests are valid.
+
+`run_protocol` checks the protocol before its first fit: the roster
+(`check_roster`), every `learner:NAME` method in it, distinct dataset
+names, no class with fewer rows than folds, and, with granular-cv, at
+least 2 rows of every class in every training part (n_c - ceil(n_c /
+folds) >= 2), which its inner cross-validation needs.  It then collects
+the runs, compares the methods and ranks them; the report's rankings are
+keyed "error" and "f1".
+
 A (dataset, repeat) is one generator, `_repeat_runs`: it lists the
 repeat's outer folds and each fold's inner cross-validation by
 `training.fold_parts`, fits them in one `training.part_profiles` call, and
-yields each outer fold's runs of every method.
+yields each outer fold's (error, macro-F1, variance) of every method.  The
+outer training parts, with decision-template's queries of their own rows,
+and with granular-cv each outer fold's inner training parts, as
+increasing row indices into the dataset, go into one `fit_folds` call per
+learner (10 + 100 parts at 10 x 10 folds).  The inner parts take the seed
+meta-CV would give the fold's training part, so every inner meta-matrix
+is the one `generate_meta_cv` builds.  The profiles are read back in the
+order the parts are listed, and each fold's decisions use the dataset's
+labels, so a repeat builds no `Dataset`.  Models are fitted as they are
+read and dropped once their profiles are taken, so a repeat holds its
+profiles, not its 1100 models.
 """
 
 from __future__ import annotations
@@ -67,6 +91,8 @@ def macro_f1(predictions: Sequence[int], truth: Sequence[int], n_classes: int) -
     truth = np.asarray(truth)
     if predictions.shape != truth.shape or predictions.size == 0:
         raise EvaluationError("predictions and truth must be equal-length, non-empty")
+    if n_classes < 1:
+        raise EvaluationError(f"n_classes must be at least 1, got {n_classes}")
     total = 0.0
     for c in range(n_classes):
         tp = float(np.sum((predictions == c) & (truth == c)))
@@ -134,14 +160,19 @@ def wilcoxon_signed_rank(
     """Two-sided paired signed-rank test.  "a-better" means a's values are
     systematically smaller (the convention for loss-like metrics).
 
+    The samples must be finite and 1-D, and the significance in (0, 1).
     Zero differences are dropped; ties share midranks.  The null
     distribution is enumerated exactly up to 25 pairs, and approximated
     normally (with tie and continuity corrections) beyond.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise EvaluationError("paired samples must have equal length")
+    if a.ndim != 1 or a.shape != b.shape:
+        raise EvaluationError("paired samples must be 1-D and of equal length")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise EvaluationError("paired samples must be finite")
+    if not 0.0 < significance < 1.0:
+        raise EvaluationError("significance must lie in (0, 1)")
     d = a - b
     d = d[d != 0.0]
     n = len(d)

@@ -15,8 +15,11 @@ the median.  Each candidate's coverage count is read off the tie runs of
 its sorted row.  The pick then scores a block of alphas at once, as
 (alphas, side, n, w) arrays of count x exp(-alpha * dist), with at most
 GRANULE_BLOCK_CELLS cells per side: `pick_bounds_blocks` walks any number
-of alphas block by block.  `construct_granules_batch` is preparation and a
-one-alpha pick in a row, and `construct_granule` its one-sample case.
+of alphas block by block, so an alpha search prepares its samples once.
+`construct_granules_batch` is preparation and a one-alpha pick in a row,
+and `construct_granule` its one-sample case.  Every median and interval
+midpoint of the package is the one guarded mean `_midpoints`, finite
+wherever the two ends are.
 """
 
 from __future__ import annotations

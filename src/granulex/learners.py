@@ -5,37 +5,45 @@ prediction are deterministic given (spec, data, seed).  Posterior recipes:
 
   knn                  vote fractions of the k nearest training rows by
                        squared distance, ties to the lower training index
-                       (exact-distance matches take the whole vote); query
-                       rows go in blocks of bounded size, and knn models
-                       on equal training rows share one neighbour search:
-                       one value partition at the largest k and one
-                       stable sort of the candidates it leaves
+                       (exact-distance matches take the whole vote)
   gaussian-naive-bayes Gaussian likelihoods x smoothed priors, scaled to sum 1
   lda                  shared-covariance Gaussian discriminants, scaled to sum 1
   fisher               logistic squashing of one-vs-rest Fisher scores
   logistic-linear      multinomial softmax regression
-  decision-tree/stump  leaf class proportions of a CART tree (Gini): a node
-                       table that all query rows descend a level at a time
+  decision-tree/stump  leaf class proportions of a CART tree (Gini)
   nearest-mean         softmin of distances to class means
   perceptron           logistic squashing of one-vs-rest perceptron scores;
-                       an epoch after one with at most n/4 updates scores
-                       its remaining rows as one product and steps only
-                       through the rows a rounding bound cannot settle, so
-                       the weights are bitwise those of the row loop
+                       it steps row by row through a fresh permutation each
+                       epoch, and an epoch after one with at most n/4
+                       updates scores its remaining rows as one product and
+                       compares each margin with one rounding bound on the
+                       step's own dot product: a margin above it makes no
+                       update, one below its negative makes one, and only a
+                       margin between them takes the step.  It rescores
+                       after each update, so the weights are bitwise those
+                       of the row loop
 
 Classes absent from the fitted data always receive posterior 0.
 
 Each kind is one entry of `_KINDS`: fitter, predictor, the layout (dtype
-and shape of each array) of the state the predictor reads, and the
-defaults of every parameter the fitter or the predictor reads.  A state is
-exactly its layout's arrays: a tree's is one table with a row per node, a
-knn's its training set; a knn's k is in the spec's params.  The present
-classes and the feature count are the model's own attributes.
-`LearnerSpec` rejects other parameters and types each by its default: an
-int >= 1, or a finite real > 0.  `FittedClassifier.from_state` reads the
-record `to_state` writes, checks its keys and its state against the layout,
-and raises LearnerError on any fault.  Its arrays are nested lists typed
-by the layout alone; a knn's training rows are in the file's training_sets.
+and shape of each array, in p present classes, d features, and the
+training rows or tree nodes that the first array sets) of the state the
+predictor reads, and the defaults of every parameter the fitter or the
+predictor reads: knn k = 5; decision-tree max_depth = 12, min_leaf = 2;
+logistic-linear iterations = 500, rate = 0.1; perceptron iterations = 100,
+rate = 0.1; the other kinds take none.  A state is exactly its layout's
+arrays: a knn's is its training set (x, y), and its k is in the spec's
+params.  The present classes and the feature count are the model's own
+attributes.  `LearnerSpec` rejects other parameters and types each by its
+default: an int >= 1, or a finite real > 0; a model file holding another
+does not load.  A roster entry `knn` takes the default k, and `knn<k>`
+writes k plainly (knn25, not knn025, knn+25 or knn2.5).
+
+A fitted tree is one node table, numbered level by level from the root:
+`feature` (-1 at a leaf), `threshold`, `children` (a split's left and
+right child, a leaf's own index twice) and `proportions` (each node's
+class proportions).  All query rows descend it together, one level per
+step, until every row is at a leaf.
 
 A kind has one fitter, over parts: given the features, the compact labels
 of every row and a list of row subsets (rests) with their seeds, it returns
@@ -43,24 +51,69 @@ one state per rest.  `fit_folds` fits one learner on several rests of a
 data set, as cross-validation does: `check_rests` checks the rests and
 compacts the labels once, and the models it returns fit every rest in one
 fitter call when iterated, or rest i alone when indexed; `fit` is its
-one-rest call.  A rest's state never depends on the other rests of the
-call.  Two kinds fit the rests together, bitwise equal to separate fits:
-logistic-linear steps the weights of all rests in one kernel call, made
-when the first state is read, and decision-tree and decision-stump grow
-the trees of all rests level by level from one stable sort per feature, in
-groups of at most TREE_BLOCK_CELLS.  A level scores every cut of a feature
-on class-major cumulative counts, one contiguous slab per class, and adds
-the squared class fractions slab by slab in numpy's pairwise order, so
-each Gini impurity is bitwise the sum over its own row.  The other kinds
-fit each rest on its own rows (`_each_part`, which `_Kind.each_part`
-tells): `training.part_profiles` fits those part by part and the other
-kinds over every part in one call.
+one-rest call.  `check_rests` makes one pass over all rests (one count of
+the (rest, label) pairs, and one comparison of each index with the next
+over the rests laid end to end, the step from one rest to the next
+skipped): a rest that is not an integer array of rows of the data set or
+holds fewer than two classes raises LearnerError before any fit, and the
+pass finds whether all rests are increasing with the same classes.  A
+caller fitting several learners on the same rests checks them once.  Fits
+run with floating-point warnings off, as predictions do: a state that
+overflows fails as non-finite posteriors, naming its classifier, when it
+predicts.
+
+A rest's state never depends on the other rests of the call.  Two kinds
+fit the rests together, bitwise equal to separate fits: logistic-linear
+steps the weights of all rests in one kernel call, made when the first
+state is read, and decision-tree and decision-stump grow the trees of all
+rests level by level from one stable sort per feature, in groups of at
+most TREE_BLOCK_CELLS = 2^16 rest rows x (features + classes), so the 110
+rests of a protocol repeat on 150 rows take one or two groups.  A level
+scores every cut of a feature on class-major cumulative counts, one
+contiguous slab per class, and adds the squared class fractions slab by
+slab in numpy's pairwise order, so each Gini impurity is bitwise the sum
+over its own row.  The other kinds fit each rest on its own rows
+(`_each_part`, which `_Kind.each_part` tells): `training.part_profiles`
+fits those part by part and the other kinds over every part in one call.
 
 A kind has one predictor, over models: it returns one raw posterior array
 per model.  knn predicts its models from one neighbour search, the other
 kinds each model on its own (`_each_model`).  `predict_proba_models`
 sends the models of one `shared_key` (knn models on one training set) to
 one predictor call, bitwise equal to separate `predict_proba_batch` calls.
+The knn search takes, per block of query rows, one distance block and one
+partition of the distances at the largest k, k_max: the training rows
+within each row's k_max-th distance are the candidates, and one stable
+sort orders them by (distance, training index), so each k takes a prefix
+of the same sorted candidates.  A row with a tie across its k_max-th
+distance is sorted whole.  A block holds at most KNN_BLOCK_CELLS = 2^18
+query rows x training rows x features terms: on the serve benchmark's
+inputs (600 training rows, d = 4) the search takes no page faults per call
+at that size, where 2^20-term blocks took about 5,400.  Beyond one block,
+memory grows with the rows only by the query matrix, the (n, K, M)
+posterior stack and the output table.  A row's output depends neither on
+its block nor on which models share its search.
+
+A model file's classifier record is what `FittedClassifier.to_state`
+writes: `kind`, `params` and `state`.  A saved state holds `present` and
+its layout's arrays as plain nested lists, typed and shaped by the layout
+alone, with no dtype tags; a knn's holds `present` and the index of its
+training set in the file's `training_sets`, where each distinct (x, y) is
+one entry however many knn models fit it.  `FittedClassifier.from_state`
+alone reads a record back, given the file's catalog, feature count and
+training sets; the first record naming a training set types its arrays in
+place, so the knn models naming one entry share one x and y and one
+neighbour search.  It raises LearnerError on any fault: a record, state
+or training set that is not an object, lacks a key or holds a key that
+`to_state` never writes; an array of the wrong type (text, an object, or
+a bool anywhere, even among numbers, as in a present of [0, true, 2]) or
+shape; a non-finite number; a present that is not at least two strictly
+increasing class indices; a training set index that is not an integer in
+the table; training labels outside the present classes; a tree feature
+outside [-1, d); a split child at or before its node or past the table; a
+leaf child other than itself; a negative proportion; an LDA inv_cov
+that is not symmetric to SYMMETRY_TOLERANCE (1e-9) of its largest entry or
+not positive definite.
 """
 
 from __future__ import annotations

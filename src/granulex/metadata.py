@@ -1,7 +1,8 @@
 """Soft-label meta-data: the (N, K, M) stack of posterior profiles, one
-K x M matrix (K classifiers, M classes) per observation, with its
-validation and CSV import/export.  A single profile is a (K, M) array; it
-is checked as the one-row stack.
+K x M matrix (K >= 2 classifiers, M classes) per observation, with its
+validation and CSV import/export.  `MetaMatrix` checks every profile in
+one vectorized pass.  A single profile is a (K, M) array; it is checked as
+the one-row stack.
 
 This lowest module also holds the package's one CSV row reader and number
 parser (`_read_rows`, `_number_rows`), shared by `read_meta_csv`,
@@ -9,7 +10,28 @@ parser (`_read_rows`, `_number_rows`), shared by `read_meta_csv`,
 error type, the one JSON loader (`_read_json`) of config and model
 files, and the one typing of what it loads: a JSON integer (`_is_int`),
 a finite JSON number (`_is_number`) and a JSON object's keys and values
-(`_check_object`).  Every fault of a CSV row is found and named there."""
+(`_check_object`).  Every fault of a CSV row is found and named there.
+
+The CSV rules.  Blank lines are skipped, but line numbers count them.
+Every row must be as wide as the header, or as the first row without one.
+A row of another width, a line the csv module cannot read (a field over
+its 128 KiB limit) and a non-numeric or non-finite number cell are each
+named by their line; past _NAMED_ROWS (10) such rows the message names the
+first 10 lines and the count (`rows [2, 3, ..., 11] and 140 more, 150 in
+all`).  A file that is not UTF-8 is named with the line of its first bad
+byte.  A meta CSV words its faults the same way (`non-numeric or malformed
+posterior cells in rows [3]`, `labels not in the catalog in rows [3]`),
+and names a finite posterior outside [0, 1] by its observation, as
+`MetaMatrix` words it.  A CSV with a header but no data row is refused:
+scored on no rows, every alpha's meta-level error would be NaN.
+
+The JSON rules.  A JSON integer is an int and never a bool, and a finite
+JSON number an int or a float inside the float range, so `true`, `NaN` and
+`Infinity` are neither.  Config objects, dataset entries, generator
+objects and every object of a model file are checked by `_check_object`
+and worded alike (`unknown config keys: [...]`, `generator lacks key(s)
+kind`, `config key 'folds' must be an integer, got 1.5`).
+"""
 
 from __future__ import annotations
 
@@ -137,13 +159,25 @@ class MetaMatrix:
         return self.scores.shape[0]
 
 
+def _class_labels(labels, n: int, m: int, error: type[Exception]) -> np.ndarray:
+    """labels as an array of n integer classes in [0, m), or error.  An
+    empty list, which numpy types as float, is no labels."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or (labels.size and (
+            labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= m)).any())):
+        raise error(f"labels must be a list of integer classes in [0, {m})")
+    if labels.shape[0] != n:
+        raise error("labels length does not match meta matrix")
+    return labels
+
+
 def write_meta_csv(path, matrix: MetaMatrix, labels: Sequence[int]) -> None:
     """Write the flattened N x MK layout: one observation per row, columns
     grouped classifier-major (k1_y1 ... k1_yM ... kK_yM), 17 significant
-    digits so values round-trip exactly."""
+    digits so values round-trip exactly.  Labels that are not n integer
+    classes in [0, M) raise MetadataError before the file is opened."""
     n, k, m = matrix.scores.shape
-    if len(labels) != n:
-        raise MetadataError("labels length does not match matrix")
+    labels = _class_labels(labels, n, m, MetadataError)
     header = ["obs_id"]
     for ki in range(k):
         for mi in range(m):

@@ -2,7 +2,9 @@
 human-readable summary table.  Every file is written from the report's own
 records alone (its config, one MethodResult per (dataset, method), its
 comparisons and rankings), so identical runs produce byte-identical files.
-A caller that echoes another config stores it with dataclasses.replace."""
+`report.json`'s config is the report's own config field: `run_protocol`
+stores config_echo(config), and a caller that echoes another config, as
+`evaluate` does its resolved config, stores it with dataclasses.replace."""
 
 from __future__ import annotations
 

@@ -18,11 +18,11 @@ the BLAS threads are capped.
 
 A task's cells depend neither on the process that runs it nor on the
 other tasks, so both paths give bitwise the same cells, and there is no
-option to choose between them.  When either side raises an Exception, or
-the child leaves without its cells, every task is run again in this
-process, which raises the serial error, if any.  The child is killed
-unless it has sent its cells, and reaped before `run` returns or raises:
-no child outlives the call.
+option or environment variable to choose between them.  When either side
+raises an Exception, or the child leaves without its cells, every task is
+run again in this process, which raises the serial error, if any.  The
+child is killed unless it has sent its cells, and reaped before `run`
+returns or raises: no child outlives the call.
 """
 
 from __future__ import annotations

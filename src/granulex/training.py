@@ -4,37 +4,79 @@ Training: generate meta-data of the training set by stratified T-fold
 cross-validation, grid-search the specificity weight alpha against the
 training-set error of the granular combiner, and refit all base
 classifiers on the full training set; in grid mode the refit is one more
-part of the meta-CV's fit, as below.  Prediction stacks the (n, K, M)
-posterior profiles of the refitted classifiers, builds per-class
-intervals, and decides by maximum numerical class membership.
+part of the meta-CV's fit, as below.  `train` checks its arguments before
+any fit: a grid that is not an `AlphaGrid`, a fixed_alpha that is not a
+finite number >= 0 (a bool is none) and an n_folds that is not an integer
+>= 2 each raise TrainingError.  A fixed-alpha `train` has no meta-CV and
+fits its K models with `fit` in this process: a lone part would fork for
+less work than the fork costs.  Finite training features too large for a
+learner's sums (a column scaled by 1e154) fail naming the first
+classifier whose posteriors come out non-finite.
+
+Prediction stacks the (n, K, M) posterior profiles of the refitted
+classifiers, builds per-class intervals, and decides by maximum numerical
+class membership.  `predict_batch` returns a `PredictionBatch` of arrays,
+a sequence of the rows' PredictionDetail built as they are read, and
+`predict` is the first item of a one-row batch.
+
+The model file.  Format 3 holds each fact once: the catalog and the
+feature count at the top, each knn training set once in `training_sets`,
+and the classifier records of `FittedClassifier.to_state`.
 `load_ensemble` reads a model file and checks its payload in one pass: the
-format version, then every top-level key against `MODEL_TYPES`, then
+format version, which must be the JSON integer 3 (3.0 or true is refused),
+then every top-level key against `MODEL_TYPES`, then
 `FittedClassifier.from_state` on each classifier record; the learners must
 make a roster `train` accepts (`check_roster`), and every training set must
-be named by a record.  `save_ensemble` runs the same check on the payload
-it writes before it opens the file, so it writes only what load accepts.
-A refused classifier record is named by its place and, where its kind and
-params are valid, by its learner: "model classifier 0 (lda): ...".
+be named by a record.  There is no loader for older versions: a version-2
+file (each record with its own catalog, feature count, training rows and
+dtype-tagged arrays) and a version-1 file (trees as nested dicts) fail
+with `unsupported ensemble format version N`.  `save_ensemble` runs the
+same check on the payload it writes before it opens the file, so it
+writes only what load accepts: a fixed-alpha `train` predicts nothing
+before it saves, so there the save refuses a non-finite state (`model
+classifier 0: state 'inv_cov' holds a non-finite value`) and writes no
+file.  A refused classifier record is named by its place and, where its
+kind and params are valid, by its learner: "model classifier 0 (lda): ...".
 
 Every fold fit of the package goes through `part_profiles`, one rest
 check and one `fit_folds` call per learner, over parts that `fold_parts`
-lists: the meta-CV of `alpha-curve` through `generate_meta_cv`, the
-meta-CV of `train` with its full-data refit as one more part, and each
-protocol repeat, `evaluation._repeat_runs`, whose outer and inner training
-parts go in one call.  A part with no query gives its fitted models, not
-profiles: that is how `train` reads its refit.  The meta-CV's checks, a
-class with fewer rows than folds and a class absent from a fold
-complement, run before any fit in `_cv_plan` and `_meta_cv`, which
-`cross_validated_meta`, `generate_meta_cv` and `train` share.
-`fold_parts` is the one place a fold's seed is derived, and
-`meta_from_folds` assembles the meta-data of both.  Seeds come from
-`derive_seed`, which chains: derive_seed(derive_seed(s, *a), *b) ==
-derive_seed(s, *a, *b), so a fit's seed depends on its coordinates, not on
-the call that made it; the refit part's seed derive_seed(seed, 0xF111)
-gives learner j the seed derive_seed(seed, 0xF111, j) of a lone `fit`.
+lists (training rows, seed, query rows): the meta-CV of `alpha-curve`
+through `generate_meta_cv`, the meta-CV of `train` with its full-data
+refit as one more part, and each protocol repeat, `evaluation._repeat_runs`,
+whose outer and inner training parts go in one call.  A part with no query
+gives its K fitted models, in roster order, not profiles: that is how
+`train` reads its refit, which so shares the folds' logistic-linear kernel
+call, tree growth and task queue.  The meta-CV's checks, a class with
+fewer rows than folds and a class absent from a fold complement, run
+before any fit in `_cv_plan` and `_meta_cv`, which `cross_validated_meta`,
+`generate_meta_cv` and `train` share.  A `FoldPlan` needs at least 2 folds
+and an integer fold in [0, n_folds) for every row, and `generate_meta_cv`
+refuses a plan that does not split exactly the data's rows, so no
+meta-data row is left unfilled or dropped.  `fold_parts` is the one place
+a fold's seed is derived, and `meta_from_folds` assembles the meta-data of
+both.  Seeds come from `derive_seed`, which chains:
+derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b), so a fit's
+seed depends on its coordinates, not on the call that made it; the refit
+part's seed derive_seed(seed, 0xF111) gives learner j the seed
+derive_seed(seed, 0xF111, j) of a lone `fit`.
 
-`part_profiles` and `error_curves`, the alpha sweep, list their work as
-tasks that `tasks.run` drains.
+`error_curves` is the alpha sweep: given the alphas and the h functions,
+it picks the bounds once per alpha and de-granulates each picked block
+once per h, so `alpha-curve`'s three h columns share one search;
+`error_for_alpha` is its one-alpha view and `select_alpha` its one-h view.
+`alpha-curve` runs it on `cross_validated_meta`, the meta-data `train`
+searches.  Its work is chunks of meta rows, each sized so that its whole
+alpha grid is one pick block (GRANULE_BLOCK_CELLS // (A * M * w) rows); a
+chunk counts the rows it misclassifies per h and alpha, and an error is
+the summed count over n, bitwise the mean of a one-pass sweep.
+
+`part_profiles` and `error_curves` list their work as tasks that
+`tasks.run` drains, on this process and one forked child where it can.
+`error_curves` forks only for a sweep of at least SWEEP_FORK_SCORES = 2^21
+scores (2 * n * M * w * A), as below that a fork costs more than the half
+of the sweep it takes over.  On either path a failing learner raises the
+error of the first part, query and learner whose model fails
+(`_raise_first_error`).
 
 Caveat: alpha is selected on the same meta-data its error is measured on
 (no nested validation), so the reported alpha-error curve is optimistically
@@ -68,7 +110,7 @@ from .learners import (
     predict_proba_models,
 )
 from .metadata import (ClassCatalog, MetadataError, MetaMatrix, _check_object,
-                       _is_int, _is_number, _read_json)
+                       _class_labels, _is_int, _is_number, _read_json)
 
 __all__ = [
     "AlphaGrid",
@@ -375,13 +417,8 @@ def error_curves(
     the labels, as sums of 0s and 1s are exact.  `tasks.run` drains the
     tasks, with its fork only for a sweep of at least SWEEP_FORK_SCORES
     scores, 2 * n * M * w * A."""
-    labels = np.asarray(labels)
     n, k, m = meta.scores.shape
-    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
-            or ((labels < 0) | (labels >= m)).any()):
-        raise TrainingError(f"labels must be a list of integer classes in [0, {m})")
-    if labels.shape[0] != n:
-        raise TrainingError("labels length does not match meta matrix")
+    labels = _class_labels(labels, n, m, TrainingError)
     if n == 0:
         raise TrainingError("meta matrix has no observations to score alpha on")
     hs = list(dict.fromkeys(hs))

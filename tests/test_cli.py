@@ -594,6 +594,10 @@ class TestErrorPaths:
         (dict(EVAL_CONFIG, datasets=[
             {"generator": {"kind": "twonorm-like", "n": 10**12}}]),
          "generator n * d must be at most"),
+        # numpy's own message would name neither the key nor the entry
+        (dict(EVAL_CONFIG, datasets=[
+            {"generator": {"kind": "twonorm-like", "seed": -1}}]),
+         "generator seed must be an integer >= 0, got -1"),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "exp.json"
@@ -602,7 +606,7 @@ class TestErrorPaths:
                      "--output", str(tmp_path / "r")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error:" in err and message in err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_deeply_nested_json_exits_1(self, tmp_path, capsys, command):

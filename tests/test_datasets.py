@@ -123,6 +123,9 @@ class TestGenerators:
             GeneratorSpec("two-gaussians", n=2)
         with pytest.raises(DatasetError):
             GeneratorSpec("concentric-rings", d=1)
+        with pytest.raises(DatasetError,
+                           match=r"generator seed must be an integer >= 0, got -1"):
+            GeneratorSpec("twonorm-like", seed=-1)
 
     def test_size_bound(self):
         GeneratorSpec("twonorm-like", n=MAX_GENERATED_VALUES // 4, d=4)

@@ -66,6 +66,11 @@ class TestMacroF1:
         )
         assert error_rate(perm[preds], perm[truth]) == error_rate(preds, truth)
 
+    @pytest.mark.parametrize("n_classes", [0, -1])
+    def test_no_classes_rejected(self, n_classes):
+        with pytest.raises(EvaluationError, match="n_classes must be at least 1"):
+            macro_f1([0, 1], [0, 1], n_classes)
+
 
 class TestBiasVariance:
     def test_all_agree(self):
@@ -147,6 +152,23 @@ class TestWilcoxon:
         res = wilcoxon_signed_rank(a, b)
         assert res.outcome in ("equal", "a-better", "b-better")
         assert 0.0 <= res.p_value <= 1.0
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([np.nan, 1, 2, 3, 4, 5], [0] * 6, "must be finite"),
+        ([1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, np.inf], "must be finite"),
+        ([[1, 2], [3, 4], [5, 6]], [[0, 0]] * 3, "must be 1-D"),
+        (3.0, 1.0, "must be 1-D"),
+        ([1, 2, 3, 4, 5], [0] * 6, "of equal length"),
+    ])
+    def test_samples_that_would_rank_silently_rejected(self, a, b, message):
+        with pytest.raises(EvaluationError, match=message):
+            wilcoxon_signed_rank(a, b)
+
+    @pytest.mark.parametrize("significance", [0.0, 1.0, 2, -0.5, np.nan])
+    def test_significance_outside_the_open_unit_interval_rejected(
+            self, significance):
+        with pytest.raises(EvaluationError, match=r"significance must lie in \(0, 1\)"):
+            wilcoxon_signed_rank(np.arange(1.0, 7.0), np.zeros(6), significance)
 
 
 class TestRanks:

@@ -175,3 +175,22 @@ def test_csv_round_trip_bit_exact(tmp_path):
     back, back_labels = read_meta_csv(path, cat)
     assert np.array_equal(back.scores, matrix.scores)
     assert np.array_equal(back_labels, labels)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([-1, 0], r"integer classes in \[0, 2\)"),
+    ([5, 0], r"integer classes in \[0, 2\)"),
+    ([0.0, 1.0], r"integer classes in \[0, 2\)"),
+    ([[0], [1]], r"integer classes in \[0, 2\)"),
+    ([0], "labels length does not match meta matrix"),
+    ([0, 1, 1], "labels length does not match meta matrix"),
+])
+def test_write_meta_csv_checks_labels_before_opening_the_file(
+        tmp_path, labels, message):
+    """A label outside the catalog once wrote another class's name (-1 as
+    the last class) or left a header-only file behind."""
+    matrix = MetaMatrix(np.full((2, 2, 2), 0.5), ClassCatalog(("a", "b")))
+    path = tmp_path / "meta.csv"
+    with pytest.raises(MetadataError, match=message):
+        write_meta_csv(path, matrix, labels)
+    assert not path.exists()
