@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import math
 import re
@@ -268,11 +269,16 @@ def cmd_alpha_curve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  A flag is read only as written in
+    full: allow_abbrev=False on each parser makes a prefix (--emit,
+    --out) a usage error, not the flag it abbreviates."""
     parser = argparse.ArgumentParser(
         prog="granulex",
         description="Granular-interval classifier ensemble workbench",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p):
         p.add_argument("--label-column", default=-1,
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--folds", type=int)
         add_common(p)
 
-    p_train = sub.add_parser("train", help="fit and serialize an ensemble")
+    p_train = add_parser("train", help="fit and serialize an ensemble")
     add_training_inputs(p_train)
     p_train.add_argument("--alpha", dest="fixed_alpha", type=float,
                          help="fixed alpha (skips CV)")
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--output", required=True)
     p_train.set_defaults(func=cmd_train)
 
-    p_pred = sub.add_parser("predict", help="classify a feature CSV")
+    p_pred = add_parser("predict", help="classify a feature CSV")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--data", required=True)
     p_pred.add_argument("--output")
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--no-header", action="store_true")
     p_pred.set_defaults(func=cmd_predict)
 
-    p_eval = sub.add_parser("evaluate", help="run the comparison protocol")
+    p_eval = add_parser("evaluate", help="run the comparison protocol")
     p_eval.add_argument("--config")
     p_eval.add_argument("--data")
     p_eval.add_argument("--folds", type=int)
@@ -319,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_curve = sub.add_parser("alpha-curve",
-                             help="emit meta-level error vs alpha as CSV")
+    p_curve = add_parser("alpha-curve",
+                         help="emit meta-level error vs alpha as CSV")
     add_training_inputs(p_curve)
     p_curve.add_argument("--h", choices=combiners.H_KINDS,
                          help="one h function (default: all three)")

@@ -77,10 +77,19 @@ over its own row.  The other kinds fit each rest on its own rows
 fits those part by part and the other kinds over every part in one call.
 
 A kind has one predictor, over models: it returns one raw posterior array
-per model.  knn predicts its models from one neighbour search, the other
-kinds each model on its own (`_each_model`).  `predict_proba_models`
-sends the models of one `shared_key` (knn models on one training set) to
-one predictor call, bitwise equal to separate `predict_proba_batch` calls.
+per model, over the model's present classes.  knn predicts its models
+from one neighbour search, the other kinds each model on its own
+(`_each_model`).  `predict_proba_models` is the one path from models to
+catalog posteriors, and `predict_proba_batch` is its one-model call.  One
+call converts and checks the query once and turns floating-point
+warnings off once.  It sends the models of one `shared_key` (knn models
+on one training set) to one predictor call and each other model to its
+own, and writes each raw array into its model's present-class columns of
+one zeroed (n, K, M) stack.  One test of every row sum of the stack
+precedes one division in place; only when the test fails is each model
+mapped on its own, to raise or to mend its zero-sum rows.  Every element
+gets the arithmetic of a separate one-model call, so the stack is
+bitwise the models' own `predict_proba_batch` results.
 The knn search takes, per block of query rows, one distance block and one
 partition of the distances at the largest k, k_max: the training rows
 within each row's k_max-th distance are the candidates, and one stable
@@ -345,37 +354,10 @@ class FittedClassifier:
         return self.predict_proba_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
 
     def predict_proba_batch(self, x: np.ndarray) -> np.ndarray:
-        return _posteriors([self], x)[0]
+        return predict_proba_models([self], x)[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba_batch(x), axis=1)
-
-    def _to_catalog(self, raw: np.ndarray) -> np.ndarray:
-        """Posteriors over the present classes mapped back to the full
-        catalog.  Raises LearnerError naming the classifier when a score is
-        not finite, as an extreme model state can make it: a row sum is
-        finite only if each of its terms is."""
-        present = self.present
-        if len(present) == self.catalog.size:
-            out = raw  # every class present: raw is in catalog order
-        else:
-            out = np.zeros((raw.shape[0], self.catalog.size))
-            out[:, present] = raw
-        s = out.sum(axis=1, keepdims=True)
-        # Every row sum in (0, inf)?  Two bare reductions cost less than a
-        # mask on a one-row call; a NaN sum fails, an empty batch passes.
-        if not (0.0 < np.minimum.reduce(s, axis=None, initial=np.inf)
-                and np.maximum.reduce(s, axis=None, initial=0.0) < np.inf):
-            if not np.isfinite(s).all():
-                raise LearnerError(
-                    f"classifier {self.spec.name} gives non-finite posteriors"
-                )
-            bad = (s <= 0).ravel()
-            out = out.copy()
-            out[bad] = 0.0
-            out[np.ix_(bad, present)] = 1.0 / len(present)
-            s = out.sum(axis=1, keepdims=True)
-        return out / s
 
     def to_state(self, training_sets: dict[bytes, dict]) -> dict[str, Any]:
         """The classifier's JSON record, each state array a nested list.
@@ -408,41 +390,75 @@ class FittedClassifier:
         return cls(spec, catalog, present, n_features, state)
 
 
-@np.errstate(all="ignore")
-def _posteriors(models: Sequence[FittedClassifier], x) -> list[np.ndarray]:
-    """Catalog posteriors of each of models on the rows of x, from one
-    call of their kind's predictor: models is one model, or models of one
-    shared_key.  Scores are computed with floating-point warnings off; a
-    non-finite result raises instead."""
-    first = models[0]
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != first.n_features:
-        raise LearnerError(
-            f"expected feature dimension {first.n_features}, got {x.shape}"
-        )
-    if not np.isfinite(x).all():
-        raise LearnerError("non-finite query features")
-    raws = _KINDS[first.spec.kind].predict(models, x)
-    return [m._to_catalog(raw) for m, raw in zip(models, raws)]
-
-
 def predict_proba_models(
     models: Sequence[FittedClassifier], x: np.ndarray
-) -> list[np.ndarray]:
-    """`[m.predict_proba_batch(x) for m in models]`, bitwise.  The models
-    that share a `shared_key` go to one call of their kind's predictor: the
-    knn models on one training set share one neighbour search."""
-    out: list = [None] * len(models)
+) -> np.ndarray:
+    """The catalog posteriors of each of models on the rows of x, as a
+    (K, n, M) view of one (n, K, M) stack: item j is
+    `models[j].predict_proba_batch(x)`, bitwise, which is the one-model
+    call, and `.swapaxes(0, 1)` is the stack.
+
+    The models that share a `shared_key` (the knn models on one training
+    set) go to one call of their kind's predictor, one neighbour search,
+    and each other model to a call of its own.  Call order is the models
+    without a shared_key in order, then each shared group in the order of
+    its first model.  x is converted once and checked before any
+    predictor runs: its width against each call's feature count in call
+    order, and its finiteness once, after the first width; each failure
+    is a LearnerError.  Floating-point warnings are off for the whole
+    call.  A model's raw posteriors fill its present classes' columns of
+    the zeroed stack, and every row is divided by its sum over the
+    catalog.  Only when some row sum is not in (0, inf) are the models
+    mapped one by one, in call order: a non-finite sum raises LearnerError
+    naming the classifier, and a row summing to 0 gets the uniform
+    posterior over its model's present classes."""
+    calls: list[list[int]] = []
     groups: dict[bytes, list[int]] = {}
     for j, model in enumerate(models):
         if model.shared_key is None:
-            out[j] = model.predict_proba_batch(x)
+            calls.append([j])
         else:
             groups.setdefault(model.shared_key, []).append(j)
-    for group in groups.values():
-        for j, post in zip(group, _posteriors([models[j] for j in group], x)):
-            out[j] = post
-    return out
+    calls += groups.values()
+    x = np.asarray(x, dtype=np.float64)
+    for i, call in enumerate(calls):
+        d = models[call[0]].n_features
+        if x.ndim != 2 or x.shape[1] != d:
+            raise LearnerError(f"expected feature dimension {d}, got {x.shape}")
+        if i == 0 and not np.isfinite(x).all():
+            raise LearnerError("non-finite query features")
+    stack = np.zeros((x.shape[0], len(models), models[0].catalog.size))
+    with np.errstate(all="ignore"):
+        for call in calls:
+            group = [models[j] for j in call]
+            for j, model, raw in zip(call, group,
+                                     _KINDS[group[0].spec.kind].predict(group, x)):
+                stack[:, j, model.present] = raw
+        s = stack.sum(axis=2, keepdims=True)
+        # Every row sum in (0, inf)?  Two bare reductions cost less than a
+        # mask on a one-row call; a NaN sum fails, an empty batch passes.
+        if not (0.0 < np.minimum.reduce(s, axis=None, initial=np.inf)
+                and np.maximum.reduce(s, axis=None, initial=0.0) < np.inf):
+            s = _mend_rows(models, calls, stack, s)
+        stack /= s
+    return stack.swapaxes(0, 1)
+
+
+def _mend_rows(models, calls, stack, s) -> np.ndarray:
+    """The row sums of stack once each model's rows are mended, in call
+    order: a model with a non-finite row sum in s raises LearnerError, and
+    its rows summing to 0 become uniform over its present classes."""
+    for j in itertools.chain.from_iterable(calls):
+        sums = s[:, j, 0]
+        if not np.isfinite(sums).all():
+            raise LearnerError(
+                f"classifier {models[j].spec.name} gives non-finite posteriors")
+        bad = sums <= 0
+        present = models[j].present
+        rows = stack[:, j]
+        rows[bad] = 0.0
+        rows[np.ix_(bad, present)] = 1.0 / len(present)
+    return stack.sum(axis=2, keepdims=True)
 
 
 def fit(spec: LearnerSpec, data: Dataset, seed: int) -> FittedClassifier:

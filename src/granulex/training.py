@@ -556,9 +556,9 @@ class PredictionDetail:
 
 
 def ensemble_profiles(ensemble: TrainedEnsemble, x: np.ndarray) -> np.ndarray:
-    """(n, K, M) posterior profiles from the refitted base classifiers; the
-    knn models of one training set share one neighbour search."""
-    return np.stack(predict_proba_models(ensemble.classifiers, x), axis=1)
+    """(n, K, M) posterior profiles from the refitted base classifiers: the
+    stack that one `predict_proba_models` call fills."""
+    return predict_proba_models(ensemble.classifiers, x).swapaxes(0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,7 +602,7 @@ def predict_batch(ensemble: TrainedEnsemble, x: np.ndarray) -> PredictionBatch:
     granule kernel together; each row's decision is the argmax of its
     memberships, so a row decides as `evaluate` decides on the same
     profile."""
-    # Rows that from_state and _to_catalog let through are posteriors.
+    # Rows that from_state and predict_proba_models let through are posteriors.
     profiles = ensemble_profiles(ensemble, x)
     profiles.setflags(write=False)
     bounds = combiners.granular_bounds_batch(profiles, ensemble.alpha)

@@ -17,7 +17,7 @@ import pytest
 
 import granulex.evaluation as evaluation
 import granulex.training as training
-from granulex import tasks
+from granulex import learners, tasks
 from granulex.cli import main
 from granulex.combiners import (
     FIXED_RULES,
@@ -346,33 +346,39 @@ def test_11_evaluate_report_is_byte_identical_across_runs(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def _audit_predictions(monkeypatch, audit):
+    """Wrap every kind's predictor in learners._KINDS so that each call
+    first runs audit(models, x): every posterior of every model goes
+    through its kind's predictor."""
+    for kind, entry in list(learners._KINDS.items()):
+        def predict(models, x, real=entry.predict):
+            audit(models, x)
+            return real(models, x)
+        monkeypatch.setitem(learners._KINDS, kind, entry._replace(predict=predict))
+
+
 def test_12_no_leakage_in_meta_cv(monkeypatch):
     real_fit_folds = training.fit_folds
     audited = []
     violations = []
 
-    class AuditedModel:
-        shared_key = None  # predicted alone, through predict_proba_batch
-
-        def __init__(self, model, train_rows):
-            self.model = model
-            self.train_rows = train_rows
-
-        def predict_proba_batch(self, x):
-            for row in np.asarray(x):
-                audited.append(row)
-                if tuple(row) in self.train_rows:
-                    violations.append(tuple(row))
-            return self.model.predict_proba_batch(x)
+    train_rows = {}  # each fitted model -> the rows it was fitted on
 
     def audited_fit_folds(spec, data, rests, seeds):
-        models = real_fit_folds(spec, data, rests, seeds)
-        return [
-            AuditedModel(model, {tuple(r) for r in data.features[rest]})
-            for model, rest in zip(models, rests)
-        ]
+        models = list(real_fit_folds(spec, data, rests, seeds))
+        train_rows.update((model, {tuple(r) for r in data.features[rest]})
+                          for model, rest in zip(models, rests))
+        return models
+
+    def audit(models, x):
+        for model in models:
+            for row in x:
+                audited.append(row)
+                if tuple(row) in train_rows[model]:
+                    violations.append(tuple(row))
 
     monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
+    _audit_predictions(monkeypatch, audit)
     # The audit sees the predictions of this process only: keep every
     # task of part_profiles out of its forked child.
     monkeypatch.setattr(tasks, "_can_fork", lambda: False)
@@ -495,23 +501,23 @@ def test_15_one_fit_per_repeat_equals_meta_cv_per_fold(case, monkeypatch):
                             methods=("rule:sum", "granular-cv"))
     calls, metas, alphas = [], [], []
 
-    class AuditedModel:
-        shared_key = None  # predicted alone, through predict_proba_batch
+    class Audit:
+        def __init__(self, train_rows):
+            self.train_rows, self.asked = train_rows, set()
 
-        def __init__(self, model, train_rows):
-            self.model, self.train_rows, self.asked = model, train_rows, set()
-
-        def predict_proba_batch(self, x):
-            self.asked |= {tuple(row) for row in x}
-            return self.model.predict_proba_batch(x)
-
+    audits = {}  # each fitted model -> its Audit
     real_fit_folds = training.fit_folds
 
     def audited_fit_folds(spec, data, rests, seeds):
-        models = [AuditedModel(m, {tuple(r) for r in data.features[rest]})
-                  for m, rest in zip(real_fit_folds(spec, data, rests, seeds), rests)]
-        calls.append((spec.name, data.name, models))
+        models = list(real_fit_folds(spec, data, rests, seeds))
+        audits.update((m, Audit({tuple(r) for r in data.features[rest]}))
+                      for m, rest in zip(models, rests))
+        calls.append((spec.name, data.name, [audits[m] for m in models]))
         return models
+
+    def audit(models, x):
+        for model in models:
+            audits[model].asked |= {tuple(row) for row in x}
 
     def recorded(store, fn):
         def spy(*args):
@@ -521,6 +527,7 @@ def test_15_one_fit_per_repeat_equals_meta_cv_per_fold(case, monkeypatch):
         return spy
 
     monkeypatch.setattr(training, "fit_folds", audited_fit_folds)
+    _audit_predictions(monkeypatch, audit)
     # The audit sees the predictions of this process only: keep every
     # task of part_profiles out of its forked child.
     monkeypatch.setattr(tasks, "_can_fork", lambda: False)

@@ -861,6 +861,27 @@ def test_undamaged_rings_model_predicts(tmp_path, rings_model):
     assert len(read_csv_rows(tmp_path / "p.csv")) == 151
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "M", "--data", "Q", "--emit", "--output", "P"],
+     "unrecognized arguments: --emit"),
+    (["--model", "M", "--data", "Q", "--emit-intervals", "--out", "P"],
+     "unrecognized arguments: --out "),
+    (["--mod", "M", "--data", "Q", "--output", "P"],
+     "the following arguments are required: --model"),
+], ids=["emit", "out", "mod"])
+def test_abbreviated_flag_exits_2(tmp_path, capsys, rings_model, flags, message):
+    """A flag is read only as written in full: a prefix of one is argparse's
+    usage error, and no output file is written."""
+    text, query = rings_model
+    (tmp_path / "m.json").write_text(text)
+    paths = {"M": str(tmp_path / "m.json"), "Q": str(query),
+             "P": str(tmp_path / "p.csv")}
+    assert main(["predict", *(paths.get(f, f) for f in flags)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: granulex") and f"error: {message}" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def _predict_fails(tmp_path, capsys, payload, query, message):
     """predict on the model file payload exits 1 with message as its error
     line, without a traceback or an output file."""

@@ -1283,3 +1283,102 @@ def test_posteriors_of_an_empty_batch_are_empty():
         assert model.predict_proba_batch(empty).shape == (0, 3), model.spec.name
     assert [a.shape for a in learners.predict_proba_models(models, empty)] == [
         (0, 3)] * len(models)
+
+
+CAT3 = ClassCatalog(("a", "b", "c"))
+FAR = np.array([-1e6, -1e6])
+
+
+def _all_zero_perceptron(present):
+    """A perceptron whose one-vs-rest posteriors are all 0 at FAR: every
+    score is about -1e6, and each sigmoid underflows to 0."""
+    p = len(present)
+    state = {"w": np.eye(p, 2) + 0.5, "b": np.zeros(p)}
+    return FittedClassifier(LearnerSpec("perceptron"), CAT3,
+                            np.asarray(present), 2, state)
+
+
+@pytest.mark.parametrize("present, uniform", [
+    ([0, 1, 2], [1 / 3, 1 / 3, 1 / 3]),
+    ([0, 2], [0.5, 0.0, 0.5]),
+], ids=["all-present", "one-absent"])
+def test_all_zero_row_is_uniform_over_the_present_classes(present, uniform):
+    """A row whose posteriors sum to 0 gets the uniform posterior over the
+    model's present classes, bitwise, in every prediction path; the other
+    rows of its batch and the other models of its call keep their own."""
+    model = _all_zero_perceptron(present)
+    uniform = np.array(uniform)
+    assert np.array_equal(model.predict_proba(FAR), uniform)
+
+    near = np.array([0.3, -0.2])
+    own = model.predict_proba(near)
+    assert own.sum() > 0 and not np.array_equal(own, uniform)
+    got = model.predict_proba_batch(np.array([near, FAR]))
+    assert np.array_equal(got, np.array([own, uniform]))
+
+    data = toy([[0.0, 0.0], [0.2, 0.1], [3.0, 3.0], [3.1, 2.9]], [0, 0, 2, 2], CAT3)
+    other = fit(LearnerSpec("nearest-mean"), data, 0)
+    q = np.array([FAR, near])
+    first, second = learners.predict_proba_models([model, other], q)
+    assert np.array_equal(first, np.array([uniform, own]))
+    assert np.array_equal(second, other.predict_proba_batch(q))
+
+
+def _poison(monkeypatch, kind, row):
+    """Wrap kind's predictor in _KINDS so each model's raw posteriors hold
+    a NaN at row."""
+    real = learners._KINDS[kind]
+
+    def predict(models, x):
+        raws = [np.array(raw, dtype=np.float64) for raw in real.predict(models, x)]
+        for raw in raws:
+            raw[row] = np.nan
+        return raws
+
+    monkeypatch.setitem(learners._KINDS, kind, real._replace(predict=predict))
+
+
+@pytest.mark.parametrize("rows, named", [
+    # knn is first in the roster and fails on the earliest row, and
+    # gaussian-naive-bayes fails before lda by row: lda is named, the first
+    # model of the roster order outside the shared knn groups.
+    ({"knn": 0, "lda": 2, "gaussian-naive-bayes": 1}, "lda"),
+    ({"knn": 0, "gaussian-naive-bayes": 3}, "gaussian-naive-bayes"),
+    ({"knn": 3}, "knn5"),
+], ids=["lda", "gnb", "knn"])
+def test_multi_model_error_names_the_first_model_in_call_order(
+        monkeypatch, rows, named):
+    """Models without a shared_key are mapped in roster order, then each
+    group of shared knn models: the error names the first of that order to
+    fail, whichever row it fails on."""
+    data = toy([[0.0, 0.0], [0.2, 0.1], [3.0, 3.0], [3.1, 2.9], [1.0, 1.5]],
+               [0, 0, 1, 1, 0])
+    models = [fit(spec_from_name(name), data, 0)
+              for name in ("knn5", "lda", "gaussian-naive-bayes", "knn1")]
+    for kind, row in rows.items():
+        _poison(monkeypatch, kind, row)
+    with pytest.raises(LearnerError,
+                       match=f"^classifier {named} gives non-finite posteriors$"):
+        learners.predict_proba_models(models, data.features)
+
+
+@pytest.mark.parametrize("query, message", [
+    (np.zeros((3, 3)), "expected feature dimension 2, got (3, 3)"),
+    (np.zeros(2), "expected feature dimension 2, got (2,)"),
+    (np.array([[0.0, 1.0], [np.nan, 0.0]]), "non-finite query features"),
+    (np.array([[0.0, np.inf]]), "non-finite query features"),
+], ids=["width", "one-dimensional", "nan", "inf"])
+def test_query_checked_before_any_predictor_runs(monkeypatch, query, message):
+    data = toy([[0.0, 0.0], [0.2, 0.1], [3.0, 3.0], [3.1, 2.9]], [0, 0, 1, 1])
+    models = [fit(spec, data, j) for j, spec in enumerate(default_roster())]
+    calls = []
+    for kind, entry in list(learners._KINDS.items()):
+        def spy(ms, x, kind=kind, real=entry.predict):
+            calls.append(kind)
+            return real(ms, x)
+        monkeypatch.setitem(learners._KINDS, kind, entry._replace(predict=spy))
+    for call in (lambda q: learners.predict_proba_models(models, q),
+                 models[0].predict_proba_batch):
+        with pytest.raises(LearnerError, match=f"^{re.escape(message)}$"):
+            call(query)
+    assert calls == []
